@@ -6,12 +6,7 @@
 spread-out keyword signatures those functions grew: one frozen dataclass
 carries the seed, scan-chain count, the Section 2 knowledge toggles, the
 Section 4 compaction switches and the incremental fault-simulation
-tuning, so a whole experiment is reproducible from one value.
-
-The flows still accept the historical keyword arguments (``seed=``,
-``compact=``, ...) through a shim that maps them onto a ``FlowConfig``
-and emits :class:`DeprecationWarning`; new code should build the config
-explicitly::
+tuning, so a whole experiment is reproducible from one value::
 
     from repro import FlowConfig, generation_flow
 
@@ -25,9 +20,8 @@ explicitly::
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Optional
 
 from ..atpg.seq_atpg import SeqATPGConfig
 
@@ -160,100 +154,3 @@ class FlowConfig:
 
         return resolve_run_index(self.run_index)
 
-
-#: legacy keyword -> FlowConfig field
-_LEGACY_FIELDS = {
-    "seed": "seed",
-    "num_chains": "num_chains",
-    "compact": "compact",
-    "classify_redundant": "classify_redundant",
-    "use_scan_knowledge": "use_scan_knowledge",
-    "use_justification": "use_justification",
-    "redundancy_backtrack_limit": "redundancy_backtrack_limit",
-    "config": "atpg",
-    "baseline_config": "baseline",
-}
-
-
-def coerce_flow_config(
-    name: str,
-    config: Any,
-    legacy: Mapping[str, Any],
-    allowed: frozenset,
-) -> FlowConfig:
-    """Resolve a flow's ``(config, **legacy)`` arguments to a FlowConfig.
-
-    Accepts, in order of preference:
-
-    * a :class:`FlowConfig` (the new API; no other keywords allowed),
-    * nothing — defaults,
-    * the historical keyword arguments (``seed=``, ``compact=``, ...),
-      possibly with a legacy engine config passed as ``config=`` or an
-      ``int`` seed passed positionally — these emit
-      :class:`DeprecationWarning` and map onto a FlowConfig.
-
-    ``allowed`` is the set of legacy keyword names the calling flow
-    historically accepted; anything else raises :class:`TypeError`.
-    """
-    if isinstance(config, FlowConfig):
-        if legacy:
-            raise TypeError(
-                f"{name}() got both a FlowConfig and legacy keyword "
-                f"arguments {sorted(legacy)}; fold them into the config "
-                f"(FlowConfig.replace(...))"
-            )
-        return config
-
-    fields: Dict[str, Any] = {}
-    if isinstance(config, int):
-        # Historical positional seed: generation_flow(circuit, 3).
-        fields["seed"] = config
-    elif isinstance(config, SeqATPGConfig):
-        # Historical generation_flow(circuit, config=SeqATPGConfig(...)).
-        fields["atpg"] = config
-    elif config is not None:
-        raise TypeError(
-            f"{name}() config must be a FlowConfig (or a legacy "
-            f"SeqATPGConfig/int seed), got {type(config).__name__}"
-        )
-
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"{name}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    for key, value in legacy.items():
-        field = _LEGACY_FIELDS[key]
-        if field in fields:
-            raise TypeError(f"{name}() got duplicate values for '{field}'")
-        fields[field] = value
-
-    if fields:
-        warnings.warn(
-            f"passing individual keyword arguments to {name}() is "
-            f"deprecated; pass a FlowConfig instead "
-            f"(e.g. {name}(circuit, FlowConfig(seed=...)))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return FlowConfig(**fields)
-
-
-#: Legacy keywords generation_flow historically accepted.
-GENERATION_LEGACY = frozenset(
-    {
-        "seed",
-        "config",
-        "compact",
-        "classify_redundant",
-        "use_scan_knowledge",
-        "use_justification",
-        "num_chains",
-        "redundancy_backtrack_limit",
-    }
-)
-
-#: Legacy keywords translation_flow historically accepted.
-TRANSLATION_LEGACY = frozenset(
-    {"seed", "baseline_config", "compact", "num_chains"}
-)

@@ -31,12 +31,7 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from ..obs.history import maybe_test_sleep, record_flow_run
-from .config import (
-    GENERATION_LEGACY,
-    TRANSLATION_LEGACY,
-    FlowConfig,
-    coerce_flow_config,
-)
+from .config import FlowConfig
 from .scan_aware import ScanATPGResult, ScanAwareATPG
 
 if False:  # pragma: no cover - import-time cycle avoidance; see TYPE notes
@@ -107,26 +102,26 @@ class GenerationFlowResult:
 
     @property
     def extra_detected(self) -> int:
-        """Faults gained during compaction (the paper's ``ext det``)."""
-        return len(self.omitted.extra_detected) if self.omitted else 0
+        """Faults the final compacted sequence detects beyond
+        ``detected_total`` (the paper's ``ext det``): the gains of
+        restoration and of omission together."""
+        if not self.omitted:
+            return 0
+        final = set(self.omitted.detected) | set(self.omitted.extra_detected)
+        return len(final - self.atpg.detection_time.keys())
 
 
 def generation_flow(
     circuit: Circuit,
     config: Optional[FlowConfig] = None,
-    **legacy,
 ) -> GenerationFlowResult:
     """Run Section 2 generation (+ Section 4 compaction) on ``circuit``.
 
     ``circuit`` is the *non-scan* circuit; scan insertion, fault
     enumeration/collapsing and everything downstream happen here.
-    ``config`` is a :class:`FlowConfig`; the historical keyword
-    arguments (``seed=``, ``compact=``, ...) are still accepted through
-    a deprecated shim that maps them onto one.
+    ``config`` is a :class:`FlowConfig` (``None`` means defaults).
     """
-    cfg = coerce_flow_config(
-        "generation_flow", config, legacy, GENERATION_LEGACY
-    )
+    cfg = _flow_config("generation_flow", config)
     store = _flow_store(cfg)
     with obs.stopwatch("pipeline.generation") as root:
         obs.event("progress.plan", flow="generation",
@@ -238,21 +233,17 @@ def translation_flow(
     circuit: Circuit,
     config: Optional[FlowConfig] = None,
     baseline=None,
-    **legacy,
 ) -> TranslationFlowResult:
     """Run the Section 3 experiment on ``circuit`` (see module docstring).
 
     ``config`` is a :class:`FlowConfig` (its ``baseline`` field holds
-    the conventional-ATPG configuration); the historical keyword
-    arguments go through the same deprecated shim as
-    :func:`generation_flow`.  A precomputed ``baseline`` *result* may be
-    passed to share it with a Table 6 run on the same circuit.
+    the conventional-ATPG configuration; ``None`` means defaults).  A
+    precomputed ``baseline`` *result* may be passed to share it with a
+    Table 6 run on the same circuit.
     """
     from ..atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
 
-    cfg = coerce_flow_config(
-        "translation_flow", config, legacy, TRANSLATION_LEGACY
-    )
+    cfg = _flow_config("translation_flow", config)
     store = _flow_store(cfg)
     with obs.stopwatch("pipeline.translation") as root:
         obs.event("progress.plan", flow="translation",
@@ -298,6 +289,15 @@ def translation_flow(
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "translation", result.elapsed_seconds)
     return result
+
+
+def _flow_config(name: str, config) -> FlowConfig:
+    if config is None:
+        return FlowConfig()
+    if not isinstance(config, FlowConfig):
+        raise TypeError(f"{name}() config must be a FlowConfig, got "
+                        f"{type(config).__name__}")
+    return config
 
 
 def _flow_store(cfg: FlowConfig):

@@ -6,35 +6,27 @@ Two standard backends implement the protocol, bit-identically:
 * ``"packed"`` — :class:`~repro.sim.fault_sim.PackedFaultSimulator`,
   the pure-Python packed-integer reference oracle.  Always available.
 * ``"vector"`` — :class:`~repro.sim.kernel.VectorFaultSimulator`, the
-  levelized uint64-plane kernel (compiled C step interpreter with a
-  numpy fallback).  Needs numpy; the ≥10x speedup needs a C compiler
-  (found automatically, cached per machine).
+  compiled C kernel over uint64 planes.  Needs numpy and a C compiler
+  (found automatically, the library cached per machine).
 
-``"auto"`` — the default everywhere — picks ``vector`` only when it
-would actually win: numpy importable, the C engine available, and the
-fault list big enough that kernel setup amortizes.  Every other case
-falls back to ``packed``.  Because the backends are bit-identical,
-``auto`` is a pure performance knob: it can never change result bits.
+``"auto"`` — the default everywhere — picks ``vector`` when it is
+available and the run is big enough for kernel setup to amortize: at
+least ``AUTO_MIN_FAULTS`` fault machines or ``AUTO_MIN_GATES`` gates.
+Every other case falls back to ``packed``.  Because the backends are
+bit-identical, ``auto`` is a pure performance knob: it can never change
+result bits.
 
 Selection precedence mirrors the ``jobs``/``REPRO_JOBS`` convention:
 an explicit name (``FlowConfig(sim_backend=...)``, ``--sim-backend``)
 wins, then the ``REPRO_SIM_BACKEND`` environment variable, then
-``auto``.
-
-Flow code used to construct ``PackedFaultSimulator`` directly; those
-paths now route through :func:`make_backend`.  Passing
-``simulator_factory=PackedFaultSimulator`` explicitly still works but
-is deprecated (one :class:`DeprecationWarning` per process, mirroring
-the PR-2 ``coerce_flow_config`` shim); custom API-compatible factories
-(e.g. ``PackedTransitionSimulator``, test doubles) pass through
-untouched and unwarned.
+``auto``.  Custom API-compatible ``simulator_factory`` callables (e.g.
+``PackedTransitionSimulator``, test doubles) bypass selection.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import warnings
 from time import perf_counter
 from typing import (
     Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
@@ -111,10 +103,8 @@ def numpy_available() -> bool:
 
 
 def vector_available() -> bool:
-    """True when the vector backend would actually be *worth* using:
-    numpy importable and the compiled C step engine loadable.  (The
-    numpy fallback engine exists for portability and parity testing,
-    but on one-core boxes it loses to packed, so ``auto`` ignores it.)"""
+    """True when the vector backend can run: numpy importable and the C
+    step library loaded."""
     if not numpy_available():
         return False
     from .kernel import load_kernel_library
@@ -168,10 +158,11 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
 
     ``name`` is ``"auto"`` (default), ``"packed"``, ``"vector"``, or
     ``None`` (defer to ``REPRO_SIM_BACKEND``, then ``auto``).  An
-    explicit ``"vector"`` without numpy raises :class:`RuntimeError`
-    rather than silently degrading.  Emits one ``faultsim.backend``
-    event (journal) and counter/gauges (metrics registry) per build so
-    ``repro-atpg profile``/``watch`` show which kernel served a run.
+    explicit ``"vector"`` without numpy or a C compiler raises
+    :class:`RuntimeError` rather than silently degrading.  Emits one
+    ``faultsim.backend`` event (journal) and counter/gauges (metrics
+    registry) per build so ``repro-atpg profile``/``watch`` show which
+    backend served a run.
     """
     concrete = resolve_concrete_backend(name, len(faults),
                                         circuit.num_gates)
@@ -186,49 +177,22 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
     obs.incr(f"faultsim.backend.{concrete}")
     obs.set_gauge("faultsim.backend.compile_seconds", compile_seconds)
     obs.set_gauge("faultsim.backend.plane_bytes", plane_bytes)
-    obs.event("faultsim.backend", backend=concrete,
-              engine=getattr(sim, "engine", "python"),
-              faults=len(faults),
+    obs.event("faultsim.backend", backend=concrete, faults=len(faults),
               compile_seconds=round(compile_seconds, 6),
               plane_bytes=plane_bytes)
     return sim
-
-
-_WARNED_FACTORY: set = set()
 
 
 def coerce_simulator_factory(factory, name: Optional[str], owner: str):
     """Resolve an ``(simulator_factory, sim_backend)`` argument pair to
     ``(custom_factory_or_None, backend_name)``.
 
-    * ``factory is None`` — the modern path: backend selection by name.
-    * ``factory is PackedFaultSimulator`` — the legacy explicit spelling;
-      honored as ``sim_backend="packed"`` after one
-      :class:`DeprecationWarning` per ``owner`` per process.
-    * anything else — a custom API-compatible factory (transition
-      simulator, test double); passed through untouched, and combining
-      it with an explicit backend name is a :class:`TypeError`.
+    A custom API-compatible factory (transition simulator, test double)
+    passes through untouched; combining it with an explicit backend
+    name is a :class:`TypeError`.
     """
-    if factory is None:
-        return None, name
-    if factory is PackedFaultSimulator:
-        if owner not in _WARNED_FACTORY:
-            _WARNED_FACTORY.add(owner)
-            warnings.warn(
-                f"passing simulator_factory=PackedFaultSimulator to "
-                f"{owner} is deprecated; pass sim_backend='packed' "
-                f"(or let the default 'auto' pick a backend)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if name is not None and resolve_backend_name(name) not in (
-                BACKEND_AUTO, BACKEND_PACKED):
-            raise TypeError(
-                f"{owner}: simulator_factory=PackedFaultSimulator "
-                f"conflicts with sim_backend={name!r}")
-        return None, BACKEND_PACKED
-    if name is not None:
+    if factory is not None and name is not None:
         raise TypeError(
             f"{owner}: cannot combine a custom simulator_factory with "
             f"sim_backend={name!r}")
-    return factory, None
+    return factory, name

@@ -112,9 +112,7 @@ class SimSession:
     simulator_factory:
         A custom ``factory(circuit, faults)`` overriding backend
         selection (the transition simulator is API-compatible, except
-        ``initial_state`` queries, which need ``load_state``).  Passing
-        :class:`PackedFaultSimulator` explicitly is the deprecated
-        legacy spelling of ``sim_backend="packed"``.
+        ``initial_state`` queries, which need ``load_state``).
     incremental:
         When ``False``, every query restarts from cycle 0 and no state
         is snapshotted — the restart baseline used by the perf guards.

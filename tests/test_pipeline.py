@@ -4,7 +4,9 @@ import pytest
 
 from repro.atpg import SeqATPGConfig
 from repro.circuit import random_circuit, s27
+from repro.circuit.corpus import flow_overrides
 from repro.core import FlowConfig, generation_flow, translation_flow
+from repro.experiments.suite import build_circuit
 from repro.sim import PackedFaultSimulator
 
 
@@ -46,6 +48,20 @@ class TestGenerationFlow:
         n_sv = flow.circuit.num_state_vars
         runs = flow.omitted.sequence.scan_runs()
         assert any(run < n_sv for run in runs)
+
+    def test_extra_detected_counts_restoration_gains(self):
+        """``detected_total + extra_detected`` is everything the final
+        sequence detects, including the faults restoration gains over
+        the generated sequence (s1196 seed 16: 731 + 37 = 768)."""
+        flow = generation_flow(
+            build_circuit("s1196"),
+            FlowConfig(seed=16, jobs=1,
+                       **flow_overrides("s1196", seed_offset=16)))
+        sim = PackedFaultSimulator(flow.scan_circuit.circuit, flow.faults)
+        detected = len(sim.run(list(flow.omitted.sequence.vectors))
+                       .detection_time)
+        assert detected == 768
+        assert flow.detected_total + flow.extra_detected == detected
 
     def test_no_compact_flag(self):
         flow = generation_flow(s27(), FlowConfig(seed=1, compact=False))
@@ -130,26 +146,35 @@ class TestFlowConfig:
             FlowConfig(num_chains=0)
 
     def test_legacy_kwargs_warn_and_match(self, s27_generation):
-        """The deprecated keyword shim produces the same flow as the
-        equivalent FlowConfig."""
-        with pytest.warns(DeprecationWarning):
-            legacy = generation_flow(s27(), seed=1)
-        assert legacy.omitted_stats() == s27_generation.omitted_stats()
-        assert legacy.fault_coverage == s27_generation.fault_coverage
+        """Loose flow keywords are no longer accepted; the equivalent
+        FlowConfig is the one way to configure the flow."""
+        with pytest.raises(TypeError):
+            generation_flow(s27(), seed=1)
+        flow = generation_flow(s27(), FlowConfig(seed=1))
+        assert flow.omitted_stats() == s27_generation.omitted_stats()
+        assert flow.fault_coverage == s27_generation.fault_coverage
 
     def test_legacy_positional_seed(self):
-        with pytest.warns(DeprecationWarning):
-            flow = generation_flow(s27(), 1, compact=False)
-        assert flow.restored is None
+        """A bare seed in the config position is a TypeError."""
+        with pytest.raises(TypeError, match="must be a FlowConfig"):
+            generation_flow(s27(), 1)
+        with pytest.raises(TypeError):
+            generation_flow(s27(), 1, compact=False)
 
     def test_legacy_atpg_config_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            flow = generation_flow(
-                s27(), config=SeqATPGConfig(seed=1), compact=False)
-        assert flow.raw is not None
+        """An engine config, by keyword or in the config position, is a
+        TypeError."""
+        with pytest.raises(TypeError, match="must be a FlowConfig"):
+            generation_flow(s27(), SeqATPGConfig(seed=1))
+        with pytest.raises(TypeError, match="must be a FlowConfig"):
+            generation_flow(s27(), config=SeqATPGConfig(seed=1))
 
     def test_translation_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
+        """translation_flow rejects the same non-FlowConfig arguments."""
+        for bad in (1, SeqATPGConfig(seed=1)):
+            with pytest.raises(TypeError, match="must be a FlowConfig"):
+                translation_flow(s27(), bad)
+        with pytest.raises(TypeError):
             translation_flow(s27(), seed=1, compact=False)
 
     def test_config_plus_legacy_rejected(self):

@@ -1,15 +1,14 @@
 """The pluggable fault-simulation backend API (repro.sim.backend) and
-the vectorized levelized kernel (repro.sim.kernel).
+the compiled C kernel (repro.sim.kernel).
 
-The contract under test: the ``vector`` backend — with either of its
-engines (compiled C step interpreter, numpy fallback) — is bit-identical
-to the ``PackedFaultSimulator`` reference on every observable surface:
+The contract under test: the ``vector`` backend is bit-identical to the
+``PackedFaultSimulator`` reference on every observable surface:
 per-step detection masks, ``run()`` detection maps and (cycle, position)
 ordering, state tokens round-tripping through :class:`SimSession`
 checkpoints, fault drops/repacks, and the parallel engine at every
-worker count.  Backend selection (``auto``/env/explicit), the
-deprecation shim for explicit ``PackedFaultSimulator`` factories, and
-the no-numpy-when-packed guarantee are covered alongside.
+worker count.  Backend selection (``auto``/env/explicit), custom
+simulator factories, and the no-numpy-when-packed guarantee are covered
+alongside.
 """
 
 import os
@@ -23,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FlowConfig, obs
-from repro.circuit import insert_scan, random_circuit, s27
+from repro.circuit import (
+    Circuit, FlipFlop, Gate, insert_scan, random_circuit, s27,
+)
 from repro.faults import collapse_faults
 from repro.parallel import ParallelFaultSim
 from repro.sim import (
@@ -48,29 +49,14 @@ from repro.sim.backend import (
 )
 from tests.util import random_vectors
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable")
+requires_vector = pytest.mark.skipif(
+    not vector_available(), reason="vector backend unavailable")
 
 
-def _engines():
-    """The vector-kernel engines usable on this machine."""
-    if not numpy_available():
-        return []
-    from repro.sim.kernel import load_kernel_library
-
-    engines = ["numpy"]
-    if load_kernel_library() is not None:
-        engines.append("c")
-    return engines
-
-
-ENGINES = _engines()
-
-
-def _vector_sim(circuit, faults, engine):
+def _vector_sim(circuit, faults):
     from repro.sim.kernel import VectorFaultSimulator
 
-    return VectorFaultSimulator(circuit, faults, engine=engine)
+    return VectorFaultSimulator(circuit, faults)
 
 
 CIRCUITS = {
@@ -89,30 +75,28 @@ def circuit(request):
 # -- step/run parity against the packed reference ----------------------------
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_step_masks_bit_identical(circuit, engine):
+@requires_vector
+def test_step_masks_bit_identical(circuit):
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 24, seed=3)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors:
         assert vector.step(vec) == packed.step(vec)
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
+@requires_vector
 @pytest.mark.parametrize("early_stop", [False, True])
-def test_run_detection_maps_bit_identical(circuit, engine, early_stop):
+def test_run_detection_maps_bit_identical(circuit, early_stop):
     """run(): same detection times, same (cycle, position) insertion
     order, same vector count — the acceptance-criterion equality."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 30, seed=7)
     ref = PackedFaultSimulator(circuit, faults).run(
         [list(v) for v in vectors], stop_when_all_detected=early_stop)
-    got = _vector_sim(circuit, faults, engine).run(
+    got = _vector_sim(circuit, faults).run(
         [list(v) for v in vectors], stop_when_all_detected=early_stop)
     assert got.detection_time == ref.detection_time
     assert list(got.detection_time) == list(ref.detection_time)
@@ -120,15 +104,14 @@ def test_run_detection_maps_bit_identical(circuit, engine, early_stop):
     assert got.faults == ref.faults
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_query_surface_parity(circuit, engine):
+@requires_vector
+def test_query_surface_parity(circuit):
     """The session-facing query surface (good values, effect masks,
     detecting outputs, detects_all) agrees with packed mid-sequence."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 10, seed=5)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors:
@@ -145,15 +128,14 @@ def test_query_surface_parity(circuit, engine):
     assert vector.detects_all(vectors) == packed.detects_all(vectors)
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_state_tokens_round_trip(circuit, engine):
+@requires_vector
+def test_state_tokens_round_trip(circuit):
     """save_state/restore_state replays to identical futures, and
     machine-state export/import agrees with packed."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 16, seed=9)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors[:8]:
@@ -175,7 +157,7 @@ def test_state_tokens_round_trip(circuit, engine):
 # -- property test: random circuits through both backends --------------------
 
 
-@requires_numpy
+@requires_vector
 @settings(max_examples=10, deadline=None)
 @given(
     params=st.tuples(
@@ -195,18 +177,44 @@ def test_backends_agree_on_random_circuits(params, sim_seed):
         return
     vectors = random_vectors(circuit, 20, seed=sim_seed)
     ref = PackedFaultSimulator(circuit, faults).run([list(v) for v in vectors])
-    for engine in ENGINES:
-        got = _vector_sim(circuit, faults, engine).run(
-            [list(v) for v in vectors])
-        assert got.detection_time == ref.detection_time
-        assert list(got.detection_time) == list(ref.detection_time)
+    got = _vector_sim(circuit, faults).run([list(v) for v in vectors])
+    assert got.detection_time == ref.detection_time
+    assert list(got.detection_time) == list(ref.detection_time)
+
+
+@requires_vector
+def test_wide_fanin_gates_bit_identical():
+    """Gates far wider than 16 inputs run on the C kernel and match
+    packed."""
+    inputs = tuple(f"i{k}" for k in range(40))
+    circuit = Circuit(
+        "wide", inputs=inputs, outputs=("y", "z", "w"),
+        gates=[Gate("a", "AND", inputs[:20]),
+               Gate("o", "NOR", inputs[10:]),
+               Gate("x", "XOR", inputs[5:25]),
+               Gate("y", "OR", ("a", "o", "x", "s")),
+               Gate("z", "NAND", inputs[:17] + ("a", "s")),
+               Gate("w", "XNOR", inputs[3:37])],
+        flops=[FlipFlop("s", "w")])
+    assert max(len(g.inputs) for g in circuit.gates) > 16
+    faults = collapse_faults(circuit)
+    rng = random.Random(4)
+    vectors = []
+    for _ in range(60):
+        # Biased vectors so the wide AND/NOR/NAND gates switch too.
+        bias = rng.choice((0.05, 0.5, 0.95))
+        vectors.append([int(rng.random() < bias) for _ in inputs])
+    ref = PackedFaultSimulator(circuit, faults).run(vectors)
+    got = make_backend(circuit, faults, BACKEND_VECTOR).run(vectors)
+    assert ref.detection_time
+    assert got.detection_time == ref.detection_time
+    assert list(got.detection_time) == list(ref.detection_time)
 
 
 # -- SimSession: checkpoints, drops, repacks ---------------------------------
 
 
-@requires_numpy
-@pytest.mark.skipif(not ENGINES, reason="no vector engine")
+@requires_vector
 def test_session_checkpoint_drop_repack_parity(circuit):
     """A mixed session workload (prefix re-queries, edits, drops that
     trigger repacks) answers bit-identically on both backends."""
@@ -254,8 +262,7 @@ def test_session_pins_concrete_backend():
 # -- parallel engine: serial-vs-vector, jobs in {1, 2} -----------------------
 
 
-@requires_numpy
-@pytest.mark.skipif(not vector_available(), reason="C engine unavailable")
+@requires_vector
 def test_parallel_jobs_bit_identical_across_backends():
     """Acceptance criterion: serial-vs-vector and jobs in {1, 2}
     detection maps are bit-identical."""
@@ -349,13 +356,29 @@ def test_explicit_vector_without_numpy_raises(monkeypatch):
         make_backend(circuit, faults, BACKEND_VECTOR)
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+def test_vector_without_c_compiler(monkeypatch):
+    """No C library: explicit vector raises, auto resolves to packed."""
+    from repro.sim import kernel
+
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    monkeypatch.setattr(kernel, "load_kernel_library", lambda: None)
+    circuit = CIRCUITS["scan_mid"]()
+    faults = collapse_faults(circuit)
+    with pytest.raises(RuntimeError, match="C compiler"):
+        make_backend(circuit, faults, BACKEND_VECTOR)
+    assert resolve_concrete_backend(BACKEND_AUTO, 10_000) == BACKEND_PACKED
+    assert type(make_backend(circuit, faults, BACKEND_AUTO)).backend_name \
+        == BACKEND_PACKED
+
+
 def test_make_backend_protocol_conformance():
     circuit = s27()
     faults = collapse_faults(circuit)
     sim = make_backend(circuit, faults, BACKEND_PACKED)
     assert isinstance(sim, SimBackend)
     assert type(sim).backend_name == BACKEND_PACKED
-    if numpy_available():
+    if vector_available():
         vec = make_backend(CIRCUITS["scan_mid"](),
                            collapse_faults(CIRCUITS["scan_mid"]()),
                            BACKEND_VECTOR)
@@ -363,44 +386,7 @@ def test_make_backend_protocol_conformance():
         assert type(vec).backend_name == BACKEND_VECTOR
 
 
-# -- deprecation shim for explicit PackedFaultSimulator factories ------------
-
-
-def test_explicit_packed_factory_warns_once():
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    backend_mod._WARNED_FACTORY.discard("SimSession")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
-        session.close()
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
-        session.close()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "simulator_factory" in str(w.message)]
-    assert len(deprecations) == 1  # once per owner per process
-    assert "sim_backend='packed'" in str(deprecations[0].message)
-
-
-def test_explicit_packed_factory_still_works():
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    vectors = random_vectors(circuit, 12, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
-    try:
-        assert session.sim_backend == BACKEND_PACKED
-        reference = SimSession(circuit, faults, sim_backend=BACKEND_PACKED)
-        assert session.detection_times(vectors) == \
-            reference.detection_times(vectors)
-        reference.close()
-    finally:
-        session.close()
+# -- custom simulator factories ----------------------------------------------
 
 
 def test_custom_factory_passes_through_unwarned():
@@ -423,15 +409,6 @@ def test_custom_factory_passes_through_unwarned():
 def test_custom_factory_conflicts_with_backend_name():
     with pytest.raises(TypeError, match="cannot combine"):
         coerce_simulator_factory(lambda c, f: None, BACKEND_VECTOR, "owner")
-
-
-def test_packed_factory_conflicts_with_vector_name():
-    backend_mod._WARNED_FACTORY.discard("owner")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError, match="conflicts"):
-            coerce_simulator_factory(
-                PackedFaultSimulator, BACKEND_VECTOR, "owner")
 
 
 # -- telemetry: the faultsim.backend signal ----------------------------------
