@@ -4,9 +4,9 @@ heuristics kept deliberately simple).
 PODEM searches the primary-input space only: it repeatedly derives an
 *objective* (a net value needed to activate the fault or advance the
 D-frontier), *backtraces* the objective to an unassigned primary input,
-assigns it, and forward-implies by simulating the good and faulty
-machines.  Conflicts are undone chronologically by flipping the most
-recent unflipped decision.
+assigns it, and forward-implies the good and faulty machines.  Conflicts
+are undone chronologically by flipping the most recent unflipped
+decision.
 
 The engine runs on combinational circuits — in this package that is the
 :mod:`~repro.atpg.comb_view` of a sequential circuit, whose pseudo
@@ -32,22 +32,65 @@ A complete run returns one of three verdicts:
 * ``untestable`` — the whole decision tree was exhausted: the fault is
   provably redundant (under the engine's X-semantics and frozen inputs),
 * ``aborted`` — the backtrack limit was hit first.
+
+Engine internals (see docs/ARCHITECTURE.md, "The PODEM engine"): the
+circuit is compiled on the first run into integer net tables; implication
+is event-driven with a trail that backtracking unwinds; the D-frontier
+and X-path searches stay inside the fault sites' fanout cone; and every
+verdict is memoized per fault-site tuple, reusable under any backtrack
+limit it provably answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import CONTROLLING_VALUE, INVERTING, ONE, X, ZERO, eval_gate, invert
+from ..circuit.gates import CONTROLLING_VALUE, INVERTING, X
 from ..circuit.netlist import Circuit
-from ..faults.model import BRANCH, STEM, Fault
+from ..faults.model import STEM, Fault
 from ..obs import context as obs
 from ..obs import ledger
 
 DETECTED = "detected"
 UNTESTABLE = "untestable"
 ABORTED = "aborted"
+
+# Three-valued fold tables indexed by ``3 * a + b`` (0, 1, X = 0, 1, 2).
+_AND = (0, 0, 0, 0, 1, X, 0, X, X)
+_OR = (0, 1, X, 1, 1, 1, X, 1, X)
+_XOR = (0, 1, X, 1, 0, X, X, X, X)
+_NOT = (1, 0, X)
+_NO_PINS: Dict[int, int] = {}
+
+#: Gate kind -> (fold table, output inverted); MUX is special-cased.
+_OPS = {
+    "AND": (_AND, False), "NAND": (_AND, True),
+    "OR": (_OR, False), "NOR": (_OR, True),
+    "XOR": (_XOR, False), "XNOR": (_XOR, True),
+    "BUF": (_AND, False), "NOT": (_AND, True),
+    "MUX": None,
+}
+
+
+def _evaluate(op, values, ins) -> int:
+    """Three-valued output of a gate with fold ``op`` over ``values[ins]``
+    (same semantics as :func:`repro.circuit.gates.eval_gate`)."""
+    if op is None:  # MUX: (select, d0, d1)
+        sel = values[ins[0]]
+        d0 = values[ins[1]]
+        d1 = values[ins[2]]
+        if sel == 0:
+            return d0
+        if sel == 1:
+            return d1
+        return d0 if d0 == d1 else X
+    table, inverted = op
+    value = values[ins[0]]
+    for net in ins[1:]:
+        value = table[3 * value + values[net]]
+    return _NOT[value] if inverted else value
 
 
 @dataclass
@@ -65,11 +108,18 @@ class PodemResult:
         return self.status == DETECTED
 
 
+def _copy(result: PodemResult) -> PodemResult:
+    """A result callers may mutate without touching the memo's copy."""
+    return replace(result, assignment=dict(result.assignment),
+                   detecting_outputs=list(result.detecting_outputs))
+
+
 class Podem:
     """Reusable PODEM engine for one combinational circuit.
 
-    Construction precomputes topology (levels, fanout) once; :meth:`run`
-    / :meth:`run_multi` may then be called for any number of faults.
+    :meth:`run` / :meth:`run_multi` may be called for any number of
+    faults; the circuit tables are compiled on the first call, so an
+    engine that never runs costs nothing.
 
     ``frozen_inputs`` are primary inputs the engine must leave at X —
     they are never chosen by the backtrace, so any cube found is valid
@@ -83,23 +133,23 @@ class Podem:
             raise ValueError("PODEM requires a combinational circuit")
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
-        self._inputs = set(circuit.inputs)
-        self._frozen: Set[str] = set(frozen_inputs or ())
-        unknown = self._frozen - self._inputs
+        self._frozen_names: Set[str] = set(frozen_inputs or ())
+        unknown = self._frozen_names - set(circuit.inputs)
         if unknown:
             raise ValueError(f"frozen nets are not inputs: {sorted(unknown)}")
-        self._level: Dict[str, int] = {net: 0 for net in circuit.inputs}
-        for gate in circuit.topo_gates:
-            self._level[gate.output] = 1 + max(self._level[n] for n in gate.inputs)
-        self._po_set = set(circuit.outputs)
+        self._compiled = False
+        #: fault-site tuple -> the last computed result for those sites
+        self._memo: Dict[Tuple[Fault, ...], PodemResult] = {}
 
     # -- public API --------------------------------------------------------
 
-    def run(self, fault: Fault) -> PodemResult:
+    def run(self, fault: Fault,
+            backtrack_limit: Optional[int] = None) -> PodemResult:
         """Generate a test cube for a single fault (see module docstring)."""
-        return self.run_multi([fault])
+        return self.run_multi([fault], backtrack_limit)
 
-    def run_multi(self, faults: Sequence[Fault]) -> PodemResult:
+    def run_multi(self, faults: Sequence[Fault],
+                  backtrack_limit: Optional[int] = None) -> PodemResult:
         """Generate one cube detecting the *composite* fault whose sites
         are all of ``faults`` at once.
 
@@ -108,172 +158,352 @@ class Podem:
         Detection means the composite effect reaches some output —
         exactly the semantics of a permanent fault in the unrolled
         circuit.  The reported ``fault`` is ``faults[0]``.
+
+        ``backtrack_limit`` overrides the engine's limit for this call.
+        A memoized verdict for the same sites answers the call without a
+        search whenever it is what the search would return (see
+        :meth:`_from_memo`).
         """
         if not faults:
             raise ValueError("run_multi needs at least one fault site")
+        limit = self.backtrack_limit if backtrack_limit is None \
+            else backtrack_limit
         obs.incr("atpg.podem.calls")
-        self._prepare(faults)
-        representative = faults[0]
-        self._assignment: Dict[str, int] = {}
-        backtracks = 0
-        # Decision stack entries: (pi, value, flipped_already)
-        stack: List[List] = []
-        self._imply()
-        while True:
-            if self._detected_outputs():
-                return self._record(PodemResult(
-                    status=DETECTED,
-                    fault=representative,
-                    assignment=dict(self._assignment),
-                    detecting_outputs=self._detected_outputs(),
-                    backtracks=backtracks,
-                ))
-            advanced = False
-            for objective in self._objectives():
-                pi, value = self._backtrace(*objective)
-                if pi is not None:
-                    stack.append([pi, value, False])
-                    self._assignment[pi] = value
-                    self._imply()
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            # No viable objective or backtrace dead-ends: backtrack.
-            backtracks += 1
-            if backtracks > self.backtrack_limit:
-                return self._record(PodemResult(
-                    status=ABORTED, fault=representative,
-                    backtracks=backtracks))
-            while stack and stack[-1][2]:
-                pi, _value, _ = stack.pop()
-                del self._assignment[pi]
-            if not stack:
-                return self._record(PodemResult(
-                    status=UNTESTABLE, fault=representative,
-                    backtracks=backtracks,
-                ))
-            entry = stack[-1]
-            entry[1] ^= 1
-            entry[2] = True
-            self._assignment[entry[0]] = entry[1]
-            self._imply()
+        key = tuple(faults)
+        known = self._memo.get(key)
+        if known is not None:
+            answer = self._from_memo(known, limit)
+            if answer is not None:
+                return self._record(answer, memo=True)
+        if not self._compiled:
+            self._compile()
+        result = self._search(faults, limit)
+        self._memo[key] = result
+        return self._record(_copy(result), memo=False)
+
+    # -- verdict memo ------------------------------------------------------
 
     @staticmethod
-    def _record(result: PodemResult) -> PodemResult:
-        """Telemetry funnel for every run_multi outcome."""
+    def _from_memo(known: PodemResult, limit: int) -> Optional[PodemResult]:
+        """The result a search under ``limit`` would return, derived from
+        an earlier result for the same sites, or ``None`` if unknowable.
+
+        The search never reads its limit except to stop at the first
+        backtrack that exceeds it — backtrack ``max(1, limit + 1)``.  A
+        finished (detected/untestable) search that needed ``b``
+        backtracks therefore finishes identically under any limit whose
+        stopping point lies beyond ``b``, and aborts at the stopping
+        point under every other limit; an aborted search that reached
+        backtrack ``a`` answers any limit stopping at or before ``a``.
+        """
+        stop = max(1, limit + 1)
+        if known.status != ABORTED and known.backtracks < stop:
+            return _copy(known)
+        if stop <= known.backtracks:
+            return PodemResult(status=ABORTED, fault=known.fault,
+                               backtracks=stop)
+        return None
+
+    @staticmethod
+    def _record(result: PodemResult, memo: bool) -> PodemResult:
+        """Telemetry funnel for every run_multi outcome.  A memo hit did
+        no search, so it adds no backtracks."""
         obs.incr(f"atpg.podem.{result.status}")
-        if result.backtracks:
+        if memo:
+            obs.incr("atpg.podem.memo_hits")
+        elif result.backtracks:
             obs.incr("atpg.backtracks", result.backtracks)
         ledger.record("atpg.podem", fault=result.fault, engine="podem",
-                      status=result.status, backtracks=result.backtracks)
+                      status=result.status, backtracks=result.backtracks,
+                      memo=memo)
         return result
 
-    # -- fault site compilation -----------------------------------------------
+    # -- compilation -------------------------------------------------------
+
+    def _compile(self) -> None:
+        """Integer net tables: inputs first, then gate outputs in
+        topological order, so a gate's id is also its evaluation rank."""
+        circuit = self.circuit
+        gates = circuit.topo_gates
+        names = list(circuit.inputs) + [gate.output for gate in gates]
+        net_id = {name: i for i, name in enumerate(names)}
+        num_inputs = len(circuit.inputs)
+        size = len(names)
+        fanin: List[Tuple[int, ...]] = [()] * num_inputs
+        fanin += [tuple(net_id[n] for n in gate.inputs) for gate in gates]
+        level = [0] * size
+        fanout: List[List[int]] = [[] for _ in range(size)]
+        for out in range(num_inputs, size):
+            ins = fanin[out]
+            level[out] = 1 + max(level[n] for n in ins)
+            for net in dict.fromkeys(ins):
+                fanout[net].append(out)
+        kinds = [""] * num_inputs + [gate.kind for gate in gates]
+        self._names = names
+        self._net_id = net_id
+        self._num_inputs = num_inputs
+        self._size = size
+        self._fanin = fanin
+        self._fanout = [tuple(sinks) for sinks in fanout]
+        self._level = level
+        self._ops = [None] * num_inputs + [_OPS[gate.kind] for gate in gates]
+        self._kind = kinds
+        self._control = [CONTROLLING_VALUE.get(kind) for kind in kinds]
+        self._inverting = [INVERTING.get(kind, False) for kind in kinds]
+        self._outputs = [net_id[po] for po in circuit.outputs]
+        is_output = bytearray(size)
+        for po in self._outputs:
+            is_output[po] = 1
+        self._is_output = is_output
+        frozen = bytearray(size)
+        for name in self._frozen_names:
+            frozen[net_id[name]] = 1
+        self._frozen = frozen
+        self._walk_limit = 10 * (len(circuit.gates) + 1)
+        self._compiled = True
+
+    # -- fault site compilation --------------------------------------------
 
     def _prepare(self, faults: Sequence[Fault]) -> None:
-        """Compile fault sites into forcing tables."""
-        self._stem_force: Dict[str, int] = {}
-        self._branch_force: Dict[Tuple[str, int], int] = {}
-        self._po_force: Dict[str, int] = {}
-        self._activation_sites: List[Tuple[str, int]] = []
+        """Forcing tables, activation sites and fanout cone of the sites."""
+        net_id = self._net_id
+        fanin = self._fanin
+        stem_force: Dict[int, int] = {}
+        pin_force: Dict[int, Dict[int, int]] = {}
+        po_force: Dict[int, int] = {}
+        sites: List[Tuple[int, int]] = []
         for fault in faults:
             if fault.kind == STEM:
-                self._stem_force[fault.net] = fault.stuck_at
+                stem_force[net_id[fault.net]] = fault.stuck_at
             elif fault.consumer.startswith("PO:"):
-                self._po_force[fault.consumer[3:]] = fault.stuck_at
+                po = net_id.get(fault.consumer[3:])
+                if po is not None and self._is_output[po]:
+                    po_force[po] = fault.stuck_at
             else:
-                self._branch_force[(fault.consumer, fault.pin)] = fault.stuck_at
-            self._activation_sites.append((fault.net, fault.stuck_at))
-        self._good: Dict[str, int] = {}
-        self._faulty: Dict[str, int] = {}
+                gate = net_id.get(fault.consumer)
+                if gate is not None and fault.pin < len(fanin[gate]):
+                    pin_force.setdefault(gate, {})[fault.pin] = fault.stuck_at
+            sites.append((net_id[fault.net], fault.stuck_at))
+        # Forward closure of every net whose faulty value can differ.
+        cone = bytearray(self._size)
+        work = list(stem_force) + list(pin_force)
+        fanout = self._fanout
+        while work:
+            net = work.pop()
+            if not cone[net]:
+                cone[net] = 1
+                work.extend(fanout[net])
+        self._stem_force = stem_force
+        self._pin_force = pin_force
+        self._po_force = po_force
+        self._sites = sites
+        self._cone = cone
+        self._cone_gates = [net for net in range(self._num_inputs, self._size)
+                            if cone[net]]
+        self._cone_outputs = [po for po in self._outputs
+                              if cone[po] or po in po_force]
 
-    # -- simulation of good and faulty machines ------------------------------
+    # -- event-driven implication ------------------------------------------
 
-    def _imply(self) -> None:
-        """Five-valued forward implication via dual 3-valued simulation."""
+    def _propagate(self, gates: Iterable[int]) -> None:
+        """Re-evaluate ``gates`` and everything their changes reach, in
+        topological order, logging old values on the trail."""
+        good = self._good
+        faulty = self._faulty
+        queued = self._queued
+        queue: List[int] = []
+        for gate in gates:
+            if not queued[gate]:
+                queued[gate] = 1
+                heappush(queue, gate)
+        trail = self._trail
+        cone = self._cone
+        ops = self._ops
+        fanin = self._fanin
+        fanout = self._fanout
         stem_force = self._stem_force
-        branch_force = self._branch_force
-        good = {net: self._assignment.get(net, X) for net in self.circuit.inputs}
-        faulty = dict(good)
-        for net, stuck in stem_force.items():
-            if net in self._inputs:
-                faulty[net] = stuck
-        for gate in self.circuit.topo_gates:
-            good_inputs = [good[n] for n in gate.inputs]
-            good[gate.output] = eval_gate(gate.kind, good_inputs)
-            faulty_inputs = [faulty[n] for n in gate.inputs]
-            if branch_force:
-                for pin in range(len(faulty_inputs)):
-                    stuck = branch_force.get((gate.output, pin))
-                    if stuck is not None:
-                        faulty_inputs[pin] = stuck
-            value = eval_gate(gate.kind, faulty_inputs)
-            stuck = stem_force.get(gate.output)
-            if stuck is not None:
-                value = stuck
-            faulty[gate.output] = value
-        self._good = good
-        self._faulty = faulty
+        pin_force = self._pin_force
+        evals = 0
+        while queue:
+            out = heappop(queue)
+            queued[out] = 0
+            op = ops[out]
+            ins = fanin[out]
+            g = _evaluate(op, good, ins)
+            evals += 1
+            if not cone[out]:
+                f = g
+            elif out in stem_force:
+                f = stem_force[out]
+            else:
+                pins = pin_force.get(out)
+                if pins is None:
+                    f = _evaluate(op, faulty, ins)
+                else:
+                    values = [faulty[net] for net in ins]
+                    for pin, stuck in pins.items():
+                        values[pin] = stuck
+                    f = _evaluate(op, values, range(len(ins)))
+                evals += 1
+            if g != good[out] or f != faulty[out]:
+                trail.append((out, good[out], faulty[out]))
+                good[out] = g
+                faulty[out] = f
+                for sink in fanout[out]:
+                    if not queued[sink]:
+                        queued[sink] = 1
+                        heappush(queue, sink)
+        self._evals += evals
 
-    def _faulty_at_po(self, po: str) -> int:
-        """Faulty-machine value observed at a primary output pin."""
-        stuck = self._po_force.get(po)
-        if stuck is not None:
-            return stuck
-        return self._faulty[po]
+    def _assign(self, pi: int, value: int) -> None:
+        """Set a primary input in both machines and imply."""
+        good = self._good
+        faulty = self._faulty
+        self._trail.append((pi, good[pi], faulty[pi]))
+        good[pi] = value
+        if pi not in self._stem_force:
+            faulty[pi] = value
+        self._propagate(self._fanout[pi])
+
+    def _undo(self, mark: int) -> None:
+        """Restore every net value changed since the trail was ``mark``
+        entries long."""
+        good = self._good
+        faulty = self._faulty
+        trail = self._trail
+        while len(trail) > mark:
+            net, g, f = trail.pop()
+            good[net] = g
+            faulty[net] = f
+
+    # -- search ------------------------------------------------------------
+
+    def _search(self, faults: Sequence[Fault], limit: int) -> PodemResult:
+        self._prepare(faults)
+        size = self._size
+        self._good = [X] * size
+        self._faulty = [X] * size
+        self._queued = bytearray(size)
+        self._trail = []
+        self._evals = 0
+        # Initial implication: only the forced sites differ from all-X.
+        initial = []
+        for net, stuck in self._stem_force.items():
+            if net < self._num_inputs:
+                self._faulty[net] = stuck
+                initial.extend(self._fanout[net])
+            else:
+                initial.append(net)
+        initial.extend(self._pin_force)
+        self._propagate(initial)
+        self._trail.clear()
+
+        representative = faults[0]
+        names = self._names
+        assignment: Dict[str, int] = {}
+        backtracks = 0
+        # Decision stack entries: [pi, value, flipped_already, trail mark]
+        stack: List[List] = []
+        try:
+            while True:
+                detecting = self._detected_outputs()
+                if detecting:
+                    return PodemResult(
+                        status=DETECTED,
+                        fault=representative,
+                        assignment=assignment,
+                        detecting_outputs=detecting,
+                        backtracks=backtracks,
+                    )
+                decision = None
+                for objective in self._objectives():
+                    pi, value = self._backtrace(*objective)
+                    if pi is not None:
+                        decision = (pi, value)
+                        break
+                if decision is not None:
+                    pi, value = decision
+                    stack.append([pi, value, False, len(self._trail)])
+                    assignment[names[pi]] = value
+                    self._assign(pi, value)
+                    continue
+                # No viable objective or backtrace dead-ends: backtrack.
+                backtracks += 1
+                if backtracks > limit:
+                    return PodemResult(status=ABORTED, fault=representative,
+                                       backtracks=backtracks)
+                while stack and stack[-1][2]:
+                    del assignment[names[stack.pop()[0]]]
+                if not stack:
+                    return PodemResult(status=UNTESTABLE,
+                                       fault=representative,
+                                       backtracks=backtracks)
+                entry = stack[-1]
+                self._undo(entry[3])
+                entry[1] ^= 1
+                entry[2] = True
+                assignment[names[entry[0]]] = entry[1]
+                self._assign(entry[0], entry[1])
+        finally:
+            if self._evals:
+                obs.incr("atpg.podem.gate_evals", self._evals)
 
     def _detected_outputs(self) -> List[str]:
         """POs where good and faulty values are opposite binary values."""
+        good = self._good
+        faulty = self._faulty
+        po_force = self._po_force
         found = []
-        for po in self.circuit.outputs:
-            g = self._good[po]
-            f = self._faulty_at_po(po)
+        for po in self._cone_outputs:
+            g = good[po]
+            f = po_force.get(po, faulty[po])
             if g != X and f != X and g != f:
-                found.append(po)
+                found.append(self._names[po])
         return found
 
-    # -- objective selection ---------------------------------------------------
+    # -- objective selection -----------------------------------------------
 
-    def _d_frontier(self) -> List:
-        """Gates with a fault effect on an input and an X output."""
-        branch_force = self._branch_force
+    def _d_frontier(self) -> List[int]:
+        """Cone gates with a fault effect on an input and an X output,
+        in topological order."""
+        good = self._good
+        faulty = self._faulty
+        fanin = self._fanin
+        pin_force = self._pin_force
         frontier = []
-        for gate in self.circuit.topo_gates:
-            if self._good[gate.output] != X and self._faulty[gate.output] != X:
+        for out in self._cone_gates:
+            if good[out] != X and faulty[out] != X:
                 continue
-            for pin, net in enumerate(gate.inputs):
-                g = self._good[net]
-                f = self._faulty[net]
-                stuck = branch_force.get((gate.output, pin))
-                if stuck is not None:
-                    f = stuck
+            pins = pin_force.get(out, _NO_PINS)
+            for pin, net in enumerate(fanin[out]):
+                g = good[net]
+                f = pins.get(pin, faulty[net])
                 if g != X and f != X and g != f:
-                    frontier.append(gate)
+                    frontier.append(out)
                     break
         return frontier
 
-    def _x_path_exists(self, frontier) -> bool:
+    def _x_path_exists(self, frontier: List[int]) -> bool:
         """Is there a path of X nets from some frontier gate to a PO?"""
+        good = self._good
+        faulty = self._faulty
+        is_output = self._is_output
+        fanout = self._fanout
         seen = set()
-        work = [gate.output for gate in frontier]
+        work = list(frontier)
         while work:
             net = work.pop()
             if net in seen:
                 continue
             seen.add(net)
-            if net in self._po_set:
+            if is_output[net]:
                 return True
-            for consumer, _pin in self.circuit.fanout(net):
-                if consumer.startswith("PO:"):
-                    return True
-                if consumer in seen:
-                    continue
-                if self._good.get(consumer, X) == X or self._faulty.get(consumer, X) == X:
-                    work.append(consumer)
+            for sink in fanout[net]:
+                if sink not in seen and (good[sink] == X or faulty[sink] == X):
+                    work.append(sink)
         return False
 
-    def _objectives(self) -> List[Tuple[str, int]]:
+    def _objectives(self) -> List[Tuple[int, int]]:
         """Candidate objectives in priority order; empty list = back up.
 
         With multiple sites (time-frame replication) an activated site
@@ -284,81 +514,84 @@ class Podem:
         are excluded.  This is what keeps ``untestable`` verdicts sound
         for unrolled faults — checked empirically by the test suite.
         """
+        good = self._good
+        frozen = self._frozen
         activated = False
-        undecided: List[Tuple[str, int]] = []
-        for net, stuck in self._activation_sites:
-            value = self._good[net]
+        undecided: List[Tuple[int, int]] = []
+        for net, stuck in self._sites:
+            value = good[net]
             if value == X:
-                if net not in self._frozen:
+                if not frozen[net]:
                     undecided.append((net, stuck ^ 1))
             elif value != stuck:
                 activated = True
-        candidates: List[Tuple[str, int]] = []
+        candidates: List[Tuple[int, int]] = []
         if activated:
             frontier = self._d_frontier()
             if frontier and self._x_path_exists(frontier):
-                for gate in sorted(frontier,
-                                   key=lambda g: self._level[g.output]):
-                    control = CONTROLLING_VALUE[gate.kind]
-                    for net in gate.inputs:
-                        if self._good[net] == X:
-                            if control is None:
-                                candidates.append((net, ZERO))
-                            else:
-                                candidates.append((net, invert(control)))
+                fanin = self._fanin
+                control = self._control
+                for gate in sorted(frontier, key=self._level.__getitem__):
+                    for net in fanin[gate]:
+                        if good[net] == X:
+                            value = control[gate]
+                            candidates.append(
+                                (net, 0 if value is None else value ^ 1))
                             break
         candidates.extend(undecided)
         return candidates
 
-    # -- backtrace ---------------------------------------------------------------
+    # -- backtrace ---------------------------------------------------------
 
-    def _backtrace(self, net: str, value: int) -> Tuple[Optional[str], int]:
+    def _backtrace(self, net: int, value: int) -> Tuple[Optional[int], int]:
         """Walk an objective back to an unassigned primary input.
 
         Returns ``(None, 0)`` when the walk dead-ends (every path reaches
         assigned or frozen inputs), which forces a backtrack.
         """
-        for _ in range(10 * (len(self.circuit.gates) + 1)):
-            if net in self._inputs:
-                if net in self._assignment or net in self._frozen:
+        good = self._good
+        frozen = self._frozen
+        level = self._level
+        fanin = self._fanin
+        num_inputs = self._num_inputs
+        for _ in range(self._walk_limit):
+            if net < num_inputs:
+                if good[net] != X or frozen[net]:
                     return None, 0
                 return net, value
-            gate = self.circuit.gate_by_output[net]
-            kind = gate.kind
+            kind = self._kind[net]
+            ins = fanin[net]
             if kind == "MUX":
-                sel, d0, d1 = gate.inputs
-                sel_value = self._good[sel]
+                sel, d0, d1 = ins
+                sel_value = good[sel]
                 if sel_value == X:
-                    net, value = sel, ZERO
+                    net, value = sel, 0
                 else:
-                    net = d1 if sel_value == ONE else d0
+                    net = d1 if sel_value == 1 else d0
                 continue
-            inverted = INVERTING[kind]
-            needed = value ^ 1 if inverted else value
-            control = CONTROLLING_VALUE[kind]
-            x_inputs = [n for n in gate.inputs if self._good[n] == X]
+            needed = value ^ 1 if self._inverting[net] else value
+            control = self._control[net]
+            x_inputs = [n for n in ins if good[n] == X]
             if not x_inputs:
                 return None, 0
             if control is None:  # NOT / BUF / XOR / XNOR
                 if kind in ("NOT", "BUF"):
-                    net, value = gate.inputs[0], needed
+                    net, value = ins[0], needed
                 else:
-                    others = [self._good[n] for n in gate.inputs if n != x_inputs[0]]
+                    first = x_inputs[0]
                     parity = 0
-                    for v in others:
-                        parity ^= v if v != X else 0
-                    net, value = x_inputs[0], needed ^ parity
+                    for n in ins:
+                        if n != first and good[n] != X:
+                            parity ^= good[n]
+                    net, value = first, needed ^ parity
                 continue
             if needed == control:
                 # One controlling input suffices: pick the easiest (lowest
                 # level) X input, avoiding frozen inputs when possible.
-                net = min(
-                    x_inputs,
-                    key=lambda n: (n in self._frozen, self._level[n]),
-                )
+                net = min(x_inputs, key=lambda n: (frozen[n], level[n]))
                 value = control
             else:
                 # All inputs must be non-controlling: pick the hardest.
-                net = max(x_inputs, key=lambda n: self._level[n])
-                value = invert(control)
+                net = max(x_inputs, key=level.__getitem__)
+                value = control ^ 1
         return None, 0

@@ -138,17 +138,19 @@ def generation_flow(
         obs.event("progress.work", phase="atpg", total=len(faults),
                   unit="faults")
         _emit_warm_estimate(stages)
+        generator = None
         with obs.span("atpg"):
             atpg = stages.load_generation_atpg(cfg, faults)
             if atpg is None:
-                atpg = ScanAwareATPG(
+                generator = ScanAwareATPG(
                     scan_circuit,
                     faults,
                     config=cfg.atpg_config(),
                     use_scan_knowledge=cfg.use_scan_knowledge,
                     use_justification=cfg.use_justification,
                     sim_backend=cfg.sim_backend,
-                ).generate()
+                )
+                atpg = generator.generate()
                 stages.save_generation_atpg(cfg, faults, atpg)
         result = GenerationFlowResult(
             circuit=circuit,
@@ -163,15 +165,19 @@ def generation_flow(
                 untestable = stages.load_redundancy(cfg, atpg.base.aborted)
                 if untestable is None:
                     untestable = []
-                    podem = Podem(
-                        comb_view(scan_circuit.circuit).circuit,
-                        backtrack_limit=cfg.redundancy_backtrack_limit,
-                    )
+                    # The generator's engine (same comb view) memoizes the
+                    # justification hook's verdicts; a cached `atpg` stage
+                    # leaves none to reuse.
+                    podem = generator.podem if generator is not None else \
+                        Podem(comb_view(scan_circuit.circuit).circuit)
                     for fault in atpg.base.aborted:
                         if fault.consumer is not None and \
                                 fault.consumer in scan_circuit.circuit.flop_by_q:
                             continue
-                        if podem.run(fault).status == UNTESTABLE:
+                        verdict = podem.run(
+                            fault,
+                            backtrack_limit=cfg.redundancy_backtrack_limit)
+                        if verdict.status == UNTESTABLE:
                             untestable.append(fault)
                     stages.save_redundancy(cfg, atpg.base.aborted, untestable)
                 result.untestable.extend(untestable)

@@ -134,7 +134,9 @@ class ScanAwareATPG:
         self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
         self._sel_idx = self._input_index[scan_circuit.scan_select]
         self._view: CombView = comb_view(circuit)
-        self._podem = Podem(self._view.circuit, backtrack_limit=podem_backtrack_limit)
+        #: PODEM on the comb view, used by the justification completion.
+        #: Public so a later redundancy pass can reuse its verdict memo.
+        self.podem = Podem(self._view.circuit, backtrack_limit=podem_backtrack_limit)
         self._flop_chain = {
             q: chain for chain in scan_circuit.chains for q in chain.order
         }
@@ -223,7 +225,7 @@ class ScanAwareATPG:
         fault = trace.fault
         if fault.consumer is not None and fault.consumer in self.circuit.flop_by_q:
             return None  # not representable in the combinational view
-        result = self._podem.run(fault)
+        result = self.podem.run(fault)
         if not result.found:
             return None
         state, vector = self._view.split_assignment(result.assignment, fill=X)

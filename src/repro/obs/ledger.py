@@ -249,8 +249,10 @@ def _describe(event: LedgerEvent, fault=None) -> str:
     if kind == "atpg.target":
         return f"targeted by the {d.get('engine', '?')} engine"
     if kind == "atpg.podem":
+        reused = ", verdict reused from the engine memo" if d.get("memo") \
+            else ""
         return (f"PODEM run on the combinational view: {d.get('status')}"
-                f" ({d.get('backtracks', 0)} backtracks)")
+                f" ({d.get('backtracks', 0)} backtracks{reused})")
     if kind == "atpg.abort":
         return (f"abandoned by the {d.get('engine', '?')} engine "
                 f"(search and completions exhausted)")

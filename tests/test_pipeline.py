@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.atpg import SeqATPGConfig
+from repro import obs
+from repro.atpg import UNTESTABLE, Podem, SeqATPGConfig, comb_view
 from repro.circuit import random_circuit, s27
 from repro.circuit.corpus import flow_overrides
 from repro.core import FlowConfig, generation_flow, translation_flow
@@ -85,6 +86,52 @@ class TestGenerationFlow:
 
     def test_elapsed_recorded(self, s27_generation):
         assert s27_generation.elapsed_seconds > 0
+
+
+def _redundancy_targets(flow):
+    """The aborted faults the redundancy pass proves (D-pin faults of
+    flops have no comb-view site and are skipped)."""
+    flops = flow.scan_circuit.circuit.flop_by_q
+    return [f for f in flow.atpg.base.aborted
+            if f.consumer is None or f.consumer not in flops]
+
+
+def _fresh_proofs(flow, targets, limit):
+    podem = Podem(comb_view(flow.scan_circuit.circuit).circuit,
+                  backtrack_limit=limit)
+    return [f for f in targets if podem.run(f).status == UNTESTABLE]
+
+
+class TestRedundancyReuse:
+    """The redundancy pass asks the generator's PODEM engine, whose memo
+    already holds the justification hook's verdicts on the same view."""
+
+    def test_every_proof_is_a_memo_hit(self, tmp_path):
+        cfg = FlowConfig(seed=0, cache_dir=str(tmp_path))  # cold run
+        with obs.session() as telemetry:
+            flow = generation_flow(build_circuit("s298"), cfg)
+        targets = _redundancy_targets(flow)
+        assert targets
+        counters = telemetry.metrics
+        assert counters.counter("atpg.podem.memo_hits").value == len(targets)
+        assert flow.untestable == _fresh_proofs(
+            flow, targets, cfg.redundancy_backtrack_limit)
+
+    def test_cached_atpg_proves_on_a_fresh_engine(self, tmp_path):
+        circuit = build_circuit("s298")
+        cfg = FlowConfig(seed=0, cache_dir=str(tmp_path))
+        cold = generation_flow(circuit, cfg)
+        with obs.session() as telemetry:
+            warm = generation_flow(
+                circuit, cfg.replace(redundancy_backtrack_limit=5000))
+        counters = telemetry.metrics
+        assert counters.counter("cache.hit.atpg").value == 1
+        assert counters.counter("cache.miss.redundancy").value == 1
+        targets = _redundancy_targets(warm)
+        assert counters.counter("atpg.podem.calls").value == len(targets)
+        assert counters.counter("atpg.podem.memo_hits").value == 0
+        assert warm.untestable == cold.untestable
+        assert warm.untestable == _fresh_proofs(warm, targets, 5000)
 
 
 class TestTranslationFlow:
