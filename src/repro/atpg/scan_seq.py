@@ -43,6 +43,7 @@ from ..sim.backend import make_backend
 from .comb_view import comb_view, view_fault
 from .podem import ABORTED, UNTESTABLE, Podem
 from .scan_sim import scan_test_detections, scan_test_observability
+from .seq_atpg import _require
 
 
 @dataclass
@@ -57,6 +58,10 @@ class SecondApproachConfig:
     max_test_length: int = 12
     #: Run the reverse-order test-set compaction pass.
     compact: bool = True
+
+    def __post_init__(self):
+        _require(self, "candidates_per_step", self.candidates_per_step >= 1,
+                 ">= 1")
 
 
 @dataclass

@@ -14,6 +14,17 @@ latched in flip-flops >> fault activated).  A subsequence that detects
 the fault is appended to the global sequence; all remaining faults are
 then fault-simulated over the new suffix and dropped on detection.
 
+Every candidate of a step starts from the same state and is drawn
+without looking at simulation results, so a step simulates the whole
+batch at once: :meth:`repro.sim.PackedFaultSimulator.lane_step` puts
+candidate ``j`` in lane ``j`` of one bit-parallel pass, and
+``select_lane`` commits the winner.  Simulators without a native lane
+step (the vector kernel, custom factories) run the same contract
+through :class:`SteppedLanes`, one candidate at a time.  The result
+bits — sequence, RNG stream, tie-breaks, backtrack counts — are those
+of trying the candidates one by one and stopping at the first that
+detects.
+
 The engine knows nothing about scan.  The paper's functional-level scan
 knowledge is injected through the ``completion_hook`` callback: when the
 search fails but fault effects were seen in flip-flops, the hook may
@@ -74,6 +85,61 @@ class SeqATPGConfig:
     #: reported aborted.  The corpus-scale presets use this to bound
     #: wall-clock on 10k-gate circuits deterministically.
     max_targeted_faults: int = 0
+
+    def __post_init__(self):
+        for name in ("candidates_per_step", "max_subseq_len"):
+            _require(self, name, getattr(self, name) >= 1, ">= 1")
+        for name in ("restarts", "max_stale_steps", "initial_random_vectors",
+                     "max_targeted_faults"):
+            _require(self, name, getattr(self, name) >= 0, ">= 0")
+        _require(self, "mutate_probability",
+                 0 <= self.mutate_probability <= 1, "in [0, 1]")
+
+
+def _require(config, name: str, ok: bool, rule: str) -> None:
+    """Raise ``ValueError`` naming the field when a config check fails."""
+    if not ok:
+        raise ValueError(f"{type(config).__name__}.{name} must be {rule}, "
+                         f"got {getattr(config, name)!r}")
+
+
+class SteppedLanes:
+    """The lane contract of :meth:`PackedFaultSimulator.lane_step` /
+    ``select_lane`` for any simulator: restore, step and read back one
+    candidate at a time.
+
+    Wraps simulators without a native lane step (the vector kernel,
+    :class:`~repro.sim.transition_sim.PackedTransitionSimulator`, test
+    doubles); it is also the reference the packed lane step is tested
+    against.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._next: list = []
+
+    def lane_step(self, vectors, net: str) -> List[Tuple[int, int, int]]:
+        sim = self.sim
+        start = sim.save_state()
+        outcomes = []
+        self._next = []
+        for vector in vectors:
+            sim.restore_state(start)
+            detected = sim.step(vector)
+            effect_flops = sum(1 for mask in sim.ff_effect_masks() if mask)
+            outcomes.append((detected, effect_flops, sim.good_net_value(net)))
+            self._next.append(sim.save_state())
+        sim.restore_state(start)
+        return outcomes
+
+    def select_lane(self, lane: int) -> None:
+        self.sim.restore_state(self._next[lane])
+
+
+def lane_view(sim):
+    """``sim`` itself when it steps lanes natively, else a
+    :class:`SteppedLanes` over it."""
+    return sim if hasattr(sim, "lane_step") else SteppedLanes(sim)
 
 
 @dataclass
@@ -318,10 +384,12 @@ class SequentialATPG:
         fault_position = self._fault_position(global_sim, fault)
         fault_state = global_sim.machine_state(fault_position)
         mini = self._make_sim([fault])
+        lanes = lane_view(mini)
 
         best_trace: Optional[PropagationTrace] = None
         for _restart in range(config.restarts):
-            found, trace = self._beam_search(fault, mini, good_state, fault_state)
+            found, trace = self._beam_search(fault, mini, lanes,
+                                             good_state, fault_state)
             if found is not None:
                 return found, False
             # A failed rollout rewinds the search to the start state — the
@@ -344,10 +412,19 @@ class SequentialATPG:
                 return completed, True
         return None, False
 
-    def _beam_search(self, fault, mini, good_state, fault_state):
-        """One greedy rollout; returns ``(vectors or None, trace or None)``."""
+    def _beam_search(self, fault, mini, lanes, good_state, fault_state):
+        """One greedy rollout; returns ``(vectors or None, trace or None)``.
+
+        Each step draws every candidate, simulates them in one lane step
+        and takes the first lane that detects; failing that, the first
+        lane of highest score (detection dominates, then fault effects
+        held in flip-flops — each one scan-out away from observation —
+        then mere activation of the fault site).
+        """
         config = self.config
         rng = self._rng
+        width = config.candidates_per_step
+        held = fault.held_value
         mini.reset()
         mini.load_machine_states([good_state, fault_state])
         chosen: List[Tuple[int, ...]] = []
@@ -357,28 +434,32 @@ class SequentialATPG:
         trace_len = 0
         previous = None
         for _step in range(config.max_subseq_len):
-            snapshot = mini.save_state()
-            best = None
-            tried = 0
-            for _k in range(config.candidates_per_step):
-                candidate = self._candidate_vector(previous, rng)
-                mini.restore_state(snapshot)
-                tried += 1
-                detected = mini.step(candidate)
+            obs.incr("atpg.seq.lane_steps")
+            drawn = rng.getstate()
+            candidates = [self._candidate_vector(previous, rng)
+                          for _ in range(width)]
+            outcomes = lanes.lane_step(candidates, fault.net)
+            for lane, (detected, _flops, _site) in enumerate(outcomes):
                 if detected:
-                    if tried > 1:
-                        obs.incr("atpg.backtracks", tried - 1)
-                    chosen.append(candidate)
+                    # Searching one candidate at a time would have stopped
+                    # drawing here: rewind the RNG to exactly that point.
+                    rng.setstate(drawn)
+                    for _ in range(lane + 1):
+                        self._candidate_vector(previous, rng)
+                    if lane:
+                        obs.incr("atpg.backtracks", lane)
+                    chosen.append(candidates[lane])
                     return chosen, None
-                score = self._score(fault, mini)
-                if best is None or score > best[0]:
-                    best = (score, candidate, mini.save_state())
-            # Every rejected candidate rewound the machine state — the
+            scores = [4 * flops + (site != X and site != held)
+                      for _detected, flops, site in outcomes]
+            lane = max(range(width), key=scores.__getitem__)
+            # Every rejected candidate is a rewound machine state — the
             # simulation-based search's analogue of a PODEM backtrack.
-            if tried > 1:
-                obs.incr("atpg.backtracks", tried - 1)
-            score, candidate, state = best
-            mini.restore_state(state)
+            if width > 1:
+                obs.incr("atpg.backtracks", width - 1)
+            lanes.select_lane(lane)
+            score = scores[lane]
+            candidate = candidates[lane]
             chosen.append(candidate)
             previous = candidate
             effects = self._flop_effects(mini)
@@ -408,21 +489,6 @@ class SequentialATPG:
             for flop, mask in zip(self.circuit.flops, masks)
             if mask & 2
         ]
-
-    def _score(self, fault: Fault, mini) -> int:
-        """Search heuristic after one candidate step.
-
-        Detection dominates (handled by the caller); otherwise prefer
-        fault effects held in flip-flops (each is one scan-out away from
-        observation and may propagate further), then mere activation.
-        """
-        score = 0
-        masks = mini.ff_effect_masks()
-        score += 4 * sum(1 for m in masks if m & 2)
-        site = mini.good_net_value(fault.net)
-        if site != X and site != fault.stuck_at:
-            score += 1
-        return score
 
     def _candidate_vector(self, previous, rng) -> Tuple[int, ...]:
         """Fresh random vector, or a light mutation of the previous one."""

@@ -51,17 +51,25 @@ BACKEND_NAMES = (BACKEND_PACKED, BACKEND_VECTOR)
 #: Environment override consulted when no explicit name is given.
 BACKEND_ENV = "REPRO_SIM_BACKEND"
 
-#: ``auto`` keeps fault lists smaller than this on the packed backend:
-#: the single-fault mini sims of the ATPG beam search finish in
-#: microseconds either way, and kernel setup would dominate.
+#: ``auto`` keeps fault lists smaller than this on the packed backend.
+#: The ATPG beam search builds one single-fault mini sim per target and
+#: steps it thousands of times.  On a few hundred gates a packed step
+#: takes tens of microseconds (about 0.05 ms on scan s298), the packed
+#: lane step simulates a whole batch of candidates in one pass, and
+#: kernel setup per mini would dominate.
 AUTO_MIN_FAULTS = 16
 
 #: ...unless the circuit itself is big.  Above this gate count a packed
 #: Python step costs milliseconds even for one fault machine, while the
 #: kernel's levelized program is fingerprint-cached on the circuit
-#: object — every mini sim after the first reuses it, so setup no
-#: longer dominates and ``auto`` switches to ``vector`` regardless of
-#: fault count (measured ~5x per beam-search rollout at s9234 scale).
+#: object, so every mini sim after the first reuses it.  The vector
+#: kernel has no lane step, and at s9234 scale the two tie on search:
+#: 60 preset rollouts from the post-preamble state took a
+#: median 0.74 s on vector minis (one candidate at a time) and 0.77 s
+#: on packed lanes (5 runs each, 2-vCPU x86-64 VM).  The rule stays
+#: because the scan-aware completions' ``_verify`` steps the same minis
+#: one vector at a time, where the kernel wins (0.19 ms against 1.65 ms
+#: per single-fault step there).
 AUTO_MIN_GATES = 4096
 
 

@@ -33,12 +33,22 @@ value in the same cycle.  An X in either machine never counts — the
 standard pessimistic (guaranteed-detection) criterion.
 
 Flip-flops power up to X in every machine.
+
+Lanes
+-----
+:meth:`PackedFaultSimulator.lane_step` applies ``k`` different vectors
+from the *same* state in one pass: the machine list is replicated ``k``
+times across the packed words (lane ``j`` owns bits ``j*M .. j*M+M-1``
+for ``M = num_machines``), so one gate sweep evaluates every candidate.
+:meth:`~PackedFaultSimulator.select_lane` then commits one lane's next
+state.  The ATPG beam search uses this to score all of a step's
+candidate vectors at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
@@ -144,6 +154,81 @@ def compiled_topology(circuit: Circuit) -> CompiledTopology:
     return topology
 
 
+def _eval_gates(gates, ones, zeros, full: int) -> None:
+    """Evaluate compiled gates in topological order over the packed
+    ``(ones, zeros)`` planes, in place — the one home of the
+    three-valued gate formulas.
+
+    Each gate is ``(code, out_idx, in_idx, pin_forces, out_mask)``.
+    ``pin_forces`` (None for fault-free pins) lists
+    ``(scratch_idx, src_idx, force_ones, force_zeros)``: the branch
+    fault's forced copy of input ``src_idx`` is written to scratch slot
+    ``scratch_idx``, which ``in_idx`` reads in place of the stem, so the
+    stem stays intact for the other branches.  ``out_mask`` forces the
+    output stem.  ``full`` is the all-machines mask.
+    """
+    for code, out_idx, in_idx, pin_forces, out_mask in gates:
+        if pin_forces is not None:
+            for scratch, src, m1, m0 in pin_forces:
+                ones[scratch] = (ones[src] | m1) & ~m0
+                zeros[scratch] = (zeros[src] | m0) & ~m1
+        if code == _NOT:
+            o, z = zeros[in_idx[0]], ones[in_idx[0]]
+        elif code <= _NAND:  # AND / NAND
+            o, z = full, 0
+            for i in in_idx:
+                o &= ones[i]
+                z |= zeros[i]
+            o &= ~z
+            if code == _NAND:
+                o, z = z, o
+        elif code <= _NOR:  # OR / NOR
+            o, z = 0, full
+            for i in in_idx:
+                o |= ones[i]
+                z &= zeros[i]
+            z &= ~o
+            if code == _NOR:
+                o, z = z, o
+        elif code == _BUF:
+            o, z = ones[in_idx[0]], zeros[in_idx[0]]
+        elif code == _MUX:
+            s, d0, d1 = in_idx
+            s1, s0 = ones[s], zeros[s]
+            a1, a0 = ones[d0], zeros[d0]
+            b1, b0 = ones[d1], zeros[d1]
+            o = (s0 & a1) | (s1 & b1) | (a1 & b1)
+            z = (s0 & a0) | (s1 & b0) | (a0 & b0)
+        else:  # XOR / XNOR
+            o, z = ones[in_idx[0]], zeros[in_idx[0]]
+            for i in in_idx[1:]:
+                b1, b0 = ones[i], zeros[i]
+                o, z = (o & b0) | (z & b1), (o & b1) | (z & b0)
+            if code == _XNOR:
+                o, z = z, o
+        if out_mask is not None:
+            m1, m0 = out_mask
+            o = (o | m1) & ~m0
+            z = (z | m0) & ~m1
+        ones[out_idx] = o
+        zeros[out_idx] = z
+
+
+class _LaneTables(NamedTuple):
+    """The injection tables of one simulator replicated over ``k``
+    lanes (every mask multiplied by the repunit ``rep``)."""
+
+    rep: int             # bit j*M set for every lane j
+    fields: List[int]    # lane j's all-machines mask, per lane
+    full: int            # every bit of every lane
+    fault: int           # every fault machine of every lane
+    pi_masks: list
+    flop_q_masks: list
+    flop_d_masks: list
+    po_masks: list
+    gates: list
+
+
 @dataclass
 class FaultSimResult:
     """Outcome of simulating one test sequence against a fault list.
@@ -230,26 +315,37 @@ class PackedFaultSimulator:
         self._flop_q_masks = [stem_masks.get(f.q) for f in circuit.flops]
         self._flop_d_masks = [branch_masks.get((f.q, 0)) for f in circuit.flops]
 
+        # Gate-input branch faults read a forced copy of their stem from a
+        # scratch slot past the last net (see _eval_gates).
         gates = []
-        gate_names = circuit.topo_gates
-        for gate, (code, out_idx, in_idx) in zip(gate_names, topology.gates):
-            in_masks = tuple(
-                branch_masks.get((gate.output, pin))
-                for pin in range(len(gate.inputs))
-            )
+        scratch = topology.num_nets
+        for gate, (code, out_idx, in_idx) in zip(circuit.topo_gates,
+                                                 topology.gates):
+            pin_forces = []
+            reads = list(in_idx)
+            for pin, src in enumerate(in_idx):
+                mask = branch_masks.get((gate.output, pin))
+                if mask is not None:
+                    pin_forces.append((scratch, src) + mask)
+                    reads[pin] = scratch
+                    scratch += 1
             gates.append((
                 code,
                 out_idx,
-                in_idx,
-                in_masks if any(m is not None for m in in_masks) else None,
+                tuple(reads),
+                tuple(pin_forces) if pin_forces else None,
                 stem_masks.get(gate.output),
             ))
         self._gates = gates
 
-        self._ones = [0] * topology.num_nets
-        self._zeros = [0] * topology.num_nets
+        self._ones = [0] * scratch
+        self._zeros = [0] * scratch
         self._state: List[Tuple[int, int]] = [(0, 0)] * len(circuit.flops)
         self.time = 0
+        # Replicated injection tables per lane count, and the outcome of
+        # the last lane step awaiting select_lane.
+        self._lane_tables: Dict[int, _LaneTables] = {}
+        self._lane_next: Tuple[List[Tuple[int, int]], int] = ([], 0)
 
     # -- construction ----------------------------------------------------------
 
@@ -384,7 +480,6 @@ class PackedFaultSimulator:
         ones = self._ones
         zeros = self._zeros
         full = self.full_mask
-        gates = self._gates
 
         for (idx, _name), mask, value in zip(self._pi, self._pi_masks, vector):
             if value == ONE:
@@ -408,60 +503,7 @@ class PackedFaultSimulator:
             ones[idx] = so
             zeros[idx] = sz
 
-        for code, out_idx, in_idx, in_masks, out_mask in gates:
-            if in_masks is None:
-                if code == _NOT:
-                    o, z = zeros[in_idx[0]], ones[in_idx[0]]
-                elif code <= _NAND:  # AND / NAND
-                    o, z = full, 0
-                    for i in in_idx:
-                        o &= ones[i]
-                        z |= zeros[i]
-                    o &= ~z
-                    if code == _NAND:
-                        o, z = z, o
-                elif code <= _NOR:  # OR / NOR
-                    o, z = 0, full
-                    for i in in_idx:
-                        o |= ones[i]
-                        z &= zeros[i]
-                    z &= ~o
-                    if code == _NOR:
-                        o, z = z, o
-                elif code == _BUF:
-                    o, z = ones[in_idx[0]], zeros[in_idx[0]]
-                elif code == _MUX:
-                    s, d0, d1 = in_idx
-                    s1, s0 = ones[s], zeros[s]
-                    a1, a0 = ones[d0], zeros[d0]
-                    b1, b0 = ones[d1], zeros[d1]
-                    o = (s0 & a1) | (s1 & b1) | (a1 & b1)
-                    z = (s0 & a0) | (s1 & b0) | (a0 & b0)
-                else:  # XOR / XNOR
-                    o, z = ones[in_idx[0]], zeros[in_idx[0]]
-                    for i in in_idx[1:]:
-                        b1, b0 = ones[i], zeros[i]
-                        o, z = (o & b0) | (z & b1), (o & b1) | (z & b0)
-                    if code == _XNOR:
-                        o, z = z, o
-            else:
-                values = []
-                for pin, i in enumerate(in_idx):
-                    v1, v0 = ones[i], zeros[i]
-                    mask = in_masks[pin]
-                    if mask is not None:
-                        m1, m0 = mask
-                        v1 = (v1 | m1) & ~m0
-                        v0 = (v0 | m0) & ~m1
-                    values.append((v1, v0))
-                o, z = _eval_packed(code, values, full)
-
-            if out_mask is not None:
-                m1, m0 = out_mask
-                o = (o | m1) & ~m0
-                z = (z | m0) & ~m1
-            ones[out_idx] = o
-            zeros[out_idx] = z
+        _eval_gates(self._gates, ones, zeros, full)
 
         detected = 0
         for (idx, _po), mask in zip(self._po, self._po_masks):
@@ -486,6 +528,146 @@ class PackedFaultSimulator:
         self._state = new_state
         self.time += 1
         return detected & self.fault_mask
+
+    # -- lanes -----------------------------------------------------------------
+
+    def _replicated(self, lanes: int) -> _LaneTables:
+        """The injection tables widened to ``lanes`` copies of the
+        machine list (cached per lane count)."""
+        tables = self._lane_tables.get(lanes)
+        if tables is not None:
+            return tables
+        width = self.num_machines
+        rep = sum(1 << (j * width) for j in range(lanes))
+
+        def wide(mask):
+            return None if mask is None else (mask[0] * rep, mask[1] * rep)
+
+        gates = []
+        for code, out_idx, reads, pin_forces, out_mask in self._gates:
+            if pin_forces is not None:
+                pin_forces = tuple((s, src, m1 * rep, m0 * rep)
+                                   for s, src, m1, m0 in pin_forces)
+            gates.append((code, out_idx, reads, pin_forces, wide(out_mask)))
+        tables = _LaneTables(
+            rep=rep,
+            fields=[self.full_mask << (j * width) for j in range(lanes)],
+            full=self.full_mask * rep,
+            fault=self.fault_mask * rep,
+            pi_masks=[wide(m) for m in self._pi_masks],
+            flop_q_masks=[wide(m) for m in self._flop_q_masks],
+            flop_d_masks=[wide(m) for m in self._flop_d_masks],
+            po_masks=[wide(m) for m in self._po_masks],
+            gates=gates,
+        )
+        self._lane_tables[lanes] = tables
+        return tables
+
+    def lane_step(self, vectors: Sequence[Sequence[int]],
+                  net: str) -> List[Tuple[int, int, int]]:
+        """Apply ``vectors[j]`` to lane ``j``, every lane starting from
+        the current state, in one bit-parallel pass.
+
+        Returns one ``(detected, effect_flops, site)`` per lane, each
+        what :meth:`step` with that vector alone would give:
+        ``detected`` is the lane's detection mask in machine bits,
+        ``effect_flops`` the number of flip-flops whose next state holds
+        a fault effect (a nonzero :meth:`ff_effect_masks` entry) and
+        ``site`` the fault-free value of ``net`` this cycle.  The
+        committed state and time do not change until
+        :meth:`select_lane`; net queries are undefined until the next
+        :meth:`step`.
+        """
+        width = self.num_machines
+        lanes = len(vectors)
+        rep, fields, full, fault, pi_masks, flop_q_masks, flop_d_masks, \
+            po_masks, gates = self._replicated(lanes)
+        ones = self._ones
+        zeros = self._zeros
+
+        for (idx, _name), mask, column in zip(self._pi, pi_masks,
+                                              zip(*vectors)):
+            o = z = 0
+            for lane_bits, value in zip(fields, column):
+                if value == ONE:
+                    o |= lane_bits
+                elif value == ZERO:
+                    z |= lane_bits
+            if mask is not None:
+                m1, m0 = mask
+                o = (o | m1) & ~m0
+                z = (z | m0) & ~m1
+            ones[idx] = o
+            zeros[idx] = z
+
+        for idx, mask, (so, sz) in zip(self._flop_q, flop_q_masks,
+                                       self._state):
+            so *= rep
+            sz *= rep
+            if mask is not None:
+                m1, m0 = mask
+                so = (so | m1) & ~m0
+                sz = (sz | m0) & ~m1
+            ones[idx] = so
+            zeros[idx] = sz
+
+        _eval_gates(gates, ones, zeros, full)
+
+        # Per lane, "good bit binary, fault bit opposite": spreading each
+        # lane's good bit over its whole lane (``* machines``) turns the
+        # scalar branch on ``o & 1`` into a mask.
+        machines = self.full_mask
+        detected = 0
+        for (idx, _po), mask in zip(self._po, po_masks):
+            o, z = ones[idx], zeros[idx]
+            if mask is not None:
+                m1, m0 = mask
+                o = (o | m1) & ~m0
+                z = (z | m0) & ~m1
+            detected |= (z & (o & rep) * machines) | (o & (z & rep) * machines)
+
+        effect_flops = [0] * lanes
+        next_state = []
+        for (d_idx, _q), mask in zip(self._flop_d, flop_d_masks):
+            v1, v0 = ones[d_idx], zeros[d_idx]
+            if mask is not None:
+                m1, m0 = mask
+                v1 = (v1 | m1) & ~m0
+                v0 = (v0 | m0) & ~m1
+            next_state.append((v1, v0))
+            effect = ((v0 & (v1 & rep) * machines)
+                      | (v1 & (v0 & rep) * machines)) & fault
+            while effect:
+                lane = ((effect & -effect).bit_length() - 1) // width
+                effect_flops[lane] += 1
+                effect &= -1 << ((lane + 1) * width)
+        self._lane_next = (next_state, self.time + 1)
+
+        site_idx = self._index[net]
+        site_ones, site_zeros = ones[site_idx], zeros[site_idx]
+        outcomes = []
+        for lane in range(lanes):
+            shift = lane * width
+            if site_ones >> shift & 1:
+                site = ONE
+            elif site_zeros >> shift & 1:
+                site = ZERO
+            else:
+                site = X
+            outcomes.append(((detected >> shift) & self.fault_mask,
+                             effect_flops[lane], site))
+        return outcomes
+
+    def select_lane(self, lane: int) -> None:
+        """Commit lane ``lane`` of the last :meth:`lane_step`: its next
+        state becomes the state and time advances by one, exactly as if
+        :meth:`step` had applied that lane's vector."""
+        state, time = self._lane_next
+        shift = lane * self.num_machines
+        machines = self.full_mask
+        self._state = [((o >> shift) & machines, (z >> shift) & machines)
+                       for o, z in state]
+        self.time = time
 
     def good_net_value(self, net: str) -> int:
         """Fault-free value of ``net`` as of the last :meth:`step`."""
@@ -594,36 +776,3 @@ class PackedFaultSimulator:
         faults = self.faults
         return [faults[position] for position in iter_fault_positions(mask)]
 
-
-def _eval_packed(code: int, values, full: int):
-    """Out-of-line packed evaluation for the (rare) gates with injected
-    input-branch faults; mirrors the inlined fast paths in ``step``."""
-    if code == _NOT:
-        return values[0][1], values[0][0]
-    if code == _BUF:
-        return values[0]
-    if code in (_AND, _NAND):
-        o, z = full, 0
-        for v1, v0 in values:
-            o &= v1
-            z |= v0
-        o &= ~z
-        return (z, o) if code == _NAND else (o, z)
-    if code in (_OR, _NOR):
-        o, z = 0, full
-        for v1, v0 in values:
-            o |= v1
-            z &= v0
-        z &= ~o
-        return (z, o) if code == _NOR else (o, z)
-    if code in (_XOR, _XNOR):
-        o, z = values[0]
-        for b1, b0 in values[1:]:
-            o, z = (o & b0) | (z & b1), (o & b1) | (z & b0)
-        return (z, o) if code == _XNOR else (o, z)
-    if code == _MUX:
-        (s1, s0), (a1, a0), (b1, b0) = values
-        o = (s0 & a1) | (s1 & b1) | (a1 & b1)
-        z = (s0 & a0) | (s1 & b0) | (a0 & b0)
-        return o, z
-    raise ValueError(f"bad gate code {code}")

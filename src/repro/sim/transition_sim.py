@@ -21,14 +21,14 @@ interface (see ``SequentialATPG(simulator_factory=...)``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
 from ..faults.transition import RISE, TransitionFault
 from .fault_sim import (
     FaultSimResult,
-    _eval_packed,
+    _eval_gates,
     compiled_topology,
     iter_fault_positions,
 )
@@ -59,7 +59,6 @@ class PackedTransitionSimulator:
         self._po_idx = [self._index[n] for n in circuit.outputs]
         self._flop_q = topology.flop_q
         self._flop_d = [self._index[f.d] for f in circuit.flops]
-        self._gates = topology.gates
 
         # Injection tables: net index -> (slow_to_rise bits, slow_to_fall bits)
         site_masks: Dict[int, List[int]] = {}
@@ -75,7 +74,18 @@ class PackedTransitionSimulator:
         self._source_sites = [
             entry for entry in self._sites if entry[0] not in gate_outputs
         ]
-        self._site_by_idx = {idx: (r, f) for idx, r, f in self._sites}
+        # The topological gate list cut after every site gate: each run
+        # is evaluated in one sweep, then its site (if any) is injected
+        # before any later gate reads it.
+        self._runs: List[Tuple[tuple, Optional[int], List[int]]] = []
+        run: list = []
+        for code, out_idx, in_idx in topology.gates:
+            run.append((code, out_idx, in_idx, None, None))
+            if out_idx in site_masks:
+                self._runs.append((tuple(run), out_idx, site_masks[out_idx]))
+                run = []
+        if run:
+            self._runs.append((tuple(run), None, [0, 0]))
         # Previous-cycle (post-injection) planes per monitored net.
         self._prev: Dict[int, Tuple[int, int]] = {}
 
@@ -248,16 +258,11 @@ class PackedTransitionSimulator:
                 idx, ones[idx], zeros[idx], rise_mask, fall_mask
             )
 
-        site_by_idx = self._site_by_idx
-        for code, out_idx, in_idx in self._gates:
-            o, z = _eval_packed(
-                code, [(ones[i], zeros[i]) for i in in_idx], full
-            )
-            masks = site_by_idx.get(out_idx)
-            if masks is not None:
-                o, z = self._inject(out_idx, o, z, masks[0], masks[1])
-            ones[out_idx] = o
-            zeros[out_idx] = z
+        for run, site, (rise_mask, fall_mask) in self._runs:
+            _eval_gates(run, ones, zeros, full)
+            if site is not None:
+                ones[site], zeros[site] = self._inject(
+                    site, ones[site], zeros[site], rise_mask, fall_mask)
 
         # Remember post-injection values for next cycle's launch checks.
         for idx, _r, _f in self._sites:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atpg import SeqATPGConfig, SequentialATPG
+from repro.atpg import SecondApproachConfig, SeqATPGConfig, SequentialATPG
 from repro.circuit import insert_scan, s27
 from repro.faults import collapse_faults
 from repro.sim import PackedFaultSimulator
@@ -140,6 +140,24 @@ class TestCompletionHook:
                        completion_hook=hook).generate()
         # At least one fault went through the hook path.
         assert seen
+
+
+@pytest.mark.parametrize("config_cls,field,value", [
+    (SeqATPGConfig, "candidates_per_step", 0),
+    (SeqATPGConfig, "max_subseq_len", 0),
+    (SeqATPGConfig, "restarts", -1),
+    (SeqATPGConfig, "max_stale_steps", -1),
+    (SeqATPGConfig, "initial_random_vectors", -1),
+    (SeqATPGConfig, "max_targeted_faults", -1),
+    (SeqATPGConfig, "mutate_probability", -0.1),
+    (SeqATPGConfig, "mutate_probability", 1.5),
+    (SecondApproachConfig, "candidates_per_step", 0),
+])
+def test_search_config_rejects_bad_values(config_cls, field, value):
+    """Bad effort knobs fail at construction, naming the field, instead
+    of crashing deep inside the search."""
+    with pytest.raises(ValueError, match=field):
+        config_cls(**{field: value})
 
 
 class TestRepacking:
