@@ -1,6 +1,6 @@
 """Big-circuit corpus identity gate (the 10k-gate scale guarantee).
 
-Not a paper table — this bench pins the two bit-identity promises the
+Not a paper table — this bench pins the bit-identity promise the
 ``big-circuit-smoke`` CI job relies on, at real corpus scale
 (``synth_like("s15850")``: 9772 gates, 534 flops, 41k collapsed faults
 after scan insertion) but on bounded sequences so the whole gate stays
@@ -9,16 +9,16 @@ in the tens of seconds:
 * **packed vs vector** — both standard backends ``run()`` the same
   bounded sequence over the *full* fault universe and must produce the
   same detection map in the same order.
-* **serial vs ``--jobs 2``** — a serial :class:`SimSession`
-  ``detection_times`` query against the fault-sharded
-  :class:`ParallelFaultSim` at two workers; same dict, same order.
+* **session** — one :class:`SimSession` ``detection_times`` query, the
+  full-universe query the compaction oracle issues, timed and counted
+  at this scale.
 
 Run standalone (``python benchmarks/bench_corpus.py --metrics-out
-BENCH_corpus.json``) it executes both comparisons inside a telemetry
-session and writes the metrics artifact — that produced the committed
+BENCH_corpus.json``) it executes both legs inside a telemetry session
+and writes the metrics artifact — that produced the committed
 ``BENCH_corpus.json`` baseline the ``big-circuit-smoke`` job diffs
-fresh runs against with ``repro-atpg diff-metrics`` (cycle counts,
-shard counts and backend builds are deterministic and gate at 0%).
+fresh runs against with ``repro-atpg diff-metrics`` (cycle counts and
+backend builds are deterministic and gate at 0%).
 """
 
 import random
@@ -28,7 +28,6 @@ from repro import obs
 from repro.circuit import insert_scan
 from repro.circuit.corpus import synth_like
 from repro.faults import collapse_faults
-from repro.parallel import ParallelFaultSim
 from repro.sim import SimSession
 from repro.sim.backend import make_backend, vector_available
 
@@ -36,9 +35,8 @@ CIRCUIT = "s15850"
 #: Bounded sequence for the packed-vs-vector identity (packed pays
 #: ~0.25 s per vector at 41k faults; 16 keeps the pair under 10 s).
 IDENTITY_VECTORS = 16
-#: Bounded sequence for the serial-vs-parallel identity.
-PARALLEL_VECTORS = 48
-JOBS = 2
+#: Bounded sequence for the session query.
+SESSION_VECTORS = 48
 
 
 def _build():
@@ -54,7 +52,8 @@ def _vectors(circuit, count, seed):
 
 
 def run():
-    """Both identity comparisons; returns per-leg wall seconds."""
+    """The identity comparison and the session query; returns per-leg
+    wall seconds."""
     circuit, faults = _build()
     seconds = {}
 
@@ -71,31 +70,20 @@ def run():
     assert list(results["vector"].detection_time) == \
         list(results["packed"].detection_time), "dict order diverged"
 
-    vectors = _vectors(circuit, PARALLEL_VECTORS, seed=8)
+    vectors = _vectors(circuit, SESSION_VECTORS, seed=8)
     session = SimSession(circuit, faults, sim_backend="auto",
                          checkpoint_interval=0)
     with obs.span("bench_corpus.serial"):
         start = time.perf_counter()
         serial = session.detection_times(vectors)
         seconds["serial"] = time.perf_counter() - start
-    engine = ParallelFaultSim(circuit, faults, jobs=JOBS,
-                              sim_backend="auto")
-    try:
-        with obs.span(f"bench_corpus.jobs{JOBS}"):
-            start = time.perf_counter()
-            parallel = engine.detection_times(vectors)
-            seconds[f"jobs{JOBS}"] = time.perf_counter() - start
-    finally:
-        engine.close()
     session.close()
-    assert parallel == serial
-    assert list(parallel) == list(serial), "dict order diverged"
 
     return circuit, faults, len(results["packed"].detection_time), \
         len(serial), seconds
 
 
-def report_lines(circuit, faults, identity_detected, parallel_detected,
+def report_lines(circuit, faults, identity_detected, session_detected,
                  seconds):
     return [
         f"Corpus identity gate on corpus:{CIRCUIT}: "
@@ -104,11 +92,9 @@ def report_lines(circuit, faults, identity_detected, parallel_detected,
         f"detected {identity_detected}): "
         f"packed {seconds['packed'] * 1000:8.1f} ms   "
         f"vector {seconds['vector'] * 1000:8.1f} ms   bit-identical",
-        f"  serial vs jobs={JOBS} ({PARALLEL_VECTORS} cycles, "
-        f"detected {parallel_detected}): "
-        f"serial {seconds['serial'] * 1000:8.1f} ms   "
-        f"jobs{JOBS} {seconds[f'jobs{JOBS}'] * 1000:8.1f} ms   "
-        f"bit-identical",
+        f"  session detection_times ({SESSION_VECTORS} cycles, "
+        f"detected {session_detected}): "
+        f"serial {seconds['serial'] * 1000:8.1f} ms",
     ]
 
 
@@ -140,7 +126,7 @@ def main(argv=None):
     started = time.perf_counter()
     with obs.session() as telemetry:
         with obs.span("bench_corpus"):
-            circuit, faults, identity_detected, parallel_detected, \
+            circuit, faults, identity_detected, session_detected, \
                 seconds = run()
     try:
         from conftest import record_bench
@@ -148,10 +134,9 @@ def main(argv=None):
         record_bench = None
     if record_bench is not None:
         record_bench(telemetry, "corpus", f"corpus:{CIRCUIT}",
-                     time.perf_counter() - started, backend="vector",
-                     jobs=JOBS)
+                     time.perf_counter() - started, backend="vector")
     print("\n".join(report_lines(circuit, faults, identity_detected,
-                                 parallel_detected, seconds)))
+                                 session_detected, seconds)))
     obs.write_metrics_json(args.metrics_out, telemetry,
                            meta={"bench": "corpus",
                                  "circuit": f"corpus:{CIRCUIT}"})

@@ -201,7 +201,7 @@ def main(argv=None):
         with obs.span("bench_serve"):
             results, load_seconds, warm, stats = run()
     record_bench(telemetry, "serve_load", CIRCUIT,
-                 time.perf_counter() - started, jobs=2)
+                 time.perf_counter() - started)
     check(results, warm, stats)
     print("\n".join(report_lines(results, load_seconds, warm, stats)))
     obs.write_metrics_json(args.metrics_out, telemetry,

@@ -44,8 +44,7 @@ def emit(report_dir: Path, name: str, text: str) -> None:
 
 
 def record_bench(telemetry, bench: str, circuit_name: str,
-                 wall_seconds: float, backend: str = "packed",
-                 jobs: int = 1):
+                 wall_seconds: float, backend: str = "packed"):
     """Append this bench session to the ambient run index
     (``REPRO_RUN_INDEX``), when one is configured.
 
@@ -72,7 +71,6 @@ def record_bench(telemetry, bench: str, circuit_name: str,
             flow=f"bench:{bench}",
             wall_seconds=wall_seconds,
             backend=backend,
-            jobs=jobs,
             telemetry=telemetry,
         )
         return RunIndex(path).append(record)

@@ -36,9 +36,9 @@ Layering (see DESIGN.md):
 * :mod:`repro.experiments` — the Table 5/6/7 suite and ablations;
 * :mod:`repro.obs` — structured telemetry (metrics registry, timed
   spans, JSONL run journal), off by default (docs/OBSERVABILITY.md);
-* :mod:`repro.parallel` — fault-sharded multiprocessing execution
-  engine (``FlowConfig(jobs=N)`` / ``--jobs N``), bit-identical to
-  serial at every worker count.
+* :mod:`repro.parallel` — the resilient process pool behind
+  ``repro-atpg table/report --jobs N`` and the service daemon; flows
+  themselves simulate in one process.
 """
 
 from .circuit import (
@@ -115,7 +115,7 @@ from .compaction import (
 )
 from .analysis import analyze, compute_testability
 from .cache import ResultStore, circuit_fingerprint, resolve_cache_dir
-from .parallel import ParallelFaultSim, ResilientPool
+from .parallel import ResilientPool
 from . import obs
 
 __version__ = "1.0.0"
@@ -148,8 +148,8 @@ __all__ = [
     "dominance_reduce", "TimeFrameATPG", "unroll",
     "analyze", "compute_testability",
     "TransitionFault", "enumerate_transition_faults",
-    # parallel execution
-    "ParallelFaultSim", "ResilientPool",
+    # process pool
+    "ResilientPool",
     # result cache
     "ResultStore", "circuit_fingerprint", "resolve_cache_dir",
     # telemetry

@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    repro-atpg generate  <circuit> [--seed N] [--jobs N] [--no-compact]
-    repro-atpg translate <circuit> [--seed N] [--jobs N]
+    repro-atpg generate  <circuit> [--seed N] [--no-compact]
+    repro-atpg translate <circuit> [--seed N]
     repro-atpg profile   <circuit> [--seed N] [--skip-translation] [--top N]
     repro-atpg table     {5,6,7}   [--profile quick|default|full] [--jobs N]
     repro-atpg analyze   <circuit> [--hardest N]
-    repro-atpg report    [--profile ...] [--out FILE]
+    repro-atpg report    [--profile ...] [--jobs N] [--out FILE]
     repro-atpg export    <circuit> <out.vcd|out.stil> [--seed N]
     repro-atpg explain-fault  <circuit> <fault> [--seed N]
     repro-atpg explain-vector <circuit> [index] [--seed N]
@@ -26,12 +26,11 @@ to a ``.bench`` / structural-``.v`` file of a sequential circuit.
 
 The flow-running subcommands (``generate``, ``translate``, ``profile``,
 ``export``) also accept ``--checkpoint-interval K``, which tunes the
-incremental fault-simulation session (see :class:`repro.FlowConfig`),
-and ``--jobs N``, which fans the heavy full-universe fault-sim queries
-out across N worker processes (see :mod:`repro.parallel`; results are
-bit-identical at every N).  ``table`` and ``report`` interpret
-``--jobs`` at circuit granularity: whole per-circuit flows run N at a
-time.
+incremental fault-simulation session (see :class:`repro.FlowConfig`).
+A flow simulates in one process.  ``table`` and ``report`` take
+``--jobs N`` (default 1): whole per-circuit flows run N at a time in
+worker processes (see :mod:`repro.parallel`), with the same results
+as a serial run.
 
 ``--cache [DIR]`` turns on the content-addressed result store (see
 :mod:`repro.cache`): expensive stage results (fault collapse, per-fault
@@ -48,13 +47,11 @@ Every subcommand also accepts the telemetry flags ``--trace FILE``
 command finishes).  ``profile`` turns telemetry on implicitly and prints
 the per-phase breakdown.
 
-Live monitoring: ``watch`` tails a ``--trace`` journal (and the
-per-worker siblings a ``--jobs N`` run spawns) and renders phase
-progress, per-shard bars, heartbeat freshness and an ETA — live by
-default, single-shot with ``--once``.  ``export-trace`` converts a
-journal into Chrome trace-event / Perfetto JSON.  Both are read-only
-consumers of the journal files; the running process stays the single
-writer.
+Live monitoring: ``watch`` tails a ``--trace`` journal and renders
+phase progress and an ETA — live by default, single-shot with
+``--once``.  ``export-trace`` converts a journal into Chrome
+trace-event / Perfetto JSON.  Both are read-only consumers of the
+journal; the running process stays the single writer.
 
 Run history: ``--run-index [DB]`` on the flow commands appends a
 versioned run record (fingerprints, metrics snapshot, journal summary,
@@ -165,7 +162,6 @@ def _flow_config(args: argparse.Namespace, **overrides) -> FlowConfig:
     return FlowConfig(
         seed=args.seed,
         checkpoint_interval=interval,
-        jobs=args.jobs,
         cache_dir=_cache_dir(args),
         sim_backend=getattr(args, "sim_backend", None),
         run_index=_run_index_arg(args),
@@ -319,16 +315,16 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             coverage = e.record.get("journal", {}).get("coverage", {})
             cov = max(coverage.values()) if coverage else None
             rows.append([
-                e.id, e.circuit, e.flow, e.backend or "-", e.jobs,
+                e.id, e.circuit, e.flow, e.backend or "-",
                 f"{e.wall_seconds:.3f}",
                 f"{cov:.2f}" if cov is not None else "-",
                 e.git_rev or "-", e.config_fp[:10], when,
             ])
         print(format_table(
-            ["id", "circuit", "flow", "backend", "jobs", "wall_s",
+            ["id", "circuit", "flow", "backend", "wall_s",
              "cov%", "rev", "config_fp", "created"],
             rows, title=f"run index {path} ({index.count()} records)",
-            align_left=(1, 2, 3, 7, 8, 9)))
+            align_left=(1, 2, 3, 6, 7, 8)))
         return 0
 
     if args.action == "show":
@@ -445,14 +441,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(render_watch(model.snapshot(), top_metrics=args.top))
         return 0
     interactive = sys.stdout.isatty()
-    close_grace = max(3.0, 2 * args.interval)
-    last_activity = time_mod.monotonic()
     try:
         while True:
-            batch = follower.poll()
-            if batch:
-                last_activity = time_mod.monotonic()
-            for event in batch:
+            for event in follower.poll():
                 model.ingest(event)
             text = render_watch(model.snapshot(), top_metrics=args.top)
             if interactive:
@@ -462,22 +453,17 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 print(text + "\n--", flush=True)
             if follower.finished:
                 return 0
-            # Base journal closed but a worker never wrote its close
-            # (crashed / killed): don't hang — give stragglers a grace
-            # window after the last appended event, then call it done.
-            if follower.base_closed and \
-                    time_mod.monotonic() - last_activity >= close_grace:
-                return 0
             time_mod.sleep(args.interval)
     except KeyboardInterrupt:
         return 130
 
 
 def _cmd_export_trace(args: argparse.Namespace) -> int:
-    from .obs.trace import load_trace_events, write_chrome_trace
+    from .obs.journal import read_journal
+    from .obs.trace import write_chrome_trace
 
     try:
-        events = load_trace_events(args.journal)
+        events = read_journal(args.journal)
     except (OSError, ValueError) as exc:
         print(f"export-trace: {exc}")
         return 2
@@ -486,8 +472,7 @@ def _cmd_export_trace(args: argparse.Namespace) -> int:
         return 2
     trace = write_chrome_trace(args.output, events)
     print(f"wrote {len(trace['traceEvents'])} trace events "
-          f"({len(trace['otherData']['sources'])} process(es), "
-          f"trace {trace['otherData']['trace_id'][:12] or '?'}) "
+          f"(trace {trace['otherData']['trace_id'][:12] or '?'}) "
           f"to {args.output}")
     return 0
 
@@ -669,11 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
              "policy scaled to sequence length, the default for "
              "corpus:<name> circuits)")
     flow_group.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for fault-sharded parallel simulation "
-             "(0 = REPRO_JOBS env or serial; results are identical at "
-             "every N)")
-    flow_group.add_argument(
         "--cache", nargs="?", const="", default=None, metavar="DIR",
         help="persist stage results to the content-addressed store "
              "under DIR and replay them on warm runs (bare --cache = "
@@ -756,10 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     watch = sub.add_parser("watch",
                            help="tail a --trace journal and render live "
-                                "phase/shard progress, heartbeats and ETA")
-    watch.add_argument("journal", help="journal file a run is writing "
-                                       "(its .w<pid> worker siblings are "
-                                       "discovered automatically)")
+                                "phase progress and ETA")
+    watch.add_argument("journal", help="journal file a run is writing")
     watch.add_argument("--once", action="store_true",
                        help="render a single snapshot and exit "
                             "(CI/pipe friendly)")
@@ -770,9 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.set_defaults(func=_cmd_watch)
 
     ext = sub.add_parser("export-trace",
-                         help="convert a run journal (plus worker "
-                              "journals) to Chrome trace-event / "
-                              "Perfetto JSON")
+                         help="convert a run journal to Chrome "
+                              "trace-event / Perfetto JSON")
     ext.add_argument("journal", help="journal written by --trace")
     ext.add_argument("output", help="trace JSON destination "
                                     "(open in ui.perfetto.dev)")
@@ -874,9 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("number", choices=["5", "6", "7"])
     table.add_argument("--profile", default=None,
                        choices=sorted(suite_mod.PROFILES))
-    table.add_argument("--jobs", type=int, default=0, metavar="N",
+    table.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="run the per-circuit flows N circuits at a "
-                            "time (0 = REPRO_JOBS env or serial)")
+                            "time (default 1)")
     table.add_argument("--cache", nargs="?", const="", default=None,
                        metavar="DIR",
                        help="share a content-addressed result store "
@@ -889,9 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "render a markdown report")
     rep.add_argument("--profile", default=None,
                      choices=sorted(suite_mod.PROFILES))
-    rep.add_argument("--jobs", type=int, default=0, metavar="N",
+    rep.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="run the per-circuit flows N circuits at a "
-                          "time (0 = REPRO_JOBS env or serial)")
+                          "time (default 1)")
     rep.add_argument("--cache", nargs="?", const="", default=None,
                      metavar="DIR",
                      help="share a content-addressed result store "

@@ -16,16 +16,6 @@ contract that makes that safe: every procedure calls
 :meth:`restore_dropped` before its first query *and* before its final
 full-universe accounting, so drops never leak across procedure
 boundaries.
-
-With ``jobs > 1`` the oracle routes its *full-universe*
-:meth:`detection_times` queries — the expensive ones, e.g. the initial
-scoring pass restoration opens with — through the fault-sharded
-:class:`~repro.parallel.ParallelFaultSim`, whose results are
-bit-identical to the serial session's (including dict order).  The
-incremental early-exit queries (:meth:`detected_mask`,
-:meth:`detects_all`) always stay on the session: they win by resuming
-from checkpoints and stopping early, which sharding would forfeit.
-Queries issued while faults are dropped also stay on the session.
 """
 
 from __future__ import annotations
@@ -54,17 +44,12 @@ class CompactionOracle:
                  simulator_factory=None,
                  checkpoint_interval: int = 4,
                  incremental: bool = True,
-                 jobs: int = 1,
                  store=None,
                  sim_backend: Optional[str] = None):
         self.circuit = circuit
         self.faults = list(faults)
         factory, backend = coerce_simulator_factory(
             simulator_factory, sim_backend, "CompactionOracle")
-        #: True when simulation runs on a standard (stuck-at, bit-exact)
-        #: backend rather than a custom factory — the gate for both the
-        #: result cache and the parallel engine below.
-        self._standard = factory is None
         self._factory = factory
         self._backend = backend
         self.session = SimSession(
@@ -77,16 +62,13 @@ class CompactionOracle:
         )
         self._position = {f: i + 1 for i, f in enumerate(self.faults)}
         self._raw_sim = None
-        self.jobs = jobs
-        self._checkpoint_interval = checkpoint_interval
-        self._parallel = None
         # Full-universe detection_times results are memoized in the
         # content-addressed store when one is attached; custom simulator
         # factories (test doubles, other fault models) stay uncached —
         # their results are not keyed by the stuck-at fault identity
         # alone.  Standard backends are interchangeable bit-for-bit, so
         # cached results are backend-independent.
-        self._store = store if self._standard else None
+        self._store = store if factory is None else None
         self._stages = None
 
     # -- mask helpers -----------------------------------------------------
@@ -119,11 +101,7 @@ class CompactionOracle:
             times = stages.load_detection(self.faults, vectors)
             if times is not None:
                 return times
-        engine = self._parallel_engine(len(vectors))
-        if engine is not None:
-            times = engine.detection_times(vectors)
-        else:
-            times = self.session.detection_times(vectors)
+        times = self.session.detection_times(vectors)
         if stages is not None:
             stages.save_detection(self.faults, vectors, times)
         return times
@@ -140,74 +118,6 @@ class CompactionOracle:
 
             self._stages = StageCache(self._store, self.circuit)
         return self._stages
-
-    def _parallel_engine(self, num_vectors: int):
-        """The shared :class:`ParallelFaultSim`, when a full-universe
-        query over ``num_vectors`` cycles would actually fan out —
-        ``None`` means: use the serial session.  Custom simulator
-        factories (test doubles, instrumented sims) and dropped-fault
-        states always stay serial."""
-        if self.jobs <= 1 or not self._standard:
-            return None
-        if self.session.dropped_mask != 0:
-            return None
-        if self._parallel is None:
-            from ..parallel import ParallelFaultSim
-
-            self._parallel = ParallelFaultSim(
-                self.circuit, self.faults, self.jobs,
-                checkpoint_interval=self._checkpoint_interval,
-                sim_backend=self.session.sim_backend,
-                costs=self._warm_costs(),
-            )
-        if self._parallel.effective_jobs(num_vectors) <= 1:
-            return None
-        return self._parallel
-
-    def _warm_costs(self):
-        """Per-fault LPT shard costs seeded from the largest cached
-        detection entry for this circuit, or ``None`` (round-robin).
-
-        A fault detected at cycle ``t`` in a previous run costs ``t+1``
-        (a dropping simulator stops paying for it there); undetected
-        faults cost the full horizon.  Any shard plan merges
-        bit-identically, so a stale or partial entry can only cost
-        speed, never bits.  Heuristic and damage-tolerant by design —
-        unreadable entries simply mean no seeding.
-        """
-        stages = self._stage_cache()
-        if stages is None or not stages.enabled:
-            return None
-        from ..cache.codec import decode_fault
-        from ..parallel.plan import costs_from_detection_times
-
-        best = None
-        try:
-            for stage, payload in self._store.entries_for_circuit(
-                    stages.circuit_fp):
-                if stage != "detection":
-                    continue
-                times = payload.get("times") or []
-                if times and (best is None or len(times) > len(best)):
-                    best = times
-        except Exception:
-            return None
-        if not best:
-            return None
-        position = {f: i for i, f in enumerate(self.faults)}
-        times_by_pos = {}
-        try:
-            for item, t in best:
-                fault = decode_fault(item)
-                if fault in position:
-                    times_by_pos[position[fault]] = int(t)
-        except Exception:
-            return None
-        if not times_by_pos:
-            return None
-        horizon = max(times_by_pos.values()) + 2
-        return costs_from_detection_times(
-            times_by_pos, len(self.faults), horizon)
 
     def detected_mask(
         self,
@@ -258,13 +168,8 @@ class CompactionOracle:
         self.session.restore_dropped()
 
     def close(self) -> Dict[str, int]:
-        """Release everything the oracle lazily built: shut down and
-        join the parallel engine's worker pool (when one was spun up)
-        and flush the underlying session's lifetime counters to the
-        telemetry journal (see :meth:`SimSession.close`).  Idempotent."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
+        """Flush the underlying session's lifetime counters to the
+        telemetry journal (see :meth:`SimSession.close`)."""
         return self.session.close()
 
     # -- legacy checkpoints --------------------------------------------------

@@ -56,23 +56,21 @@ class FlowConfig:
     #: Resume compaction queries from checkpoints; ``False`` forces the
     #: cycle-0-restart baseline (for perf comparisons).
     incremental: bool = True
-    #: Worker processes for fault-sharded parallel simulation of the
-    #: heavy full-universe queries (see :mod:`repro.parallel`).  ``0``
-    #: defers to the ``REPRO_JOBS`` environment variable, defaulting to
-    #: serial; ``1`` forces serial.  Results are bit-identical at every
-    #: value.
+    #: Accepted (``>= 0``) and ignored: flows always simulate in one
+    #: process.  Kept so existing configs that set it, such as the
+    #: flow benchmark's ``FlowConfig(jobs=2)``, still construct.
     jobs: int = 0
     #: Fault-simulation backend: ``"auto"`` (pick the vectorized kernel
     #: when it is available and would win, else the packed reference),
     #: ``"packed"``, or ``"vector"``.  ``None`` defers to the
     #: ``REPRO_SIM_BACKEND`` environment variable, defaulting to
-    #: ``auto``.  Backends are bit-identical — like ``jobs``, this knob
-    #: cannot change result bits (see :mod:`repro.sim.backend`).
+    #: ``auto``.  Backends are bit-identical — this knob cannot change
+    #: result bits (see :mod:`repro.sim.backend`).
     sim_backend: Optional[str] = None
     #: Root directory of the content-addressed result store (see
     #: :mod:`repro.cache`).  ``None`` defers to the ``REPRO_CACHE``
     #: environment variable; empty/unset both means caching off.  Like
-    #: ``jobs``/``checkpoint_interval``, this knob cannot change result
+    #: ``checkpoint_interval``, this knob cannot change result
     #: bits — warm runs are bit-identical to cold ones.
     cache_dir: Optional[str] = None
     #: Run-history index database (see :mod:`repro.obs.history`):
@@ -97,7 +95,7 @@ class FlowConfig:
         if self.num_chains < 1:
             raise ValueError("num_chains must be >= 1")
         if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = REPRO_JOBS/serial)")
+            raise ValueError("jobs must be >= 0 (it is ignored)")
         if self.sim_backend is not None:
             from ..sim.backend import resolve_backend_name
 
@@ -110,13 +108,6 @@ class FlowConfig:
     def atpg_config(self) -> SeqATPGConfig:
         """The effective sequential-ATPG configuration."""
         return self.atpg or SeqATPGConfig(seed=self.seed)
-
-    def effective_jobs(self) -> int:
-        """``jobs`` with the ``0 -> REPRO_JOBS -> serial`` rule applied
-        (see :func:`repro.parallel.plan.resolve_jobs`)."""
-        from ..parallel.plan import resolve_jobs
-
-        return resolve_jobs(self.jobs)
 
     def effective_sim_backend(self) -> str:
         """``sim_backend`` with the ``None -> REPRO_SIM_BACKEND -> auto``

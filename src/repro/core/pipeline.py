@@ -408,7 +408,6 @@ def _make_oracle(circuit: Circuit, faults, cfg: FlowConfig, store):
         faults,
         checkpoint_interval=cfg.checkpoint_interval,
         incremental=cfg.incremental,
-        jobs=cfg.effective_jobs(),
         store=store,
         sim_backend=cfg.sim_backend,
     )

@@ -8,10 +8,8 @@ per process so the benchmark files stay cheap and mutually consistent.
 memo caches by running whole per-circuit flows in a
 :class:`~repro.parallel.ResilientPool` of worker processes (one circuit
 per task — the coarsest unit, so results are trivially identical to the
-serial path).  Workers force ``jobs=1`` internally: a flow already
-inside a worker must not open a nested fault-shard pool.  Every task
-callable here is module-level (spawn-safe pickling; the satellite audit
-of this module's task paths holds).
+serial path).  Every task callable here is module-level (spawn-safe
+pickling).
 """
 
 from __future__ import annotations
@@ -98,15 +96,8 @@ def clear_caches() -> None:
 
 def _init_prefetch_worker() -> None:
     """Pool initializer: drop any telemetry session inherited across
-    ``fork`` (its journal handle belongs to the parent) and pin the
-    in-worker flows to serial — circuit-level workers must never open
-    nested fault-shard pools."""
-    import os
-
-    from ..parallel.plan import JOBS_ENV
-
+    ``fork`` (its journal handle belongs to the parent)."""
     obs.deactivate(None)
-    os.environ[JOBS_ENV] = "1"
 
 
 def _generation_task(name: str) -> Tuple[str, GenerationFlowResult]:
@@ -125,26 +116,25 @@ def _full_task(
     return name, generation, _BASELINE[name], translation
 
 
-def prefetch(names: Iterable[str], jobs: int = 0, *,
+def prefetch(names: Iterable[str], jobs: int = 1, *,
              translation: bool = False) -> List[str]:
     """Warm the memo caches for ``names``, ``jobs`` circuits at a time.
 
-    With ``jobs`` resolving to 1 (the default) this simply runs the
-    flows serially in-process — same code path as before.  With more,
+    With ``jobs`` at most 1 (the default) this simply runs the flows
+    serially in-process — same code path as before.  With more,
     whole circuits fan out across a worker pool and the results land in
     the caches exactly as a serial warm-up would have left them.
     ``translation`` also prepares the baseline + Section 3 flow (what
     Table 7 and the full report consume).  Returns the names actually
     computed (cached ones are skipped).
     """
-    from ..parallel import ResilientPool, resolve_jobs
+    from ..parallel import ResilientPool
 
     todo = [
         name for name in dict.fromkeys(names)
         if name not in _GENERATION
         or (translation and name not in _TRANSLATION)
     ]
-    jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(todo) <= 1:
         for name in todo:
             generation_result(name)

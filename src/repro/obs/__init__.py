@@ -20,8 +20,8 @@ Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
 * **cross-run regression diffing** (:mod:`~repro.obs.diff`) of two
   ``--metrics-out`` artifacts behind ``repro-atpg diff-metrics``;
 * **live monitoring** (:mod:`~repro.obs.live`): journal tailing
-  (:func:`follow_journal`), a progress/ETA model fed by span, heartbeat
-  and ``progress.*`` events, and the renderer behind
+  (:func:`follow_journal`), a progress/ETA model fed by span and
+  ``progress.*`` events, and the renderer behind
   ``repro-atpg watch``; plus **trace identity and export**
   (:mod:`~repro.obs.trace`): run-scoped trace ids, span ids, and
   Chrome/Perfetto trace-event JSON via ``repro-atpg export-trace``;
@@ -91,14 +91,8 @@ from .history import (
     resolve_run_index,
     run_config_fingerprint,
 )
-from .journal import MERGE_SRC, SCHEMA as JOURNAL_SCHEMA
-from .journal import (
-    RunJournal,
-    merge_journals,
-    read_journal,
-    rotated_journal_path,
-    worker_journal_path,
-)
+from .journal import SCHEMA as JOURNAL_SCHEMA
+from .journal import RunJournal, read_journal, rotated_journal_path
 from .ledger import (
     FaultLedger,
     LedgerEvent,
@@ -112,7 +106,6 @@ from .live import (
     PhaseInfo,
     ProgressModel,
     ProgressSnapshot,
-    ShardInfo,
     follow_journal,
     phase_weights_from_store,
     render_watch,
@@ -133,7 +126,6 @@ from .spans import SpanLog, SpanRecord
 from .trace import (
     TRACE_SCHEMA,
     export_chrome_trace,
-    load_trace_events,
     new_span_id,
     new_trace_id,
     write_chrome_trace,
@@ -174,11 +166,8 @@ __all__ = [
     "SpanRecord",
     "RunJournal",
     "read_journal",
-    "merge_journals",
     "rotated_journal_path",
-    "worker_journal_path",
     "JOURNAL_SCHEMA",
-    "MERGE_SRC",
     "RUN_RECORD_SCHEMA",
     "RunEntry",
     "RunIndex",
@@ -205,13 +194,11 @@ __all__ = [
     "PhaseInfo",
     "ProgressModel",
     "ProgressSnapshot",
-    "ShardInfo",
     "follow_journal",
     "phase_weights_from_store",
     "render_watch",
     "TRACE_SCHEMA",
     "export_chrome_trace",
-    "load_trace_events",
     "new_span_id",
     "new_trace_id",
     "write_chrome_trace",

@@ -37,9 +37,8 @@ class Telemetry:
     per-fault provenance ledger.
 
     Every session carries a ``trace_id`` — minted here unless the caller
-    supplies one (worker processes inherit the parent run's id via
-    :class:`repro.parallel.worker.WorkerContext`) — identifying the
-    cross-process trace all of the session's spans belong to.
+    supplies one (the serve daemon passes the job id) — identifying the
+    trace all of the session's spans belong to.
     """
 
     def __init__(self, journal: Optional[RunJournal] = None,

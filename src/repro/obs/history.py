@@ -17,8 +17,8 @@ index:
   bit-identical deterministic counters);
 * outcome — the final metrics snapshot (counters / gauges /
   histograms), the per-phase span aggregate, and a journal summary
-  (phases, shard stats, cache hit rates, coverage / cycles);
-* provenance — backend, effective jobs, platform, python and git rev,
+  (phases, cache hit rates, coverage / cycles);
+* provenance — backend, platform, python and git rev,
   wall-clock seconds and a creation timestamp.
 
 The index follows the same durability contract as :mod:`repro.cache`:
@@ -81,8 +81,8 @@ TEST_SLEEP_ENV = "REPRO_TEST_SLEEP"
 #: Counter patterns that must be **bit-identical** across runs with the
 #: same (circuit, config) fingerprints — the default deterministic gate
 #: set for ``runs trend --assert`` / ``runs compare``.  Cache-warmth
-#: (``cache.*``) and scheduling (``parallel.*``) counters are excluded:
-#: they legitimately vary run to run without the results changing.
+#: (``cache.*``) counters are excluded: they legitimately vary run to
+#: run without the results changing.
 DETERMINISTIC_GATES: Tuple[str, ...] = (
     "faultsim.cycles",
     "faultsim.runs",
@@ -184,8 +184,8 @@ def _git_rev() -> str:
 def _journal_summary(counters: Dict, gauges: Dict,
                      spans: List[Dict]) -> Dict:
     """The compact journal summary stored in each record: per-phase
-    seconds, shard/worker stats, cache hit rates — all derived from the
-    session's own metrics, no journal file parsing needed."""
+    seconds, cache hit rates, cycles — all derived from the session's
+    own metrics, no journal file parsing needed."""
     phases = {
         span["path"]: span["total_seconds"]
         for span in spans if span.get("depth", 0) <= 1
@@ -200,13 +200,6 @@ def _journal_summary(counters: Dict, gauges: Dict,
             "misses": cache_misses,
             "hit_rate": round(100.0 * cache_hits / lookups, 2)
             if lookups else None,
-        },
-        "shards": {
-            "runs": counters.get("parallel.runs", 0),
-            "serial_runs": counters.get("parallel.serial_runs", 0),
-            "shards": counters.get("parallel.shards", 0),
-            "workers": gauges.get("parallel.last.workers", 0),
-            "worker_cycles": counters.get("parallel.worker.cycles", 0),
         },
         "cycles": counters.get("faultsim.cycles", 0),
     }
@@ -227,7 +220,6 @@ def build_run_record(
     flow: str,
     wall_seconds: float,
     backend: str = "",
-    jobs: int = 1,
     telemetry=None,
     extra_meta: Optional[Dict] = None,
 ) -> Dict:
@@ -262,7 +254,6 @@ def build_run_record(
         "config_fp": config_fp,
         "flow": flow,
         "backend": backend,
-        "jobs": jobs,
         "wall_seconds": round(wall_seconds, 6),
         "git_rev": _git_rev(),
         "python": sys.version.split()[0],
@@ -299,7 +290,6 @@ def record_to_artifact(record: Dict) -> Dict:
             "circuit": record.get("circuit", ""),
             "flow": record.get("flow", ""),
             "backend": record.get("backend", ""),
-            "jobs": record.get("jobs", 1),
             "python": record.get("python", ""),
             "platform": record.get("platform", ""),
             "git_rev": record.get("git_rev", ""),
@@ -315,6 +305,8 @@ def record_to_artifact(record: Dict) -> Dict:
 # The SQLite index
 # ---------------------------------------------------------------------------
 
+#: ``jobs`` is a legacy column: flows run serial, so new records leave
+#: it at its default of 1.
 _TABLE_SQL = """
 CREATE TABLE IF NOT EXISTS runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -346,7 +338,6 @@ class RunEntry:
     config_fp: str
     flow: str
     backend: str
-    jobs: int
     git_rev: str
     wall_seconds: float
     record: Dict = field(repr=False, default_factory=dict)
@@ -428,8 +419,8 @@ class RunIndex:
             with conn:
                 cursor = conn.execute(
                     "INSERT INTO runs (created, circuit, circuit_fp, "
-                    "config_fp, flow, backend, jobs, git_rev, "
-                    "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?,?,?)",
+                    "config_fp, flow, backend, git_rev, "
+                    "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?,?)",
                     (
                         float(record.get("created", time.time())),
                         str(record.get("circuit", "")),
@@ -437,7 +428,6 @@ class RunIndex:
                         str(record.get("config_fp", "")),
                         str(record.get("flow", "")),
                         str(record.get("backend", "")),
-                        int(record.get("jobs", 1)),
                         str(record.get("git_rev", "")),
                         float(record.get("wall_seconds", 0.0)),
                         json.dumps(record, separators=(",", ":"),
@@ -459,12 +449,12 @@ class RunIndex:
     # -- queries -----------------------------------------------------------------
 
     _COLS = ("id, created, circuit, circuit_fp, config_fp, flow, "
-             "backend, jobs, git_rev, wall_seconds, record")
+             "backend, git_rev, wall_seconds, record")
 
     @staticmethod
     def _entry(row) -> Optional[RunEntry]:
         try:
-            record = json.loads(row[10])
+            record = json.loads(row[9])
             if not isinstance(record, dict):
                 record = {}
         except (ValueError, TypeError):
@@ -473,8 +463,8 @@ class RunIndex:
             return RunEntry(
                 id=int(row[0]), created=float(row[1]), circuit=str(row[2]),
                 circuit_fp=str(row[3]), config_fp=str(row[4]),
-                flow=str(row[5]), backend=str(row[6]), jobs=int(row[7]),
-                git_rev=str(row[8]), wall_seconds=float(row[9]),
+                flow=str(row[5]), backend=str(row[6]),
+                git_rev=str(row[7]), wall_seconds=float(row[8]),
                 record=record,
             )
         except (ValueError, TypeError):
@@ -600,7 +590,6 @@ def record_flow_run(cfg, circuit, flow: str,
             flow=flow,
             wall_seconds=wall_seconds,
             backend=cfg.effective_sim_backend(),
-            jobs=cfg.effective_jobs(),
             telemetry=obs.active(),
         )
         return RunIndex(path).append(record)

@@ -27,45 +27,31 @@ readable journal up to its last event — and so live tailers (the
 ``repro-atpg watch`` TUI, :func:`repro.obs.live.follow_journal`) see
 events promptly, not whenever a block buffer happens to fill.
 
-Multi-process runs
-------------------
+Writers and readers
+-------------------
 :class:`RunJournal` assumes a **single writer**: one process, one file,
 one gap-free ``seq``.  (Multiple *threads* of that process may emit —
 writes are serialized by an internal lock — but never multiple
-processes.)  Parallel runs therefore never share a journal.  Instead,
-each worker process writes its own journal at the path given by
-:func:`worker_journal_path` — the convention is ``<base>.w<pid>``,
-where ``<base>`` is the parent run's journal path — and the parent
-combines them afterwards with :func:`merge_journals`.
+processes.)
 
-Any number of concurrent *readers* is fine: tailers open the files
+Any number of concurrent *readers* is fine: tailers open the file
 read-only and must tolerate a truncated final line (the writer may be
 mid-``write`` when they poll), which both :func:`read_journal` and the
 incremental follower in :mod:`repro.obs.live` do.  Tailers must never
 write to a journal they follow — the single-writer rule has no
 exceptions.
-
-Merged streams tag every event with a ``src`` key naming its source
-journal.  :func:`read_journal` accepts such multi-source streams: the
-``seq`` gap-free / ``t`` monotonic invariants are then enforced *per
-source* rather than globally (each source was a well-formed single
-writer; interleaving is the merge layer's doing).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 SCHEMA = "repro.obs.journal/1"
-
-#: ``src`` label of the synthetic open/close wrapper merge_journals adds.
-MERGE_SRC = "merge"
 
 #: Environment variable capping a journal file's size in megabytes.
 #: When a journal outgrows the cap it *rotates*: the full segment is
@@ -102,22 +88,13 @@ def resolve_journal_max_bytes(max_mb: Optional[float] = None
     return int(max_mb * 1024 * 1024)
 
 
-def worker_journal_path(base: Union[str, Path], worker: int) -> Path:
-    """The per-process journal path convention: ``<base>.w<worker>``,
-    ``worker`` conventionally the worker's PID (collision-free and
-    meaningful in crash forensics)."""
-    base = Path(base)
-    return base.with_name(f"{base.name}.w{worker}")
-
-
 class RunJournal:
     """Streaming JSONL event writer (see module docstring for schema).
 
     ``trace_id``, when given, is recorded in the ``journal.open`` event
-    so every journal of a multi-process run names the trace it belongs
-    to.  Thread-safe: a heartbeat thread and the main thread may emit
-    concurrently; each event is written and flushed atomically under an
-    internal lock.
+    so the journal names the run it belongs to.  Thread-safe: several
+    threads may emit concurrently; each event is written and flushed
+    atomically under an internal lock.
 
     ``max_mb`` (default: ``$REPRO_JOURNAL_MAX_MB``) caps the file size:
     a journal crossing the cap emits a final ``journal.rotated`` event,
@@ -218,11 +195,6 @@ def read_journal(path: Union[str, Path]) -> List[Dict]:
     missing/foreign schema tag, or a schema *version* this reader does
     not know all raise ``ValueError`` with a message naming the problem.
 
-    Multi-source streams (produced by :func:`merge_journals`) tag events
-    with ``src``; the ``seq``/``t`` invariants are then enforced per
-    source, because each source was an independent single writer and
-    the merge interleaves them.
-
     Rotated journals (see :class:`RunJournal`) are stitched back
     transparently: when the file's ``journal.open`` names a segment > 0
     and the ``<path>.1`` sibling exists, the previous segment's events
@@ -288,127 +260,12 @@ def _read_segment(path: Union[str, Path]) -> List[Dict]:
         raise ValueError(
             f"{path}: unsupported journal schema version {schema!r} "
             f"(this reader understands {SCHEMA!r})")
-    previous_seq: Dict[Optional[str], int] = {}
-    previous_t: Dict[Optional[str], float] = {}
+    previous_t = 0.0
     for index, event in enumerate(events):
-        src = event.get("src")
-        expected = previous_seq.get(src, -1) + 1
-        if event.get("seq") != expected:
-            where = f"source {src!r}" if src is not None else "journal"
-            raise ValueError(f"{path}: seq gap in {where} at event {index}")
-        previous_seq[src] = expected
+        if event.get("seq") != index:
+            raise ValueError(f"{path}: seq gap in journal at event {index}")
         t = event.get("t")
-        if t is None or t < previous_t.get(src, 0.0):
+        if t is None or t < previous_t:
             raise ValueError(f"{path}: time went backwards at event {index}")
-        previous_t[src] = t
+        previous_t = t
     return events
-
-
-def merge_journals(
-    paths: Sequence[Union[str, Path]],
-    out: Optional[Union[str, Path]] = None,
-    sources: Optional[Sequence[str]] = None,
-    anchor: str = "min",
-) -> List[Dict]:
-    """Combine several single-writer journals into one ordered stream.
-
-    Each input is read (and validated) with :func:`read_journal`, its
-    events tagged with a ``src`` label — ``sources[i]`` when given, else
-    the path's distinguishing suffix (``run.jsonl.w123`` -> ``w123``) —
-    and re-timed onto a shared clock: every source's ``journal.open``
-    carries the wall-clock time it opened at, so ``wall_open + t`` is
-    comparable across processes and the merged ``t`` is seconds since
-    the anchor open.  Events are ordered by that global time, ties
-    broken by ``(src, seq)`` — fully deterministic.
-
-    ``anchor`` picks the zero of the merged clock: ``"min"`` (default)
-    anchors on the earliest open, ``"first"`` on the first path's open
-    — the right choice when that path is the *primary* run journal and
-    the rest are its workers, so a worker whose clock is skewed cannot
-    drag the whole timeline off the parent's.  Re-timed deltas that
-    come out negative (a source's wall clock claims it ran before the
-    anchor — clock skew, since ``t`` itself is monotonic per source)
-    are clamped to zero rather than breaking the merged stream's
-    monotonic-``t`` invariant; each clamped event counts toward a
-    ``journal.merge.skew`` metric and a ``skew_clamped`` tally in the
-    synthetic open, so skew is visible instead of silently reordered.
-
-    The merged stream is wrapped in a synthetic ``journal.open`` /
-    ``journal.close`` pair (``src`` = :data:`MERGE_SRC`) so the result
-    is itself a valid journal; ``out`` optionally writes it as JSONL
-    (readable back with :func:`read_journal`).  Per-source ``seq``
-    values are preserved, which is what the multi-source validation in
-    :func:`read_journal` checks against.  The primary source's
-    ``trace_id`` (when present) is propagated into the synthetic open.
-    """
-    if not paths:
-        raise ValueError("merge_journals needs at least one path")
-    if sources is not None and len(sources) != len(paths):
-        raise ValueError("sources must align with paths")
-    if anchor not in ("min", "first"):
-        raise ValueError(f"unknown merge anchor {anchor!r}")
-    annotated: List[Dict] = []
-    opens: List[float] = []
-    labels: List[str] = []
-    trace_id: Optional[str] = None
-    for index, path in enumerate(paths):
-        events = read_journal(path)
-        if not events:
-            raise ValueError(f"{path}: empty journal cannot be merged")
-        if sources is not None:
-            label = sources[index]
-        else:
-            name = Path(path).name
-            label = name.rsplit(".", 1)[-1] if "." in name else name
-        if label in labels or label == MERGE_SRC:
-            label = f"{label}#{index}"
-        labels.append(label)
-        wall_open = events[0].get("data", {}).get("wall_time")
-        if wall_open is None or not isinstance(wall_open, (int, float)) \
-                or not math.isfinite(wall_open):
-            raise ValueError(f"{path}: journal.open lacks a finite wall_time")
-        if trace_id is None:
-            trace_id = events[0].get("data", {}).get("trace_id")
-        opens.append(wall_open)
-        for event in events:
-            tagged = dict(event)
-            tagged["src"] = label
-            tagged["_abs"] = wall_open + event["t"]
-            annotated.append(tagged)
-    t0 = opens[0] if anchor == "first" else min(opens)
-    annotated.sort(key=lambda e: (e["_abs"], e["src"], e["seq"]))
-    skew_clamped = 0
-    last_t = 0.0
-    retimed: List[Dict] = []
-    for event in annotated:
-        delta = event.pop("_abs") - t0
-        if delta < 0.0:
-            skew_clamped += 1
-            delta = 0.0
-        event["t"] = round(delta, 6)
-        last_t = max(last_t, event["t"])
-        retimed.append(event)
-    if skew_clamped:
-        from .context import incr as _incr
-        _incr("journal.merge.skew", skew_clamped)
-    head: Dict = {"schema": SCHEMA, "wall_time": t0,
-                  "sources": labels, "merged": len(paths)}
-    if trace_id:
-        head["trace_id"] = trace_id
-    if skew_clamped:
-        head["skew_clamped"] = skew_clamped
-    merged: List[Dict] = [{
-        "seq": 0, "t": 0.0, "type": "journal.open", "src": MERGE_SRC,
-        "data": head,
-    }]
-    merged.extend(retimed)
-    merged.append({
-        "seq": 1, "t": last_t, "type": "journal.close", "src": MERGE_SRC,
-        "data": {"wall_time": t0 + last_t},
-    })
-    if out is not None:
-        with Path(out).open("w", encoding="utf-8") as fh:
-            for event in merged:
-                fh.write(json.dumps(event, separators=(",", ":"),
-                                    sort_keys=True) + "\n")
-    return merged

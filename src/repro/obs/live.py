@@ -6,25 +6,24 @@ Three layers, each usable alone:
 :class:`JournalFollower` / :func:`follow_journal`
     Incremental readers of a *growing* journal.  They tolerate the
     in-flight truncated tail (the single writer may be mid-``write``
-    when a poll happens), discover per-worker sibling journals
-    (``<base>.w<pid>``) as they appear, and never write — tailers are
-    read-only by contract (see :mod:`repro.obs.journal`).
+    when a poll happens) and never write — tailers are read-only by
+    contract (see :mod:`repro.obs.journal`).
 
 :class:`ProgressModel`
     An event-fold: feed it journal events (live from a follower, or a
     whole recorded journal) and ask for a :class:`ProgressSnapshot` —
-    phase tree, per-shard worker state with heartbeat freshness, an
-    overall completion fraction and an ETA.  Phase *weights* (relative
-    expected costs) seed the fraction: warm runs get weights derived
+    phase tree, an overall completion fraction and an ETA.  Phase
+    *weights* (relative expected costs) seed the fraction: warm runs
+    get weights derived
     from cached detection-time entries (:func:`phase_weights_from_store`,
     journaled by the pipeline as a ``progress.estimate`` event); cold
     runs fall back to :data:`DEFAULT_PHASE_WEIGHTS` plus live
     completion rates.
 
 :func:`render_watch`
-    Plain-text rendering of a snapshot (progress bars, heartbeat ages,
-    top metrics) — what ``repro-atpg watch`` prints, and deliberately
-    pipe/CI friendly (pure ASCII, no cursor control).
+    Plain-text rendering of a snapshot (progress bars, top metrics) —
+    what ``repro-atpg watch`` prints, and deliberately pipe/CI friendly
+    (pure ASCII, no cursor control).
 
 The in-process variant — progress of *this* process's active telemetry
 session, no journal involved — is ``obs.progress_snapshot()``, built on
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .journal import MERGE_SRC, rotated_journal_path
+from .journal import rotated_journal_path
 from .trace import MAIN_SRC
 
 #: Relative expected cost per pipeline phase (leaf span name) when no
@@ -199,13 +198,11 @@ class _FileTail:
                 data = event.get("data") or {}
                 wall = data.get("wall_time")
                 # First open sets the wall base; later opens re-base it
-                # only for rotation segments (merged streams carry many
-                # opens that are already on one shared clock).
+                # only for rotation segments.
                 if isinstance(wall, (int, float)) and \
                         (self._base_wall is None or data.get("segment")):
                     self._base_wall = wall - float(event.get("t", 0.0))
-            if etype == "journal.close" and \
-                    event.get("src") in (self.src, MERGE_SRC):
+            if etype == "journal.close":
                 self.closed = True
             base = self._base_wall if self._base_wall is not None else 0.0
             event["_wall"] = base + float(event.get("t", 0.0))
@@ -214,81 +211,47 @@ class _FileTail:
 
 
 class JournalFollower:
-    """Tail a run journal plus the per-worker siblings it spawns.
+    """Tail one run journal.
 
-    ``poll()`` returns every event appended (to any of the files) since
-    the previous poll, each tagged with ``src`` (``main`` for the base
-    journal, ``w<pid>`` for workers) and ``_wall`` (absolute wall-clock
-    seconds, so events from different processes are comparable).  New
-    ``<base>.w<pid>`` files are discovered on every poll.  Strictly
-    read-only — the files' writers are elsewhere.
+    ``poll()`` returns every event appended since the previous poll,
+    each tagged with ``src`` (``main``) and ``_wall`` (absolute
+    wall-clock seconds).  Strictly read-only — the writer is elsewhere.
     """
 
-    def __init__(self, path: Union[str, Path], workers: bool = True):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._base = _FileTail(self.path, MAIN_SRC)
-        self._workers: Dict[Path, _FileTail] = {}
-        self._discover_workers = workers
-
-    def _discover(self) -> None:
-        for found in sorted(self.path.parent.glob(self.path.name + ".w*")):
-            if found.name.endswith(".1"):
-                continue  # a worker's rotated segment, not a new worker
-            if found not in self._workers:
-                label = found.name[len(self.path.name) + 1:]
-                self._workers[found] = _FileTail(found, label)
+        self._tail = _FileTail(self.path, MAIN_SRC)
 
     def poll(self) -> List[Dict]:
-        """Drain everything newly appended, base journal first."""
-        if self._discover_workers:
-            self._discover()
-        events = self._base.poll()
-        for tail in self._workers.values():
-            events.extend(tail.poll())
-        return events
+        """Drain everything newly appended."""
+        return self._tail.poll()
 
     @property
     def finished(self) -> bool:
-        """True once the base journal and every discovered worker
-        journal have written their ``journal.close``."""
-        return self._base.closed and \
-            all(tail.closed for tail in self._workers.values())
-
-    @property
-    def base_closed(self) -> bool:
-        """True once the base journal alone has closed — the signal to
-        start a close-grace countdown for workers that died without
-        writing their own close."""
-        return self._base.closed
+        """True once the journal has written its ``journal.close``."""
+        return self._tail.closed
 
     @property
     def malformed(self) -> int:
-        return self._base.malformed + \
-            sum(tail.malformed for tail in self._workers.values())
+        return self._tail.malformed
 
     def follow(self, poll_interval: float = 0.2,
-               timeout: Optional[float] = None,
-               close_grace: float = 3.0) -> Iterator[Dict]:
+               timeout: Optional[float] = None) -> Iterator[Dict]:
         """Yield events as they appear, blocking between polls.
 
-        Stops when the run is :attr:`finished`; when the base journal
-        has closed and nothing new arrived for ``close_grace`` seconds
-        (covers workers that die without closing); or when nothing at
-        all arrived for ``timeout`` seconds (None = wait forever).
+        Stops when the run is :attr:`finished`, or when nothing at all
+        arrived for ``timeout`` seconds (None = wait forever).
         """
         last_activity = time.monotonic()
         while True:
             batch = self.poll()
             if batch:
                 last_activity = time.monotonic()
-                for event in batch:
-                    yield event
+                yield from batch
             if self.finished:
                 return
-            idle = time.monotonic() - last_activity
-            if self._base.closed and idle >= close_grace:
-                return
-            if timeout is not None and idle >= timeout:
+            if timeout is not None and \
+                    time.monotonic() - last_activity >= timeout:
                 return
             time.sleep(poll_interval)
 
@@ -306,7 +269,7 @@ def follow_journal(path: Union[str, Path], poll_interval: float = 0.2,
 
 @dataclass
 class PhaseInfo:
-    """One pipeline phase (a main-process span) for display."""
+    """One pipeline phase (a span) for display."""
 
     path: str
     name: str
@@ -318,32 +281,6 @@ class PhaseInfo:
 
 
 @dataclass
-class ShardInfo:
-    """Latest known state of one worker shard."""
-
-    src: str
-    shard: int
-    pid: int = 0
-    vectors: int = 0
-    vectors_total: int = 0
-    detected: int = 0
-    faults: int = 0
-    cycles: int = 0
-    rss_kb: int = 0
-    busy: bool = False
-    done: bool = False
-    last_wall: float = 0.0
-
-    @property
-    def fraction(self) -> float:
-        if self.done:
-            return 1.0
-        if self.vectors_total <= 0:
-            return 0.0
-        return min(1.0, self.vectors / self.vectors_total)
-
-
-@dataclass
 class ProgressSnapshot:
     """Point-in-time view of a run's progress."""
 
@@ -351,7 +288,6 @@ class ProgressSnapshot:
     flow: str = ""
     phase: str = ""                 # deepest open span path
     phases: List[PhaseInfo] = field(default_factory=list)
-    shards: List[ShardInfo] = field(default_factory=list)
     elapsed: float = 0.0
     fraction: float = 0.0
     eta: Optional[float] = None     # seconds remaining; None = unknown
@@ -359,7 +295,6 @@ class ProgressSnapshot:
     started: bool = False
     events: int = 0
     weights_source: str = "default"
-    heartbeat_ages: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -381,13 +316,11 @@ class ProgressModel:
         self.events = 0
         self.finished = False
         self.started = False
-        self._main_src: Optional[str] = None
         self._start_wall: Optional[float] = None
         self._last_wall: float = 0.0
         self._phases: Dict[str, PhaseInfo] = {}
         self._open_paths: List[str] = []
         self._work: Dict[str, Dict] = {}
-        self._shards: Dict[Tuple[str, int], ShardInfo] = {}
         self._metrics: Dict[str, float] = {}
 
     # -- ingestion ----------------------------------------------------------
@@ -400,7 +333,6 @@ class ProgressModel:
         the session's start."""
         model = cls()
         model.trace_id = telemetry.trace_id or ""
-        model._main_src = MAIN_SRC
         model._start_wall = 0.0
         model.started = True
         t0 = telemetry._t0
@@ -424,45 +356,31 @@ class ProgressModel:
         :func:`repro.obs.journal.read_journal`) into the model."""
         self.events += 1
         etype = event.get("type", "")
-        src = event.get("src") or MAIN_SRC
         data = event.get("data") or {}
         wall = event.get("_wall")
         if wall is None:
             wall = float(event.get("t", 0.0))
-        if etype == "parallel.worker.event":
-            # Relay envelope: the engine re-emits worker journal events
-            # into the parent journal post-merge.
-            etype = str(data.get("inner", ""))
-            src = str(data.get("src") or src)
-            data = {k: v for k, v in data.items()
-                    if k not in ("inner", "src", "seq")}
-        if src == MERGE_SRC:
-            if etype == "journal.open":
-                self.trace_id = self.trace_id or str(data.get("trace_id", ""))
-            return
         self._last_wall = max(self._last_wall, wall)
         if etype == "journal.open":
-            if self._main_src is None:
-                self._main_src = src
+            if self._start_wall is None:
                 self._start_wall = wall
                 self.started = True
-                self.trace_id = self.trace_id or str(data.get("trace_id", ""))
+                self.trace_id = str(data.get("trace_id", ""))
             return
         if etype == "journal.close":
-            if src == self._main_src:
-                self.finished = True
+            self.finished = True
             return
         if etype.startswith("progress."):
             self._ingest_progress(etype, data)
             return
-        if etype == "span.open" and src == self._main_src:
+        if etype == "span.open":
             path = str(data.get("path", ""))
             self._phases[path] = PhaseInfo(
                 path=path, name=path.rsplit("/", 1)[-1], state="active",
                 t_open=wall)
             self._open_paths.append(path)
             return
-        if etype == "span.close" and src == self._main_src:
+        if etype == "span.close":
             path = str(data.get("path", ""))
             info = self._phases.get(path)
             if info is not None:
@@ -471,34 +389,6 @@ class ProgressModel:
                 info.duration = data.get("duration")
             if path in self._open_paths:
                 self._open_paths.remove(path)
-            return
-        if etype == "parallel.worker.heartbeat":
-            key = (src, int(data.get("shard", -1)))
-            shard = self._shards.get(key)
-            if shard is None:
-                shard = self._shards[key] = ShardInfo(src=src, shard=key[1])
-            shard.pid = int(data.get("pid", shard.pid) or 0)
-            shard.vectors = int(data.get("vectors", shard.vectors) or 0)
-            shard.vectors_total = int(
-                data.get("vectors_total", shard.vectors_total) or 0)
-            shard.detected = int(data.get("detected", shard.detected) or 0)
-            shard.faults = int(data.get("faults", shard.faults) or 0)
-            shard.cycles = int(data.get("cycles", shard.cycles) or 0)
-            shard.rss_kb = int(data.get("rss_kb", shard.rss_kb) or 0)
-            shard.busy = bool(data.get("busy", False))
-            shard.done = shard.done and not shard.busy
-            shard.last_wall = max(shard.last_wall, wall)
-            return
-        if etype == "parallel.shard":
-            key = (src, int(data.get("shard", -1)))
-            shard = self._shards.get(key)
-            if shard is None:
-                shard = self._shards[key] = ShardInfo(src=src, shard=key[1])
-            shard.done = True
-            shard.busy = False
-            shard.detected = int(data.get("detected", shard.detected) or 0)
-            shard.faults = int(data.get("faults", shard.faults) or 0)
-            shard.last_wall = max(shard.last_wall, wall)
             return
         if etype == "coverage":
             # Coverage phases are dotted ("pipeline.atpg"); work totals
@@ -547,15 +437,8 @@ class ProgressModel:
         return self.weights.get(leaf, _UNKNOWN_PHASE_WEIGHT)
 
     def _intra_fraction(self, leaf: str) -> float:
-        """Completion fraction inside the active phase: live shard
-        vectors when workers are reporting, declared work totals
-        otherwise, else 0 (conservative)."""
-        active = [s for s in self._shards.values() if not s.done]
-        if active and any(s.vectors_total > 0 for s in active):
-            done_v = sum(s.vectors for s in self._shards.values())
-            total_v = sum(s.vectors_total for s in self._shards.values())
-            if total_v > 0:
-                return min(1.0, done_v / total_v)
+        """Completion fraction inside the active phase: declared work
+        totals, else 0 (conservative)."""
         work = self._work.get(leaf)
         if work and work["total"] > 0:
             return min(1.0, work["done"] / work["total"])
@@ -616,18 +499,14 @@ class ProgressModel:
             if info is not None and work["total"] > 0:
                 info.detail = f"{work['done']}/{work['total']} {work['unit']}"
 
-        shards = sorted(self._shards.values(), key=lambda s: (s.src, s.shard))
-        ages = {s.src: max(0.0, now - s.last_wall)
-                for s in shards if s.last_wall > 0}
         top = dict(sorted(self._metrics.items(),
                           key=lambda item: -abs(item[1]))[:6])
         return ProgressSnapshot(
             trace_id=self.trace_id, flow=self.flow, phase=current,
-            phases=display, shards=shards, elapsed=elapsed,
+            phases=display, elapsed=elapsed,
             fraction=fraction, eta=eta, finished=self.finished,
             started=self.started, events=self.events,
-            weights_source=self.weights_source, heartbeat_ages=ages,
-            metrics=top)
+            weights_source=self.weights_source, metrics=top)
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +559,6 @@ def render_watch(snap: ProgressSnapshot, top_metrics: int = 5) -> str:
             if info.detail:
                 line += f"  ({info.detail})"
             lines.append(line)
-    if snap.shards:
-        lines.append("shards:")
-        for shard in snap.shards:
-            age = snap.heartbeat_ages.get(shard.src)
-            if shard.done:
-                state = "done"
-            elif age is None:
-                state = "hb ?"
-            else:
-                state = f"hb {age:.1f}s ago"
-            lines.append(
-                f"  {shard.src:<8} shard {shard.shard:<3} "
-                f"{_bar(shard.fraction, 12)} "
-                f"{shard.vectors}/{shard.vectors_total} vec  "
-                f"{shard.detected}/{shard.faults} det  "
-                f"rss {shard.rss_kb // 1024}MB  {state}")
     if snap.metrics:
         shown = list(snap.metrics.items())[:top_metrics]
         lines.append("metrics: " + "  ".join(

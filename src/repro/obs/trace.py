@@ -1,17 +1,13 @@
 """Trace identity and Chrome trace-event export.
 
-Cross-process trace context
----------------------------
-A *trace* is one run of the system, possibly spanning many processes: a
-run-scoped ``trace_id`` minted when the telemetry session opens, plus a
-``span_id`` per span and the ``parent_id`` linking it to its enclosing
-span.  The parent process journals its spans with these ids
-(``span.open``/``span.close`` events carry ``span``/``parent`` keys),
-ships the ``trace_id`` to worker processes inside
-:class:`~repro.parallel.worker.WorkerContext`, and each shard task names
-the ``parent_span`` it runs under — so the merged journals of a parallel
-run reconstruct one coherent tree even though no two events were written
-by the same process.
+Trace context
+-------------
+A *trace* is one run of the system: a run-scoped ``trace_id`` minted
+when the telemetry session opens, plus a ``span_id`` per span and the
+``parent_id`` linking it to its enclosing span.  The journal records
+the ``trace_id`` in its ``journal.open`` event, and ``span.open`` /
+``span.close`` events carry ``span``/``parent`` keys, so the span tree
+can be rebuilt from the journal alone.
 
 Ids are random (``os.urandom``), hex-encoded, and carry no meaning
 beyond identity: 32 hex chars for a trace, 16 for a span — the same
@@ -25,18 +21,13 @@ trace-event JSON format (the ``{"traceEvents": [...]}`` flavour), which
 both ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ load
 directly:
 
-* ``span.open``/``span.close`` become ``B``/``E`` duration events —
-  one track per journal source (the parent run and each worker get
-  their own ``pid`` row);
-* cross-process parentage becomes flow arrows (``s``/``f`` events) from
-  the parent span to the worker-side shard spans;
-* ``parallel.worker.heartbeat`` events become counter tracks
-  (vectors / detected faults / RSS per worker);
-* ``coverage`` events become a coverage counter on the parent track;
-* discrete happenings (cache hits, requeues, merges) become instants.
+* ``span.open``/``span.close`` become ``B``/``E`` duration events on
+  the run's track;
+* ``coverage`` events become a coverage counter track;
+* discrete happenings (cache hits, requeues) become instants.
 
 A journal written by a crashed run exports fine: spans that never
-closed are closed synthetically at the source's last event time.
+closed are closed synthetically at the last event time.
 """
 
 from __future__ import annotations
@@ -44,14 +35,13 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-from .journal import MERGE_SRC, merge_journals, read_journal
+from typing import Dict, List, Optional, Union
 
 #: Schema tag recorded in the exported file's ``otherData``.
 TRACE_SCHEMA = "repro.obs.trace/1"
 
-#: ``src`` label used for events of the primary (parent) journal.
+#: ``src`` label of a run journal's events: the live tailers tag them
+#: with it, and the exported trace names its one process track after it.
 MAIN_SRC = "main"
 
 
@@ -65,75 +55,24 @@ def new_span_id() -> str:
     return os.urandom(8).hex()
 
 
-def load_trace_events(path: Union[str, Path]) -> List[Dict]:
-    """Journal events for export: the journal at ``path`` plus any
-    sibling worker journals (``<path>.w<pid>``), merged onto the
-    parent's clock (``anchor="first"`` — worker clocks that claim to
-    predate the parent clamp rather than shifting the timeline)."""
-    path = Path(path)
-    workers = sorted(path.parent.glob(path.name + ".w*"))
-    if workers:
-        return merge_journals([path, *workers], anchor="first")
-    return read_journal(path)
-
-
-def _normalize(event: Dict) -> Tuple[str, str, Dict, float]:
-    """``(type, src, data, t)`` of one event, unwrapping the
-    ``parallel.worker.event`` relay envelope the engine re-emits worker
-    events through (the relayed copy keeps the original ``src`` in its
-    payload but only the relay *time* — direct worker journals are the
-    better export source when they still exist)."""
-    etype = event.get("type", "")
-    src = event.get("src") or MAIN_SRC
-    data = event.get("data") or {}
-    if etype == "parallel.worker.event":
-        etype = str(data.get("inner", ""))
-        src = str(data.get("src") or src)
-        data = {k: v for k, v in data.items()
-                if k not in ("inner", "src", "seq")}
-    return etype, src, data, float(event.get("t", 0.0))
-
-
 def export_chrome_trace(events: List[Dict]) -> Dict:
-    """Convert journal ``events`` (see :func:`load_trace_events`) into a
-    Chrome trace-event / Perfetto JSON object."""
-    trace_events: List[Dict] = []
-    pids: Dict[str, int] = {}
-    open_stacks: Dict[str, List[Dict]] = {}
-    last_ts: Dict[str, float] = {}
-    #: span_id -> (pid, ts) of its B event, for flow arrows.
-    span_at: Dict[str, Tuple[int, float]] = {}
-    links: List[Tuple[str, int, float, str]] = []
+    """Convert journal ``events`` (see
+    :func:`repro.obs.journal.read_journal`) into a Chrome trace-event /
+    Perfetto JSON object."""
+    pid = 1
+    trace_events: List[Dict] = [{
+        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+        "args": {"name": MAIN_SRC},
+    }]
+    open_stack: List[Dict] = []
+    last_ts = 0.0
     trace_id: Optional[str] = None
-    sources: List[str] = []
-
-    def pid_for(src: str) -> int:
-        pid = pids.get(src)
-        if pid is not None:
-            return pid
-        if src.startswith("w") and src[1:].isdigit():
-            pid = int(src[1:])
-        else:
-            pid = 1
-        while pid in pids.values():
-            pid += 1
-        pids[src] = pid
-        sources.append(src)
-        trace_events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": src},
-        })
-        return pid
 
     for event in events:
-        if event.get("src") == MERGE_SRC:
-            if trace_id is None:
-                trace_id = (event.get("data") or {}).get("trace_id")
-            continue
-        etype, src, data, t = _normalize(event)
-        pid = pid_for(src)
-        ts = round(t * 1e6, 3)
-        last_ts[src] = ts
+        etype = event.get("type", "")
+        data = event.get("data") or {}
+        ts = round(float(event.get("t", 0.0)) * 1e6, 3)
+        last_ts = ts
         if etype == "journal.open":
             if trace_id is None:
                 trace_id = data.get("trace_id")
@@ -149,13 +88,7 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
                          "parent": data.get("parent", "")},
             }
             trace_events.append(record)
-            open_stacks.setdefault(src, []).append(record)
-            span = data.get("span")
-            if span:
-                span_at[span] = (pid, ts)
-            parent = data.get("parent")
-            if parent and parent in span_at and span_at[parent][0] != pid:
-                links.append((parent, pid, ts, str(span)))
+            open_stack.append(record)
             continue
         if etype == "span.close":
             path = str(data.get("path", ""))
@@ -164,22 +97,8 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
                 "ts": ts, "pid": pid, "tid": 0,
                 "args": {"path": path},
             })
-            stack = open_stacks.get(src)
-            if stack:
-                stack.pop()
-            continue
-        if etype == "parallel.worker.heartbeat":
-            shard = data.get("shard", "?")
-            trace_events.append({
-                "name": f"shard {shard} progress", "ph": "C",
-                "ts": ts, "pid": pid, "tid": 0,
-                "args": {"vectors": data.get("vectors", 0),
-                         "detected": data.get("detected", 0)},
-            })
-            trace_events.append({
-                "name": "rss_kb", "ph": "C", "ts": ts, "pid": pid,
-                "tid": 0, "args": {"rss_kb": data.get("rss_kb", 0)},
-            })
+            if open_stack:
+                open_stack.pop()
             continue
         if etype == "coverage":
             trace_events.append({
@@ -188,37 +107,20 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
                 "args": {"percent": data.get("percent", 0.0)},
             })
             continue
-        # Everything else (cache.*, parallel.*, faultsim.*, progress.*)
-        # exports as an instant so nothing a run journaled is invisible.
+        # Everything else (cache.*, faultsim.*, progress.*) exports as
+        # an instant so nothing a run journaled is invisible.
         trace_events.append({
             "name": etype, "cat": "event", "ph": "i", "s": "t",
             "ts": ts, "pid": pid, "tid": 0, "args": data,
         })
 
-    # Close spans a crashed (or still-running) source never closed.
-    for src, stack in open_stacks.items():
-        for record in reversed(stack):
-            trace_events.append({
-                "name": record["name"], "cat": "span", "ph": "E",
-                "ts": last_ts.get(src, record["ts"]),
-                "pid": record["pid"], "tid": 0,
-                "args": {"path": record["args"]["path"],
-                         "synthetic_close": True},
-            })
-
-    # Flow arrows: parent span -> cross-process child span.
-    for parent, child_pid, child_ts, child_span in links:
-        parent_pid, parent_ts = span_at[parent]
-        flow_id = int(parent, 16) & 0x7FFFFFFF
-        name = f"span {parent}"
+    # Close spans a crashed (or still-running) run never closed.
+    for record in reversed(open_stack):
         trace_events.append({
-            "name": name, "cat": "flow", "ph": "s", "id": flow_id,
-            "ts": parent_ts, "pid": parent_pid, "tid": 0,
-        })
-        trace_events.append({
-            "name": name, "cat": "flow", "ph": "f", "bp": "e",
-            "id": flow_id, "ts": child_ts, "pid": child_pid, "tid": 0,
-            "args": {"span": child_span},
+            "name": record["name"], "cat": "span", "ph": "E",
+            "ts": last_ts, "pid": pid, "tid": 0,
+            "args": {"path": record["args"]["path"],
+                     "synthetic_close": True},
         })
 
     return {
@@ -227,7 +129,7 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
         "otherData": {
             "schema": TRACE_SCHEMA,
             "trace_id": trace_id or "",
-            "sources": sources,
+            "sources": [MAIN_SRC],
         },
     }
 

@@ -1,58 +1,19 @@
-"""repro.parallel — fault-sharded multiprocessing execution engine.
+"""repro.parallel — the resilient process pool.
 
-Every heavy phase of the reproduction is embarrassingly parallel
-*across faults*: a packed simulator's machines never interact, so the
-collapsed fault universe can be split into shards, each shard simulated
-in its own worker process, and the per-shard detection maps merged into
-a result that is bit-for-bit identical to a serial run.  The pieces
-(see ``docs/ARCHITECTURE.md`` → "Parallel execution"):
-
-* :mod:`~repro.parallel.plan` — the shard planner (``round_robin`` and
-  cost-model strategies) plus the ``jobs`` resolution rules;
-* :mod:`~repro.parallel.pool` — :class:`ResilientPool`, a
-  ``ProcessPoolExecutor`` wrapper with hang detection, bounded retries
-  with backoff, resplit-on-requeue and a guaranteed serial fallback;
-* :mod:`~repro.parallel.worker` — the spawn-safe module-level task
-  functions workers execute (each worker owns its own
-  :class:`~repro.sim.session.SimSession` over its shard);
-* :mod:`~repro.parallel.merge` — deterministic recombination of shard
-  results (partition-checked, serial-identical ordering);
-* :mod:`~repro.parallel.engine` — :class:`ParallelFaultSim`, the
-  drop-in behind the existing fault-sim API, wired into
-  :class:`repro.FlowConfig` (``jobs``), ``CompactionOracle`` and the
-  CLI's ``--jobs``.
-
-Parallelism is opt-in (``jobs`` defaults to serial) and self-disabling
-on tiny universes, where process startup would dominate.
+:class:`ResilientPool` wraps a ``ProcessPoolExecutor`` with hang
+detection, bounded retries with backoff and a guaranteed serial
+fallback.  It runs whole independent units of work — one circuit's
+flows for ``repro-atpg table/report --jobs N``
+(:func:`repro.experiments.runner.prefetch`), one submitted job per
+worker slot for the service daemon (:mod:`repro.serve`).  Flows
+themselves simulate in one process; see ``docs/ARCHITECTURE.md`` →
+"Why flows are serial".
 """
 
-from .engine import ParallelFaultSim
-from .merge import merge_counters, merge_shard_results
-from .plan import (
-    DEFAULT_MIN_PARALLEL_FAULTS,
-    Shard,
-    ShardPlan,
-    costs_from_detection_times,
-    plan_shards,
-    resolve_jobs,
-)
 from .pool import PoolStats, ResilientPool, default_start_method
-from .worker import ShardResult, ShardTask, WorkerContext
 
 __all__ = [
-    "ParallelFaultSim",
     "PoolStats",
     "ResilientPool",
-    "ShardPlan",
-    "Shard",
-    "ShardTask",
-    "ShardResult",
-    "WorkerContext",
-    "plan_shards",
-    "resolve_jobs",
-    "costs_from_detection_times",
-    "merge_shard_results",
-    "merge_counters",
     "default_start_method",
-    "DEFAULT_MIN_PARALLEL_FAULTS",
 ]

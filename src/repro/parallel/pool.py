@@ -8,16 +8,13 @@ with the failure semantics a long ATPG run needs:
   worker, an OOM'd child, a broken pool) requeue the affected payloads
   up to ``max_retries`` times, sleeping ``backoff * 2**attempt``
   between rounds;
-* **resplit on requeue** — a failed payload is split via ``split_fn``
-  (for fault shards: round-robin halves) so a poisoned or oversized
-  unit of work shrinks instead of failing identically again;
 * **serial fallback** — payloads that exhaust their retries run
   in-process via ``serial_fn``; the pool therefore always returns a
   complete result set (or surfaces the task's real, deterministic
   exception in the parent, where it is debuggable).
 
 A worker crash breaks the whole ``ProcessPoolExecutor`` (every pending
-future fails with ``BrokenProcessBool``); the pool treats that as "all
+future fails with ``BrokenProcessPool``); the pool treats that as "all
 unfinished payloads failed", rebuilds the executor and carries on.
 
 Start method: ``fork`` where the platform offers it (cheap, shares the
@@ -26,8 +23,8 @@ boundary is spawn-safe — module-level callables, plain-data payloads —
 so ``REPRO_PARALLEL_START_METHOD=spawn`` is always a valid override.
 
 Results are returned **unordered**; callers that need determinism key
-results by content (the merge layer keys on fault positions), not by
-completion order.
+results by content (prefetch keys on circuit names), not by completion
+order.
 """
 
 from __future__ import annotations
@@ -93,25 +90,11 @@ class ResilientPool:
         Hang detector: when no task completes for this many seconds,
         every in-flight payload is declared hung, the executor is
         rebuilt and the payloads are requeued; ``None`` disables.
-    heartbeat_fn:
-        Optional liveness probe consulted when the hang detector would
-        otherwise fire: a zero-argument callable returning the wall
-        time (``time.time()`` scale) of the most recent worker
-        heartbeat, or ``None`` when unknown.  If the latest heartbeat
-        is younger than ``timeout``, the workers are alive-but-slow —
-        the detector re-arms (counting ``<label>.heartbeat_extends``)
-        instead of declaring a hang.  The engine wires this to the
-        mtimes of the per-worker journals, which heartbeat every
-        ``REPRO_HEARTBEAT_INTERVAL`` seconds; task-completion silence
-        alone can no longer kill a pool doing slow, honest work.
     max_retries:
         Pool attempts per payload beyond the first, before the serial
         fallback takes over.
     backoff:
         Base sleep between retry rounds (exponential per attempt).
-    split_fn:
-        ``split_fn(payload) -> [payloads]`` used on requeue; return
-        ``[payload]`` (or ``None``) for atomic payloads.
     serial_fn:
         In-process fallback, ``serial_fn(payload)``; defaults to
         ``task_fn`` (correct only when the task needs no worker
@@ -120,10 +103,11 @@ class ResilientPool:
         Keep the executor (and its initialized worker processes) alive
         across :meth:`run` calls instead of tearing it down after each.
         Callers that issue many runs against the same initializer
-        context (the fault-sharded engine) amortize pool startup this
-        way — and then **own the lifecycle**: they must call
+        context (the serve daemon's job slots) amortize pool startup
+        this way — and then **own the lifecycle**: they must call
         :meth:`close` when done, or worker processes linger until
-        interpreter exit.
+        interpreter exit.  A non-persistent pool joins its workers at
+        the end of every :meth:`run`.
     """
 
     def __init__(
@@ -137,11 +121,9 @@ class ResilientPool:
         max_retries: int = 2,
         backoff: float = 0.05,
         start_method: Optional[str] = None,
-        split_fn: Optional[Callable[[Any], Optional[Sequence[Any]]]] = None,
         serial_fn: Optional[Callable[[Any], Any]] = None,
         label: str = "parallel.pool",
         persistent: bool = False,
-        heartbeat_fn: Optional[Callable[[], Optional[float]]] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -153,11 +135,9 @@ class ResilientPool:
         self.max_retries = max_retries
         self.backoff = backoff
         self.start_method = start_method or default_start_method()
-        self.split_fn = split_fn
         self.serial_fn = serial_fn or task_fn
         self.label = label
         self.persistent = persistent
-        self.heartbeat_fn = heartbeat_fn
         self._executor: Optional[ProcessPoolExecutor] = None
         # Occupancy counters maintained by the drain loop; read (only)
         # by stats().  Plain ints mutated under the GIL — good enough
@@ -220,6 +200,7 @@ class ResilientPool:
             return results
         obs.incr(f"{self.label}.runs")
         self._backlog = len(pending)
+        completed = False
         try:
             while pending:
                 batch, pending = pending, []
@@ -258,18 +239,9 @@ class ResilientPool:
                         futures, timeout=remaining,
                         return_when=FIRST_COMPLETED)
                     if not done:
-                        # No *completion* within `timeout` seconds.  A
-                        # fresh worker heartbeat distinguishes slow from
-                        # hung: re-arm and keep waiting if one exists.
-                        beat = (self.heartbeat_fn()
-                                if self.heartbeat_fn is not None else None)
-                        if beat is not None and \
-                                time.time() - beat < self.timeout:
-                            obs.incr(f"{self.label}.heartbeat_extends")
-                            deadline = time.monotonic() + self.timeout
-                            continue
-                        # Genuinely silent: declare every in-flight
-                        # payload hung and requeue them.
+                        # No completion within `timeout` seconds:
+                        # declare every in-flight payload hung and
+                        # requeue them.
                         obs.incr(f"{self.label}.timeouts", len(futures))
                         failed.extend(futures.values())
                         broken = True
@@ -300,31 +272,29 @@ class ResilientPool:
                     self._executor.shutdown(wait=False, cancel_futures=True)
                     self._executor = None
                 for payload, attempt in failed:
-                    pending.extend(self._requeue(payload, attempt))
+                    pending.append(self._requeue(payload, attempt))
                 self._backlog = len(pending)
                 if pending and failed:
                     time.sleep(self.backoff *
                                (2 ** min(attempt for _p, attempt in failed)))
+            completed = True
         finally:
             self._busy = 0
             self._backlog = 0
             if not self.persistent and self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
+                # Join the workers of a run that completed, so none
+                # outlives it.  After an exception tasks may still be
+                # running, so do not wait for them.
+                self._executor.shutdown(wait=completed, cancel_futures=True)
                 self._executor = None
         return results
 
-    def _requeue(self, payload: Any, attempt: int) -> List[tuple]:
-        """Next round's entries for one failed payload (resplit when the
-        payload supports it)."""
+    def _requeue(self, payload: Any, attempt: int) -> tuple:
+        """Next round's entry for one failed payload (past
+        ``max_retries`` it goes to the serial fallback)."""
         next_attempt = attempt + 1
-        if next_attempt > self.max_retries:
-            return [(payload, next_attempt)]  # -> serial fallback
-        pieces = self.split_fn(payload) if self.split_fn else None
-        if not pieces:
-            pieces = [payload]
-        if len(pieces) > 1:
-            obs.incr(f"{self.label}.resplits")
-        obs.incr(f"{self.label}.requeues", len(pieces))
-        obs.event("parallel.requeue", label=self.label,
-                  attempt=next_attempt, pieces=len(pieces))
-        return [(piece, next_attempt) for piece in pieces]
+        if next_attempt <= self.max_retries:
+            obs.incr(f"{self.label}.requeues")
+            obs.event("parallel.requeue", label=self.label,
+                      attempt=next_attempt)
+        return payload, next_attempt

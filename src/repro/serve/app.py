@@ -308,11 +308,9 @@ class ReproServer:
             "journal": str(self.job_store.journal_path(job_id)),
             "trace_id": job_id,
             # Workers run against the submitting tenant's overlay and
-            # append to the shared run-history index; in-worker shard
-            # parallelism stays off (the pool parallelizes across jobs).
+            # append to the shared run-history index.
             "cache_dir": str(tenant_cache_dir(self.cache_base, tenant)),
             "run_index": str(self.config.effective_run_index()),
-            "jobs": 1,
             "wall_budget": self.config.wall_budget,
             "cycle_budget": self.config.cycle_budget,
         }

@@ -335,7 +335,7 @@ def run_job(payload: Dict) -> Dict:
         circuit, cfg, flow = parse_submission(payload["submission"])
         overrides = {
             key: payload[key]
-            for key in ("cache_dir", "run_index", "jobs")
+            for key in ("cache_dir", "run_index")
             if payload.get(key) is not None
         }
         if overrides:

@@ -11,9 +11,9 @@ job status.
 :class:`EventStream` is transport-agnostic: it yields ready-to-send
 ``bytes`` chunks (possibly none) per :meth:`poll`, and the asyncio app
 drives it on a timer.  It layers a
-:class:`~repro.obs.live.JournalFollower` (tail base + per-worker
-sibling journals) under a :class:`~repro.obs.live.ProgressModel`, so
-the wire format is derived, never duplicated.
+:class:`~repro.obs.live.JournalFollower` under a
+:class:`~repro.obs.live.ProgressModel`, so the wire format is derived,
+never duplicated.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class EventStream:
 
     @property
     def finished(self) -> bool:
-        """True once every journal (base + workers) wrote its close."""
+        """True once the journal wrote its close."""
         return self.follower.finished
 
     def end_frame(self, status: str,

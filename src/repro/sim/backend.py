@@ -16,10 +16,11 @@ Every other case falls back to ``packed``.  Because the backends are
 bit-identical, ``auto`` is a pure performance knob: it can never change
 result bits.
 
-Selection precedence mirrors the ``jobs``/``REPRO_JOBS`` convention:
-an explicit name (``FlowConfig(sim_backend=...)``, ``--sim-backend``)
-wins, then the ``REPRO_SIM_BACKEND`` environment variable, then
-``auto``.  Custom API-compatible ``simulator_factory`` callables (e.g.
+Selection precedence mirrors the other environment-backed knobs
+(``REPRO_CACHE``, ``REPRO_RUN_INDEX``): an explicit name
+(``FlowConfig(sim_backend=...)``, ``--sim-backend``) wins, then the
+``REPRO_SIM_BACKEND`` environment variable, then ``auto``.  Custom
+API-compatible ``simulator_factory`` callables (e.g.
 ``PackedTransitionSimulator``, test doubles) bypass selection.
 """
 
@@ -78,7 +79,7 @@ class SimBackend(Protocol):
     """What every fault-simulation backend must provide.
 
     The contract is exactly the surface :class:`SimSession`, the
-    compaction oracle and the parallel workers consume; the protocol is
+    compaction oracle and the ATPG engines consume; the protocol is
     ``runtime_checkable`` so tests can assert conformance structurally.
     Implementations also expose ``faults`` / ``num_machines`` /
     ``full_mask`` / ``fault_mask`` / ``time`` attributes and the

@@ -20,8 +20,8 @@ tests in ``tests/test_sim_backend.py`` assert exactly that.
 
 Compilation is keyed on the circuit fingerprint: the fault-independent
 tables are cached on the circuit object (``circuit._vector_topology``),
-mirroring ``compiled_topology``, so fault-dropping repacks and the
-parallel engine's workers reuse them for free.  Per-fault-list force
+mirroring ``compiled_topology``, so fault-dropping repacks reuse them
+for free.  Per-fault-list force
 rows are rebuilt per instance, exactly like the packed simulator's
 injection masks.
 """

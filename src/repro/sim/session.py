@@ -171,13 +171,6 @@ class SimSession:
         self.faults_dropped = 0
         self.repacks = 0
 
-        #: Optional ``hook(vectors_done, vectors_total, detected)`` called
-        #: after every simulated cycle — the worker heartbeat's window
-        #: into an otherwise-blocking run.  Must be cheap; exceptions
-        #: propagate (a broken hook should fail loudly, not skew results
-        #: silently).
-        self.progress_hook = None
-
     def close(self) -> Dict[str, int]:
         """Flush the session's lifetime counters into the telemetry
         journal (one ``faultsim.session.close`` event) and return them.
@@ -445,7 +438,6 @@ class SimSession:
         remaining = wanted & ~seen
         cycles = 0
         n = len(vectors)
-        hook = self.progress_hook
 
         t = start
         while t < n:
@@ -462,8 +454,6 @@ class SimSession:
                     low = scan & -scan
                     times[faults[low.bit_length() - 2]] = t - 1
                     scan ^= low
-            if hook is not None:
-                hook(t, n, len(times))
             # Snapshot on the interval grid, and also exactly at the
             # divergence point from the previous timeline: queries that
             # keep editing the same position (omission retries, span
@@ -550,9 +540,7 @@ class SimSession:
 
         ``stop_when_all_detected`` ends the run as soon as every live
         fault has been observed; ``num_vectors`` reports the cycles the
-        *timeline* covers (identical to a fresh packed run).  This is
-        the query surface the fault-sharded workers of
-        :mod:`repro.parallel` use, one session per shard.
+        *timeline* covers (identical to a fresh packed run).
         """
         from .fault_sim import FaultSimResult
 

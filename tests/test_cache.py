@@ -9,19 +9,17 @@ Covers the PR's tentpole and its regression satellites:
   re-derive), stats and clear;
 * the ``compiled_topology`` stale-cache fix (in-place netlist mutation
   must recompile);
-* oracle lifecycle: ``CompactionOracle.close`` reaps the lazily built
-  parallel worker pool — no child processes survive;
 * omission's drop accounting: drops never leak, even when a query blows
   up mid-sweep;
 * the headline property: cold and warm flows are bit-identical (s27 and
-  a synthetic circuit, serial and ``jobs=2``), and the warm run does
-  zero ATPG engine work and zero full-universe fault-sim cycles.
+  a synthetic circuit, cold ``jobs=1`` and warm ``jobs=2``), and the
+  warm run does zero ATPG engine work and zero full-universe fault-sim
+  cycles.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 import pytest
 
@@ -190,29 +188,6 @@ def test_compiled_topology_recompiles_after_inplace_mutation():
     assert compiled_topology(circuit) is second
 
 
-def test_oracle_close_reaps_parallel_workers(small_synth):
-    circuit = insert_scan(small_synth).circuit
-    faults = collapse_faults(circuit)
-    assert len(faults) >= 64  # enough to actually fan out
-    oracle = CompactionOracle(circuit, faults, jobs=2)
-    vectors = random_vectors(circuit, 40, seed=5)
-    serial = CompactionOracle(circuit, faults)
-    try:
-        assert oracle.detection_times(vectors) == \
-            serial.detection_times(vectors)
-        assert oracle._parallel is not None, "expected the parallel path"
-        pids = oracle._parallel._pool.worker_pids()
-        assert pids, "expected live pool workers"
-    finally:
-        serial.close()
-        oracle.close()
-    alive = {child.pid for child in multiprocessing.active_children()}
-    assert not (set(pids) & alive), \
-        f"workers {sorted(set(pids) & alive)} survived oracle.close()"
-    assert oracle._parallel is None
-    oracle.close()  # idempotent
-
-
 class _ExplodingOracle(CompactionOracle):
     """Raises on the Nth trial query — after omission has dropped the
     never-required faults, mid-sweep."""
@@ -303,8 +278,9 @@ def test_cold_and_warm_generation_identical_s27(tmp_path):
 
 def test_cold_and_warm_generation_identical_synth_across_jobs(
         tmp_path, small_synth):
-    """Warm at ``jobs=2`` replays a cold serial run bit-identically:
-    ``jobs`` is excluded from every stage fingerprint by construction."""
+    """Warm at ``jobs=2`` replays a cold ``jobs=1`` run bit-identically:
+    flows ignore ``jobs``, and it is excluded from every stage
+    fingerprint by construction."""
     cache = str(tmp_path / "cache")
     cold = FlowConfig(seed=3, cache_dir=cache, jobs=1)
     warm = FlowConfig(seed=3, cache_dir=cache, jobs=2)

@@ -353,25 +353,3 @@ class TestScaleKnobs:
         monkeypatch.setenv("REPRO_CHECKPOINT_MB", "0.000001")
         bounded = self._times(monkeypatch, checkpoint_interval=4)
         assert base == bounded
-
-    def test_shard_memory_budget_bit_identical(self, monkeypatch):
-        from repro.faults.collapse import collapse_faults
-        from repro.parallel import ParallelFaultSim
-        from tests.util import random_vectors
-
-        circuit = random_circuit("sh", 5, 8, 80, seed=33)
-        faults = collapse_faults(circuit)
-        vectors = random_vectors(circuit, 12, seed=4)
-
-        monkeypatch.delenv("REPRO_SHARD_MB", raising=False)
-        with ParallelFaultSim(circuit, faults, jobs=2,
-                              min_parallel_faults=1) as engine:
-            base = engine.detection_times(vectors)
-            base_shards = len(engine.plan(2).shards)
-
-        monkeypatch.setenv("REPRO_SHARD_MB", "0.001")
-        with ParallelFaultSim(circuit, faults, jobs=2,
-                              min_parallel_faults=1) as engine:
-            assert len(engine.plan(2).shards) > base_shards
-            bounded = engine.detection_times(vectors)
-        assert list(base.items()) == list(bounded.items())

@@ -45,7 +45,6 @@ def make_record(circuit="s27", config_fp="cfg0", wall=1.0, cycles=100,
         "config_fp": config_fp,
         "flow": flow,
         "backend": "packed",
-        "jobs": 1,
         "wall_seconds": wall,
         "git_rev": "abc123",
         "python": "3.x",
@@ -102,10 +101,10 @@ class TestRunRecord:
     def test_shape_and_schema(self):
         record = build_run_record(
             circuit_name="s27", circuit_fp="c", config_fp="k",
-            flow="generation", wall_seconds=1.5, backend="packed", jobs=2)
+            flow="generation", wall_seconds=1.5, backend="packed")
         assert record["schema"] == RUN_RECORD_SCHEMA
         assert record["wall_seconds"] == 1.5
-        assert record["jobs"] == 2
+        assert "jobs" not in record
         assert "journal" in record and "counters" in record
         json.dumps(record)  # must be JSON-able as is
 
@@ -328,7 +327,7 @@ def entries_with_walls(walls, cycles=None):
         entries.append(RunEntry(
             id=i + 1, created=float(i), circuit="s27",
             circuit_fp="fp-s27", config_fp="cfg0", flow="generation",
-            backend="packed", jobs=1, git_rev="", wall_seconds=wall,
+            backend="packed", git_rev="", wall_seconds=wall,
             record=rec))
     return list(reversed(entries))  # newest-first, like the index
 

@@ -1,9 +1,9 @@
 """Tests for repro.obs.live / repro.obs.trace — journal tailing, the
-progress/ETA model, ``repro-atpg watch``, Chrome trace export, merge
-clock-skew clamping, and the cache hit-rate tallies.
+progress/ETA model, ``repro-atpg watch``, Chrome trace export, and the
+cache hit-rate tallies.
 
 The concurrency tests are the heart: a *separate writer process*
-appends spans and heartbeats to a journal while this process tails it,
+appends spans and events to a journal while this process tails it,
 and every event must come through exactly once, with torn lines
 buffered rather than crashing the follower.
 """
@@ -22,13 +22,11 @@ from repro import generation_flow, obs
 from repro.circuit import s27
 from repro.cache import ResultStore
 from repro.cli import main
-from repro.faults import collapse_faults
 from repro.obs import (
     JournalFollower,
     ProgressModel,
     export_chrome_trace,
     follow_journal,
-    merge_journals,
     new_span_id,
     new_trace_id,
     phase_weights_from_store,
@@ -38,10 +36,6 @@ from repro.obs import (
 )
 from repro.obs.journal import RunJournal
 from repro.obs.live import DEFAULT_PHASE_WEIGHTS, _FileTail
-from repro.obs.trace import load_trace_events
-from repro.parallel import ParallelFaultSim
-from repro.parallel.worker import HEARTBEAT_ENV
-from tests.util import random_vectors
 
 
 # -- trace identity ----------------------------------------------------------
@@ -107,23 +101,6 @@ def test_file_tail_counts_malformed_complete_lines(tmp_path):
     journal.close()
 
 
-def test_follower_discovers_worker_journals_late(tmp_path):
-    base = tmp_path / "run.jsonl"
-    journal = RunJournal(base, trace_id=new_trace_id())
-    follower = JournalFollower(base)
-    follower.poll()
-    # A worker journal appearing *after* the first poll must be found.
-    worker = RunJournal(tmp_path / "run.jsonl.w42")
-    worker.emit("parallel.worker.heartbeat", shard=0, busy=True)
-    got = follower.poll()
-    assert {e["src"] for e in got} == {"w42"}
-    assert not follower.finished
-    worker.close()
-    journal.close()
-    follower.poll()
-    assert follower.finished
-
-
 _WRITER_SCRIPT = """
 import os, sys, time
 sys.path.insert(0, {src!r})
@@ -133,8 +110,8 @@ journal = RunJournal({path!r}, trace_id="ab" * 16)
 print("ready", flush=True)
 for i in range({count}):
     journal.emit("span.open", path="work.%d" % i, span="%016x" % i, parent="")
-    journal.emit("parallel.worker.heartbeat", shard=0, vectors=i,
-                 vectors_total={count}, busy=True, pid=os.getpid())
+    journal.emit("progress.work", phase="work", total={count}, done=i,
+                 unit="steps", pid=os.getpid())
     journal.emit("span.close", path="work.%d" % i, span="%016x" % i)
     time.sleep(0.002)
 journal.close()
@@ -142,9 +119,9 @@ journal.close()
 
 
 def test_tail_while_separate_process_writes(tmp_path):
-    """The satellite contract: a writer *process* appends spans and
-    heartbeats while this process tails — no event lost, no partial-line
-    crash, and ``watch --once`` renders mid-run."""
+    """A writer *process* appends spans and events while this process
+    tails — no event lost, no partial-line crash, and ``watch --once``
+    renders mid-run."""
     path = tmp_path / "run.jsonl"
     count = 150
     script = _WRITER_SCRIPT.format(
@@ -193,61 +170,6 @@ def test_watch_once_renders_mid_run_output(tmp_path, capsys):
 def test_watch_once_missing_journal_is_not_an_error(tmp_path, capsys):
     assert main(["watch", str(tmp_path / "nope.jsonl"), "--once"]) == 0
     assert "no journal" in capsys.readouterr().out
-
-
-# -- merge clock-skew clamping -----------------------------------------------
-
-
-def _fake_journal(path, wall_open, events):
-    """Hand-write a minimal well-formed journal with a chosen wall clock."""
-    lines = [{"seq": 0, "t": 0.0, "type": "journal.open",
-              "data": {"schema": "repro.obs.journal/1",
-                       "wall_time": wall_open}}]
-    for offset, (etype, data) in enumerate(events):
-        lines.append({"seq": offset + 1, "t": 0.001 * (offset + 1),
-                      "type": etype, "data": data})
-    lines.append({"seq": len(lines), "t": 0.001 * len(lines),
-                  "type": "journal.close", "data": {"wall_time": wall_open}})
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines),
-                    encoding="utf-8")
-
-
-def test_merge_anchor_first_clamps_skewed_worker(tmp_path):
-    base, worker = tmp_path / "run.jsonl", tmp_path / "run.jsonl.w9"
-    _fake_journal(base, wall_open=1000.0, events=[("main.evt", {})])
-    # Worker's wall clock claims it opened 5s *before* its parent.
-    _fake_journal(worker, wall_open=995.0, events=[("w.evt", {})])
-    merged = merge_journals([base, worker], anchor="first")
-    assert all(e["t"] >= 0.0 for e in merged)
-    clamped = [e for e in merged if e["src"] == "w9" and e["t"] == 0.0]
-    assert len(clamped) >= 2    # the worker's early events hit the clamp
-    assert merged[0]["data"]["skew_clamped"] == len(clamped)
-    # Default anchor="min" re-zeroes on the earliest open: nothing clamps.
-    merged_min = merge_journals([base, worker])
-    assert "skew_clamped" not in merged_min[0]["data"]
-
-
-def test_merge_skew_counts_metric(tmp_path):
-    base, worker = tmp_path / "run.jsonl", tmp_path / "run.jsonl.w9"
-    _fake_journal(base, wall_open=1000.0, events=[])
-    _fake_journal(worker, wall_open=999.0, events=[])
-    with obs.session() as telemetry:
-        merge_journals([base, worker], anchor="first")
-    assert telemetry.metrics.counter("journal.merge.skew").value > 0
-
-
-def test_merge_rejects_unknown_anchor(tmp_path):
-    path = tmp_path / "run.jsonl"
-    _fake_journal(path, wall_open=1.0, events=[])
-    with pytest.raises(ValueError, match="anchor"):
-        merge_journals([path], anchor="median")
-
-
-def test_merge_rejects_non_finite_wall_time(tmp_path):
-    path = tmp_path / "run.jsonl"
-    _fake_journal(path, wall_open=float("nan"), events=[])
-    with pytest.raises(ValueError, match="wall_time"):
-        merge_journals([path])
 
 
 # -- progress model ----------------------------------------------------------
@@ -314,21 +236,6 @@ def test_progress_model_estimate_event_overrides_weights():
     assert "bogus" not in model.weights       # non-positive values ignored
 
 
-def test_progress_model_unwraps_relay_envelope():
-    model = ProgressModel()
-    model.ingest({"seq": 0, "t": 0.0, "type": "journal.open",
-                  "data": {"wall_time": 0.0}})
-    model.ingest({"seq": 1, "t": 1.0, "type": "parallel.worker.event",
-                  "data": {"inner": "parallel.worker.heartbeat", "src": "w7",
-                           "seq": 3, "shard": 2, "vectors": 10,
-                           "vectors_total": 40, "busy": True, "pid": 7}})
-    snap = model.snapshot(now=2.0)
-    assert len(snap.shards) == 1
-    shard = snap.shards[0]
-    assert (shard.src, shard.shard, shard.vectors) == ("w7", 2, 10)
-    assert shard.fraction == pytest.approx(0.25)
-
-
 def test_render_watch_before_any_event():
     assert render_watch(ProgressModel().snapshot(now=0.0)) == \
         "waiting for journal events..."
@@ -362,39 +269,6 @@ def test_phase_weights_from_store_scales_with_history(tmp_path):
     assert phase_weights_from_store(store, "0" * 40) is None
 
 
-# -- heartbeats / parallel parity --------------------------------------------
-
-
-def test_parallel_with_heartbeats_bit_identical_to_serial(
-        tmp_path, monkeypatch):
-    monkeypatch.setenv(HEARTBEAT_ENV, "0.01")
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    vectors = random_vectors(circuit, 60, seed=9)
-    serial = ParallelFaultSim(circuit, faults, jobs=1).run(vectors)
-    path = tmp_path / "run.jsonl"
-    with obs.session(trace=path):
-        with ParallelFaultSim(circuit, faults, jobs=2,
-                              min_parallel_faults=1) as engine:
-            parallel = engine.run(vectors)
-    assert parallel.detection_time == serial.detection_time
-    relayed = [e for e in read_journal(path)
-               if e["type"] == "parallel.worker.event"]
-    beats = [e for e in relayed
-             if e["data"]["inner"] == "parallel.worker.heartbeat"]
-    assert beats, "workers emitted no heartbeats"
-    spans = [e["data"] for e in relayed if e["data"]["inner"] == "span.open"]
-    assert spans and all(s["parent"] for s in spans), \
-        "worker shard spans must link to the parent parallel.run span"
-    # Graceful pool shutdown must close the worker journals (via a
-    # multiprocessing finalizer — atexit never runs in fork children),
-    # so a live `watch` sees the run finish instead of hanging.
-    worker_paths = sorted(tmp_path.glob("run.jsonl.w*"))
-    assert worker_paths
-    for wpath in worker_paths:
-        assert read_journal(wpath)[-1]["type"] == "journal.close", wpath
-
-
 # -- trace export ------------------------------------------------------------
 
 
@@ -403,7 +277,7 @@ def test_export_chrome_trace_structure(tmp_path):
     with obs.session(trace=path) as telemetry:
         trace_id = telemetry.trace_id
         generation_flow(s27())
-    trace = export_chrome_trace(load_trace_events(path))
+    trace = export_chrome_trace(read_journal(path))
     events = trace["traceEvents"]
     assert events and trace["otherData"]["trace_id"] == trace_id
     opens = [e for e in events if e["ph"] == "B"]
@@ -422,30 +296,27 @@ def test_export_synthesizes_close_for_unclosed_span(tmp_path):
     journal.emit("span.open", path="pipeline/atpg", span="b" * 16,
                  parent="a" * 16)
     del journal     # crashed run: no span.close, no journal.close
-    trace = export_chrome_trace(load_trace_events(path))
+    trace = export_chrome_trace(read_journal(path))
     opens = [e for e in trace["traceEvents"] if e["ph"] == "B"]
     closes = [e for e in trace["traceEvents"] if e["ph"] == "E"]
     assert len(opens) == len(closes) == 2
 
 
-def test_export_trace_cli_multiprocess(tmp_path, capsys):
+def test_export_trace_cli_writes_valid_json(tmp_path, capsys):
     path = tmp_path / "run.jsonl"
-    with obs.session(trace=path):
-        circuit = s27()
-        faults = collapse_faults(circuit)
-        with ParallelFaultSim(circuit, faults, jobs=2,
-                              min_parallel_faults=1) as engine:
-            engine.run(random_vectors(circuit, 40, seed=3))
+    with obs.session(trace=path) as telemetry:
+        trace_id = telemetry.trace_id
+        generation_flow(s27())
     out = tmp_path / "trace.json"
     assert main(["export-trace", str(path), str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
     trace = json.loads(out.read_text(encoding="utf-8"))
-    sources = trace["otherData"]["sources"]
-    assert len(sources) >= 2        # main + at least one worker journal
-    flows = [e for e in trace["traceEvents"] if e["ph"] in ("s", "f")]
-    assert flows, "cross-process spans must be linked by flow arrows"
-    pids = {e["pid"] for e in trace["traceEvents"]}
-    assert len(pids) >= 2
+    assert trace["otherData"]["trace_id"] == trace_id
+    assert trace["otherData"]["sources"] == ["main"]
+    opens = [e for e in trace["traceEvents"] if e["ph"] == "B"]
+    closes = [e for e in trace["traceEvents"] if e["ph"] == "E"]
+    assert len(opens) == len(closes) > 0
+    assert {e["pid"] for e in trace["traceEvents"]} == {1}
 
 
 def test_export_trace_cli_rejects_garbage(tmp_path, capsys):

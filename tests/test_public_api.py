@@ -43,3 +43,10 @@ def test_packed_backend_satisfies_protocol():
     circuit = repro.s27()
     sim = repro.make_backend(circuit, collapse_faults(circuit), "packed")
     assert isinstance(sim, repro.SimBackend)
+
+
+def test_parallel_surface_is_the_pool():
+    """Flows simulate in one process: the package root exports the
+    process pool, not a fault-sharded engine."""
+    assert "ResilientPool" in repro.__all__
+    assert "ParallelFaultSim" not in repro.__all__

@@ -5,10 +5,9 @@ The contract under test: the ``vector`` backend is bit-identical to the
 ``PackedFaultSimulator`` reference on every observable surface:
 per-step detection masks, ``run()`` detection maps and (cycle, position)
 ordering, state tokens round-tripping through :class:`SimSession`
-checkpoints, fault drops/repacks, and the parallel engine at every
-worker count.  Backend selection (``auto``/env/explicit), custom
-simulator factories, and the no-numpy-when-packed guarantee are covered
-alongside.
+checkpoints, and fault drops/repacks.  Backend selection
+(``auto``/env/explicit), custom simulator factories, and the
+no-numpy-when-packed guarantee are covered alongside.
 """
 
 import os
@@ -26,7 +25,6 @@ from repro.circuit import (
     Circuit, FlipFlop, Gate, insert_scan, random_circuit, s27,
 )
 from repro.faults import collapse_faults
-from repro.parallel import ParallelFaultSim
 from repro.sim import (
     BACKEND_AUTO,
     BACKEND_NAMES,
@@ -257,31 +255,6 @@ def test_session_pins_concrete_backend():
     expected = resolve_concrete_backend(BACKEND_AUTO, len(faults))
     assert session.sim_backend == expected
     assert type(session._sim).backend_name == expected
-
-
-# -- parallel engine: serial-vs-vector, jobs in {1, 2} -----------------------
-
-
-@requires_vector
-def test_parallel_jobs_bit_identical_across_backends():
-    """Acceptance criterion: serial-vs-vector and jobs in {1, 2}
-    detection maps are bit-identical."""
-    circuit = CIRCUITS["scan_mid"]()
-    faults = collapse_faults(circuit)
-    vectors = random_vectors(circuit, 24, seed=17)
-    serial_packed = PackedFaultSimulator(circuit, faults).run(
-        [list(v) for v in vectors])
-    for name in (BACKEND_PACKED, BACKEND_VECTOR):
-        for jobs in (1, 2):
-            with ParallelFaultSim(
-                circuit, faults, jobs=jobs, min_parallel_faults=1,
-                sim_backend=name,
-            ) as engine:
-                par = engine.run(vectors)
-            assert par.detection_time == serial_packed.detection_time
-            assert list(par.detection_time) == \
-                list(serial_packed.detection_time)
-            assert par.num_vectors == serial_packed.num_vectors
 
 
 # -- selection: auto / env / explicit ----------------------------------------
