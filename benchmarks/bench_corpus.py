@@ -71,8 +71,7 @@ def run():
         list(results["packed"].detection_time), "dict order diverged"
 
     vectors = _vectors(circuit, SESSION_VECTORS, seed=8)
-    session = SimSession(circuit, faults, sim_backend="auto",
-                         checkpoint_interval=0)
+    session = SimSession(circuit, faults)
     with obs.span("bench_corpus.serial"):
         start = time.perf_counter()
         serial = session.detection_times(vectors)

@@ -18,7 +18,7 @@ Quick start::
 
 :class:`FlowConfig` is the single configuration object for both flows
 (seed, scan chains, Section 2 knowledge toggles, compaction switches and
-the incremental fault-simulation tuning).
+the cache and run-index locations).
 
 Layering (see DESIGN.md):
 

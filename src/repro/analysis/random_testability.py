@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..sim.backend import coerce_simulator_factory, make_backend
+from ..sim.backend import make_backend
 
 
 @dataclass
@@ -80,7 +80,6 @@ def random_testability(
     trials: int = 16,
     seed: int = 0,
     simulator_factory=None,
-    sim_backend=None,
 ) -> RandomTestabilityProfile:
     """Estimate random detectability of ``faults`` on ``circuit``.
 
@@ -92,12 +91,10 @@ def random_testability(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
-    factory, backend = coerce_simulator_factory(
-        simulator_factory, sim_backend, "random_testability")
-    if factory is not None:
-        sim = factory(circuit, list(faults))
+    if simulator_factory is not None:
+        sim = simulator_factory(circuit, list(faults))
     else:
-        sim = make_backend(circuit, list(faults), backend)
+        sim = make_backend(circuit, list(faults))
     profile = RandomTestabilityProfile(
         circuit_name=circuit.name,
         sequence_length=sequence_length,

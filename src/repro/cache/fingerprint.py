@@ -11,10 +11,10 @@ Every cached artifact is addressed by two coordinates:
   tuples aligned with the input order, so permuting inputs changes
   every derived artifact;
 * a **config fingerprint** — a SHA-256 over the semantically relevant
-  knobs of the producing stage plus :data:`CACHE_SCHEMA`.  Knobs that
-  only change *how fast* a bit-identical result is computed
-  (``checkpoint_interval``, ``incremental``, ``jobs``, ``cache_dir``)
-  are excluded by construction: callers simply never feed them in.
+  knobs of the producing stage plus :data:`CACHE_SCHEMA`.  Settings
+  that cannot change a bit-identical result (``jobs``, ``cache_dir``,
+  ``run_index``) are excluded by construction: callers simply never
+  feed them in.
 
 :func:`circuit_fingerprint` is memoized on the circuit object, keyed by
 the *identity* of its netlist tuples: :class:`~repro.circuit.netlist.

@@ -19,10 +19,11 @@ compact       input sequence, fault universe, omission pass budget
 detection     fault universe, vector sequence (full-universe times only)
 ============  =============================================================
 
-Knobs that cannot change the bits of a result — ``checkpoint_interval``,
-``incremental``, ``jobs`` (all proven bit-identical by the tier-1
-suite) and ``cache_dir`` itself — are deliberately absent from every
-key, so a warm restart hits regardless of how the cold run was tuned.
+The deployment settings, which cannot change the bits of a result —
+``jobs``, ``run_index`` and ``cache_dir`` itself — are deliberately
+absent from every key, and so is how a stage was simulated (backend,
+checkpoint spacing), so a warm restart hits regardless of where the
+cold run ran.
 
 Each stage key also carries a small stage version constant; bumping it
 (when an engine's algorithm changes) orphans that stage's entries

@@ -38,7 +38,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..obs import context as obs
 
@@ -287,25 +287,6 @@ class ResultStore:
                 for entry in sorted(bucket.glob("*.json")):
                     yield entry
 
-    def entries_for_circuit(self, circuit_fp: str
-                            ) -> Iterator[Tuple[str, Dict]]:
-        """``(stage, payload)`` pairs of every valid entry stored for a
-        circuit fingerprint — the warm-start source the live progress
-        model seeds its phase weights from.  Damaged entries are
-        skipped, never raised."""
-        bucket = self.root / circuit_fp[:2] / circuit_fp
-        if not bucket.is_dir():
-            return
-        for entry in sorted(bucket.glob("*.json")):
-            try:
-                envelope = json.loads(entry.read_text(encoding="utf-8"))
-                if envelope["schema"] != ENVELOPE_SCHEMA or \
-                        envelope["circuit"] != circuit_fp:
-                    continue
-                yield str(envelope["stage"]), envelope["payload"]
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-
     def stats(self) -> CacheStats:
         """Entry counts, byte totals and lookup tallies (per stage and
         overall)."""
@@ -386,14 +367,6 @@ class LayeredResultStore(ResultStore):
         # (the interesting diagnosis is then the base layer's).
         return self._miss(stage,
                           reason if reason != "absent" else base_reason)
-
-    def entries_for_circuit(self, circuit_fp: str
-                            ) -> Iterator[Tuple[str, Dict]]:
-        """Overlay entries first, then the base layer's.  Consumers
-        (phase-weight seeding) treat these as advisory hints, so the
-        occasional stage duplicated across layers is harmless."""
-        yield from super().entries_for_circuit(circuit_fp)
-        yield from self.base.entries_for_circuit(circuit_fp)
 
 
 def write_namespace(root: Union[str, Path],

@@ -210,8 +210,8 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
     """`FlowConfig.replace` overrides for running a corpus-spec flow.
 
     Applied by the CLI when the circuit argument is ``corpus:<name>``:
-    reduced ATPG effort, no per-fault PODEM redundancy proofs, and the
-    automatic checkpoint-interval policy.  On the comb view of scan
+    reduced ATPG effort and no per-fault PODEM redundancy proofs.  On
+    the comb view of scan
     s15850 (11.9k gates; 2-vCPU x86-64 VM, Python 3.11) one PODEM run
     takes about 5 ms when it finds a cube, 0.1 s when it exhausts the
     justification budget of 400 backtracks (25 s before implication
@@ -220,8 +220,7 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
     aborted.  The Section 2 completions are also off: each scan-out
     completion appends a whole chain flush (``flops + 1`` vectors —
     535 at s15850), which the quadratic omission sweep then pays for.
-    All but ``atpg``/``baseline``/``classify_redundant`` and the
-    completion toggles are speed-only knobs.
+    Every override changes result bits.
     """
     name = corpus_name(spec) if is_corpus_spec(spec) else spec
     return {
@@ -230,5 +229,4 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
         "classify_redundant": False,
         "use_scan_knowledge": False,
         "use_justification": False,
-        "checkpoint_interval": 0,
     }

@@ -25,9 +25,11 @@ Subcommands::
 to a ``.bench`` / structural-``.v`` file of a sequential circuit.
 
 The flow-running subcommands (``generate``, ``translate``, ``profile``,
-``export``) also accept ``--checkpoint-interval K``, which tunes the
-incremental fault-simulation session (see :class:`repro.FlowConfig`).
-A flow simulates in one process.  ``table`` and ``report`` take
+``export``, ``explain-fault``, ``explain-vector``) take ``--seed N``
+plus the deployment flags ``--cache`` and ``--run-index``; how to
+simulate (backend, checkpoint spacing) is not a flag — the simulation
+layer picks it and it never changes a result bit.  A flow simulates in
+one process.  ``table`` and ``report`` take
 ``--jobs N`` (default 1): whole per-circuit flows run N at a time in
 worker processes (see :mod:`repro.parallel`), with the same results
 as a serial run.
@@ -145,25 +147,17 @@ def _flow_config(args: argparse.Namespace, **overrides) -> FlowConfig:
 
     A ``corpus:<name>`` circuit argument additionally applies the
     corpus-scale presets (reduced ATPG effort, no PODEM redundancy
-    proofs, auto checkpoint policy); an explicit
-    ``--checkpoint-interval`` still wins over the preset.
+    proofs, no Section 2 completions).
     """
     name = getattr(args, "circuit", None)
     if isinstance(name, str) and corpus_mod.is_corpus_spec(name):
         corpus_over = corpus_mod.flow_overrides(name, seed_offset=args.seed)
     else:
         corpus_over = {}
-    interval = args.checkpoint_interval
-    if interval is None:
-        interval = corpus_over.pop("checkpoint_interval", 4)
-    else:
-        corpus_over.pop("checkpoint_interval", None)
     corpus_over.update(overrides)
     return FlowConfig(
         seed=args.seed,
-        checkpoint_interval=interval,
         cache_dir=_cache_dir(args),
-        sim_backend=getattr(args, "sim_backend", None),
         run_index=_run_index_arg(args),
         **corpus_over,
     )
@@ -648,22 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     flow_group = flowopts.add_argument_group("flow")
     flow_group.add_argument("--seed", type=int, default=0)
     flow_group.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="K",
-        help="cycles between packed-state checkpoints in the "
-             "incremental fault-sim session (default 4; 0 = auto "
-             "policy scaled to sequence length, the default for "
-             "corpus:<name> circuits)")
-    flow_group.add_argument(
         "--cache", nargs="?", const="", default=None, metavar="DIR",
         help="persist stage results to the content-addressed store "
              "under DIR and replay them on warm runs (bare --cache = "
              "$REPRO_CACHE or .repro-cache)")
-    flow_group.add_argument(
-        "--sim-backend", choices=["auto", "packed", "vector"], default=None,
-        help="fault-simulation backend (default: $REPRO_SIM_BACKEND or "
-             "auto; backends are bit-identical — auto picks the "
-             "vectorized kernel when numpy and a C compiler are "
-             "available, else the packed reference)")
     flow_group.add_argument(
         "--run-index", nargs="?", const="", default=None, metavar="DB",
         help="append a run record to the SQLite run index DB when the "

@@ -20,55 +20,43 @@ boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..sim.backend import coerce_simulator_factory
 from ..sim.session import SimSession
 
 
 class CompactionOracle:
     """Detection oracle over a fixed circuit and target fault list.
 
-    ``checkpoint_interval`` and ``incremental`` tune the underlying
-    :class:`SimSession`; ``incremental=False`` restarts every query from
-    cycle 0 (the baseline the perf guards measure against).
-    ``sim_backend`` names the simulation backend (``"auto"`` resolves by
-    availability; every standard backend is bit-identical, so this knob
-    never changes result bits); ``simulator_factory`` overrides it with
-    a custom API-compatible factory.
+    ``incremental=False`` restarts every query of the underlying
+    :class:`SimSession` from cycle 0 (the baseline the perf guards
+    measure against).  ``simulator_factory`` replaces backend selection
+    with a custom API-compatible factory (another fault model, a test
+    double).
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault],
                  simulator_factory=None,
-                 checkpoint_interval: int = 4,
                  incremental: bool = True,
-                 store=None,
-                 sim_backend: Optional[str] = None):
+                 store=None):
         self.circuit = circuit
         self.faults = list(faults)
-        factory, backend = coerce_simulator_factory(
-            simulator_factory, sim_backend, "CompactionOracle")
-        self._factory = factory
-        self._backend = backend
         self.session = SimSession(
             circuit,
             self.faults,
-            checkpoint_interval=checkpoint_interval,
-            simulator_factory=factory,
-            sim_backend=backend,
+            simulator_factory=simulator_factory,
             incremental=incremental,
         )
         self._position = {f: i + 1 for i, f in enumerate(self.faults)}
-        self._raw_sim = None
         # Full-universe detection_times results are memoized in the
         # content-addressed store when one is attached; custom simulator
         # factories (test doubles, other fault models) stay uncached —
         # their results are not keyed by the stuck-at fault identity
         # alone.  Standard backends are interchangeable bit-for-bit, so
         # cached results are backend-independent.
-        self._store = store if factory is None else None
+        self._store = store if simulator_factory is None else None
         self._stages = None
 
     # -- mask helpers -----------------------------------------------------
@@ -123,36 +111,21 @@ class CompactionOracle:
         self,
         vectors: Sequence[Sequence[int]],
         target_mask: Optional[int] = None,
-        initial_state=None,
     ) -> int:
         """Mask of targets detected by ``vectors``.
 
         ``target_mask`` limits interest (enables early exit once all of
-        them fall).  ``initial_state`` is a raw simulator snapshot (from
-        :meth:`reset_checkpoint`/:meth:`advance`) to start from instead
-        of the all-X reset state — a legacy path that bypasses the
-        incremental session.
+        them fall).
         """
-        if initial_state is not None:
-            sim = self.sim
-            sim.restore_state(initial_state)
-            wanted = sim.fault_mask if target_mask is None else target_mask
-            seen = 0
-            for vector in vectors:
-                seen |= sim.step(vector)
-                if wanted & ~seen == 0:
-                    break
-            return seen & wanted
         return self.session.detected_mask(vectors, target_mask)
 
     def detects_all(
         self,
         vectors: Sequence[Sequence[int]],
         target_mask: int,
-        initial_state=None,
     ) -> bool:
         """Does the sequence detect every fault in ``target_mask``?"""
-        return self.detected_mask(vectors, target_mask, initial_state) == target_mask
+        return self.detected_mask(vectors, target_mask) == target_mask
 
     # -- fault dropping ------------------------------------------------------
 
@@ -171,32 +144,3 @@ class CompactionOracle:
         """Flush the underlying session's lifetime counters to the
         telemetry journal (see :meth:`SimSession.close`)."""
         return self.session.close()
-
-    # -- legacy checkpoints --------------------------------------------------
-
-    @property
-    def sim(self):
-        """A raw (non-incremental) simulator for the legacy token-based
-        checkpoint API; built on first use."""
-        if self._raw_sim is None:
-            if self._factory is not None:
-                self._raw_sim = self._factory(self.circuit, self.faults)
-            else:
-                from ..sim.backend import make_backend
-
-                self._raw_sim = make_backend(
-                    self.circuit, self.faults, self.session.sim_backend)
-        return self._raw_sim
-
-    def reset_checkpoint(self) -> Tuple:
-        """A snapshot of the power-up (all-X) state."""
-        self.sim.reset()
-        return self.sim.save_state()
-
-    def advance(self, checkpoint, vector) -> Tuple[Tuple, int]:
-        """Extend a checkpoint by one vector; returns the new checkpoint
-        and the mask detected during that cycle."""
-        sim = self.sim
-        sim.restore_state(checkpoint)
-        detected = sim.step(vector)
-        return sim.save_state(), detected

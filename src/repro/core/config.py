@@ -4,14 +4,20 @@
 (:func:`~repro.core.pipeline.generation_flow` and
 :func:`~repro.core.pipeline.translation_flow`).  It replaces the
 spread-out keyword signatures those functions grew: one frozen dataclass
-carries the seed, scan-chain count, the Section 2 knowledge toggles, the
-Section 4 compaction switches and the incremental fault-simulation
-tuning, so a whole experiment is reproducible from one value::
+carries the seed, scan-chain count, the Section 2 knowledge toggles and
+the Section 4 compaction switches, so a whole experiment is reproducible
+from one value::
 
     from repro import FlowConfig, generation_flow
 
     cfg = FlowConfig(seed=1, num_chains=2, max_omission_passes=2)
     flow = generation_flow(circuit, cfg)
+
+Every field says *what* to compute: each one either changes result bits
+(and is part of :func:`repro.obs.history.run_config_fingerprint`) or is
+a deployment setting (``cache_dir``, ``run_index`` and the ignored
+``jobs``).  How to simulate — backend, checkpoint spacing — is chosen
+by the simulation layer itself and never changes a result bit.
 
 ``FlowConfig`` is frozen; derive variants with :meth:`FlowConfig.replace`
 (a thin wrapper over :func:`dataclasses.replace`).
@@ -48,36 +54,21 @@ class FlowConfig:
     redundancy_backtrack_limit: int = 20000
     #: Omission sweeps over the sequence (1 = single backward pass).
     max_omission_passes: int = 1
-    #: Cycles between packed-state checkpoints in the fault-sim session;
-    #: ``0`` selects the automatic policy (interval scales with sequence
-    #: length, memory-bounded via ``REPRO_CHECKPOINT_MB``).  A pure
-    #: speed/memory knob: results are bit-identical at every value.
-    checkpoint_interval: int = 4
-    #: Resume compaction queries from checkpoints; ``False`` forces the
-    #: cycle-0-restart baseline (for perf comparisons).
-    incremental: bool = True
     #: Accepted (``>= 0``) and ignored: flows always simulate in one
     #: process.  Kept so existing configs that set it, such as the
     #: flow benchmark's ``FlowConfig(jobs=2)``, still construct.
     jobs: int = 0
-    #: Fault-simulation backend: ``"auto"`` (pick the vectorized kernel
-    #: when it is available and would win, else the packed reference),
-    #: ``"packed"``, or ``"vector"``.  ``None`` defers to the
-    #: ``REPRO_SIM_BACKEND`` environment variable, defaulting to
-    #: ``auto``.  Backends are bit-identical — this knob cannot change
-    #: result bits (see :mod:`repro.sim.backend`).
-    sim_backend: Optional[str] = None
     #: Root directory of the content-addressed result store (see
     #: :mod:`repro.cache`).  ``None`` defers to the ``REPRO_CACHE``
-    #: environment variable; empty/unset both means caching off.  Like
-    #: ``checkpoint_interval``, this knob cannot change result
-    #: bits — warm runs are bit-identical to cold ones.
+    #: environment variable; empty/unset both means caching off.  A
+    #: deployment setting that cannot change result bits — warm runs
+    #: are bit-identical to cold ones.
     cache_dir: Optional[str] = None
     #: Run-history index database (see :mod:`repro.obs.history`):
     #: every finished flow appends one run record there.  ``None``
     #: defers to the ``REPRO_RUN_INDEX`` environment variable;
-    #: empty/unset both means history off.  Another speed/observability
-    #: knob that cannot change result bits — the index is
+    #: empty/unset both means history off.  Another deployment setting
+    #: that cannot change result bits — the index is
     #: corruption-tolerant and never a point of failure.
     run_index: Optional[str] = None
     #: Sequential ATPG engine configuration; ``None`` derives one from
@@ -88,18 +79,12 @@ class FlowConfig:
     baseline: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0 (0 = auto)")
         if self.max_omission_passes < 1:
             raise ValueError("max_omission_passes must be >= 1")
         if self.num_chains < 1:
             raise ValueError("num_chains must be >= 1")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (it is ignored)")
-        if self.sim_backend is not None:
-            from ..sim.backend import resolve_backend_name
-
-            resolve_backend_name(self.sim_backend)  # raises on bad names
 
     def replace(self, **changes: Any) -> "FlowConfig":
         """A copy with ``changes`` applied (the config is frozen)."""
@@ -108,13 +93,6 @@ class FlowConfig:
     def atpg_config(self) -> SeqATPGConfig:
         """The effective sequential-ATPG configuration."""
         return self.atpg or SeqATPGConfig(seed=self.seed)
-
-    def effective_sim_backend(self) -> str:
-        """``sim_backend`` with the ``None -> REPRO_SIM_BACKEND -> auto``
-        rule applied (see :func:`repro.sim.backend.resolve_backend_name`)."""
-        from ..sim.backend import resolve_backend_name
-
-        return resolve_backend_name(self.sim_backend)
 
     def effective_cache_dir(self):
         """``cache_dir`` with the ``None -> REPRO_CACHE -> off`` rule

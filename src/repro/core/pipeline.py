@@ -137,7 +137,6 @@ def generation_flow(
                 stages.save_faults(faults)
         obs.event("progress.work", phase="atpg", total=len(faults),
                   unit="faults")
-        _emit_warm_estimate(stages)
         generator = None
         with obs.span("atpg"):
             atpg = stages.load_generation_atpg(cfg, faults)
@@ -148,7 +147,6 @@ def generation_flow(
                     config=cfg.atpg_config(),
                     use_scan_knowledge=cfg.use_scan_knowledge,
                     use_justification=cfg.use_justification,
-                    sim_backend=cfg.sim_backend,
                 )
                 atpg = generator.generate()
                 stages.save_generation_atpg(cfg, faults, atpg)
@@ -265,7 +263,6 @@ def translation_flow(
                 stages.save_faults(faults)
         obs.event("progress.work", phase="baseline_atpg",
                   total=len(faults), unit="faults")
-        _emit_warm_estimate(stages)
         if baseline is None:
             baseline_config = cfg.baseline or SecondApproachConfig(seed=cfg.seed)
             # The baseline runs on the *non-scan* circuit: its cache
@@ -315,20 +312,6 @@ def _flow_store(cfg: FlowConfig):
     return cfg.result_store()
 
 
-def _emit_warm_estimate(stages: StageCache) -> None:
-    """Journal a ``progress.estimate`` event with phase weights derived
-    from the circuit's cached detection entries (warm runs), so live
-    tailers get a calibrated ETA without touching the cache themselves.
-    No-op when telemetry is off, caching is off, or the cache is cold."""
-    if not obs.enabled() or not stages.enabled:
-        return
-    from ..obs.live import phase_weights_from_store
-    weights = phase_weights_from_store(stages.store, stages.circuit_fp)
-    if weights:
-        obs.event("progress.estimate", source="cache",
-                  weights={k: round(v, 3) for k, v in weights.items()})
-
-
 def _compact_into(
     result,
     circuit: Circuit,
@@ -357,13 +340,13 @@ def _compact_into(
         # damaged or cleared independently.
         final = stages.load_detection(faults, list(omitted.sequence.vectors))
         if final is None:
-            oracle = _make_oracle(circuit, faults, cfg, store)
+            oracle = CompactionOracle(circuit, faults, store=store)
             oracle.detection_times(list(omitted.sequence.vectors))
             oracle.close()
         result.restored = restored
         result.omitted = omitted
         return
-    oracle = _make_oracle(circuit, faults, cfg, store)
+    oracle = CompactionOracle(circuit, faults, store=store)
     session = oracle.session
     cycles_start = session.cycles_simulated
     obs.event("progress.work", phase="restoration",
@@ -401,13 +384,3 @@ def _compact_into(
     result.restored = restored
     result.omitted = omitted
 
-
-def _make_oracle(circuit: Circuit, faults, cfg: FlowConfig, store):
-    return CompactionOracle(
-        circuit,
-        faults,
-        checkpoint_interval=cfg.checkpoint_interval,
-        incremental=cfg.incremental,
-        store=store,
-        sim_backend=cfg.sim_backend,
-    )

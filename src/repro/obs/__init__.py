@@ -107,7 +107,6 @@ from .live import (
     ProgressModel,
     ProgressSnapshot,
     follow_journal,
-    phase_weights_from_store,
     render_watch,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -195,7 +194,6 @@ __all__ = [
     "ProgressModel",
     "ProgressSnapshot",
     "follow_journal",
-    "phase_weights_from_store",
     "render_watch",
     "TRACE_SCHEMA",
     "export_chrome_trace",

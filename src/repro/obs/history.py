@@ -9,16 +9,15 @@ index:
 
 * identity — circuit name, the canonical circuit fingerprint from
   :mod:`repro.cache.fingerprint`, and a **run config fingerprint** over
-  the semantically relevant :class:`~repro.core.config.FlowConfig`
-  knobs (speed-only knobs — ``jobs``, ``checkpoint_interval``,
-  ``incremental``, ``cache_dir``, ``sim_backend``, ``run_index`` — are
-  excluded by construction, exactly like the result cache's stage
+  :class:`~repro.core.config.FlowConfig` fields that change result
+  bits (the deployment settings ``jobs``, ``cache_dir`` and
+  ``run_index`` are excluded, exactly like the result cache's stage
   keys: two runs with the same fingerprints are expected to produce
   bit-identical deterministic counters);
 * outcome — the final metrics snapshot (counters / gauges /
   histograms), the per-phase span aggregate, and a journal summary
   (phases, cache hit rates, coverage / cycles);
-* provenance — backend, platform, python and git rev,
+* provenance — platform, python and git rev,
   wall-clock seconds and a creation timestamp.
 
 The index follows the same durability contract as :mod:`repro.cache`:
@@ -140,13 +139,13 @@ def run_config_fingerprint(cfg, flow: str = "generation",
                            scan_fp: str = "") -> str:
     """Fingerprint of the semantically relevant flow configuration.
 
-    Mirrors the result cache's convention: knobs that cannot change the
-    bits of a result (``jobs``, ``checkpoint_interval``,
-    ``incremental``, ``cache_dir``, ``sim_backend``, ``run_index``) are
-    excluded by construction, so records group by *what* was computed,
-    not how fast.  The flow name is part of the key: a generation and a
-    translation run of the same config compute different things and
-    must not land in one trend group."""
+    Covers every :class:`~repro.core.config.FlowConfig` field except
+    the deployment settings ``jobs``, ``cache_dir`` and ``run_index``,
+    which cannot change the bits of a result, so records group by
+    *what* was computed, not where it was stored.  The flow name is
+    part of the key: a generation and a translation run of the same
+    config compute different things and must not land in one trend
+    group."""
     from dataclasses import asdict
 
     from ..cache.fingerprint import config_fingerprint
@@ -589,7 +588,6 @@ def record_flow_run(cfg, circuit, flow: str,
             config_fp=run_config_fingerprint(cfg, flow=flow),
             flow=flow,
             wall_seconds=wall_seconds,
-            backend=cfg.effective_sim_backend(),
             telemetry=obs.active(),
         )
         return RunIndex(path).append(record)

@@ -12,13 +12,10 @@ Three layers, each usable alone:
 :class:`ProgressModel`
     An event-fold: feed it journal events (live from a follower, or a
     whole recorded journal) and ask for a :class:`ProgressSnapshot` —
-    phase tree, an overall completion fraction and an ETA.  Phase
-    *weights* (relative expected costs) seed the fraction: warm runs
-    get weights derived
-    from cached detection-time entries (:func:`phase_weights_from_store`,
-    journaled by the pipeline as a ``progress.estimate`` event); cold
-    runs fall back to :data:`DEFAULT_PHASE_WEIGHTS` plus live
-    completion rates.
+    phase tree, an overall completion fraction and an ETA.  Static
+    phase weights (:data:`DEFAULT_PHASE_WEIGHTS`) split the fraction
+    across phases; ``progress.work`` totals give the fraction inside
+    the active one.
 
 :func:`render_watch`
     Plain-text rendering of a snapshot (progress bars, top metrics) —
@@ -36,15 +33,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .journal import rotated_journal_path
 from .trace import MAIN_SRC
 
-#: Relative expected cost per pipeline phase (leaf span name) when no
-#: cached history is available.  Units are arbitrary — only ratios
-#: matter.  Derived from typical benchmark splits: ATPG and the two
-#: compaction passes dominate; structural passes are noise.
+#: Relative expected cost per pipeline phase (leaf span name).  Units
+#: are arbitrary — only ratios matter.  Derived from typical benchmark
+#: splits: ATPG and the two compaction passes dominate; structural
+#: passes are noise.
 DEFAULT_PHASE_WEIGHTS: Dict[str, float] = {
     "scan_insert": 1.0,
     "collapse": 2.0,
@@ -58,51 +55,6 @@ DEFAULT_PHASE_WEIGHTS: Dict[str, float] = {
 
 #: Weight assumed for a phase no table mentions.
 _UNKNOWN_PHASE_WEIGHT = 5.0
-
-
-def phase_weights_from_store(store, circuit_fp: str) -> Optional[Dict[str, float]]:
-    """Warm per-phase weights for a circuit from its cached detection
-    entries, or None when the cache has none.
-
-    A ``detection`` payload records ``(fault, detection_time)`` pairs —
-    its length is the fault count the ATPG phase must target and its
-    horizon (max detection time) is the sequence length the compaction
-    passes must sweep.  Both scale the phases' relative costs far better
-    than static defaults: ATPG work goes with faults, restoration and
-    omission with vectors.  The largest entry for the circuit wins
-    (most complete run).  Heuristic by design — weights only steer the
-    progress fraction, never correctness.
-    """
-    best: Optional[Tuple[int, int]] = None
-    try:
-        entries = store.entries_for_circuit(circuit_fp)
-    except Exception:
-        return None
-    for stage, payload in entries:
-        if stage != "detection":
-            continue
-        times = payload.get("times") or []
-        if not times:
-            continue
-        try:
-            horizon = max(int(t) for _fault, t in times) + 1
-        except (TypeError, ValueError):
-            continue
-        if best is None or len(times) > best[0]:
-            best = (len(times), horizon)
-    if best is None:
-        return None
-    faults, horizon = best
-    return {
-        "scan_insert": 0.02 * faults,
-        "collapse": 0.05 * faults,
-        "atpg": 1.0 * faults,
-        "baseline_atpg": 0.8 * faults,
-        "translate": 0.1 * faults,
-        "redundancy": 0.1 * faults,
-        "restoration": 0.5 * horizon,
-        "omission": 1.0 * horizon,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +246,6 @@ class ProgressSnapshot:
     finished: bool = False
     started: bool = False
     events: int = 0
-    weights_source: str = "default"
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -307,11 +258,9 @@ class ProgressModel:
     journal from a crashed run still snapshots sensibly.
     """
 
-    def __init__(self, weights: Optional[Dict[str, float]] = None):
+    def __init__(self):
         self.trace_id = ""
         self.flow = ""
-        self.weights = dict(weights or DEFAULT_PHASE_WEIGHTS)
-        self.weights_source = "default"
         self.planned: List[str] = []
         self.events = 0
         self.finished = False
@@ -423,18 +372,12 @@ class ProgressModel:
                     "unit": str(data.get("unit", "")),
                     "done": int(data.get("done", 0) or 0),
                 }
-        elif etype == "progress.estimate":
-            weights = data.get("weights")
-            if isinstance(weights, dict):
-                for name, value in weights.items():
-                    if isinstance(value, (int, float)) and value > 0:
-                        self.weights[str(name)] = float(value)
-                self.weights_source = str(data.get("source", "estimate"))
 
     # -- snapshot -----------------------------------------------------------
 
-    def _phase_weight(self, leaf: str) -> float:
-        return self.weights.get(leaf, _UNKNOWN_PHASE_WEIGHT)
+    @staticmethod
+    def _phase_weight(leaf: str) -> float:
+        return DEFAULT_PHASE_WEIGHTS.get(leaf, _UNKNOWN_PHASE_WEIGHT)
 
     def _intra_fraction(self, leaf: str) -> float:
         """Completion fraction inside the active phase: declared work
@@ -505,8 +448,7 @@ class ProgressModel:
             trace_id=self.trace_id, flow=self.flow, phase=current,
             phases=display, elapsed=elapsed,
             fraction=fraction, eta=eta, finished=self.finished,
-            started=self.started, events=self.events,
-            weights_source=self.weights_source, metrics=top)
+            started=self.started, events=self.events, metrics=top)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +484,7 @@ def render_watch(snap: ProgressSnapshot, top_metrics: int = 5) -> str:
     lines.append(f"run {run}{flow} - {status} - "
                  f"elapsed {_fmt_seconds(snap.elapsed)}")
     lines.append(f"{_bar(snap.fraction)} {snap.fraction * 100:5.1f}%  "
-                 f"ETA {_fmt_seconds(snap.eta)}  "
-                 f"(weights: {snap.weights_source})")
+                 f"ETA {_fmt_seconds(snap.eta)}")
     if snap.phase:
         lines.append(f"phase: {snap.phase}")
     if snap.phases:

@@ -8,14 +8,13 @@ A submission is a JSON object::
      "config": {"seed": 1, "num_chains": 2, ...}}     # FlowConfig fields
 
 :func:`parse_submission` canonicalizes it to ``(Circuit, FlowConfig,
-flow)`` — rejecting unknown config keys and malformed circuits with
-:class:`SubmissionError` (the HTTP layer's 400) — and
-:func:`job_fingerprints` derives the **dedup key**: the PR-5 circuit
-fingerprint paired with the PR-8 run-config fingerprint.  The latter
-excludes speed knobs (``jobs``, ``checkpoint_interval``,
-``incremental``, ``cache_dir``, ``sim_backend``, ``run_index``) by
-construction, so two payloads that differ only in how fast to compute
-collapse onto one job, while any semantic knob splits the key.
+flow)`` — rejecting unknown config keys, mistyped config values and
+malformed circuits with :class:`SubmissionError` (the HTTP layer's
+400) — and :func:`job_fingerprints` derives the **dedup key**: the
+circuit fingerprint paired with the run-config fingerprint.  A
+submission may only set config fields that change result bits, each
+with its exact JSON type, so every accepted payload maps to one key and
+any differing field splits it.
 
 :func:`run_job` is the **module-level pool task** (spawn-safe, plain
 dict in / plain dict out) executed on the daemon's persistent worker
@@ -55,20 +54,19 @@ from ..obs.history import run_config_fingerprint
 #: Flow names a submission may request.
 FLOWS = ("generation", "translation")
 
-#: FlowConfig fields a submission's ``config`` object may set.  The
-#: engine-config objects (``atpg``/``baseline``) are deliberately not
-#: accepted over the wire — they are derived from ``seed`` exactly as
-#: the CLI derives them.
-CONFIG_FIELDS = frozenset({
-    "seed", "num_chains", "compact", "classify_redundant",
-    "use_scan_knowledge", "use_justification",
-    "redundancy_backtrack_limit", "max_omission_passes",
-    # speed knobs: accepted (clients may tune them) but excluded from
-    # the dedup key by run_config_fingerprint's construction; cache_dir
-    # and run_index are additionally overridden by the server.
-    "jobs", "checkpoint_interval", "incremental", "sim_backend",
-    "cache_dir", "run_index",
-})
+#: FlowConfig fields a submission's ``config`` object may set, with the
+#: JSON type each must have: exactly the fields that change result bits,
+#: so every accepted value is part of the dedup key.  The engine-config
+#: objects (``atpg``/``baseline``) are deliberately not accepted over the
+#: wire — they are derived from ``seed`` exactly as the CLI derives them.
+#: The deployment settings (``jobs``, ``cache_dir``, ``run_index``) are
+#: the server's to choose, so they are unknown fields here.
+CONFIG_FIELDS = {
+    "seed": int, "num_chains": int, "compact": bool,
+    "classify_redundant": bool, "use_scan_knowledge": bool,
+    "use_justification": bool, "redundancy_backtrack_limit": int,
+    "max_omission_passes": int,
+}
 
 
 class SubmissionError(ValueError):
@@ -90,10 +88,20 @@ def parse_submission(payload: Any) -> Tuple[Circuit, FlowConfig, str]:
     raw_cfg = payload.get("config", {})
     if not isinstance(raw_cfg, dict):
         raise SubmissionError("config must be a JSON object")
-    unknown = set(raw_cfg) - CONFIG_FIELDS
+    unknown = set(raw_cfg) - set(CONFIG_FIELDS)
     if unknown:
         raise SubmissionError(
             f"unknown config field(s): {', '.join(sorted(unknown))}")
+    for name, value in raw_cfg.items():
+        # JSON true/false are Python bools, and bool subclasses int: an
+        # integer field must reject them, or {"seed": true} would run as
+        # seed 1 under a dedup key of its own.
+        wanted = CONFIG_FIELDS[name]
+        if type(value) is not wanted:
+            raise SubmissionError(
+                f"config field {name!r} must be a JSON "
+                f"{'boolean' if wanted is bool else 'integer'}, "
+                f"got {value!r}")
     try:
         cfg = FlowConfig(**raw_cfg)
     except (TypeError, ValueError) as exc:
@@ -164,8 +172,8 @@ def job_fingerprints(circuit: Circuit, cfg: FlowConfig,
     """The canonical ``(circuit_fp, config_fp)`` identity of one job.
 
     ``config_fp`` is :func:`repro.obs.history.run_config_fingerprint`,
-    which covers exactly the semantic knobs (and the flow name) —
-    speed knobs cannot move it.
+    which covers every field that changes result bits (and the flow
+    name) — the server's ``cache_dir``/``run_index`` cannot move it.
     """
     return circuit_fingerprint(circuit), run_config_fingerprint(cfg, flow)
 

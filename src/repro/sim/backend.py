@@ -9,25 +9,20 @@ Two standard backends implement the protocol, bit-identically:
   compiled C kernel over uint64 planes.  Needs numpy and a C compiler
   (found automatically, the library cached per machine).
 
-``"auto"`` — the default everywhere — picks ``vector`` when it is
-available and the run is big enough for kernel setup to amortize: at
-least ``AUTO_MIN_FAULTS`` fault machines or ``AUTO_MIN_GATES`` gates.
-Every other case falls back to ``packed``.  Because the backends are
-bit-identical, ``auto`` is a pure performance knob: it can never change
-result bits.
-
-Selection precedence mirrors the other environment-backed knobs
-(``REPRO_CACHE``, ``REPRO_RUN_INDEX``): an explicit name
-(``FlowConfig(sim_backend=...)``, ``--sim-backend``) wins, then the
-``REPRO_SIM_BACKEND`` environment variable, then ``auto``.  Custom
-API-compatible ``simulator_factory`` callables (e.g.
-``PackedTransitionSimulator``, test doubles) bypass selection.
+The flows never name a backend.  ``auto`` (``None``) picks ``vector``
+when it is available and the run is big enough for kernel setup to
+amortize: at least ``AUTO_MIN_FAULTS`` fault machines or
+``AUTO_MIN_GATES`` gates.  Every other case falls back to ``packed``.
+Because the backends are bit-identical, the choice can never change
+result bits.  An explicit ``"packed"`` or ``"vector"`` exists for the
+backend parity tests and benchmarks.  Custom API-compatible
+``simulator_factory`` callables (e.g. ``PackedTransitionSimulator``,
+test doubles) bypass selection.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
 from time import perf_counter
 from typing import (
     Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
@@ -48,9 +43,6 @@ BACKEND_VECTOR = "vector"
 
 #: The concrete (selectable) backends, in preference order.
 BACKEND_NAMES = (BACKEND_PACKED, BACKEND_VECTOR)
-
-#: Environment override consulted when no explicit name is given.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
 
 #: ``auto`` keeps fault lists smaller than this on the packed backend.
 #: The ATPG beam search builds one single-fault mini sim per target and
@@ -122,10 +114,10 @@ def vector_available() -> bool:
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Apply the ``explicit -> $REPRO_SIM_BACKEND -> auto`` rule and
-    validate the result (``auto`` or a concrete backend name)."""
+    """Validate a backend name (``None`` means ``auto``); returns
+    ``auto`` or a concrete backend name."""
     if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip() or BACKEND_AUTO
+        return BACKEND_AUTO
     if name != BACKEND_AUTO and name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown sim backend {name!r}: expected one of "
@@ -165,8 +157,8 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
                  name: Optional[str] = None) -> SimBackend:
     """Build a fault simulator for ``circuit`` × ``faults``.
 
-    ``name`` is ``"auto"`` (default), ``"packed"``, ``"vector"``, or
-    ``None`` (defer to ``REPRO_SIM_BACKEND``, then ``auto``).  An
+    ``name`` is ``None``/``"auto"`` (the size rule of
+    :func:`resolve_concrete_backend`), ``"packed"`` or ``"vector"``.  An
     explicit ``"vector"`` without numpy or a C compiler raises
     :class:`RuntimeError` rather than silently degrading.  Emits one
     ``faultsim.backend`` event (journal) and counter/gauges (metrics
@@ -190,18 +182,3 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
               compile_seconds=round(compile_seconds, 6),
               plane_bytes=plane_bytes)
     return sim
-
-
-def coerce_simulator_factory(factory, name: Optional[str], owner: str):
-    """Resolve an ``(simulator_factory, sim_backend)`` argument pair to
-    ``(custom_factory_or_None, backend_name)``.
-
-    A custom API-compatible factory (transition simulator, test double)
-    passes through untouched; combining it with an explicit backend
-    name is a :class:`TypeError`.
-    """
-    if factory is not None and name is not None:
-        raise TypeError(
-            f"{owner}: cannot combine a custom simulator_factory with "
-            f"sim_backend={name!r}")
-    return factory, name

@@ -7,12 +7,13 @@ the omitted vector, restoration trials share everything outside one
 span, tail-trimming trials are literal prefixes of each other.  A
 :class:`SimSession` wraps one packed simulator and exploits that:
 
-* **Checkpointing** — every ``checkpoint_interval`` cycles the packed
-  flip-flop planes are snapshotted.  A query first computes the longest
-  common prefix between its vector sequence and the previous timeline,
-  restores the latest checkpoint at or before that point, and simulates
-  only the suffix.  Checkpoints beyond the first modified cycle are
-  discarded (they describe a timeline that no longer exists).
+* **Checkpointing** — every ``max(4, isqrt(n))`` cycles of an
+  ``n``-vector query the packed flip-flop planes are snapshotted, so
+  snapshot memory grows as ``sqrt(n)``.  A query first computes the
+  longest common prefix between its vector sequence and the previous
+  timeline, restores the latest checkpoint at or before that point, and
+  simulates only the suffix.  Checkpoints beyond the first modified
+  cycle are discarded (they describe a timeline that no longer exists).
 * **Fault dropping** — callers may :meth:`drop` faults they no longer
   care about (already secured by an earlier prefix, say).  Dropped
   faults stop being reported immediately, and once the live set shrinks
@@ -40,19 +41,13 @@ Correctness invariants:
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
-from .backend import (
-    backend_class,
-    coerce_simulator_factory,
-    make_backend,
-    resolve_concrete_backend,
-)
+from .backend import backend_class, make_backend, resolve_concrete_backend
 from .logic_sim import vector_from_string
 
 
@@ -89,28 +84,16 @@ class SimSession:
         Fault universe.  Defines the *external* mask convention for the
         session's lifetime: bit ``i + 1`` of every mask refers to
         ``faults[i]``, regardless of dropping/repacking.
-    checkpoint_interval:
-        Snapshot the packed state every this many cycles (also at the
-        end of each query).  Smaller means finer resume granularity but
-        more snapshot overhead.  ``0`` selects an automatic policy:
-        the interval scales with each query's sequence length
-        (``max(4, isqrt(n))``) so snapshot memory grows as ``sqrt(n)``
-        rather than linearly at 10k-gate scale.  Independently, the
-        ``REPRO_CHECKPOINT_MB`` environment variable bounds estimated
-        total snapshot memory by widening the effective interval —
-        a speed/memory knob only; detection results are bit-identical
-        for every interval.
     sim_backend:
-        Backend name resolved through
-        :func:`~repro.sim.backend.resolve_concrete_backend` —
-        ``"auto"`` (default), ``"packed"``, ``"vector"`` or ``None``
-        (defer to ``REPRO_SIM_BACKEND``).  Resolved to a concrete
-        backend *once*, at construction: fault-dropping repacks rebuild
-        the same backend, because checkpoint state tokens are remapped
-        in the backend's own token format and must never switch formats
-        mid-session.
+        ``None`` (default) applies the size rule of
+        :func:`~repro.sim.backend.resolve_concrete_backend`; an explicit
+        ``"packed"`` or ``"vector"`` exists for the backend parity tests
+        and benchmarks.  Resolved to a concrete backend *once*, at
+        construction: fault-dropping repacks rebuild the same backend,
+        because checkpoint state tokens are remapped in the backend's
+        own token format and must never switch formats mid-session.
     simulator_factory:
-        A custom ``factory(circuit, faults)`` overriding backend
+        A custom ``factory(circuit, faults)`` used instead of backend
         selection (the transition simulator is API-compatible, except
         ``initial_state`` queries, which need ``load_state``).
     incremental:
@@ -123,30 +106,24 @@ class SimSession:
         circuit: Circuit,
         faults: Sequence[Fault],
         *,
-        checkpoint_interval: int = 4,
         simulator_factory=None,
         sim_backend: Optional[str] = None,
         incremental: bool = True,
     ):
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0 (0 = auto)")
         self.circuit = circuit
         self.faults = list(faults)
-        self.checkpoint_interval = checkpoint_interval
         self.incremental = incremental
-        factory, backend = coerce_simulator_factory(
-            simulator_factory, sim_backend, "SimSession")
-        if factory is None:
+        if simulator_factory is None:
             #: Concrete backend name pinned for the session's lifetime
             #: (None with a custom factory).
             self.sim_backend = resolve_concrete_backend(
-                backend, len(self.faults), circuit.num_gates)
+                sim_backend, len(self.faults), circuit.num_gates)
             self._factory = backend_class(self.sim_backend)
             self._sim = make_backend(circuit, self.faults, self.sim_backend)
         else:
             self.sim_backend = None
-            self._factory = factory
-            self._sim = factory(circuit, self.faults)
+            self._factory = simulator_factory
+            self._sim = simulator_factory(circuit, self.faults)
         self._position = {f: i for i, f in enumerate(self.faults)}
 
         #: external mask with one bit per fault (bit 0 clear).
@@ -325,41 +302,6 @@ class SimSession:
             cp for cp in self._checkpoints if cp.cycle <= from_cycle
         ]
 
-    def _token_bytes_estimate(self) -> int:
-        """Rough per-checkpoint memory estimate: one plane per flip-flop,
-        one bit per live machine (both packed bigints and vector planes
-        are within a small constant of this)."""
-        machines = len(self._live_positions) + 1
-        flops = max(1, len(self.circuit.flops))
-        return flops * ((machines + 7) // 8)
-
-    def _effective_interval(self, n: int) -> int:
-        """Checkpoint interval for a query over ``n`` vectors.
-
-        A configured interval >= 1 is used as-is; ``0`` scales with the
-        sequence length so snapshot count (hence memory) grows as
-        ``sqrt(n)``.  ``REPRO_CHECKPOINT_MB``, when set, additionally
-        widens the interval until estimated snapshot memory fits the
-        budget.  Interval choice only affects resume granularity, never
-        detection bits.
-        """
-        if self.checkpoint_interval:
-            interval = self.checkpoint_interval
-        else:
-            interval = max(4, math.isqrt(max(n, 1)))
-        budget_mb = os.environ.get("REPRO_CHECKPOINT_MB", "")
-        if budget_mb:
-            try:
-                budget = float(budget_mb) * 1_000_000
-            except ValueError:
-                budget = 0.0
-            if budget > 0:
-                per_cp = max(1, self._token_bytes_estimate())
-                max_checkpoints = max(2, int(budget // per_cp))
-                if n // interval + 1 > max_checkpoints:
-                    interval = -(-n // max_checkpoints)  # ceil div
-        return max(1, interval)
-
     @staticmethod
     def _normalize(vectors: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
         return [
@@ -431,7 +373,9 @@ class SimSession:
             self.checkpoint_misses += 1
             obs.incr("faultsim.session.checkpoint_misses")
 
-        interval = self._effective_interval(len(vectors))
+        # Interval choice only affects resume granularity, never
+        # detection bits.
+        interval = max(4, math.isqrt(len(vectors)))
         incremental = self.incremental
         last_cp_cycle = checkpoints[-1].cycle if checkpoints else 0
         faults = self.faults

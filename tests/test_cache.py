@@ -197,12 +197,12 @@ class _ExplodingOracle(CompactionOracle):
         self._fuse = explode_after
         self.dropped_at_boom = None
 
-    def detected_mask(self, vectors, target_mask=None, initial_state=None):
+    def detected_mask(self, vectors, target_mask=None):
         self._fuse -= 1
         if self._fuse < 0:
             self.dropped_at_boom = self.session.dropped_mask
             raise RuntimeError("boom")
-        return super().detected_mask(vectors, target_mask, initial_state)
+        return super().detected_mask(vectors, target_mask)
 
 
 def test_omission_restores_drops_on_mid_sweep_failure():

@@ -142,21 +142,19 @@ class TestPipelineOrder:
 
 class TestOracle:
     def test_checkpoint_equals_scratch(self, s27_scan_case):
-        """Suffix simulation from a checkpoint equals whole-sequence
-        simulation (the machinery omission relies on)."""
+        """A query that resumes from the checkpoints an earlier prefix
+        query left behind equals whole-sequence simulation from scratch
+        (the machinery omission relies on)."""
         circuit, faults, sequence = s27_scan_case
-        oracle = CompactionOracle(circuit, faults)
         vectors = list(sequence.vectors)
-        checkpoint = oracle.reset_checkpoint()
-        prefix_mask = 0
-        split = min(10, len(vectors) // 2)
-        for vector in vectors[:split]:
-            checkpoint, newly = oracle.advance(checkpoint, vector)
-            prefix_mask |= newly
-        suffix_mask = oracle.detected_mask(vectors[split:],
-                                           initial_state=checkpoint)
-        scratch = oracle.detected_mask(vectors)
-        assert prefix_mask | suffix_mask == scratch
+        oracle = CompactionOracle(circuit, faults)
+        oracle.detected_mask(vectors[:min(10, len(vectors) // 2)])
+        hits = oracle.session.checkpoint_hits
+        resumed = oracle.detected_mask(vectors)
+        assert oracle.session.checkpoint_hits == hits + 1
+        scratch = CompactionOracle(circuit, faults,
+                                   incremental=False).detected_mask(vectors)
+        assert resumed == scratch
 
     def test_mask_roundtrip(self, s27_scan_case):
         circuit, faults, _ = s27_scan_case

@@ -247,7 +247,6 @@ class TestCorpusRegistry:
         assert over["classify_redundant"] is False
         assert over["use_scan_knowledge"] is False
         assert over["use_justification"] is False
-        assert over["checkpoint_interval"] == 0
         # Deterministic: the same spec always yields the same preset.
         assert flow_overrides("corpus:s15850") == over
         # The overrides must all be FlowConfig fields.
@@ -327,29 +326,32 @@ class TestCli:
 # -- scale machinery stays bit-identical --------------------------------------
 
 class TestScaleKnobs:
-    def _times(self, monkeypatch, **session_kwargs):
+    def test_auto_interval_bit_identical(self):
+        """On sequences longer than 24 vectors the session's checkpoint
+        interval ``max(4, isqrt(n))`` exceeds 4; resuming from those
+        checkpoints answers exactly like restarting every query from
+        cycle 0."""
         from repro.faults.collapse import collapse_faults
         from repro.sim.session import SimSession
         from tests.util import random_vectors
 
         circuit = random_circuit("sk", 5, 8, 60, seed=21)
         faults = collapse_faults(circuit)
-        session = SimSession(circuit, faults, **session_kwargs)
-        vectors = random_vectors(circuit, 40, seed=2)
-        times = session.detection_times(vectors)
-        # A second, prefix-sharing query exercises checkpoint resume.
-        again = session.detection_times(vectors[:25])
-        return times, again
+        vectors = random_vectors(circuit, 81, seed=2)
+        edited = [list(v) for v in vectors]
+        edited[40] = [1 - bit for bit in edited[40]]
+        # Prefix re-queries, an edit past the first checkpoints, and a
+        # query that omits one vector, as omission trials do.
+        queries = [vectors, vectors[:60], edited, vectors[:50] + vectors[51:],
+                   vectors]
 
-    def test_auto_interval_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_MB", raising=False)
-        base = self._times(monkeypatch, checkpoint_interval=4)
-        auto = self._times(monkeypatch, checkpoint_interval=0)
-        assert base == auto
+        def answers(incremental):
+            session = SimSession(circuit, faults, incremental=incremental)
+            got = [session.detection_times(q) for q in queries]
+            got.append(session.detected_mask(edited[:70]))
+            return got, session.checkpoint_hits
 
-    def test_memory_budget_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_MB", raising=False)
-        base = self._times(monkeypatch, checkpoint_interval=4)
-        monkeypatch.setenv("REPRO_CHECKPOINT_MB", "0.000001")
-        bounded = self._times(monkeypatch, checkpoint_interval=4)
-        assert base == bounded
+        resumed, hits = answers(True)
+        restarted, _ = answers(False)
+        assert resumed == restarted
+        assert hits > 0

@@ -82,16 +82,35 @@ class TestConfigFingerprint:
                 != run_config_fingerprint(cfg, flow="translation"))
 
     def test_speed_knobs_do_not(self):
-        """jobs / checkpoint_interval / cache / backend / run_index
-        cannot change result bits, so they must not split trend groups."""
+        """The deployment settings jobs / cache_dir / run_index cannot
+        change result bits, so they must not split trend groups."""
         base = run_config_fingerprint(FlowConfig())
         for cfg in (FlowConfig(jobs=4),
-                    FlowConfig(checkpoint_interval=9),
-                    FlowConfig(incremental=False),
                     FlowConfig(cache_dir="/tmp/x"),
-                    FlowConfig(sim_backend="packed"),
                     FlowConfig(run_index="runs.sqlite")):
             assert run_config_fingerprint(cfg) == base
+
+    def test_every_field_is_hashed_or_a_deployment_setting(self,
+                                                          monkeypatch):
+        """FlowConfig says what to compute: its fields are exactly the
+        keys the run fingerprint hashes plus the deployment settings.  A
+        new field must either change the fingerprint or be declared a
+        deployment setting here."""
+        import dataclasses
+
+        from repro.cache import fingerprint
+
+        hashed = {}
+        real = fingerprint.config_fingerprint
+        monkeypatch.setattr(
+            fingerprint, "config_fingerprint",
+            lambda stage, **fields: hashed.update(fields) or real(
+                stage, **fields))
+        run_config_fingerprint(FlowConfig())
+        config_keys = set(hashed) - {"flow", "scan"}
+        fields = {f.name for f in dataclasses.fields(FlowConfig)}
+        assert fields == config_keys | {"jobs", "cache_dir", "run_index"}
+        assert not config_keys & {"jobs", "cache_dir", "run_index"}
 
 
 # -- records -----------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.obs import (
     follow_journal,
     new_span_id,
     new_trace_id,
-    phase_weights_from_store,
     progress_snapshot,
     read_journal,
     render_watch,
@@ -226,16 +225,6 @@ def test_progress_model_mid_run_fraction_and_eta():
     assert "50/100 faults" in render_watch(snap)
 
 
-def test_progress_model_estimate_event_overrides_weights():
-    model = ProgressModel()
-    model.ingest({"seq": 0, "t": 0.0, "type": "progress.estimate",
-                  "data": {"source": "cache",
-                           "weights": {"atpg": 500.0, "bogus": -1}}})
-    assert model.weights["atpg"] == 500.0
-    assert model.weights_source == "cache"
-    assert "bogus" not in model.weights       # non-positive values ignored
-
-
 def test_render_watch_before_any_event():
     assert render_watch(ProgressModel().snapshot(now=0.0)) == \
         "waiting for journal events..."
@@ -251,22 +240,6 @@ def test_in_process_progress_snapshot():
     assert snap is not None and snap.started and not snap.finished
     assert snap.phase == "pipeline/atpg"
     assert snap.flow == "generation"
-
-
-# -- warm phase weights from the cache ---------------------------------------
-
-
-def test_phase_weights_from_store_scales_with_history(tmp_path):
-    store = ResultStore(tmp_path / "cache")
-    assert phase_weights_from_store(store, "f" * 40) is None
-    times = [[f"g{i}/0/1", i % 60] for i in range(200)]
-    store.put("detection", "f" * 40, "c" * 40, {"times": times})
-    weights = phase_weights_from_store(store, "f" * 40)
-    assert weights is not None
-    assert weights["atpg"] == pytest.approx(200.0)       # 1.0 * faults
-    assert weights["omission"] == pytest.approx(60.0)    # 1.0 * horizon
-    # Other circuits are unaffected.
-    assert phase_weights_from_store(store, "0" * 40) is None
 
 
 # -- trace export ------------------------------------------------------------

@@ -184,9 +184,8 @@ class TestFlowConfig:
         assert (cfg.seed, cfg.num_chains) == (1, 2)
 
     def test_validation(self):
-        assert FlowConfig(checkpoint_interval=0).checkpoint_interval == 0
         with pytest.raises(ValueError):
-            FlowConfig(checkpoint_interval=-1)
+            FlowConfig(jobs=-1)
         with pytest.raises(ValueError):
             FlowConfig(max_omission_passes=0)
         with pytest.raises(ValueError):

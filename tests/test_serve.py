@@ -2,8 +2,9 @@
 the live daemon (dedup/cache/SSE/back-pressure), budgets and graceful
 shutdown.
 
-The dedup guarantee is the heart: payloads that differ only in speed
-knobs collapse onto one job fingerprint, concurrent identical
+The dedup guarantee is the heart: a submission may set only the config
+fields that change result bits, each with its exact JSON type, so every
+accepted payload has one job fingerprint; concurrent identical
 submissions share one execution, and cache replays are bit-identical
 to the original run.
 """
@@ -128,11 +129,10 @@ def test_fair_queue_drain_returns_leftovers():
 
 # -- the dedup key (satellite: property test) ---------------------------------
 
-SPEED_KNOBS = {
+#: Deployment settings the server chooses itself (run_job overrides
+#: cache_dir and run_index); clients cannot set them.
+SERVER_SETTINGS = {
     "jobs": 4,
-    "checkpoint_interval": 9,
-    "incremental": False,
-    "sim_backend": "packed",
     "cache_dir": "/tmp/some-cache",
     "run_index": "/tmp/some-index.sqlite",
 }
@@ -150,11 +150,34 @@ SEMANTIC_KNOBS = {
 
 
 def test_speed_knobs_do_not_move_the_job_fingerprint():
-    base = job_fingerprints(*parse_submission(submission()))
-    for knob, value in SPEED_KNOBS.items():
-        varied = job_fingerprints(
-            *parse_submission(submission({knob: value})))
-        assert varied == base, f"speed knob {knob} moved the dedup key"
+    circuit, cfg, flow = parse_submission(submission())
+    base = job_fingerprints(circuit, cfg, flow)
+    for knob, value in SERVER_SETTINGS.items():
+        varied = job_fingerprints(circuit, cfg.replace(**{knob: value}),
+                                  flow)
+        assert varied == base, f"server setting {knob} moved the dedup key"
+
+
+@pytest.mark.parametrize("config, message", [
+    # bool is an int subclass: true would run as seed 1 under its own key
+    ({"seed": True}, "'seed' must be a JSON integer"),
+    ({"seed": "x"}, "'seed' must be a JSON integer"),
+    ({"num_chains": 1.0}, "'num_chains' must be a JSON integer"),
+    ({"max_omission_passes": None}, "'max_omission_passes' must be a JSON"),
+    ({"compact": "no"}, "'compact' must be a JSON boolean"),
+    ({"use_justification": 0}, "'use_justification' must be a JSON boolean"),
+    # deployment settings are the server's, deleted knobs are gone
+    ({"jobs": 2}, "unknown config field"),
+    ({"cache_dir": "/tmp/x"}, "unknown config field"),
+    ({"run_index": "runs.sqlite"}, "unknown config field"),
+    ({"checkpoint_interval": 9}, "unknown config field"),
+    ({"incremental": False}, "unknown config field"),
+    ({"sim_backend": "packed"}, "unknown config field"),
+])
+def test_parse_submission_rejects_mistyped_and_unknown_fields(config,
+                                                              message):
+    with pytest.raises(SubmissionError, match=message):
+        parse_submission(submission(config))
 
 
 def test_semantic_knobs_split_the_job_fingerprint():
@@ -209,7 +232,7 @@ def test_parse_submission_rejects_garbage():
 
 def test_canonical_submission_round_trips():
     circuit, cfg, flow = parse_submission(
-        submission({"seed": 3, "jobs": 2}))
+        submission({"seed": 3, "num_chains": 2, "compact": False}))
     canonical = canonical_submission(circuit, cfg, flow)
     again = parse_submission(canonical)
     assert job_fingerprints(*again) == job_fingerprints(circuit, cfg, flow)
@@ -369,8 +392,7 @@ def test_warm_cache_hit_is_bit_identical_and_fast(live_server):
     done = client.wait(first["job_id"])
 
     t0 = time.perf_counter()
-    warm = client.submit(S27_BENCH,
-                         config={"seed": 9, "checkpoint_interval": 7})
+    warm = client.submit(S27_BENCH, config={"seed": 9})
     elapsed = time.perf_counter() - t0
     assert warm["source"] == "cache"
     assert warm["result"] == done["result"]
@@ -410,6 +432,10 @@ def test_http_error_paths(live_server):
     with pytest.raises(ServeError) as excinfo:
         client.submit(S27_BENCH, config={"nope": 1})
     assert excinfo.value.status == 400
+    with pytest.raises(ServeError) as excinfo:
+        client.submit(S27_BENCH, config={"seed": "x"})
+    assert excinfo.value.status == 400
+    assert "'seed' must be a JSON integer" in str(excinfo.value)
 
 
 def test_healthz_and_stats_expose_pool_occupancy(live_server):
@@ -459,7 +485,7 @@ def test_duplicate_submission_is_deduped_not_queued(tmp_path):
         # Queue is full (depth 1) — but an identical submission dedupes
         # instead of bouncing off the full queue.
         status2, body2 = server.submit(
-            submission({"seed": 1, "jobs": 8}), "team-b")
+            submission({"seed": 1}), "team-b")
     assert status1 == 202
     assert status2 == 200 and body2["source"] == "dedup"
     assert body2["job_id"] == body1["job_id"]

@@ -6,7 +6,7 @@ The contract under test: the ``vector`` backend is bit-identical to the
 per-step detection masks, ``run()`` detection maps and (cycle, position)
 ordering, state tokens round-tripping through :class:`SimSession`
 checkpoints, and fault drops/repacks.  Backend selection
-(``auto``/env/explicit), custom simulator factories, and the
+(``auto``/explicit), custom simulator factories, and the
 no-numpy-when-packed guarantee are covered alongside.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FlowConfig, obs
+from repro import obs
 from repro.circuit import (
     Circuit, FlipFlop, Gate, insert_scan, random_circuit, s27,
 )
@@ -39,8 +39,6 @@ from repro.sim import (
 from repro.sim import backend as backend_mod
 from repro.sim.backend import (
     AUTO_MIN_FAULTS,
-    BACKEND_ENV,
-    coerce_simulator_factory,
     numpy_available,
     resolve_concrete_backend,
     vector_available,
@@ -223,8 +221,7 @@ def test_session_checkpoint_drop_repack_parity(circuit):
     edited[10] = [1 - v for v in edited[10]]
 
     def drive(name):
-        session = SimSession(circuit, faults, checkpoint_interval=4,
-                             sim_backend=name)
+        session = SimSession(circuit, faults, sim_backend=name)
         answers = [session.detection_times(vectors)]
         answers.append(session.detection_times(vectors[:12]))
         detected = session.detected_mask(vectors)
@@ -257,59 +254,41 @@ def test_session_pins_concrete_backend():
     assert type(session._sim).backend_name == expected
 
 
-# -- selection: auto / env / explicit ----------------------------------------
+# -- selection: auto / explicit ----------------------------------------------
 
 
-def test_resolve_backend_name_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_resolve_backend_name_precedence():
     assert resolve_backend_name(None) == BACKEND_AUTO
+    assert resolve_backend_name(BACKEND_AUTO) == BACKEND_AUTO
     assert resolve_backend_name(BACKEND_PACKED) == BACKEND_PACKED
-    monkeypatch.setenv(BACKEND_ENV, BACKEND_PACKED)
-    assert resolve_backend_name(None) == BACKEND_PACKED
-    # explicit beats environment
     assert resolve_backend_name(BACKEND_VECTOR) == BACKEND_VECTOR
 
 
-def test_resolve_backend_name_rejects_unknown(monkeypatch):
+def test_resolve_backend_name_rejects_unknown():
     with pytest.raises(ValueError, match="unknown sim backend"):
         resolve_backend_name("gpu")
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        resolve_backend_name(None)
 
 
-def test_flow_config_validates_backend(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        FlowConfig(sim_backend="bogus")
-    assert FlowConfig(sim_backend="packed").effective_sim_backend() == \
-        BACKEND_PACKED
-    assert FlowConfig().effective_sim_backend() == BACKEND_AUTO
-
-
-def test_auto_keeps_small_fault_lists_packed(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_auto_keeps_small_fault_lists_packed():
     assert resolve_concrete_backend(
         BACKEND_AUTO, AUTO_MIN_FAULTS - 1) == BACKEND_PACKED
 
 
 @pytest.mark.skipif(not vector_available(),
                     reason="vector backend unavailable")
-def test_auto_picks_vector_for_large_fault_lists(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_auto_picks_vector_for_large_fault_lists():
     assert resolve_concrete_backend(
         BACKEND_AUTO, AUTO_MIN_FAULTS) == BACKEND_VECTOR
 
 
 @pytest.mark.skipif(not vector_available(),
                     reason="vector backend unavailable")
-def test_auto_picks_vector_for_big_circuits(monkeypatch):
+def test_auto_picks_vector_for_big_circuits():
     """Single-fault minis on a big circuit go vector: the packed Python
     step costs milliseconds at 10k gates while the kernel program is
     fingerprint-cached on the circuit."""
     from repro.sim.backend import AUTO_MIN_GATES
 
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
     assert resolve_concrete_backend(
         BACKEND_AUTO, 1, AUTO_MIN_GATES) == BACKEND_VECTOR
     assert resolve_concrete_backend(
@@ -334,7 +313,6 @@ def test_vector_without_c_compiler(monkeypatch):
     """No C library: explicit vector raises, auto resolves to packed."""
     from repro.sim import kernel
 
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
     monkeypatch.setattr(kernel, "load_kernel_library", lambda: None)
     circuit = CIRCUITS["scan_mid"]()
     faults = collapse_faults(circuit)
@@ -377,11 +355,6 @@ def test_custom_factory_passes_through_unwarned():
     assert calls == [len(faults)]
     assert session.sim_backend is None  # custom factories are unnamed
     session.close()
-
-
-def test_custom_factory_conflicts_with_backend_name():
-    with pytest.raises(TypeError, match="cannot combine"):
-        coerce_simulator_factory(lambda c, f: None, BACKEND_VECTOR, "owner")
 
 
 # -- telemetry: the faultsim.backend signal ----------------------------------
