@@ -135,6 +135,11 @@ class CompactionOracle:
         :meth:`restore_dropped`."""
         return self.session.drop(mask)
 
+    def keep(self, times: Dict[Fault, int]) -> int:
+        """Drop every fault ``times`` does not name, packing the rest for
+        a backward sweep over ``times`` (see :meth:`SimSession.keep`)."""
+        return self.session.keep(times)
+
     def restore_dropped(self) -> None:
         """Undo every :meth:`drop` — call before a procedure's first
         query and before its final full-universe accounting."""

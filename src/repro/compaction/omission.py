@@ -23,6 +23,14 @@ the rest.  Faults the input sequence never detects are *dropped* from
 the packed planes for the whole sweep (they are never required),
 shrinking every big-int operation; the final full-universe accounting
 restores them, which is how ``ext det`` faults surface.
+
+Which machines a trial steps: on the vector kernel the session packs
+the required faults latest-detected first, so the trial at index ``t``
+— which needs only the faults detected at ``>= t`` — steps just the
+leading machine words holding them, and sheds words as those faults
+fall.  The earlier-detected faults' machines are not simulated at all;
+the answer is exact because machines are independent.  The packed
+backend steps every live machine.
 """
 
 from __future__ import annotations
@@ -88,8 +96,11 @@ def omission_compact(
             times = oracle.detection_times(vectors)
             required_mask = oracle.mask_of(times)
             # Everything else in the universe is never required: drop it
-            # from the packed planes for the whole sweep.
-            oracle.drop(oracle.all_mask & ~required_mask)
+            # from the packed planes for the whole sweep.  The session
+            # packs the rest latest-detected first, so the faults a trial
+            # at index t needs (detection time >= t) fill a prefix of
+            # machine words and the trial steps only that prefix.
+            oracle.keep(times)
 
             # The vectors beyond the last required detection contribute
             # nothing that must be preserved: drop the tail outright.

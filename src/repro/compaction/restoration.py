@@ -13,6 +13,12 @@ still-unprocessed fault detected by the current restored subsequence is
 dropped; the faults that remain are exactly the ones needing more
 vectors.
 
+Which machines a trial steps: a one-fault ``detects_all`` trial on the
+vector kernel steps only the machine words up to the one holding that
+fault, and the secured-set query only up to the last pending fault's
+word; the packed backend steps every live machine.  Either way the
+answers are the same bits.
+
 The procedure never inspects ``scan_sel``: applied to a ``C_scan``
 sequence it freely deletes vectors *inside* scan operations, turning
 complete scans into limited scans — the behaviour Section 4 demonstrates

@@ -582,7 +582,10 @@ def test_budget_enforced_in_worker_daemon_survives(tmp_path):
         assert "listening on" in line, line
         port = int(line.rsplit(":", 1)[1])
         client = ServeClient("127.0.0.1", port, timeout=10)
-        slow = write_bench(suite.build_circuit("s298"))
+        # s1423 default generation runs for minutes, so the 0.5 s wall
+        # budget always trips however fast the flow gets (s298 used to
+        # serve here until ATPG got quick enough to finish near 0.5 s).
+        slow = write_bench(suite.build_circuit("s1423"))
         job = client.submit(slow, config={"seed": 1})
         final = client.wait(job["job_id"], timeout=120)
         assert final["status"] == "budget_exceeded", final

@@ -24,7 +24,9 @@ from repro import obs
 from repro.circuit import (
     Circuit, FlipFlop, Gate, insert_scan, random_circuit, s27,
 )
+from repro.circuit.gates import X
 from repro.faults import collapse_faults
+from repro.faults.model import enumerate_faults
 from repro.sim import (
     BACKEND_AUTO,
     BACKEND_NAMES,
@@ -205,6 +207,155 @@ def test_wide_fanin_gates_bit_identical():
     assert ref.detection_time
     assert got.detection_time == ref.detection_time
     assert list(got.detection_time) == list(ref.detection_time)
+
+
+# -- sparse fault injection and active-word bounds ---------------------------
+
+
+def _fault_list(circuit, words, rng):
+    """A fault list packing into exactly ``words`` machine words, drawn
+    (with repeats once exhausted) from the uncollapsed universe, so every
+    fault-site kind the circuit has appears in the wider lists."""
+    universe = enumerate_faults(circuit)
+    rng.shuffle(universe)
+    size = rng.randint(max(1, 64 * (words - 1)), 64 * words - 1)
+    return [universe[i % len(universe)] for i in range(size)]
+
+
+def _site_kinds(circuit, faults):
+    flops = {flop.q for flop in circuit.flops}
+    kinds = set()
+    for fault in faults:
+        if fault.kind == "stem":
+            kinds.add("pi" if fault.net in circuit.inputs else
+                      "flop_q" if fault.net in flops else "gate_out")
+        elif fault.consumer.startswith("PO:"):
+            kinds.add("po")
+        else:
+            kinds.add("flop_d" if fault.consumer in flops else "gate_pin")
+    return kinds
+
+
+def _vectors_with_x(circuit, count, rng):
+    return [tuple(rng.choice((0, 1, 1, 0, X)) for _ in circuit.inputs)
+            for _ in range(count)]
+
+
+def _assert_bounded_parity(circuit, faults, vectors):
+    """Every active-word bound: machines inside it match the packed
+    reference bit for bit, machines outside are never reported."""
+    from repro.sim.kernel import VectorFaultSimulator
+
+    packed = PackedFaultSimulator(circuit, faults)
+    packed.reset()
+    reference = [packed.step(v) for v in vectors]
+    final_states = [packed.machine_state(m)
+                    for m in range(packed.num_machines)]
+    vector = VectorFaultSimulator(circuit, faults)
+    for words in range(1, vector.W + 1):
+        inside = (1 << (64 * words)) - 1
+        vector.active_words = words
+        vector.reset()
+        for vec, expected in zip(vectors, reference):
+            got = vector.step(vec)
+            assert got & ~inside == 0
+            assert got == expected & inside
+        for machine in range(min(64 * words, vector.num_machines)):
+            assert vector.machine_state(machine) == final_states[machine]
+
+
+@requires_vector
+@settings(max_examples=12, deadline=None)
+@given(
+    params=st.tuples(
+        st.integers(min_value=2, max_value=5),     # inputs
+        st.integers(min_value=1, max_value=5),     # flops
+        st.integers(min_value=8, max_value=40),    # gates
+        st.integers(min_value=0, max_value=10_000),  # seed
+    ),
+    words=st.integers(min_value=1, max_value=4),
+    sim_seed=st.integers(0, 1000),
+)
+def test_sparse_injection_bounded_steps_match_packed(params, words,
+                                                     sim_seed):
+    inputs, flops, gates, seed = params
+    circuit = random_circuit("sw", inputs, flops, max(gates, flops),
+                             seed=seed)
+    rng = random.Random(sim_seed)
+    faults = _fault_list(circuit, words, rng)
+    assert (len(faults) + 64) // 64 == words
+    _assert_bounded_parity(circuit, faults,
+                           _vectors_with_x(circuit, 16, rng))
+
+
+def test_random_fault_lists_cover_every_site_kind():
+    """The lists the property test draws reach every site kind."""
+    circuit = random_circuit("sw", 4, 3, 30, seed=5)
+    faults = _fault_list(circuit, 3, random.Random(0))
+    assert _site_kinds(circuit, faults) == {
+        "pi", "gate_out", "gate_pin", "flop_q", "flop_d", "po"}
+
+
+def _shared_source_circuit():
+    """``n1 = AND(a, a)``: one source on two pins of one gate."""
+    return Circuit(
+        "shared", inputs=("a", "b"), outputs=("n4", "n3"),
+        gates=[Gate("n1", "AND", ("a", "a")),
+               Gate("n2", "NOR", ("a", "q1")),
+               Gate("n3", "XOR", ("n1", "n2", "b")),
+               Gate("n4", "OR", ("n3", "q2"))],
+        flops=[FlipFlop("q1", "n3"), FlipFlop("q2", "n1")])
+
+
+@requires_vector
+@pytest.mark.parametrize("pin", [0, 1])
+def test_branch_fault_on_shared_source_pin(pin):
+    """A branch fault on one of two pins fed by the same net forces only
+    that pin (the kernel forces a copy there, not the source row)."""
+    circuit = _shared_source_circuit()
+    universe = enumerate_faults(circuit)
+    assert _site_kinds(circuit, universe) == {
+        "pi", "gate_out", "gate_pin", "flop_q", "flop_d", "po"}
+    target = [f for f in universe
+              if f.kind == "branch" and f.consumer == "n1" and f.pin == pin]
+    assert len(target) == 2
+    rng = random.Random(pin)
+    vectors = _vectors_with_x(circuit, 24, rng)
+    # Alone, packed among the whole universe, and repeated across words.
+    for faults in (target, universe, (universe * 5)[:200]):
+        _assert_bounded_parity(circuit, faults, vectors)
+    # The fault is observable: the other pin still reads the good value.
+    ref = PackedFaultSimulator(circuit, target).run(
+        [(1, 0), (1, 1), (1, 0), (1, 1)])
+    assert ref.detection_time
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_remap_state_token_any_permutation(backend):
+    """remap_state_token takes kept bits in any order: the remapped
+    token resumes a simulator packed in that order bit-identically."""
+    if backend == BACKEND_VECTOR and not vector_available():
+        pytest.skip("vector backend unavailable")
+    circuit = CIRCUITS["seq_wide"]()
+    faults = collapse_faults(circuit)
+    assert len(faults) > 64  # the permutation crosses machine words
+    vectors = random_vectors(circuit, 20, seed=2)
+    sim = make_backend(circuit, faults, backend)
+    sim.reset()
+    for vec in vectors[:10]:
+        sim.step(vec)
+    token = sim.save_state()
+    rng = random.Random(7)
+    kept = rng.sample(range(1, len(faults) + 1), len(faults) * 2 // 3)
+    assert kept != sorted(kept)
+    narrow = make_backend(circuit, [faults[b - 1] for b in kept], backend)
+    narrow.restore_state(type(sim).remap_state_token(token, [0] + kept))
+    for vec in vectors[10:]:
+        wide_mask = sim.step(vec)
+        expected = 0
+        for new_bit, old_bit in enumerate(kept, start=1):
+            expected |= (wide_mask >> old_bit & 1) << new_bit
+        assert narrow.step(vec) == expected
 
 
 # -- SimSession: checkpoints, drops, repacks ---------------------------------

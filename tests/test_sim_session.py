@@ -10,14 +10,21 @@ cycles.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import FlowConfig, PackedFaultSimulator, SimSession, s27
+from repro import FlowConfig, PackedFaultSimulator, SimSession, obs, s27
 from repro.circuit import insert_scan, random_circuit
 from repro.compaction.base import CompactionOracle
 from repro.compaction.omission import omission_compact
 from repro.compaction.restoration import restoration_compact
 from repro.core.pipeline import generation_flow
 from repro.faults.collapse import collapse_faults
+from repro.sim.backend import vector_available
+from repro.testseq.sequences import TestSequence
+
+requires_vector = pytest.mark.skipif(
+    not vector_available(), reason="vector backend unavailable")
 
 
 def random_vectors(circuit, count, rng):
@@ -202,6 +209,98 @@ class TestOmissionPerfGuard:
         session = SimSession(circuit, s27_flow.faults)
         assert session.detection_times(
             list(result_inc.sequence.vectors)) == times
+
+
+class TestOmissionWordGuard:
+    """On s953's preset generation flow, omission on the narrowing
+    vector session steps at most half the machine words of a full-width
+    sweep (a custom-factory session, which never narrows), with
+    identical results."""
+
+    @pytest.fixture(scope="class")
+    def s953_flow(self):
+        from repro.circuit.corpus import flow_overrides
+        from repro.experiments.suite import build_circuit
+
+        config = FlowConfig(seed=0, compact=False,
+                            **flow_overrides("s953", seed_offset=0))
+        return generation_flow(build_circuit("s953"), config)
+
+    @staticmethod
+    def _compact(flow, factory):
+        circuit = flow.scan_circuit.circuit
+        oracle = CompactionOracle(circuit, flow.faults,
+                                  simulator_factory=factory)
+        restored = restoration_compact(
+            circuit, flow.raw, flow.faults, oracle=oracle)
+        before = oracle.session.word_cycles
+        omitted = omission_compact(
+            circuit, restored.sequence, flow.faults, oracle=oracle)
+        return oracle, omitted, oracle.session.word_cycles - before
+
+    @requires_vector
+    def test_omission_steps_at_most_half_the_words(self, s953_flow):
+        from repro.sim.kernel import VectorFaultSimulator
+
+        oracle, narrow, narrow_words = self._compact(s953_flow, None)
+        assert oracle.session.sim_backend == "vector"
+        _full_oracle, full, full_words = self._compact(
+            s953_flow, VectorFaultSimulator)
+        assert narrow_words * 2 <= full_words
+        assert list(narrow.sequence.vectors) == list(full.sequence.vectors)
+        assert narrow.omitted_count == full.omitted_count
+        assert narrow.detected == full.detected
+        assert narrow.extra_detected == full.extra_detected
+
+
+@requires_vector
+@settings(max_examples=8, deadline=None)
+@given(
+    params=st.tuples(
+        st.integers(min_value=2, max_value=5),     # inputs
+        st.integers(min_value=1, max_value=6),     # flops
+        st.integers(min_value=30, max_value=70),   # gates
+        st.integers(min_value=0, max_value=10_000),  # seed
+    ),
+    length=st.integers(min_value=10, max_value=50),
+    seq_seed=st.integers(0, 1000),
+)
+def test_narrowed_compaction_matches_packed(params, length, seq_seed):
+    """Restoration then omission on a vector-backed (narrowed) oracle
+    answer exactly as on the packed reference: sequences, attempt
+    counts, the keep/omit decision stream and the detected sets."""
+    inputs, flops, gates, seed = params
+    circuit = random_circuit("nc", inputs, flops, gates, seed=seed)
+    faults = collapse_faults(circuit)
+    sequence = TestSequence(
+        circuit.inputs, random_vectors(circuit, length,
+                                       random.Random(seq_seed)))
+
+    def compact(factory):
+        with obs.session(ledger=True) as telemetry:
+            oracle = CompactionOracle(circuit, faults,
+                                      simulator_factory=factory)
+            restored = restoration_compact(circuit, sequence, faults,
+                                           oracle=oracle)
+            omitted = omission_compact(circuit, restored.sequence, faults,
+                                       oracle=oracle, max_passes=2)
+            counters = telemetry.metrics.snapshot()["counters"]
+        decisions = [
+            (e.data["origin"], e.data["omitted"], e.data["pass_no"],
+             e.data["faults"])
+            for e in telemetry.ledger.events if e.kind == "omission.decision"
+        ]
+        attempts = {k: v for k, v in counters.items()
+                    if k.startswith("compaction.") and k.endswith("attempts")}
+        return oracle.session, (
+            restored.sequence.vectors, restored.detected,
+            omitted.sequence.vectors, omitted.detected,
+            omitted.extra_detected, attempts, decisions)
+
+    session, narrowed = compact(None)
+    assert session.sim_backend == "vector"
+    _packed, reference = compact(PackedFaultSimulator)
+    assert narrowed == reference
 
 
 class TestScanTestMask:
