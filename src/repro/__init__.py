@@ -72,7 +72,6 @@ from .sim import (
     FaultSimResult,
     LogicSimulator,
     PackedFaultSimulator,
-    PackedPatternSimulator,
     PackedTransitionSimulator,
     SimBackend,
     SimSession,
@@ -86,9 +85,7 @@ from .atpg import (
     SecondApproachConfig,
     SeqATPGConfig,
     SequentialATPG,
-    TimeFrameATPG,
     comb_view,
-    unroll,
 )
 from .core import (
     FlowConfig,
@@ -129,7 +126,7 @@ __all__ = [
     "Fault", "enumerate_faults", "collapse_faults",
     # sim
     "LogicSimulator", "PackedFaultSimulator", "FaultSimResult",
-    "PackedPatternSimulator", "PackedTransitionSimulator", "SimSession",
+    "PackedTransitionSimulator", "SimSession",
     "SimBackend", "make_backend",
     "BACKEND_AUTO", "BACKEND_PACKED", "BACKEND_VECTOR", "BACKEND_NAMES",
     # atpg
@@ -145,7 +142,7 @@ __all__ = [
     "reverse_order_compact", "overlapped_restoration_compact",
     "subsequence_removal_compact",
     # extensions
-    "dominance_reduce", "TimeFrameATPG", "unroll",
+    "dominance_reduce",
     "analyze", "compute_testability",
     "TransitionFault", "enumerate_transition_faults",
     # process pool

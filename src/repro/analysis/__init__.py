@@ -1,17 +1,11 @@
 """Circuit analysis: SCOAP testability measures and structural metrics
-(logic depth, sequential depth, cones)."""
+(logic depth, sequential depth)."""
 
-from .random_testability import (
-    RandomTestabilityProfile,
-    random_testability,
-    suggest_preamble_length,
-)
 from .scoap import INFINITY, Testability, compute_testability, hardest_nets
 from .structure import (
     StructureReport,
     analyze,
     combinational_depth,
-    input_cone_sizes,
     logic_levels,
     sequential_depth,
     state_dependency_graph,
@@ -28,8 +22,4 @@ __all__ = [
     "combinational_depth",
     "sequential_depth",
     "state_dependency_graph",
-    "input_cone_sizes",
-    "random_testability",
-    "RandomTestabilityProfile",
-    "suggest_preamble_length",
 ]

@@ -1,5 +1,5 @@
-"""Structural circuit analysis: logic depth, sequential depth, cone
-sizes and a summary report.
+"""Structural circuit analysis: logic depth, sequential depth and a
+summary report.
 
 These quantities parameterize the ATPG search (how long must a
 subsequence be to justify a state?) and appear in the per-circuit
@@ -79,19 +79,6 @@ def sequential_depth(circuit: Circuit, limit: int = 64) -> int:
             frontier = nxt
         deepest = max(deepest, max(distance.values()))
     return deepest
-
-
-def input_cone_sizes(circuit: Circuit) -> Dict[str, int]:
-    """Number of primary inputs in each primary output's support."""
-    pis = set(circuit.inputs)
-    cone: Dict[str, Set[str]] = {net: {net} & pis for net in circuit.inputs}
-    cone.update({f.q: set() for f in circuit.flops})
-    for gate in circuit.topo_gates:
-        merged: Set[str] = set()
-        for net in gate.inputs:
-            merged |= cone[net]
-        cone[gate.output] = merged
-    return {po: len(cone[po]) for po in circuit.outputs}
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,6 @@ from .seq_atpg import (
 from .scan_sim import scan_test_detections, scan_test_observability
 from .scan_comb import CombScanATPG, CombScanATPGResult
 from .scan_seq import SecondApproachATPG, SecondApproachConfig, SecondApproachResult
-from .timeframe import (
-    TimeFrameATPG,
-    TimeFrameResult,
-    Unrolling,
-    replicate_fault,
-    unroll,
-)
 
 __all__ = [
     "comb_view",
@@ -45,9 +38,4 @@ __all__ = [
     "SecondApproachATPG",
     "SecondApproachConfig",
     "SecondApproachResult",
-    "TimeFrameATPG",
-    "TimeFrameResult",
-    "unroll",
-    "Unrolling",
-    "replicate_fault",
 ]

@@ -10,16 +10,10 @@ decision.
 
 The engine runs on combinational circuits — in this package that is the
 :mod:`~repro.atpg.comb_view` of a sequential circuit, whose pseudo
-primary inputs/outputs give the classic full-scan ATPG formulation, or a
-time-frame expansion (:mod:`~repro.atpg.timeframe`), where the same
-physical fault appears at one site *per frame*.  Two generalizations
-serve the latter:
-
-* **multi-site injection** (:meth:`Podem.run_multi`) — a list of fault
-  sites is forced simultaneously in the faulty machine (a permanent
-  fault replicated across frames is still *one* fault);
-* **frozen inputs** — inputs the search must leave at X (the unknown
-  frame-0 state of a non-scan circuit).
+primary inputs/outputs give the classic full-scan ATPG formulation.
+:meth:`Podem.run_multi` generalizes the search to *multi-site
+injection*: a list of fault sites is forced simultaneously in the faulty
+machine and treated as one composite fault.
 
 Faults are the :class:`~repro.faults.model.Fault` objects of this
 package: stem faults on any net, branch faults on gate input pins or
@@ -30,7 +24,7 @@ A complete run returns one of three verdicts:
 * ``detected`` — a cube (partial PI assignment) plus the outputs where
   the fault effect appears,
 * ``untestable`` — the whole decision tree was exhausted: the fault is
-  provably redundant (under the engine's X-semantics and frozen inputs),
+  provably redundant (under the engine's X-semantics),
 * ``aborted`` — the backtrack limit was hit first.
 
 Engine internals (see docs/ARCHITECTURE.md, "The PODEM engine"): the
@@ -45,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import CONTROLLING_VALUE, INVERTING, X
 from ..circuit.netlist import Circuit
@@ -120,23 +114,13 @@ class Podem:
     :meth:`run` / :meth:`run_multi` may be called for any number of
     faults; the circuit tables are compiled on the first call, so an
     engine that never runs costs nothing.
-
-    ``frozen_inputs`` are primary inputs the engine must leave at X —
-    they are never chosen by the backtrace, so any cube found is valid
-    for *every* value of those inputs (the unknown-initial-state model
-    of time-frame expansion).
     """
 
-    def __init__(self, circuit: Circuit, backtrack_limit: int = 1000,
-                 frozen_inputs: Optional[Iterable[str]] = None):
+    def __init__(self, circuit: Circuit, backtrack_limit: int = 1000):
         if circuit.num_state_vars:
             raise ValueError("PODEM requires a combinational circuit")
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
-        self._frozen_names: Set[str] = set(frozen_inputs or ())
-        unknown = self._frozen_names - set(circuit.inputs)
-        if unknown:
-            raise ValueError(f"frozen nets are not inputs: {sorted(unknown)}")
         self._compiled = False
         #: fault-site tuple -> the last computed result for those sites
         self._memo: Dict[Tuple[Fault, ...], PodemResult] = {}
@@ -153,11 +137,10 @@ class Podem:
         """Generate one cube detecting the *composite* fault whose sites
         are all of ``faults`` at once.
 
-        Used by time-frame expansion: the same physical fault is present
-        in every frame, so all its per-frame sites are forced together.
-        Detection means the composite effect reaches some output —
-        exactly the semantics of a permanent fault in the unrolled
-        circuit.  The reported ``fault`` is ``faults[0]``.
+        All sites are forced together in the faulty machine, and
+        detection means the composite effect reaches some output.  The
+        reported ``fault`` is ``faults[0]``; :meth:`run` is the
+        one-site case.
 
         ``backtrack_limit`` overrides the engine's limit for this call.
         A memoized verdict for the same sites answers the call without a
@@ -255,10 +238,6 @@ class Podem:
         for po in self._outputs:
             is_output[po] = 1
         self._is_output = is_output
-        frozen = bytearray(size)
-        for name in self._frozen_names:
-            frozen[net_id[name]] = 1
-        self._frozen = frozen
         self._walk_limit = 10 * (len(circuit.gates) + 1)
         self._compiled = True
 
@@ -506,23 +485,20 @@ class Podem:
     def _objectives(self) -> List[Tuple[int, int]]:
         """Candidate objectives in priority order; empty list = back up.
 
-        With multiple sites (time-frame replication) an activated site
-        whose effect died does NOT justify pruning: a still-undecided
-        site (typically a later frame) may yet activate, so activation of
-        every other site is kept as a fallback objective.  Sites sitting
-        directly on frozen inputs can never reach a binary good value and
-        are excluded.  This is what keeps ``untestable`` verdicts sound
-        for unrolled faults — checked empirically by the test suite.
+        With multiple sites an activated site whose effect died does NOT
+        justify pruning: a still-undecided site may yet activate, so
+        activation of every other site is kept as a fallback objective.
+        This is what keeps ``untestable`` verdicts sound for composite
+        faults — see ``test_multisite_dead_site_does_not_prune`` in
+        ``tests/test_podem.py``.
         """
         good = self._good
-        frozen = self._frozen
         activated = False
         undecided: List[Tuple[int, int]] = []
         for net, stuck in self._sites:
             value = good[net]
             if value == X:
-                if not frozen[net]:
-                    undecided.append((net, stuck ^ 1))
+                undecided.append((net, stuck ^ 1))
             elif value != stuck:
                 activated = True
         candidates: List[Tuple[int, int]] = []
@@ -547,16 +523,15 @@ class Podem:
         """Walk an objective back to an unassigned primary input.
 
         Returns ``(None, 0)`` when the walk dead-ends (every path reaches
-        assigned or frozen inputs), which forces a backtrack.
+        assigned inputs), which forces a backtrack.
         """
         good = self._good
-        frozen = self._frozen
         level = self._level
         fanin = self._fanin
         num_inputs = self._num_inputs
         for _ in range(self._walk_limit):
             if net < num_inputs:
-                if good[net] != X or frozen[net]:
+                if good[net] != X:
                     return None, 0
                 return net, value
             kind = self._kind[net]
@@ -587,8 +562,8 @@ class Podem:
                 continue
             if needed == control:
                 # One controlling input suffices: pick the easiest (lowest
-                # level) X input, avoiding frozen inputs when possible.
-                net = min(x_inputs, key=lambda n: (frozen[n], level[n]))
+                # level) X input.
+                net = min(x_inputs, key=level.__getitem__)
                 value = control
             else:
                 # All inputs must be non-controlling: pick the hardest.

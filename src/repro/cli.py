@@ -14,7 +14,7 @@ Subcommands::
     repro-atpg diff-metrics <old.json|runs:ID> <new.json|runs:ID> [--threshold PAT=PCT ...]
     repro-atpg watch     <journal> [--once | --interval S] [--top N]
     repro-atpg export-trace <journal> <out.json>
-    repro-atpg runs      {list,show,compare,trend,gc} [...]
+    repro-atpg runs      {list,show,trend,gc} [...]
     repro-atpg metrics-export <metrics.json|runs:ID> [--textfile FILE]
     repro-atpg cache     {stats,clear} [dir]
     repro-atpg serve     [--host H] [--port P] [--workers N] [--cache DIR]
@@ -59,14 +59,14 @@ Run history: ``--run-index [DB]`` on the flow commands appends a
 versioned run record (fingerprints, metrics snapshot, journal summary,
 platform/git rev) to a SQLite run index (bare flag = ``$REPRO_RUN_INDEX``
 or ``.repro-runs.sqlite``) and implies a telemetry session so records
-are rich.  ``runs list/show`` browse the index, ``runs compare``
-diffs any two records (zero drift expected on deterministic counters),
-``runs trend`` computes median/MAD statistics over the last N
-same-fingerprint runs and — with ``--assert`` — becomes a statistical
-regression gate (deterministic drift fails; wall-clock outliers are
-flagged but never fatal), ``runs gc --keep N`` prunes old records.
-``diff-metrics`` and ``metrics-export`` accept ``runs:<id>`` /
-``runs:latest`` wherever a metrics JSON path is expected;
+are rich.  ``runs list/show`` browse the index, ``runs trend``
+computes median/MAD statistics over the last N same-fingerprint runs
+and — with ``--assert`` — becomes a statistical regression gate
+(deterministic drift fails; wall-clock outliers are flagged but never
+fatal), ``runs gc --keep N`` prunes old records.  ``diff-metrics`` and
+``metrics-export`` accept ``runs:<id>`` / ``runs:latest`` wherever a
+metrics JSON path is expected, so ``diff-metrics runs:A runs:B`` diffs
+any two records;
 ``metrics-export`` renders any artifact or index record as
 Prometheus/OpenMetrics text (``--textfile`` installs it atomically for
 node_exporter's textfile collector).
@@ -287,9 +287,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     from .obs.history import (
         DETERMINISTIC_GATES,
         RunIndex,
-        compare_records,
         compute_trend,
-        deterministic_drift,
         render_trend,
     )
     from .reporting.tables import format_table
@@ -327,32 +325,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"runs: no record {args.id} in {path}")
             return 1
         print(json.dumps(entry.record, indent=2, sort_keys=True))
-        return 0
-
-    if args.action == "compare":
-        old, new = index.get(args.id), index.get(args.other)
-        if old is None or new is None:
-            missing = args.id if old is None else args.other
-            print(f"runs: no record {missing} in {path}")
-            return 1
-        rows = compare_records(old.record, new.record)
-        print(f"runs {old.id} -> {new.id} "
-              f"({old.circuit} {old.flow} vs {new.circuit} {new.flow})")
-        print(obs.render_diff(rows, top=args.top, only_changed=not args.all))
-        same_fp = old.fingerprint == new.fingerprint
-        if not same_fp:
-            print("\nnote: records have different (circuit, config) "
-                  "fingerprints; deterministic drift is not expected "
-                  "to be zero")
-        drift = deterministic_drift(rows, args.gate or DETERMINISTIC_GATES)
-        if drift:
-            print(f"\n{len(drift)} deterministic counter(s) drifted:")
-            for row in drift:
-                print(f"  DRIFT {row.name}: {row.old:g} -> {row.new:g}")
-            if getattr(args, "assert_", False) and same_fp:
-                return 1
-        else:
-            print("\nzero drift on deterministic counters")
         return 0
 
     if args.action == "trend":
@@ -534,18 +506,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from .testseq import write_stil, write_vcd
 
+    out = Path(args.output)
+    writers = {".vcd": write_vcd, ".stil": write_stil}
+    if out.suffix not in writers:
+        print(f"unsupported extension {out.suffix!r} (use .vcd or .stil)")
+        return 1
     circuit = _resolve_circuit(args.circuit)
     flow = generation_flow(circuit, _flow_config(args))
     sequence = flow.omitted.sequence if flow.omitted else flow.raw
     scan_circuit = flow.scan_circuit.circuit
-    out = Path(args.output)
-    if out.suffix == ".vcd":
-        write_vcd(sequence, out, circuit=scan_circuit)
-    elif out.suffix == ".stil":
-        write_stil(sequence, out, circuit=scan_circuit)
-    else:
-        print(f"unsupported extension {out.suffix!r} (use .vcd or .stil)")
-        return 1
+    writers[out.suffix](sequence, out, circuit=scan_circuit)
     print(f"wrote {len(sequence)} cycles ({sequence.scan_vector_count()} "
           f"scan) for {scan_circuit.name} to {out}")
     return 0
@@ -738,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     ext.set_defaults(func=_cmd_export_trace)
 
     runs = sub.add_parser("runs",
-                          help="browse, compare and trend the run-history "
-                               "index written by --run-index")
+                          help="browse and trend the run-history index "
+                               "written by --run-index")
     runs_common = argparse.ArgumentParser(add_help=False)
     runs_common.add_argument(
         "--run-index", default=None, metavar="DB",
@@ -757,24 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show = runs_sub.add_parser("show", parents=[runs_common],
                                     help="dump one record as JSON")
     runs_show.add_argument("id", type=int, help="record id (see runs list)")
-
-    runs_cmp = runs_sub.add_parser(
-        "compare", parents=[runs_common],
-        help="diff any two index records (generalizes "
-             "diff-metrics to run records)")
-    runs_cmp.add_argument("id", type=int, help="baseline record id")
-    runs_cmp.add_argument("other", type=int, help="candidate record id")
-    runs_cmp.add_argument("--top", type=int, default=None, metavar="N",
-                          help="show only the N largest movers")
-    runs_cmp.add_argument("--all", action="store_true",
-                          help="also list unchanged metrics")
-    runs_cmp.add_argument("--gate", action="append", default=[],
-                          metavar="PATTERN",
-                          help="override the deterministic-counter gate "
-                               "patterns; repeatable")
-    runs_cmp.add_argument("--assert", dest="assert_", action="store_true",
-                          help="exit 1 when same-fingerprint records "
-                               "drift on deterministic counters")
 
     runs_trend = runs_sub.add_parser(
         "trend", parents=[runs_common],

@@ -14,7 +14,6 @@ from .model import (
     Fault,
     branch_fault,
     enumerate_faults,
-    fault_universe_size,
     stem_fault,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "stem_fault",
     "branch_fault",
     "enumerate_faults",
-    "fault_universe_size",
     "collapse_faults",
     "equivalence_classes",
     "dominance_reduce",

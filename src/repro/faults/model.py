@@ -22,7 +22,7 @@ which falls out naturally because scan muxes are ordinary gates after
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..circuit.netlist import Circuit
 
@@ -106,11 +106,3 @@ def enumerate_faults(circuit: Circuit) -> List[Fault]:
                 faults.append(branch_fault(net, consumer, pin, 0))
                 faults.append(branch_fault(net, consumer, pin, 1))
     return faults
-
-
-def fault_universe_size(circuit: Circuit) -> Tuple[int, int]:
-    """Return ``(uncollapsed, collapsed)`` fault counts for ``circuit``."""
-    from .collapse import collapse_faults  # local import to avoid a cycle
-
-    full = enumerate_faults(circuit)
-    return len(full), len(collapse_faults(circuit, full))

@@ -28,8 +28,9 @@ Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
 * a **run-history index** (:mod:`~repro.obs.history`): every flow run
   with ``--run-index`` appends a versioned record (fingerprints,
   metrics snapshot, journal summary, platform/git rev) to a
-  corruption-tolerant SQLite database; ``repro-atpg runs`` browses,
-  compares and trend-gates the fleet of records;
+  corruption-tolerant SQLite database; ``repro-atpg runs`` browses
+  and trend-gates the fleet of records, and ``diff-metrics runs:A
+  runs:B`` compares two of them;
 * an **OpenMetrics surface** (:mod:`~repro.obs.openmetrics`): render
   any metrics artifact or index record as Prometheus/OpenMetrics text
   via ``repro-atpg metrics-export``.
@@ -83,7 +84,6 @@ from .history import (
     TrendReport,
     TrendRow,
     build_run_record,
-    compare_records,
     compute_trend,
     load_runs_ref,
     record_to_artifact,
@@ -173,7 +173,6 @@ __all__ = [
     "TrendReport",
     "TrendRow",
     "build_run_record",
-    "compare_records",
     "compute_trend",
     "load_runs_ref",
     "record_to_artifact",

@@ -31,10 +31,10 @@ timeout, and readers see either the previous or the new state.
 
 Fleet analytics on top of the index:
 
-* :func:`compare_records` generalizes ``repro-atpg diff-metrics`` to
-  any two index entries (each record converts to a metrics artifact via
-  :func:`record_to_artifact`, so the whole diff/threshold toolbox from
-  :mod:`repro.obs.diff` applies unchanged);
+* any record converts to a metrics artifact via
+  :func:`record_to_artifact`, so ``repro-atpg diff-metrics runs:A
+  runs:B`` diffs two index entries with the whole diff/threshold
+  toolbox from :mod:`repro.obs.diff`;
 * :func:`compute_trend` computes per-metric **median / MAD** statistics
   over the last N same-fingerprint runs and flags two kinds of anomaly:
   **deterministic drift** (a counter that must be bit-identical across
@@ -79,7 +79,7 @@ TEST_SLEEP_ENV = "REPRO_TEST_SLEEP"
 
 #: Counter patterns that must be **bit-identical** across runs with the
 #: same (circuit, config) fingerprints — the default deterministic gate
-#: set for ``runs trend --assert`` / ``runs compare``.  Cache-warmth
+#: set for ``runs trend --assert``.  Cache-warmth
 #: (``cache.*``) counters are excluded: they legitimately vary run to
 #: run without the results changing.
 DETERMINISTIC_GATES: Tuple[str, ...] = (
@@ -341,11 +341,6 @@ class RunEntry:
     wall_seconds: float
     record: Dict = field(repr=False, default_factory=dict)
 
-    @property
-    def fingerprint(self) -> Tuple[str, str]:
-        """The grouping key trend statistics aggregate over."""
-        return (self.circuit_fp, self.config_fp)
-
 
 class RunIndex:
     """SQLite-backed append-mostly index of run records.
@@ -599,31 +594,8 @@ def record_flow_run(cfg, circuit, flow: str,
 
 
 # ---------------------------------------------------------------------------
-# Fleet analytics: compare and trend
+# Fleet analytics: trend
 # ---------------------------------------------------------------------------
-
-def compare_records(old: Dict, new: Dict):
-    """Diff rows between two run records (delegates to
-    :func:`repro.obs.diff.diff_metrics` over their artifact forms)."""
-    from .diff import diff_metrics
-
-    return diff_metrics(record_to_artifact(old), record_to_artifact(new))
-
-
-def deterministic_drift(rows, gates: Sequence[str] = DETERMINISTIC_GATES):
-    """Diff rows violating the zero-drift expectation: a metric
-    matching a deterministic gate pattern whose value changed *in
-    either direction* (same-fingerprint runs must agree exactly)."""
-    drifted = []
-    for row in rows:
-        if row.old is None or row.new is None:
-            continue
-        if row.old == row.new:
-            continue
-        if any(fnmatchcase(row.name, pattern) for pattern in gates):
-            drifted.append(row)
-    return drifted
-
 
 def _median(values: Sequence[float]) -> float:
     ordered = sorted(values)

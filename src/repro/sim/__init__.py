@@ -25,7 +25,6 @@ from .fault_sim import (
     iter_fault_positions,
 )
 from .logic_sim import LogicSimulator, vector_from_string
-from .pattern_sim import PackedPatternSimulator
 from .session import SimSession
 from .transition_sim import PackedTransitionSimulator
 
@@ -37,7 +36,6 @@ __all__ = [
     "CompiledTopology",
     "compiled_topology",
     "iter_fault_positions",
-    "PackedPatternSimulator",
     "PackedTransitionSimulator",
     "SimSession",
     "SimBackend",

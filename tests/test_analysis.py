@@ -8,7 +8,6 @@ from repro.analysis import (
     combinational_depth,
     compute_testability,
     hardest_nets,
-    input_cone_sizes,
     logic_levels,
     sequential_depth,
     state_dependency_graph,
@@ -134,11 +133,6 @@ class TestStructure:
 
     def test_sequential_depth_limit(self, toy_pipeline_circuit):
         assert sequential_depth(toy_pipeline_circuit, limit=1) == 1
-
-    def test_input_cones(self, toy_comb_circuit):
-        cones = input_cone_sizes(toy_comb_circuit)
-        assert cones["y"] == 3   # a, b, c
-        assert cones["z"] == 3   # b, c, d
 
     def test_analyze_report(self, s27_circuit):
         report = analyze(s27_circuit)

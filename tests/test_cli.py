@@ -87,10 +87,17 @@ class TestCommands:
         assert _main(["export", "s27", str(out), "--seed", "1"]) == 0
         assert "STIL 1.0;" in out.read_text()
 
-    def test_export_bad_extension(self, tmp_path, capsys):
+    def test_export_bad_extension(self, tmp_path, capsys, monkeypatch):
+        import repro.cli
         from repro.cli import main as _main
 
+        def no_flow(*args, **kwargs):
+            raise AssertionError("export ran the flow before checking "
+                                 "the output suffix")
+
+        monkeypatch.setattr(repro.cli, "generation_flow", no_flow)
         assert _main(["export", "s27", str(tmp_path / "s27.txt")]) == 1
+        assert "unsupported extension '.txt'" in capsys.readouterr().out
 
     def test_report_to_file(self, tmp_path, capsys):
         from repro.cli import main as _main

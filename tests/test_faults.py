@@ -9,7 +9,6 @@ from repro.faults import (
     collapse_faults,
     enumerate_faults,
     equivalence_classes,
-    fault_universe_size,
     stem_fault,
 )
 
@@ -64,11 +63,6 @@ class TestEnumeration:
 
     def test_deterministic_order(self, s27_circuit):
         assert enumerate_faults(s27_circuit) == enumerate_faults(s27_circuit)
-
-    def test_universe_size_helper(self, s27_circuit):
-        full, collapsed = fault_universe_size(s27_circuit)
-        assert full == len(enumerate_faults(s27_circuit))
-        assert collapsed < full
 
 
 class TestCollapsing:

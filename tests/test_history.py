@@ -20,9 +20,7 @@ from repro.obs.history import (
     RunEntry,
     RunIndex,
     build_run_record,
-    compare_records,
     compute_trend,
-    deterministic_drift,
     is_runs_ref,
     load_runs_ref,
     modified_z,
@@ -35,7 +33,7 @@ from repro.obs.history import (
 
 
 def make_record(circuit="s27", config_fp="cfg0", wall=1.0, cycles=100,
-                coverage=100.0, flow="generation"):
+                coverage=100.0, flow="generation", cache_hit=3):
     """A hand-built record with controllable deterministic counters."""
     return {
         "schema": RUN_RECORD_SCHEMA,
@@ -50,7 +48,7 @@ def make_record(circuit="s27", config_fp="cfg0", wall=1.0, cycles=100,
         "python": "3.x",
         "platform": "test",
         "counters": {"faultsim.cycles": cycles, "atpg.backtracks": 7,
-                     "cache.hit": 3},
+                     "cache.hit": cache_hit},
         "gauges": {"pipeline.generation.coverage_percent": coverage},
         "histograms": {},
         "spans": [{"path": "pipeline.generation", "count": 1,
@@ -152,7 +150,7 @@ class TestRunIndex:
         assert entry.circuit == "s27"
         assert entry.wall_seconds == 1.25
         assert entry.record["counters"]["faultsim.cycles"] == 100
-        assert entry.fingerprint == ("fp-s27", "cfg0")
+        assert (entry.circuit_fp, entry.config_fp) == ("fp-s27", "cfg0")
 
     def test_list_latest_and_filters(self, tmp_path):
         index = RunIndex(tmp_path / "runs.sqlite")
@@ -303,27 +301,37 @@ class TestRecordFlowRun:
 # -- analytics ---------------------------------------------------------------
 
 
+def pair_trend(old, new):
+    """Trend report over a two-record window: the pairwise zero-drift
+    check between two same-fingerprint runs."""
+    entries = [RunEntry(id=i + 1, created=float(i), circuit="s27",
+                        circuit_fp="fp-s27", config_fp="cfg0",
+                        flow="generation", backend="packed", git_rev="",
+                        wall_seconds=rec["wall_seconds"], record=rec)
+               for i, rec in enumerate((old, new))]
+    return compute_trend(list(reversed(entries)))
+
+
 class TestCompareAndDrift:
     def test_identical_records_have_zero_drift(self):
-        rec = make_record()
-        rows = compare_records(rec, make_record())
-        assert deterministic_drift(rows) == []
+        report = pair_trend(make_record(), make_record())
+        assert report.passed
+        assert report.drift == []
 
     def test_cycle_drift_is_flagged(self):
-        rows = compare_records(make_record(cycles=100),
-                               make_record(cycles=101))
-        drift = deterministic_drift(rows)
-        assert [r.name for r in drift] == ["faultsim.cycles"]
+        report = pair_trend(make_record(cycles=100), make_record(cycles=101))
+        assert not report.passed
+        assert [r.name for r in report.drift] == ["faultsim.cycles"]
 
     def test_drift_in_either_direction(self):
-        rows = compare_records(make_record(cycles=101),
-                               make_record(cycles=100))
-        assert len(deterministic_drift(rows)) == 1
+        report = pair_trend(make_record(cycles=101), make_record(cycles=100))
+        assert len(report.drift) == 1
 
     def test_wall_and_cache_changes_are_not_drift(self):
-        old, new = make_record(wall=1.0), make_record(wall=50.0)
-        new["counters"]["cache.hit"] = 99
-        assert deterministic_drift(compare_records(old, new)) == []
+        report = pair_trend(make_record(wall=1.0),
+                            make_record(wall=50.0, cache_hit=99))
+        assert report.passed
+        assert report.drift == []
 
 
 class TestRobustStats:
@@ -338,11 +346,12 @@ class TestRobustStats:
         assert modified_z(1.04, 1.0, 0.0) <= DEFAULT_OUTLIER_Z
 
 
-def entries_with_walls(walls, cycles=None):
+def entries_with_walls(walls, cycles=None, cache_hits=None):
     cycles = cycles or [100] * len(walls)
+    cache_hits = cache_hits or [3] * len(walls)
     entries = []
-    for i, (wall, cyc) in enumerate(zip(walls, cycles)):
-        rec = make_record(wall=wall, cycles=cyc)
+    for i, (wall, cyc, hits) in enumerate(zip(walls, cycles, cache_hits)):
+        rec = make_record(wall=wall, cycles=cyc, cache_hit=hits)
         entries.append(RunEntry(
             id=i + 1, created=float(i), circuit="s27",
             circuit_fp="fp-s27", config_fp="cfg0", flow="generation",
@@ -368,11 +377,19 @@ class TestTrend:
         assert report.outlier_ids == [4]  # the slow record's id
 
     def test_deterministic_drift_fails_gate(self):
-        report = compute_trend(
-            entries_with_walls([1.0, 1.0, 1.0],
-                               cycles=[100, 100, 105]))
-        assert not report.passed
-        assert [r.name for r in report.drift] == ["faultsim.cycles"]
+        """A deterministic counter that moves in either direction fails
+        the gate; cache-warmth counters and wall time never drift."""
+        cases = [
+            ([1.0, 1.0, 1.0], dict(cycles=[100, 100, 105]),
+             ["faultsim.cycles"]),
+            ([1.0, 1.0, 1.0], dict(cycles=[105, 105, 100]),
+             ["faultsim.cycles"]),
+            ([1.0, 1.0, 50.0], dict(cache_hits=[3, 3, 99]), []),
+        ]
+        for walls, kwargs, drifted in cases:
+            report = compute_trend(entries_with_walls(walls, **kwargs))
+            assert report.passed == (not drifted), kwargs
+            assert [r.name for r in report.drift] == drifted, kwargs
 
     def test_render_mentions_anomalies(self):
         report = compute_trend(entries_with_walls([1.0, 1.0, 25.0]))
@@ -452,18 +469,20 @@ class TestRunsCli:
                      str(seeded_index)]) == 1
 
     def test_compare_zero_drift(self, seeded_index, capsys):
-        assert main(["runs", "compare", "1", "2", "--assert",
-                     "--run-index", str(seeded_index)]) == 0
-        assert "zero drift" in capsys.readouterr().out
+        gates = [f"--threshold={pattern}=0" for pattern in DETERMINISTIC_GATES]
+        assert main(["diff-metrics", "runs:1", "runs:2",
+                     "--run-index", str(seeded_index), *gates]) == 0
+        assert "all thresholds satisfied" in capsys.readouterr().out
 
     def test_compare_assert_fails_on_drift(self, tmp_path, capsys):
         db = tmp_path / "runs.sqlite"
         index = RunIndex(db)
         index.append(make_record(cycles=100))
         index.append(make_record(cycles=200))
-        assert main(["runs", "compare", "1", "2", "--assert",
-                     "--run-index", str(db)]) == 1
-        assert "DRIFT faultsim.cycles" in capsys.readouterr().out
+        assert main(["diff-metrics", "runs:1", "runs:2",
+                     "--run-index", str(db),
+                     "--threshold", "faultsim.*=0"]) == 1
+        assert "REGRESSION faultsim.cycles" in capsys.readouterr().out
 
     def test_trend_assert_passes_with_outlier(self, seeded_index, capsys):
         assert main(["runs", "trend", "--assert",
@@ -473,13 +492,20 @@ class TestRunsCli:
         assert "outlier" in out
 
     def test_trend_assert_fails_on_drift(self, tmp_path, capsys):
-        db = tmp_path / "runs.sqlite"
-        index = RunIndex(db)
-        index.append(make_record(cycles=100))
-        index.append(make_record(cycles=105))
-        assert main(["runs", "trend", "--assert",
-                     "--run-index", str(db)]) == 1
-        assert "TREND GATE FAILED" in capsys.readouterr().out
+        cases = [
+            ((dict(cycles=100), dict(cycles=105)), 1, "TREND GATE FAILED"),
+            ((dict(cycles=105), dict(cycles=100)), 1, "TREND GATE FAILED"),
+            ((dict(wall=1.0), dict(wall=50.0, cache_hit=99)), 0,
+             "trend gate passed"),
+        ]
+        for i, (records, code, message) in enumerate(cases):
+            db = tmp_path / f"runs{i}.sqlite"
+            index = RunIndex(db)
+            for kwargs in records:
+                index.append(make_record(**kwargs))
+            assert main(["runs", "trend", "--assert",
+                         "--run-index", str(db)]) == code, records
+            assert message in capsys.readouterr().out
 
     def test_gc(self, seeded_index, capsys):
         assert main(["runs", "gc", "--keep", "1",

@@ -173,38 +173,3 @@ def test_scan_test_simulation_state_exact(params, state_seed):
     second = scan_test_detections(sim, test)
     assert first == second
     assert first & ~sim.fault_mask == 0
-
-
-@settings(max_examples=8, deadline=None)
-@given(params=circuit_params, fault_pick=st.integers(0, 10_000))
-def test_multisite_podem_cubes_detect_sequentially(params, fault_pick):
-    """A multi-site PODEM cube over a 3-frame unrolling, X-filled, must
-    detect its fault on the real sequential circuit from power-up."""
-    from repro.atpg import Podem, replicate_fault, unroll
-    from repro.circuit.gates import X as _X
-
-    inputs, flops, gates, seed = params
-    if flops == 0:
-        flops = 1
-    circuit = random_circuit("ms", inputs, flops, max(gates, flops), seed=seed)
-    faults = collapse_faults(circuit)
-    fault = faults[fault_pick % len(faults)]
-    unrolling = unroll(circuit, 3)
-    try:
-        sites = replicate_fault(unrolling, fault)
-    except ValueError:
-        return
-    podem = Podem(unrolling.circuit, backtrack_limit=300,
-                  frozen_inputs=unrolling.frozen_inputs)
-    result = podem.run_multi(sites)
-    if not result.found:
-        return
-    rng = random.Random(seed ^ 0x123)
-    vectors = [
-        tuple(rng.randint(0, 1) if v == _X else v for v in vec)
-        for vec in unrolling.split_assignment(result.assignment)
-    ]
-    sim = PackedFaultSimulator(circuit, [fault])
-    assert sim.run(vectors).detection_time, (
-        f"multi-site cube for {fault} fails sequentially"
-    )

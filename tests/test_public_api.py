@@ -47,6 +47,20 @@ def test_packed_backend_satisfies_protocol():
 
 def test_parallel_surface_is_the_pool():
     """Flows simulate in one process: the package root exports the
-    process pool, not a fault-sharded engine."""
+    process pool, not a fault-sharded engine.  Deleted engines and
+    helpers that no flow or command reached stay out of the surface
+    too, at the root and in their former subpackages."""
+    import importlib
+
     assert "ResilientPool" in repro.__all__
-    assert "ParallelFaultSim" not in repro.__all__
+    removed = [
+        ("repro.parallel", "ParallelFaultSim"),
+        ("repro.atpg", "TimeFrameATPG"),
+        ("repro.atpg", "unroll"),
+        ("repro.sim", "PackedPatternSimulator"),
+        ("repro.obs", "compare_records"),
+        ("repro.analysis", "random_testability"),
+    ]
+    for module, name in removed:
+        assert name not in repro.__all__, name
+        assert name not in importlib.import_module(module).__all__, name
