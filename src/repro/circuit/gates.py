@@ -6,8 +6,8 @@ or a D flip-flop.  This module defines the combinational gate kinds, their
 arity constraints, and their three-valued (0/1/X) evaluation semantics in
 both scalar form (one value per net, used by the reference logic
 simulator) and *packed* form (one arbitrary-precision integer pair per
-net, bit ``f`` belonging to fault machine ``f``, used by the bit-parallel
-fault simulator).
+net, bit ``f`` belonging to fault machine ``f``, evaluated by the
+bit-parallel fault simulators in :func:`repro.sim.fault_sim._eval_gates`).
 
 Three-valued packed encoding
 ----------------------------
@@ -17,7 +17,7 @@ A packed value is a pair of Python ints ``(ones, zeros)``:
 * bit ``f`` set in ``zeros`` -> machine ``f`` sees logic 0,
 * bit ``f`` set in neither   -> machine ``f`` sees X (unknown).
 
-A bit must never be set in both planes; all evaluation functions preserve
+A bit must never be set in both planes; the packed evaluator preserves
 this invariant.  The encoding makes the common gates one or two bitwise
 operations wide regardless of how many fault machines are packed.
 """
@@ -108,8 +108,9 @@ def eval_gate(kind: str, values) -> int:
     """Evaluate one gate in scalar three-valued logic.
 
     ``values`` is the sequence of input values in pin order.  This is the
-    reference semantics; the packed evaluators below must agree with it
-    bit-for-bit (a property the test suite checks exhaustively).
+    reference semantics; the packed evaluator in :mod:`repro.sim.fault_sim`
+    must agree with it bit-for-bit (a property the test suite checks
+    exhaustively).
     """
     if kind == "NOT":
         return invert(values[0])
@@ -150,86 +151,6 @@ def eval_gate(kind: str, values) -> int:
                 return X
             result ^= v
         return invert(result) if kind == "XNOR" else result
-    raise ValueError(f"unknown gate kind: {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Packed (bit-parallel) evaluation.
-#
-# Each function takes/returns (ones, zeros) int pairs.  They are written as
-# fold loops so gates of any arity share one code path; two-input gates pay
-# a single iteration.
-# ---------------------------------------------------------------------------
-
-
-def packed_not(value):
-    """Packed three-valued NOT: swap the planes."""
-    ones, zeros = value
-    return zeros, ones
-
-
-def packed_and(values):
-    """Packed AND fold: 1 needs all ones, 0 needs any zero."""
-    ones = -1
-    zeros = 0
-    for v1, v0 in values:
-        ones &= v1
-        zeros |= v0
-    return ones & ~zeros, zeros
-
-
-def packed_or(values):
-    """Packed OR fold: 1 needs any one, 0 needs all zeros."""
-    ones = 0
-    zeros = -1
-    for v1, v0 in values:
-        ones |= v1
-        zeros &= v0
-    return ones, zeros & ~ones
-
-
-def packed_xor(values):
-    """Packed XOR fold; any X lane stays X."""
-    ones, zeros = values[0]
-    for b1, b0 in values[1:]:
-        ones, zeros = (ones & b0) | (zeros & b1), (ones & b1) | (zeros & b0)
-    return ones, zeros
-
-
-def packed_mux(values):
-    """Packed 2:1 MUX; unknown select resolves only when data agree."""
-    (s1, s0), (a1, a0), (b1, b0) = values
-    # Output is 1 when (sel=0 and d0=1) or (sel=1 and d1=1); with unknown
-    # select the output is known only when both data inputs agree.
-    ones = (s0 & a1) | (s1 & b1) | (a1 & b1)
-    zeros = (s0 & a0) | (s1 & b0) | (a0 & b0)
-    return ones, zeros
-
-
-def eval_gate_packed(kind: str, values):
-    """Evaluate one gate over packed three-valued planes.
-
-    Mirrors :func:`eval_gate` for every bit position.  ``values`` is the
-    sequence of packed ``(ones, zeros)`` pairs in pin order.
-    """
-    if kind == "NOT":
-        return packed_not(values[0])
-    if kind == "BUF":
-        return values[0]
-    if kind == "AND":
-        return packed_and(values)
-    if kind == "NAND":
-        return packed_not(packed_and(values))
-    if kind == "OR":
-        return packed_or(values)
-    if kind == "NOR":
-        return packed_not(packed_or(values))
-    if kind == "XOR":
-        return packed_xor(values)
-    if kind == "XNOR":
-        return packed_not(packed_xor(values))
-    if kind == "MUX":
-        return packed_mux(values)
     raise ValueError(f"unknown gate kind: {kind!r}")
 
 

@@ -56,7 +56,7 @@ trace-event / Perfetto JSON.  Both are read-only consumers of the
 journal; the running process stays the single writer.
 
 Run history: ``--run-index [DB]`` on the flow commands appends a
-versioned run record (fingerprints, metrics snapshot, journal summary,
+versioned run record (fingerprints, the run's metrics artifact,
 platform/git rev) to a SQLite run index (bare flag = ``$REPRO_RUN_INDEX``
 or ``.repro-runs.sqlite``) and implies a telemetry session so records
 are rich.  ``runs list/show`` browse the index, ``runs trend``
@@ -304,19 +304,20 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         for e in entries:
             when = time_mod.strftime("%Y-%m-%d %H:%M:%S",
                                      time_mod.localtime(e.created))
-            coverage = e.record.get("journal", {}).get("coverage", {})
-            cov = max(coverage.values()) if coverage else None
+            coverage = [value for name, value
+                        in e.record.get("gauges", {}).items()
+                        if name.endswith("coverage_percent")]
+            cov = max(coverage) if coverage else None
             rows.append([
-                e.id, e.circuit, e.flow, e.backend or "-",
-                f"{e.wall_seconds:.3f}",
+                e.id, e.circuit, e.flow, f"{e.wall_seconds:.3f}",
                 f"{cov:.2f}" if cov is not None else "-",
                 e.git_rev or "-", e.config_fp[:10], when,
             ])
         print(format_table(
-            ["id", "circuit", "flow", "backend", "wall_s",
+            ["id", "circuit", "flow", "wall_s",
              "cov%", "rev", "config_fp", "created"],
             rows, title=f"run index {path} ({index.count()} records)",
-            align_left=(1, 2, 3, 6, 7, 8)))
+            align_left=(1, 2, 5, 6, 7)))
         return 0
 
     if args.action == "show":
@@ -899,7 +900,7 @@ def main(argv: Optional[list] = None) -> int:
     metrics_out = getattr(args, "metrics_out", None)
     wants_ledger = args.command in ("explain-fault", "explain-vector")
     # A run index on a flow command implies telemetry so the appended
-    # record carries a full metrics snapshot and journal summary.
+    # record carries the run's full metrics artifact.
     wants_history = False
     if args.command in ("generate", "translate", "profile", "export",
                         "explain-fault", "explain-vector"):

@@ -72,10 +72,6 @@ class CompactionOracle:
         """Decode a detection mask back into fault objects."""
         return self.session.faults_of(mask)
 
-    @property
-    def all_mask(self) -> int:
-        return self.session.fault_mask
-
     # -- whole-sequence queries ---------------------------------------------
 
     def detection_times(self, vectors: Sequence[Sequence[int]]) -> Dict[Fault, int]:

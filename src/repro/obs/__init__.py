@@ -8,11 +8,11 @@ Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
   hot layers under the ``atpg.*`` / ``faultsim.*`` / ``compaction.*`` /
   ``pipeline.*`` namespaces;
 * **nestable timed spans** (:mod:`~repro.obs.spans`) with a
-  context-manager / decorator API, giving per-phase wall-clock
-  breakdowns;
+  context-manager / decorator API, giving per-phase wall-clock and
+  peak-RSS breakdowns;
 * an optional **JSONL run journal** (:mod:`~repro.obs.journal`)
-  streaming structured events (span boundaries, metric snapshots,
-  coverage deltas) to a file as they happen;
+  streaming structured events (span boundaries, progress, coverage
+  deltas) to a file as they happen;
 * an optional **fault-lifecycle ledger** (:mod:`~repro.obs.ledger`)
   recording the per-fault provenance chain (targeted-by, detected-at,
   secured-by, keep/omit decisions) behind the ``repro-atpg explain-*``
@@ -20,14 +20,14 @@ Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
 * **cross-run regression diffing** (:mod:`~repro.obs.diff`) of two
   ``--metrics-out`` artifacts behind ``repro-atpg diff-metrics``;
 * **live monitoring** (:mod:`~repro.obs.live`): journal tailing
-  (:func:`follow_journal`), a progress/ETA model fed by span and
+  (:class:`JournalFollower`), a progress/ETA model fed by span and
   ``progress.*`` events, and the renderer behind
   ``repro-atpg watch``; plus **trace identity and export**
   (:mod:`~repro.obs.trace`): run-scoped trace ids, span ids, and
   Chrome/Perfetto trace-event JSON via ``repro-atpg export-trace``;
 * a **run-history index** (:mod:`~repro.obs.history`): every flow run
-  with ``--run-index`` appends a versioned record (fingerprints,
-  metrics snapshot, journal summary, platform/git rev) to a
+  with ``--run-index`` appends a versioned record (fingerprints, the
+  run's metrics artifact, platform/git rev) to a
   corruption-tolerant SQLite database; ``repro-atpg runs`` browses
   and trend-gates the fleet of records, and ``diff-metrics runs:A
   runs:B`` compares two of them;
@@ -61,7 +61,6 @@ from .context import (
     event,
     incr,
     observe,
-    progress_snapshot,
     session,
     set_gauge,
     span,
@@ -106,7 +105,6 @@ from .live import (
     PhaseInfo,
     ProgressModel,
     ProgressSnapshot,
-    follow_journal,
     render_watch,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -186,13 +184,11 @@ __all__ = [
     "metrics_artifact",
     "render_profile",
     "write_metrics_json",
-    "progress_snapshot",
     "DEFAULT_PHASE_WEIGHTS",
     "JournalFollower",
     "PhaseInfo",
     "ProgressModel",
     "ProgressSnapshot",
-    "follow_journal",
     "render_watch",
     "TRACE_SCHEMA",
     "export_chrome_trace",

@@ -23,12 +23,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from functools import wraps
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Union
 
 from . import ledger as _ledger
 from .journal import RunJournal
 from .metrics import MetricsRegistry
-from .spans import SpanLog, resolve_track_rss
+from .spans import SpanLog
 from .trace import new_trace_id
 
 
@@ -44,18 +44,13 @@ class Telemetry:
     def __init__(self, journal: Optional[RunJournal] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  ledger: Optional["_ledger.FaultLedger"] = None,
-                 trace_id: Optional[str] = None,
-                 track_rss: Optional[bool] = None):
+                 trace_id: Optional[str] = None):
         self.metrics = metrics or MetricsRegistry()
-        self.spans = SpanLog(track_rss=resolve_track_rss(track_rss))
+        self.spans = SpanLog()
         self.journal = journal
         self.ledger = ledger
         self.trace_id = trace_id or (journal.trace_id if journal else None) \
             or new_trace_id()
-        self._t0 = time.perf_counter()
-        #: ``progress.*`` events, kept in memory even without a journal
-        #: so :func:`progress_snapshot` works for journal-less sessions.
-        self.progress_events: List[Tuple[str, Dict]] = []
 
     # -- metric forwarding ---------------------------------------------------
 
@@ -71,17 +66,9 @@ class Telemetry:
     # -- events ------------------------------------------------------------------
 
     def event(self, event_type: str, **data) -> None:
-        """Emit a journal event (dropped when no journal is attached;
-        ``progress.*`` events are additionally kept in memory for
-        :func:`progress_snapshot`)."""
-        if event_type.startswith("progress."):
-            self.progress_events.append((event_type, dict(data)))
+        """Emit a journal event (dropped when no journal is attached)."""
         if self.journal is not None:
             self.journal.emit(event_type, **data)
-
-    def snapshot_event(self) -> None:
-        """Journal a full metrics-registry dump."""
-        self.event("metrics.snapshot", **self.metrics.snapshot())
 
     def coverage(self, phase: str, detected: int, total: int) -> None:
         """Record a per-phase fault-coverage data point (gauge + event)."""
@@ -186,8 +173,7 @@ def deactivate(previous: Optional[Telemetry] = None) -> None:
 def session(trace: Union[str, None] = None,
             metrics: Optional[MetricsRegistry] = None,
             ledger: bool = False,
-            trace_id: Optional[str] = None,
-            track_rss: Optional[bool] = None) -> Iterator[Telemetry]:
+            trace_id: Optional[str] = None) -> Iterator[Telemetry]:
     """Run a block with telemetry on.
 
     ``trace`` names a JSONL journal file to stream events to; without it
@@ -195,15 +181,12 @@ def session(trace: Union[str, None] = None,
     a :class:`repro.obs.ledger.FaultLedger` recording the per-fault
     lifecycle (available as ``telemetry.ledger``).  ``trace_id`` joins
     an existing cross-process trace instead of minting a new one.
-    ``track_rss`` samples peak RSS at every span close (default: the
-    ``REPRO_TRACK_RSS`` environment switch).
     """
     trace_id = trace_id or new_trace_id()
     journal = RunJournal(trace, trace_id=trace_id) if trace else None
     fault_ledger = _ledger.FaultLedger() if ledger else None
     telemetry = Telemetry(journal=journal, metrics=metrics,
-                          ledger=fault_ledger, trace_id=trace_id,
-                          track_rss=track_rss)
+                          ledger=fault_ledger, trace_id=trace_id)
     previous = activate(telemetry)
     try:
         yield telemetry
@@ -286,17 +269,3 @@ def timed(name: str):
                 return func(*args, **kwargs)
         return wrapper
     return decorate
-
-
-def progress_snapshot():
-    """A :class:`repro.obs.live.ProgressSnapshot` of the active session
-    (phase tree, completion fraction, ETA), or None while telemetry is
-    off.  Built from the session's own spans and ``progress.*`` events —
-    no journal required; the journal-tailing equivalent for *other*
-    processes lives in :mod:`repro.obs.live`."""
-    telemetry = _active
-    if telemetry is None:
-        return None
-    from .live import ProgressModel
-    return ProgressModel.from_telemetry(telemetry).snapshot(
-        now=time.perf_counter() - telemetry._t0)

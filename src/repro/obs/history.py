@@ -14,9 +14,9 @@ index:
   ``run_index`` are excluded, exactly like the result cache's stage
   keys: two runs with the same fingerprints are expected to produce
   bit-identical deterministic counters);
-* outcome — the final metrics snapshot (counters / gauges /
-  histograms), the per-phase span aggregate, and a journal summary
-  (phases, cache hit rates, coverage / cycles);
+* outcome — the session's metrics artifact
+  (:func:`~repro.obs.report.metrics_artifact`): counters, gauges,
+  histograms and the per-phase span aggregate;
 * provenance — platform, python and git rev,
   wall-clock seconds and a creation timestamp.
 
@@ -180,37 +180,6 @@ def _git_rev() -> str:
     return out.stdout.strip() if out.returncode == 0 else ""
 
 
-def _journal_summary(counters: Dict, gauges: Dict,
-                     spans: List[Dict]) -> Dict:
-    """The compact journal summary stored in each record: per-phase
-    seconds, cache hit rates, cycles — all derived from the session's
-    own metrics, no journal file parsing needed."""
-    phases = {
-        span["path"]: span["total_seconds"]
-        for span in spans if span.get("depth", 0) <= 1
-    }
-    cache_hits = counters.get("cache.hit", 0)
-    cache_misses = counters.get("cache.miss", 0)
-    lookups = cache_hits + cache_misses
-    summary: Dict = {
-        "phases": phases,
-        "cache": {
-            "hits": cache_hits,
-            "misses": cache_misses,
-            "hit_rate": round(100.0 * cache_hits / lookups, 2)
-            if lookups else None,
-        },
-        "cycles": counters.get("faultsim.cycles", 0),
-    }
-    coverage = {
-        name: value for name, value in gauges.items()
-        if name.endswith("coverage_percent")
-    }
-    if coverage:
-        summary["coverage"] = coverage
-    return summary
-
-
 def build_run_record(
     *,
     circuit_name: str,
@@ -218,7 +187,6 @@ def build_run_record(
     config_fp: str,
     flow: str,
     wall_seconds: float,
-    backend: str = "",
     telemetry=None,
     extra_meta: Optional[Dict] = None,
 ) -> Dict:
@@ -226,25 +194,12 @@ def build_run_record(
 
     ``telemetry`` is the active :class:`~repro.obs.context.Telemetry`
     session (or ``None`` — records from untraced runs still carry
-    identity, provenance and wall-clock, just no metrics)."""
-    counters: Dict = {}
-    gauges: Dict = {}
-    histograms: Dict = {}
-    spans: List[Dict] = []
-    if telemetry is not None:
-        snapshot = telemetry.metrics.snapshot()
-        counters = snapshot["counters"]
-        gauges = snapshot["gauges"]
-        histograms = snapshot["histograms"]
-        spans = [
-            {
-                "path": path,
-                "count": entry["count"],
-                "total_seconds": round(entry["total_seconds"], 6),
-                "depth": entry["depth"],
-            }
-            for path, entry in telemetry.spans.aggregate().items()
-        ]
+    identity, provenance and wall-clock, just no metrics).  The
+    metric payload is exactly :func:`~repro.obs.report.metrics_artifact`'s
+    ``counters``/``gauges``/``histograms``/``spans``."""
+    from .report import metrics_artifact
+
+    artifact = metrics_artifact(telemetry) if telemetry is not None else {}
     record = {
         "schema": RUN_RECORD_SCHEMA,
         "created": time.time(),
@@ -252,16 +207,14 @@ def build_run_record(
         "circuit_fp": circuit_fp,
         "config_fp": config_fp,
         "flow": flow,
-        "backend": backend,
         "wall_seconds": round(wall_seconds, 6),
         "git_rev": _git_rev(),
         "python": sys.version.split()[0],
         "platform": _platform_tag(),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-        "journal": _journal_summary(counters, gauges, spans),
+        "counters": artifact.get("counters", {}),
+        "gauges": artifact.get("gauges", {}),
+        "histograms": artifact.get("histograms", {}),
+        "spans": artifact.get("spans", []),
     }
     if extra_meta:
         record["meta"] = dict(extra_meta)
@@ -288,7 +241,6 @@ def record_to_artifact(record: Dict) -> Dict:
         "meta": {
             "circuit": record.get("circuit", ""),
             "flow": record.get("flow", ""),
-            "backend": record.get("backend", ""),
             "python": record.get("python", ""),
             "platform": record.get("platform", ""),
             "git_rev": record.get("git_rev", ""),
@@ -304,8 +256,9 @@ def record_to_artifact(record: Dict) -> Dict:
 # The SQLite index
 # ---------------------------------------------------------------------------
 
-#: ``jobs`` is a legacy column: flows run serial, so new records leave
-#: it at its default of 1.
+#: Indexes created before the ``backend``/``jobs`` columns were dropped
+#: still carry them; both have defaults, and every insert names its
+#: columns, so old files keep taking appends and answering queries.
 _TABLE_SQL = """
 CREATE TABLE IF NOT EXISTS runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -314,8 +267,6 @@ CREATE TABLE IF NOT EXISTS runs (
     circuit_fp  TEXT NOT NULL,
     config_fp   TEXT NOT NULL,
     flow        TEXT NOT NULL,
-    backend     TEXT NOT NULL DEFAULT '',
-    jobs        INTEGER NOT NULL DEFAULT 1,
     git_rev     TEXT NOT NULL DEFAULT '',
     wall_seconds REAL NOT NULL DEFAULT 0,
     record      TEXT NOT NULL
@@ -336,7 +287,6 @@ class RunEntry:
     circuit_fp: str
     config_fp: str
     flow: str
-    backend: str
     git_rev: str
     wall_seconds: float
     record: Dict = field(repr=False, default_factory=dict)
@@ -413,15 +363,14 @@ class RunIndex:
             with conn:
                 cursor = conn.execute(
                     "INSERT INTO runs (created, circuit, circuit_fp, "
-                    "config_fp, flow, backend, git_rev, "
-                    "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?,?)",
+                    "config_fp, flow, git_rev, "
+                    "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?)",
                     (
                         float(record.get("created", time.time())),
                         str(record.get("circuit", "")),
                         str(record.get("circuit_fp", "")),
                         str(record.get("config_fp", "")),
                         str(record.get("flow", "")),
-                        str(record.get("backend", "")),
                         str(record.get("git_rev", "")),
                         float(record.get("wall_seconds", 0.0)),
                         json.dumps(record, separators=(",", ":"),
@@ -443,12 +392,12 @@ class RunIndex:
     # -- queries -----------------------------------------------------------------
 
     _COLS = ("id, created, circuit, circuit_fp, config_fp, flow, "
-             "backend, git_rev, wall_seconds, record")
+             "git_rev, wall_seconds, record")
 
     @staticmethod
     def _entry(row) -> Optional[RunEntry]:
         try:
-            record = json.loads(row[9])
+            record = json.loads(row[8])
             if not isinstance(record, dict):
                 record = {}
         except (ValueError, TypeError):
@@ -457,8 +406,8 @@ class RunIndex:
             return RunEntry(
                 id=int(row[0]), created=float(row[1]), circuit=str(row[2]),
                 circuit_fp=str(row[3]), config_fp=str(row[4]),
-                flow=str(row[5]), backend=str(row[6]),
-                git_rev=str(row[7]), wall_seconds=float(row[8]),
+                flow=str(row[5]), git_rev=str(row[6]),
+                wall_seconds=float(row[7]),
                 record=record,
             )
         except (ValueError, TypeError):

@@ -16,15 +16,14 @@ Fixed keys:
     Dotted event kind.  Core kinds: ``journal.open`` / ``journal.close``
     (lifecycle, carry the schema tag and wall-clock time),
     ``span.open`` / ``span.close`` (phase boundaries; close carries the
-    duration), ``metrics.snapshot`` (full registry dump), ``coverage``
-    (per-phase fault-coverage deltas).  Instrumented code may emit
+    duration), ``coverage`` (per-phase fault-coverage deltas).  Instrumented code may emit
     additional kinds; consumers must ignore kinds they do not know.
 ``data``
     Kind-specific payload object.
 
 The writer flushes after every line so a crashed or killed run leaves a
 readable journal up to its last event — and so live tailers (the
-``repro-atpg watch`` TUI, :func:`repro.obs.live.follow_journal`) see
+``repro-atpg watch`` TUI, :class:`repro.obs.live.JournalFollower`) see
 events promptly, not whenever a block buffer happens to fill.
 
 Writers and readers

@@ -108,10 +108,6 @@ class FaultLedger:
                 return event
         return None
 
-    def known_faults(self) -> List[object]:
-        """Every fault any event mentions, in first-mention order."""
-        return list(self._by_fault)
-
     def detected_faults(self) -> List[object]:
         """Faults with a generation-phase first detection, in order."""
         out, seen = [], set()

@@ -22,17 +22,16 @@ def metrics_artifact(telemetry: Telemetry,
                      meta: Optional[Dict] = None) -> Dict:
     """Plain-data dump of one session: metadata, every metric, and the
     per-phase span aggregation.  ``json.dumps``-able as is."""
-    spans = []
-    for path, entry in telemetry.spans.aggregate().items():
-        span = {
+    spans = [
+        {
             "path": path,
             "count": entry["count"],
             "total_seconds": round(entry["total_seconds"], 6),
             "depth": entry["depth"],
+            "peak_rss_kb": entry["peak_rss_kb"],
         }
-        if entry.get("peak_rss_kb"):
-            span["peak_rss_kb"] = entry["peak_rss_kb"]
-        spans.append(span)
+        for path, entry in telemetry.spans.aggregate().items()
+    ]
     snapshot = telemetry.metrics.snapshot()
     return {
         "schema": METRICS_SCHEMA,
@@ -61,9 +60,11 @@ def render_profile(telemetry: Telemetry, title: Optional[str] = None,
                    top: Optional[int] = None) -> str:
     """Human-readable per-phase time/counter breakdown of one session.
 
-    Phases are sorted deterministically — total time descending, then
-    path — so two renderings of equivalent runs diff cleanly; ``top``
-    keeps only the N most expensive phases.
+    Phases print as a tree, each directly under its parent; siblings
+    are sorted deterministically — total time descending, then path —
+    so two renderings of equivalent runs diff cleanly.  ``top`` keeps
+    only the N most expensive phases; a child never costs more than its
+    parent, so every kept phase keeps its ancestors.
     """
     aggregated = telemetry.spans.aggregate()
     total = sum(
@@ -71,37 +72,38 @@ def render_profile(telemetry: Telemetry, title: Optional[str] = None,
         for entry in aggregated.values()
         if entry["depth"] == 0
     )
-    ordered = sorted(
-        aggregated.items(),
-        key=lambda item: (-item[1]["total_seconds"], item[0]),
-    )
-    dropped = 0
-    if top is not None and top >= 0 and len(ordered) > top:
-        dropped = len(ordered) - top
-        ordered = ordered[:top]
-    # Peak-RSS column only when the session sampled it (REPRO_TRACK_RSS
-    # / session(track_rss=True)) — the default table stays unchanged.
-    with_rss = any(entry.get("peak_rss_kb") for _p, entry in ordered)
+    ranked = sorted(aggregated,
+                    key=lambda path: (-aggregated[path]["total_seconds"],
+                                      path))
+    shown = set(ranked[:top] if top is not None and top >= 0 else ranked)
+    children: Dict[str, List[str]] = {}
+    for path in ranked:
+        parent = path.rpartition("/")[0]
+        children.setdefault(parent if parent in aggregated else "",
+                            []).append(path)
+    ordered: List[str] = []
+    pending = children.get("", [])[::-1]
+    while pending:
+        path = pending.pop()
+        if path in shown:
+            ordered.append(path)
+            pending.extend(children.get(path, [])[::-1])
     span_rows: List[List[object]] = []
-    for path, entry in ordered:
+    for path in ordered:
+        entry = aggregated[path]
         leaf = path.rsplit("/", 1)[-1]
         label = "  " * entry["depth"] + leaf
         seconds = entry["total_seconds"]
         share = 100.0 * seconds / total if total else 0.0
-        row: List[object] = [label, entry["count"], seconds, share]
-        if with_rss:
-            peak = entry.get("peak_rss_kb", 0)
-            row.append(f"{peak / 1024:.1f}" if peak else "-")
-        span_rows.append(row)
+        peak = entry.get("peak_rss_kb", 0)
+        span_rows.append([label, entry["count"], seconds, share,
+                          f"{peak / 1024:.1f}" if peak else "-"])
+    dropped = len(ranked) - len(ordered)
     if dropped:
-        span_rows.append([f"... {dropped} more phases", "", "", ""]
-                         + ([""] if with_rss else []))
-    headers = ["phase", "calls", "seconds", "share%"]
-    if with_rss:
-        headers.append("peakMB")
+        span_rows.append([f"... {dropped} more phases", "", "", "", ""])
     sections = [
         format_table(
-            headers,
+            ["phase", "calls", "seconds", "share%", "peakMB"],
             span_rows,
             title=title or "per-phase time breakdown",
         )
@@ -114,11 +116,14 @@ def render_profile(telemetry: Telemetry, title: Optional[str] = None,
             sorted(counters.items()),
             title="counters",
         ))
-    gauges = telemetry.metrics.snapshot()["gauges"]
+    # The peakMB column already shows the per-span peak_rss_kb gauges.
+    gauges = [(name, value) for name, value
+              in sorted(telemetry.metrics.snapshot()["gauges"].items())
+              if not name.endswith(".peak_rss_kb")]
     if gauges:
         sections.append(format_table(
             ["gauge", "value"],
-            sorted(gauges.items()),
+            gauges,
             title="gauges",
         ))
     return "\n\n".join(sections)

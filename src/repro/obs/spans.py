@@ -18,28 +18,12 @@ identify spans across process boundaries — see :mod:`repro.obs.trace`.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .trace import new_span_id
-
-#: Environment switch for per-phase peak-RSS sampling (see
-#: :func:`peak_rss_kb`); ``Telemetry(track_rss=)`` overrides it.
-TRACK_RSS_ENV = "REPRO_TRACK_RSS"
-
-
-def resolve_track_rss(track_rss: Optional[bool] = None) -> bool:
-    """Whether spans should sample peak RSS at close: the explicit
-    argument, else ``$REPRO_TRACK_RSS`` (any value but ``0``/``false``
-    enables), else off."""
-    if track_rss is not None:
-        return track_rss
-    raw = os.environ.get(TRACK_RSS_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
-
 
 def peak_rss_kb() -> int:
     """This process's peak resident set size in KiB (0 when the
@@ -69,7 +53,7 @@ class SpanRecord:
     end: float      # perf_counter at close
     span_id: str = ""     # identity of this span within the trace
     parent_id: str = ""   # span_id of the enclosing span ("" = root)
-    rss_kb: int = 0       # peak RSS at close (0 = not sampled)
+    rss_kb: int = 0       # peak RSS at close (0 = platform cannot tell)
 
     @property
     def duration(self) -> float:
@@ -79,17 +63,16 @@ class SpanRecord:
 class SpanLog:
     """Open-span stack plus the completed-record list of one session.
 
-    With ``track_rss`` on, every close samples the process's peak RSS
-    (:func:`peak_rss_kb`) into the record, and :meth:`aggregate` rolls
-    a ``peak_rss_kb`` maximum per path — the per-phase memory column
-    ``repro-atpg profile`` and the run records surface.
+    Every close samples the process's peak RSS (:func:`peak_rss_kb`)
+    into the record, and :meth:`aggregate` rolls a ``peak_rss_kb``
+    maximum per path — the per-phase memory column ``repro-atpg
+    profile`` and the run records surface.
     """
 
-    def __init__(self, track_rss: bool = False):
+    def __init__(self):
         # (name, path, start, span_id, parent_id)
         self._stack: List[Tuple[str, str, float, str, str]] = []
         self.records: List[SpanRecord] = []
-        self.track_rss = track_rss
 
     @property
     def depth(self) -> int:
@@ -108,12 +91,6 @@ class SpanLog:
     def current_parent_id(self) -> str:
         """parent_id of the innermost open span ("" when none is open)."""
         return self._stack[-1][4] if self._stack else ""
-
-    def open_spans(self) -> List[Tuple[str, str, float]]:
-        """Snapshot of the open stack as ``(path, span_id, start)``
-        tuples, outermost first."""
-        return [(path, span_id, start)
-                for _name, path, start, span_id, _parent in self._stack]
 
     def open(self, name: str) -> str:
         """Open a nested span; returns its dotted path."""
@@ -139,30 +116,26 @@ class SpanLog:
             end=time.perf_counter(),
             span_id=span_id,
             parent_id=parent_id,
-            rss_kb=peak_rss_kb() if self.track_rss else 0,
+            rss_kb=peak_rss_kb(),
         )
         self.records.append(record)
         return record
 
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Per-path totals over completed spans, ordered by first *open*
-        time (so parents precede their children, siblings keep run order).
-        With RSS tracking on, each entry also carries the per-path
-        ``peak_rss_kb`` maximum.
+        time (so parents precede their children, siblings keep run order),
+        each with the per-path ``peak_rss_kb`` maximum.
         """
         result: Dict[str, Dict[str, float]] = {}
-        sampled = any(record.rss_kb for record in self.records)
         for record in self.records:
             entry = result.setdefault(
                 record.path,
                 {"count": 0, "total_seconds": 0.0, "depth": record.depth,
-                 "first_start": record.start},
+                 "first_start": record.start, "peak_rss_kb": 0},
             )
             entry["count"] += 1
             entry["total_seconds"] += record.duration
             entry["first_start"] = min(entry["first_start"], record.start)
-            if sampled:
-                entry["peak_rss_kb"] = max(entry.get("peak_rss_kb", 0),
-                                           record.rss_kb)
+            entry["peak_rss_kb"] = max(entry["peak_rss_kb"], record.rss_kb)
         return dict(sorted(result.items(),
                            key=lambda item: item[1]["first_start"]))

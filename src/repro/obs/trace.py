@@ -40,8 +40,7 @@ from typing import Dict, List, Optional, Union
 #: Schema tag recorded in the exported file's ``otherData``.
 TRACE_SCHEMA = "repro.obs.trace/1"
 
-#: ``src`` label of a run journal's events: the live tailers tag them
-#: with it, and the exported trace names its one process track after it.
+#: Name of the exported trace's one process track.
 MAIN_SRC = "main"
 
 
@@ -77,7 +76,7 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
             if trace_id is None:
                 trace_id = data.get("trace_id")
             continue
-        if etype == "journal.close" or etype == "metrics.snapshot":
+        if etype == "journal.close":
             continue
         if etype == "span.open":
             path = str(data.get("path", ""))

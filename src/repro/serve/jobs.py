@@ -73,10 +73,6 @@ class SubmissionError(ValueError):
     """A malformed submission (maps to HTTP 400)."""
 
 
-class BudgetExceeded(Exception):
-    """Raised (via SIGINT) when a job overruns its cycle/wall budget."""
-
-
 def parse_submission(payload: Any) -> Tuple[Circuit, FlowConfig, str]:
     """Canonicalize one POST body to ``(circuit, config, flow)``."""
     if not isinstance(payload, dict):

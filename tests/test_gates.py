@@ -1,5 +1,6 @@
-"""Gate primitive semantics: scalar truth tables, packed/scalar agreement,
-arity validation."""
+"""Gate primitive semantics: scalar truth tables, agreement of the packed
+formulas the fault simulators run with the scalar ones, arity
+validation."""
 
 import itertools
 
@@ -15,11 +16,11 @@ from repro.circuit.gates import (
     ZERO,
     check_arity,
     eval_gate,
-    eval_gate_packed,
     invert,
     value_from_char,
     value_to_char,
 )
+from repro.sim.fault_sim import _KIND_CODE, _eval_gates
 
 VALUES = (ZERO, ONE, X)
 
@@ -40,6 +41,17 @@ def _unpack_scalar(planes, bit):
     if zeros & (1 << bit):
         return ZERO
     return X
+
+
+def eval_gate_compiled(kind, packed_inputs, machines):
+    """Evaluate one compiled gate with the packed simulators' own
+    evaluator: inputs on nets ``0..n-1``, the output on net ``n``."""
+    arity = len(packed_inputs)
+    ones = [o for o, _z in packed_inputs] + [0]
+    zeros = [z for _o, z in packed_inputs] + [0]
+    gate = (_KIND_CODE[kind], arity, tuple(range(arity)), None, None)
+    _eval_gates([gate], ones, zeros, (1 << machines) - 1)
+    return ones[arity], zeros[arity]
 
 
 # -- scalar truth tables ------------------------------------------------------
@@ -133,7 +145,8 @@ class TestPackedAgreement:
                     ones |= o
                     zeros |= z
                 packed_inputs.append((ones, zeros))
-            packed_out = eval_gate_packed(kind, packed_inputs)
+            packed_out = eval_gate_compiled(kind, packed_inputs,
+                                            len(combos))
             for bit, combo in enumerate(combos):
                 expected = eval_gate(kind, list(combo))
                 assert _unpack_scalar(packed_out, bit) == expected, (
@@ -156,7 +169,7 @@ class TestPackedAgreement:
                 ones |= o
                 zeros |= z
             packed_inputs.append((ones, zeros))
-        ones, zeros = eval_gate_packed(kind, packed_inputs)
+        ones, zeros = eval_gate_compiled(kind, packed_inputs, len(combos))
         assert ones & zeros == 0
 
 
@@ -233,6 +246,6 @@ def test_packed_matches_scalar_random(kind, rows):
             ones |= o
             zeros |= z
         packed_inputs.append((ones, zeros))
-    packed_out = eval_gate_packed(kind, packed_inputs)
+    packed_out = eval_gate_compiled(kind, packed_inputs, len(rows))
     for bit, row in enumerate(rows):
         assert _unpack_scalar(packed_out, bit) == eval_gate(kind, row)

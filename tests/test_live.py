@@ -26,15 +26,13 @@ from repro.obs import (
     JournalFollower,
     ProgressModel,
     export_chrome_trace,
-    follow_journal,
     new_span_id,
     new_trace_id,
-    progress_snapshot,
     read_journal,
     render_watch,
 )
 from repro.obs.journal import RunJournal
-from repro.obs.live import DEFAULT_PHASE_WEIGHTS, _FileTail
+from repro.obs.live import DEFAULT_PHASE_WEIGHTS
 
 
 # -- trace identity ----------------------------------------------------------
@@ -74,7 +72,7 @@ def test_file_tail_buffers_torn_line(tmp_path):
     path = tmp_path / "run.jsonl"
     journal = RunJournal(path)
     journal.emit("alpha")
-    tail = _FileTail(path, "main")
+    tail = JournalFollower(path)
     assert [e["type"] for e in tail.poll()] == ["journal.open", "alpha"]
     # Simulate the writer caught mid-write: append half a record.
     whole = json.dumps({"seq": 2, "t": 9.0, "type": "beta", "data": {}})
@@ -94,7 +92,7 @@ def test_file_tail_counts_malformed_complete_lines(tmp_path):
     journal = RunJournal(path)
     with path.open("a", encoding="utf-8") as fh:
         fh.write("{not json}\n")
-    tail = _FileTail(path, "main")
+    tail = JournalFollower(path)
     assert [e["type"] for e in tail.poll()] == ["journal.open"]
     assert tail.malformed == 1
     journal.close()
@@ -132,7 +130,8 @@ def test_tail_while_separate_process_writes(tmp_path):
         assert writer.stdout.readline().strip() == "ready"
         seen = []
         watched_mid_run = False
-        for event in follow_journal(path, poll_interval=0.005, timeout=30):
+        follower = JournalFollower(path)
+        for event in follower.follow(poll_interval=0.005, timeout=30):
             seen.append(event)
             if not watched_mid_run and len(seen) > 5 \
                     and writer.poll() is None:
@@ -225,21 +224,51 @@ def test_progress_model_mid_run_fraction_and_eta():
     assert "50/100 faults" in render_watch(snap)
 
 
+def test_progress_model_counts_only_the_current_flow():
+    """A second flow's phases must not count as done because the first
+    flow finished phases of the same name."""
+    events = [("journal.open", {"wall_time": 0.0, "trace_id": "ab" * 16})]
+    plans = {
+        "pipeline.generation": ["scan_insert", "collapse", "atpg",
+                                "restoration", "omission"],
+        "pipeline.translation": ["scan_insert", "collapse", "baseline_atpg",
+                                 "translate", "restoration", "omission"],
+    }
+    for root, plan in plans.items():
+        events.append(("span.open", {"path": root}))
+        events.append(("progress.plan", {"flow": root, "phases": plan}))
+        for phase in plan:
+            events.append(("span.open", {"path": f"{root}/{phase}"}))
+            events.append(("span.close", {"path": f"{root}/{phase}",
+                                          "duration": 0.1}))
+        events.append(("span.close", {"path": root, "duration": 1.0}))
+
+    def snapshot_after_open(path):
+        cut = events.index(("span.open", {"path": path})) + 1
+        model = ProgressModel()
+        for seq, (etype, data) in enumerate(events[:cut]):
+            model.ingest({"seq": seq, "t": 0.1 * seq, "type": etype,
+                          "_wall": 0.1 * seq, "data": data})
+        return model.snapshot(now=0.1 * cut)
+
+    def share(done):
+        weights = DEFAULT_PHASE_WEIGHTS
+        plan = plans["pipeline.translation"]
+        return sum(weights[p] for p in done) / sum(weights[p] for p in plan)
+
+    snap = snapshot_after_open("pipeline.translation/omission")
+    assert snap.phase == "pipeline.translation/omission"
+    assert snap.fraction == pytest.approx(
+        share(plans["pipeline.translation"][:-1]))
+    assert snap.fraction < 1.0 and snap.eta > 0.0
+    # Early in translation, generation's same-named phases do not count.
+    snap = snapshot_after_open("pipeline.translation/collapse")
+    assert snap.fraction == pytest.approx(share(["scan_insert"]))
+
+
 def test_render_watch_before_any_event():
     assert render_watch(ProgressModel().snapshot(now=0.0)) == \
         "waiting for journal events..."
-
-
-def test_in_process_progress_snapshot():
-    assert progress_snapshot() is None       # no active session
-    with obs.session():
-        obs.event("progress.plan", flow="generation", phases=["atpg"])
-        with obs.span("pipeline"):
-            with obs.span("atpg"):
-                snap = progress_snapshot()
-    assert snap is not None and snap.started and not snap.finished
-    assert snap.phase == "pipeline/atpg"
-    assert snap.flow == "generation"
 
 
 # -- trace export ------------------------------------------------------------

@@ -186,16 +186,15 @@ def test_timed_decorator_records_span():
 
 def test_journal_roundtrip(tmp_path):
     path = tmp_path / "run.jsonl"
-    with obs.session(trace=str(path)) as telemetry:
+    with obs.session(trace=str(path)):
         with obs.span("phase"):
             obs.event("custom.kind", payload=7)
-        telemetry.snapshot_event()
     events = obs.read_journal(path)
     kinds = [e["type"] for e in events]
     assert kinds[0] == "journal.open"
     assert kinds[-1] == "journal.close"
     assert "span.open" in kinds and "span.close" in kinds
-    assert "custom.kind" in kinds and "metrics.snapshot" in kinds
+    assert "custom.kind" in kinds
     custom = next(e for e in events if e["type"] == "custom.kind")
     assert custom["data"] == {"payload": 7}
     close = next(e for e in events if e["type"] == "span.close")
@@ -302,6 +301,34 @@ def test_render_profile_ties_break_by_name():
     lines = obs.render_profile(telemetry).splitlines()
     phases = [line.split()[0] for line in lines[3:6]]
     assert phases == ["c", "a", "b"]  # time desc, then name asc
+
+    # Two flows: the slower root's child is cheaper than the faster
+    # root, yet each child prints directly under its own root.
+    class _TwoRoots:
+        @staticmethod
+        def aggregate():
+            return {
+                "gen": {"count": 1, "total_seconds": 3.0, "depth": 0},
+                "gen/omission": {"count": 1, "total_seconds": 1.0,
+                                 "depth": 1},
+                "gen/atpg": {"count": 1, "total_seconds": 1.5, "depth": 1},
+                "tr": {"count": 1, "total_seconds": 2.0, "depth": 0},
+                "tr/omission": {"count": 1, "total_seconds": 1.2,
+                                "depth": 1},
+            }
+
+    telemetry.spans = _TwoRoots()
+    lines = obs.render_profile(telemetry).splitlines()
+    rows = [line.split()[:2] for line in lines[3:8]]
+    assert rows == [["gen", "1"], ["atpg", "1"], ["omission", "1"],
+                    ["tr", "1"], ["omission", "1"]]
+    shares = [float(line.split()[3]) for line in lines[3:8]]
+    assert shares == [60.0, 30.0, 20.0, 40.0, 24.0]
+    # --top keeps the most expensive rows, each still under its root.
+    lines = obs.render_profile(telemetry, top=3).splitlines()
+    assert [line.split()[0] for line in lines[3:6]] == ["gen", "atpg",
+                                                        "tr"]
+    assert "... 2 more phases" in lines[6]
 
 
 def test_profile_cli_top_flag(tmp_path, capsys):

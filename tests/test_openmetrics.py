@@ -64,8 +64,8 @@ class TestRender:
     def test_meta_rides_as_labels(self):
         families = parse_openmetrics(render_openmetrics(artifact()))
         _s, labels, _v = families["repro_atpg_backtracks"]["samples"][0]
-        assert labels == {"circuit": "s27", "backend": "packed",
-                          "jobs": "2"}
+        # Only the circuit is a run dimension; other meta keys are not.
+        assert labels == {"circuit": "s27"}
 
     def test_extra_labels_merged(self):
         families = parse_openmetrics(

@@ -60,6 +60,9 @@ def test_parallel_surface_is_the_pool():
         ("repro.sim", "PackedPatternSimulator"),
         ("repro.obs", "compare_records"),
         ("repro.analysis", "random_testability"),
+        ("repro.obs", "progress_snapshot"),
+        ("repro.obs", "follow_journal"),
+        ("repro.circuit", "eval_gate_packed"),
     ]
     for module, name in removed:
         assert name not in repro.__all__, name

@@ -11,13 +11,8 @@ from repro.obs.journal import (
     resolve_journal_max_bytes,
     rotated_journal_path,
 )
-from repro.obs.live import JournalFollower, _FileTail
-from repro.obs.spans import (
-    TRACK_RSS_ENV,
-    SpanLog,
-    peak_rss_kb,
-    resolve_track_rss,
-)
+from repro.obs.live import JournalFollower
+from repro.obs.spans import SpanLog, peak_rss_kb
 
 TINY_MB = 0.0005  # ~512 bytes: a handful of events per segment
 
@@ -134,7 +129,7 @@ class TestFollowerAcrossRotation:
     def test_tail_sees_every_event(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = RunJournal(path, max_mb=TINY_MB)
-        tail = _FileTail(path, "main")
+        tail = JournalFollower(path)
         seen = []
         for i in range(40):
             journal.emit("tick", i=i)
@@ -159,62 +154,44 @@ class TestFollowerAcrossRotation:
         worker_rot.write_text("{}\n")
         follower = JournalFollower(path)
         events = follower.poll()
-        # Neither <base>.1 nor <base>.w<pid>.1 shows up as a source; a
-        # late-attaching follower tails the live segment only (the
-        # stitched history is read_journal's job).
-        srcs = {e.get("src") for e in events}
-        assert srcs == {"main"}
+        # Neither <base>.1 nor <base>.w<pid>.1 is read; a late-attaching
+        # follower tails the live segment only (the stitched history is
+        # read_journal's job).
+        assert events[0]["data"]["segment"] == journal.segment
+        assert [e["seq"] for e in events] == list(
+            range(events[0]["seq"], events[0]["seq"] + len(events)))
+        assert events[-1]["type"] == "journal.close"
+        assert follower.finished and follower.malformed == 0
 
 
 class TestPeakRss:
     def test_sampling_returns_positive_on_linux(self):
         assert peak_rss_kb() > 0
 
-    def test_resolver(self, monkeypatch):
-        monkeypatch.delenv(TRACK_RSS_ENV, raising=False)
-        assert resolve_track_rss() is False
-        assert resolve_track_rss(True) is True
-        monkeypatch.setenv(TRACK_RSS_ENV, "1")
-        assert resolve_track_rss() is True
-        monkeypatch.setenv(TRACK_RSS_ENV, "0")
-        assert resolve_track_rss() is False
-        monkeypatch.setenv(TRACK_RSS_ENV, "1")
-        assert resolve_track_rss(False) is False
-
     def test_span_log_records_rss_when_tracking(self):
-        log = SpanLog(track_rss=True)
+        """Every span close samples peak RSS; there is no switch."""
+        log = SpanLog()
         log.open("phase")
         record = log.close()
         assert record.rss_kb > 0
         assert log.aggregate()["phase"]["peak_rss_kb"] > 0
 
-    def test_span_log_off_by_default(self):
-        log = SpanLog()
-        log.open("phase")
-        assert log.close().rss_kb == 0
-        assert "peak_rss_kb" not in log.aggregate()["phase"]
-
     def test_session_emits_gauges_and_profile_column(self):
-        with obs.session(track_rss=True) as telemetry:
+        with obs.session() as telemetry:
             with obs.span("pipeline.generation"):
                 pass
         gauges = telemetry.metrics.snapshot()["gauges"]
         assert gauges["pipeline.generation.peak_rss_kb"] > 0
         profile = obs.render_profile(telemetry)
         assert "peakMB" in profile
+        [span] = obs.metrics_artifact(telemetry)["spans"]
+        assert span["peak_rss_kb"] > 0
 
-    def test_profile_column_absent_without_tracking(self):
-        with obs.session() as telemetry:
-            with obs.span("pipeline.generation"):
-                pass
-        assert "peakMB" not in obs.render_profile(telemetry)
-
-    def test_rss_lands_in_run_record(self, tmp_path, monkeypatch):
+    def test_rss_lands_in_run_record(self, tmp_path):
         from repro import FlowConfig, generation_flow
         from repro.circuit import s27
         from repro.obs.history import RunIndex
 
-        monkeypatch.setenv(TRACK_RSS_ENV, "1")
         db = tmp_path / "runs.sqlite"
         with obs.session():
             generation_flow(s27(), FlowConfig(seed=1,
@@ -225,3 +202,5 @@ class TestPeakRss:
                       if name.endswith("peak_rss_kb")}
         assert rss_gauges
         assert all(value > 0 for value in rss_gauges.values())
+        assert all(span["peak_rss_kb"] > 0
+                   for span in entry.record["spans"])
