@@ -133,7 +133,7 @@ def main(argv=None):
         record_bench = None
     if record_bench is not None:
         record_bench(telemetry, "corpus", f"corpus:{CIRCUIT}",
-                     time.perf_counter() - started, backend="vector")
+                     time.perf_counter() - started)
     print("\n".join(report_lines(circuit, faults, identity_detected,
                                  session_detected, seconds)))
     obs.write_metrics_json(args.metrics_out, telemetry,

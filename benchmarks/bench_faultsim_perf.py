@@ -269,7 +269,7 @@ def main(argv=None):
         speedup = seconds["packed"] / seconds["vector"]
         telemetry.set_gauge("faultsim.bench.speedup", round(speedup, 2))
     record_bench(telemetry, "faultsim", "s1423-class",
-                 time.perf_counter() - started, backend="vector")
+                 time.perf_counter() - started)
     detected = len(results["packed"].detection_time)
     print(f"s1423-class: {num_faults} collapsed faults, 32 cycles, "
           f"detected {detected}/{num_faults}")

@@ -44,7 +44,7 @@ def emit(report_dir: Path, name: str, text: str) -> None:
 
 
 def record_bench(telemetry, bench: str, circuit_name: str,
-                 wall_seconds: float, backend: str = "packed"):
+                 wall_seconds: float):
     """Append this bench session to the ambient run index
     (``REPRO_RUN_INDEX``), when one is configured.
 
@@ -70,7 +70,6 @@ def record_bench(telemetry, bench: str, circuit_name: str,
             config_fp=config_fingerprint("bench", bench=bench),
             flow=f"bench:{bench}",
             wall_seconds=wall_seconds,
-            backend=backend,
             telemetry=telemetry,
         )
         return RunIndex(path).append(record)
