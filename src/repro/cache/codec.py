@@ -10,6 +10,10 @@ each one preserves the exact structure a cold run produced:
   restoration procedure's stable hardest-first sort consumes the dict's
   insertion order, so a warm run must rebuild the dict in the exact
   order the cold run's simulator emitted it;
+* inside a ``flow`` entry, which carries its own collapsed universe,
+  fault sets and detection maps encode as **integer indices** into that
+  universe (:func:`encode_indices`), so a replay builds each
+  :class:`~repro.faults.model.Fault` once instead of once per set;
 * sequences encode with their input header and ``scan_sel`` column so a
   decoded :class:`~repro.testseq.sequences.TestSequence` revalidates its
   vector widths on construction.
@@ -49,6 +53,36 @@ def encode_times(times: Dict[Fault, int]) -> List[list]:
 def decode_times(data: Iterable[Sequence]) -> Dict[Fault, int]:
     """Inverse of :func:`encode_times`; insertion order preserved."""
     return {decode_fault(item): t for item, t in data}
+
+
+def encode_indices(faults: Iterable[Fault],
+                   index: Dict[Fault, int]) -> List[int]:
+    """Faults -> their positions in the universe ``index`` maps."""
+    return [index[f] for f in faults]
+
+
+def decode_indices(data: Sequence[int],
+                   universe: Sequence[Fault]) -> List[Fault]:
+    """Inverse of :func:`encode_indices`.  An index outside the universe
+    raises ``IndexError`` (or ``TypeError``) instead of wrapping
+    around."""
+    if data and min(data) < 0:
+        raise IndexError("negative fault index")
+    return [universe[i] for i in data]
+
+
+def encode_indexed_times(times: Dict[Fault, int],
+                         index: Dict[Fault, int]) -> List[list]:
+    """Detection map -> ordered ``[[position, t], ...]`` pair list."""
+    return [[index[f], t] for f, t in times.items()]
+
+
+def decode_indexed_times(data: Sequence[Sequence],
+                         universe: Sequence[Fault]) -> Dict[Fault, int]:
+    """Inverse of :func:`encode_indexed_times`; insertion order
+    preserved."""
+    faults = decode_indices([i for i, _ in data], universe)
+    return dict(zip(faults, (t for _, t in data)))
 
 
 def encode_sequence(sequence: TestSequence) -> dict:

@@ -14,7 +14,9 @@ Each file is a **versioned envelope**::
 The full fingerprints are stored *inside* the envelope and re-verified
 on read, so a hash-prefix collision in the filename, a renamed file or
 a schema revision all surface as a clean **miss** — entries
-self-invalidate rather than decode into the wrong result.
+self-invalidate rather than decode into the wrong result.  A caller may
+hand :meth:`ResultStore.get` its payload decoder, so that a payload
+which parses as JSON but does not decode is a miss too.
 
 Durability and concurrency
 --------------------------
@@ -123,16 +125,24 @@ class ResultStore:
 
     # -- lookup / persist ----------------------------------------------------
 
-    def get(self, stage: str, circuit_fp: str, config_fp: str):
+    def get(self, stage: str, circuit_fp: str, config_fp: str,
+            decode=None):
         """The stored payload for this address, or ``None`` on any kind
-        of miss (absent, corrupt, stale schema, fingerprint mismatch)."""
-        payload, size, reason = self._read(stage, circuit_fp, config_fp)
+        of miss (absent, corrupt, stale schema, fingerprint mismatch).
+
+        With ``decode`` given, the result is ``decode(payload)``, and a
+        payload that ``decode`` rejects with a ``KeyError``,
+        ``IndexError``, ``TypeError``, ``ValueError`` or
+        ``AttributeError`` is a ``corrupt`` miss."""
+        payload, size, reason = self._read(stage, circuit_fp, config_fp,
+                                           decode)
         if reason is not None:
             return self._miss(stage, reason)
         self._hit(stage, circuit_fp, size)
         return payload
 
-    def _read(self, stage: str, circuit_fp: str, config_fp: str):
+    def _read(self, stage: str, circuit_fp: str, config_fp: str,
+              decode=None):
         """Telemetry-free entry read: ``(payload, bytes, None)`` on a
         valid entry, ``(None, 0, reason)`` on any kind of miss.  The
         layered store composes lookups out of this so a tenant-layer
@@ -156,6 +166,12 @@ class ResultStore:
             return None, 0, "schema"
         if stale:
             return None, 0, "stale"
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (AttributeError, IndexError, KeyError, TypeError,
+                    ValueError):
+                return None, 0, "corrupt"
         return payload, len(raw), None
 
     def _hit(self, stage: str, circuit_fp: str, size: int):
@@ -352,13 +368,15 @@ class LayeredResultStore(ResultStore):
         self.base = (base if isinstance(base, ResultStore)
                      else ResultStore(base))
 
-    def get(self, stage: str, circuit_fp: str, config_fp: str):
-        payload, size, reason = self._read(stage, circuit_fp, config_fp)
+    def get(self, stage: str, circuit_fp: str, config_fp: str,
+            decode=None):
+        payload, size, reason = self._read(stage, circuit_fp, config_fp,
+                                           decode)
         if reason is None:
             self._hit(stage, circuit_fp, size)
             return payload
         payload, size, base_reason = self.base._read(
-            stage, circuit_fp, config_fp)
+            stage, circuit_fp, config_fp, decode)
         if base_reason is None:
             obs.incr("cache.hit.base")
             self._hit(stage, circuit_fp, size)

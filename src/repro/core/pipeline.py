@@ -10,6 +10,11 @@ Two flows mirror the paper's two experiments:
   then the same compaction.  Feeds Table 7.
 
 Both return rich result objects; the experiment modules only format.
+
+With a result store attached (see :mod:`repro.cache.stages`), a flow
+first reads its whole result from one ``flow`` entry; only when that
+entry is missing or damaged does it run its stages, each of which
+reads its own entry, and it then writes the ``flow`` entry.
 """
 
 from __future__ import annotations
@@ -129,65 +134,21 @@ def generation_flow(
                           "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        stages = StageCache(store, scan_circuit.circuit, scan_circuit)
-        with obs.span("collapse"):
-            faults = stages.load_faults()
-            if faults is None:
-                faults = collapse_faults(scan_circuit.circuit)
-                stages.save_faults(faults)
-        obs.event("progress.work", phase="atpg", total=len(faults),
-                  unit="faults")
-        generator = None
-        with obs.span("atpg"):
-            atpg = stages.load_generation_atpg(cfg, faults)
-            if atpg is None:
-                generator = ScanAwareATPG(
-                    scan_circuit,
-                    faults,
-                    config=cfg.atpg_config(),
-                    use_scan_knowledge=cfg.use_scan_knowledge,
-                    use_justification=cfg.use_justification,
-                )
-                atpg = generator.generate()
-                stages.save_generation_atpg(cfg, faults, atpg)
-        result = GenerationFlowResult(
-            circuit=circuit,
-            scan_circuit=scan_circuit,
-            faults=faults,
-            atpg=atpg,
-            raw=atpg.sequence,
-        )
-        obs.coverage("pipeline.atpg", result.detected_total, len(faults))
-        if cfg.classify_redundant and atpg.base.aborted:
-            with obs.span("redundancy"):
-                untestable = stages.load_redundancy(cfg, atpg.base.aborted)
-                if untestable is None:
-                    untestable = []
-                    # The generator's engine (same comb view) memoizes the
-                    # justification hook's verdicts; a cached `atpg` stage
-                    # leaves none to reuse.
-                    podem = generator.podem if generator is not None else \
-                        Podem(comb_view(scan_circuit.circuit).circuit)
-                    for fault in atpg.base.aborted:
-                        if fault.consumer is not None and \
-                                fault.consumer in scan_circuit.circuit.flop_by_q:
-                            continue
-                        verdict = podem.run(
-                            fault,
-                            backtrack_limit=cfg.redundancy_backtrack_limit)
-                        if verdict.status == UNTESTABLE:
-                            untestable.append(fault)
-                    stages.save_redundancy(cfg, atpg.base.aborted, untestable)
-                result.untestable.extend(untestable)
-        if cfg.compact:
-            _compact_into(
-                result, scan_circuit.circuit, atpg.sequence, faults, cfg,
-                store=store,
-            )
+        flow_stages = StageCache(store, circuit)
+        fields = flow_stages.load_flow(cfg, "generation", circuit)
+        if fields is not None:
+            result = GenerationFlowResult(
+                circuit=circuit, scan_circuit=scan_circuit,
+                raw=fields["atpg"].sequence, **fields)
+            obs.coverage("pipeline.atpg", result.detected_total,
+                         len(result.faults))
+        else:
+            result = _generate(circuit, scan_circuit, cfg, store)
+            flow_stages.save_flow(cfg, "generation", result)
         if ledger.enabled():
             ledger.record(
                 "flow.summary", flow="generation",
-                detected=result.detected_total, total=len(faults),
+                detected=result.detected_total, total=len(result.faults),
                 coverage=result.fault_coverage,
                 raw_len=len(result.raw.vectors),
                 final_len=len(result.omitted.sequence.vectors)
@@ -199,6 +160,68 @@ def generation_flow(
         maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "generation", result.elapsed_seconds)
+    return result
+
+
+def _generate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
+              store) -> GenerationFlowResult:
+    """The generation flow's stages, each read from the per-stage
+    entries when present."""
+    stages = StageCache(store, scan_circuit.circuit, scan_circuit)
+    with obs.span("collapse"):
+        faults = stages.load_faults()
+        if faults is None:
+            faults = collapse_faults(scan_circuit.circuit)
+            stages.save_faults(faults)
+    obs.event("progress.work", phase="atpg", total=len(faults),
+              unit="faults")
+    generator = None
+    with obs.span("atpg"):
+        atpg = stages.load_generation_atpg(cfg, faults)
+        if atpg is None:
+            generator = ScanAwareATPG(
+                scan_circuit,
+                faults,
+                config=cfg.atpg_config(),
+                use_scan_knowledge=cfg.use_scan_knowledge,
+                use_justification=cfg.use_justification,
+            )
+            atpg = generator.generate()
+            stages.save_generation_atpg(cfg, faults, atpg)
+    result = GenerationFlowResult(
+        circuit=circuit,
+        scan_circuit=scan_circuit,
+        faults=faults,
+        atpg=atpg,
+        raw=atpg.sequence,
+    )
+    obs.coverage("pipeline.atpg", result.detected_total, len(faults))
+    if cfg.classify_redundant and atpg.base.aborted:
+        with obs.span("redundancy"):
+            untestable = stages.load_redundancy(cfg, atpg.base.aborted)
+            if untestable is None:
+                untestable = []
+                # The generator's engine (same comb view) memoizes the
+                # justification hook's verdicts; a cached `atpg` stage
+                # leaves none to reuse.
+                podem = generator.podem if generator is not None else \
+                    Podem(comb_view(scan_circuit.circuit).circuit)
+                for fault in atpg.base.aborted:
+                    if fault.consumer is not None and \
+                            fault.consumer in scan_circuit.circuit.flop_by_q:
+                        continue
+                    verdict = podem.run(
+                        fault,
+                        backtrack_limit=cfg.redundancy_backtrack_limit)
+                    if verdict.status == UNTESTABLE:
+                        untestable.append(fault)
+                stages.save_redundancy(cfg, atpg.base.aborted, untestable)
+            result.untestable.extend(untestable)
+    if cfg.compact:
+        _compact_into(
+            result, scan_circuit.circuit, atpg.sequence, faults, cfg,
+            store=store,
+        )
     return result
 
 
@@ -245,8 +268,6 @@ def translation_flow(
     precomputed ``baseline`` *result* may be passed to share it with a
     Table 6 run on the same circuit.
     """
-    from ..atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
-
     cfg = _flow_config("translation_flow", config)
     store = _flow_store(cfg)
     with obs.stopwatch("pipeline.translation") as root:
@@ -255,42 +276,63 @@ def translation_flow(
                           "translate", "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        stages = StageCache(store, scan_circuit.circuit, scan_circuit)
-        with obs.span("collapse"):
-            faults = stages.load_faults()
-            if faults is None:
-                faults = collapse_faults(scan_circuit.circuit)
-                stages.save_faults(faults)
-        obs.event("progress.work", phase="baseline_atpg",
-                  total=len(faults), unit="faults")
-        if baseline is None:
-            baseline_config = cfg.baseline or SecondApproachConfig(seed=cfg.seed)
-            # The baseline runs on the *non-scan* circuit: its cache
-            # entries live under that circuit's fingerprint.
-            base_stages = StageCache(store, circuit)
-            with obs.span("baseline_atpg"):
-                baseline = base_stages.load_baseline(baseline_config, circuit)
-                if baseline is None:
-                    baseline = SecondApproachATPG(
-                        circuit, config=baseline_config
-                    ).generate()
-                    base_stages.save_baseline(baseline_config, baseline)
-        with obs.span("translate"):
-            translated = translate_test_set(scan_circuit, baseline.test_set)
-            translated = translated.randomize_x(random.Random(cfg.seed ^ 0x7EA5))
-        result = TranslationFlowResult(
-            circuit=circuit,
-            scan_circuit=scan_circuit,
-            faults=faults,
-            baseline=baseline,
-            translated=translated,
-        )
-        if cfg.compact:
-            _compact_into(result, scan_circuit.circuit, translated, faults,
-                          cfg, store=store)
+        # A passed baseline is not part of the flow key, so such a run
+        # neither reads nor writes the entry.
+        flow_stages = StageCache(store, circuit)
+        fields = (flow_stages.load_flow(cfg, "translation", circuit)
+                  if baseline is None else None)
+        if fields is not None:
+            result = TranslationFlowResult(
+                circuit=circuit, scan_circuit=scan_circuit, **fields)
+        else:
+            result = _translate(circuit, scan_circuit, cfg, store, baseline)
+            if baseline is None:
+                flow_stages.save_flow(cfg, "translation", result)
         maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "translation", result.elapsed_seconds)
+    return result
+
+
+def _translate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
+               store, baseline) -> TranslationFlowResult:
+    """The translation flow's stages, each read from the per-stage
+    entries when present."""
+    from ..atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
+
+    stages = StageCache(store, scan_circuit.circuit, scan_circuit)
+    with obs.span("collapse"):
+        faults = stages.load_faults()
+        if faults is None:
+            faults = collapse_faults(scan_circuit.circuit)
+            stages.save_faults(faults)
+    obs.event("progress.work", phase="baseline_atpg",
+              total=len(faults), unit="faults")
+    if baseline is None:
+        baseline_config = cfg.baseline or SecondApproachConfig(seed=cfg.seed)
+        # The baseline runs on the *non-scan* circuit: its cache
+        # entries live under that circuit's fingerprint.
+        base_stages = StageCache(store, circuit)
+        with obs.span("baseline_atpg"):
+            baseline = base_stages.load_baseline(baseline_config, circuit)
+            if baseline is None:
+                baseline = SecondApproachATPG(
+                    circuit, config=baseline_config
+                ).generate()
+                base_stages.save_baseline(baseline_config, baseline)
+    with obs.span("translate"):
+        translated = translate_test_set(scan_circuit, baseline.test_set)
+        translated = translated.randomize_x(random.Random(cfg.seed ^ 0x7EA5))
+    result = TranslationFlowResult(
+        circuit=circuit,
+        scan_circuit=scan_circuit,
+        faults=faults,
+        baseline=baseline,
+        translated=translated,
+    )
+    if cfg.compact:
+        _compact_into(result, scan_circuit.circuit, translated, faults,
+                      cfg, store=store)
     return result
 
 
@@ -325,26 +367,14 @@ def _compact_into(
     Both stages share one incremental oracle, so omission reuses the
     packed-state checkpoints restoration left behind.
 
-    With a result store attached the whole tail is memoized: a warm run
-    decodes the restored/omitted sequences and the final detection map
-    without building an oracle (zero simulated cycles); a cold run
-    additionally scores the final compacted sequence so the
-    ``detection`` stage is persisted alongside ``compact``."""
+    With a result store attached the whole tail is memoized under the
+    ``compact`` stage: a hit decodes the restored/omitted sequences
+    without building an oracle (zero simulated cycles)."""
     cfg = cfg or FlowConfig()
     stages = StageCache(store, circuit)
     cached = stages.load_compaction(cfg, faults, sequence)
     if cached is not None:
-        restored, omitted = cached
-        # The final-sequence detection map rides with the compact
-        # stage; re-derive (and re-persist) it only if that entry was
-        # damaged or cleared independently.
-        final = stages.load_detection(faults, list(omitted.sequence.vectors))
-        if final is None:
-            oracle = CompactionOracle(circuit, faults, store=store)
-            oracle.detection_times(list(omitted.sequence.vectors))
-            oracle.close()
-        result.restored = restored
-        result.omitted = omitted
+        result.restored, result.omitted = cached
         return
     oracle = CompactionOracle(circuit, faults, store=store)
     session = oracle.session
@@ -374,11 +404,6 @@ def _compact_into(
         # sequence — the ground truth explain-vector reconciles against.
         final_times = oracle.detection_times(list(omitted.sequence.vectors))
         ledger.record("flow.final_times", times=final_times)
-    elif store is not None:
-        # Score the final sequence once so warm restarts get the
-        # full-universe map straight from the store; the oracle
-        # persists it as the ``detection`` stage.
-        oracle.detection_times(list(omitted.sequence.vectors))
     oracle.close()
     stages.save_compaction(cfg, faults, sequence, restored, omitted)
     result.restored = restored

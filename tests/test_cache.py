@@ -12,9 +12,13 @@ Covers the PR's tentpole and its regression satellites:
 * omission's drop accounting: drops never leak, even when a query blows
   up mid-sweep;
 * the headline property: cold and warm flows are bit-identical (s27 and
-  a synthetic circuit, cold ``jobs=1`` and warm ``jobs=2``), and the
-  warm run does zero ATPG engine work and zero full-universe fault-sim
-  cycles.
+  a synthetic circuit, cold ``jobs=1`` and warm ``jobs=2``, generation
+  and translation), and the warm run reads one ``flow`` entry and does
+  zero ATPG engine work and zero fault-sim cycles;
+* the fallbacks: a missing or damaged ``flow`` entry replays the
+  per-stage entries bit-identically and is written again, a run that
+  changes one knob reuses the stages it does not reach, and a passed
+  translation baseline bypasses the ``flow`` entry.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.cache import (
 from repro.circuit import insert_scan, s27
 from repro.circuit.netlist import Circuit, Gate
 from repro.compaction import CompactionOracle, omission_compact
-from repro.core import FlowConfig, generation_flow
+from repro.core import FlowConfig, generation_flow, translation_flow
 from repro.faults import collapse_faults
 from repro.sim.fault_sim import compiled_topology
 from repro.testseq import TestSequence
@@ -230,14 +234,38 @@ def _flow_bits(flow):
         "faults": [str(f) for f in flow.faults],
         "untestable": sorted(str(f) for f in flow.untestable),
         "aborted": [str(f) for f in flow.atpg.base.aborted],
+        "hook_detected": [str(f) for f in flow.atpg.base.hook_detected],
         "raw": list(flow.raw.vectors),
         "detection": [(str(f), t)
                       for f, t in flow.atpg.detection_time.items()],
         "funct_scan_out": [str(f) for f in flow.atpg.funct_scan_out],
         "funct_justify": [str(f) for f in flow.atpg.funct_justify],
+        **_compaction_bits(flow),
+    }
+
+
+def _translation_bits(flow):
+    """Everything observable about a translation flow, in order."""
+    baseline = flow.baseline
+    return {
+        "faults": [str(f) for f in flow.faults],
+        "tests": [(t.scan_in, t.vectors) for t in baseline.test_set.tests],
+        "baseline_detected": [(str(f), t)
+                              for f, t in baseline.detected_by.items()],
+        "baseline_untestable": [str(f) for f in baseline.untestable],
+        "baseline_aborted": [str(f) for f in baseline.aborted],
+        "translated": list(flow.translated.vectors),
+        "scan_sel": flow.translated.scan_sel,
+        **_compaction_bits(flow),
+    }
+
+
+def _compaction_bits(flow):
+    return {
         "restored": list(flow.restored.sequence.vectors),
         "kept": list(flow.restored.kept_indices),
         "restored_detected": [str(f) for f in flow.restored.detected],
+        "never_detected": [str(f) for f in flow.restored.never_detected],
         "omitted": list(flow.omitted.sequence.vectors),
         "omitted_count": flow.omitted.omitted_count,
         "omission_detected": [str(f) for f in flow.omitted.detected],
@@ -249,26 +277,36 @@ def _counters(telemetry):
     return telemetry.metrics.snapshot()["counters"]
 
 
-def _run_flow(circuit, cfg):
+def _run_flow(circuit, cfg, flow=generation_flow):
+    bits = _flow_bits if flow is generation_flow else _translation_bits
     with obs.session() as telemetry:
-        flow = generation_flow(circuit, cfg)
-    return _flow_bits(flow), _counters(telemetry)
+        result = flow(circuit, cfg)
+    return bits(result), _counters(telemetry)
 
 
-def _assert_warm_equals_cold(circuit, cold_cfg, warm_cfg):
-    cold, cold_counters = _run_flow(circuit, cold_cfg)
-    assert any(k.startswith("atpg.") for k in cold_counters), \
-        "cold run should exercise the ATPG engine"
-    warm, warm_counters = _run_flow(circuit, warm_cfg)
+def _engine_work(counters):
+    return sorted(k for k in counters
+                  if k.startswith("atpg.") or k.startswith("faultsim."))
+
+
+def _flow_entries(cache):
+    return sorted(cache.glob("*/*/flow-*.json"))
+
+
+def _assert_warm_equals_cold(circuit, cold_cfg, warm_cfg,
+                             flow=generation_flow):
+    cold, cold_counters = _run_flow(circuit, cold_cfg, flow)
+    assert _engine_work(cold_counters), "cold run should exercise the engines"
+    assert cold_counters.get("cache.miss.flow") == 1
+    warm, warm_counters = _run_flow(circuit, warm_cfg, flow)
     assert warm == cold
-    # The acceptance bar: a warm restart does *zero* engine work.
-    engine_work = sorted(
-        k for k in warm_counters
-        if k.startswith("atpg.") or k.startswith("faultsim.")
-    )
-    assert not engine_work, f"warm run did engine work: {engine_work}"
-    for stage in ("collapse", "atpg", "compact", "detection"):
-        assert warm_counters.get(f"cache.hit.{stage}", 0) >= 1, stage
+    # The acceptance bar: a warm restart does *zero* engine work and
+    # reads exactly one store entry, the whole-flow result.
+    assert not _engine_work(warm_counters), \
+        f"warm run did engine work: {_engine_work(warm_counters)}"
+    assert warm_counters.get("cache.hit") == 1
+    assert warm_counters.get("cache.hit.flow") == 1
+    assert not warm_counters.get("cache.miss")
 
 
 def test_cold_and_warm_generation_identical_s27(tmp_path):
@@ -285,6 +323,131 @@ def test_cold_and_warm_generation_identical_synth_across_jobs(
     cold = FlowConfig(seed=3, cache_dir=cache, jobs=1)
     warm = FlowConfig(seed=3, cache_dir=cache, jobs=2)
     _assert_warm_equals_cold(small_synth, cold, warm)
+
+
+@pytest.mark.parametrize("circuit", ["s27", "small_synth"])
+def test_cold_and_warm_translation_identical(tmp_path, request, circuit):
+    circuit = s27() if circuit == "s27" else \
+        request.getfixturevalue("small_synth")
+    cfg = FlowConfig(seed=2, cache_dir=str(tmp_path / "cache"))
+    _assert_warm_equals_cold(circuit, cfg, cfg, flow=translation_flow)
+
+
+def test_missing_flow_entry_falls_back_to_stages(tmp_path, small_synth):
+    """Without its ``flow`` entry a warm run replays every per-stage
+    entry instead — still zero engine work — and writes the entry
+    again."""
+    cache = tmp_path / "cache"
+    cfg = FlowConfig(seed=3, cache_dir=str(cache))
+    cold, _ = _run_flow(small_synth, cfg)
+    (entry,) = _flow_entries(cache)
+    entry.unlink()
+    warm, counters = _run_flow(small_synth, cfg)
+    assert warm == cold
+    assert not _engine_work(counters)
+    assert counters.get("cache.miss.flow") == 1
+    for stage in ("collapse", "atpg", "compact"):
+        assert counters.get(f"cache.hit.{stage}", 0) >= 1, stage
+    assert _flow_entries(cache) == [entry]
+    again, counters = _run_flow(small_synth, cfg)
+    assert again == cold
+    assert counters.get("cache.hit") == counters.get("cache.hit.flow") == 1
+
+
+def test_partial_reuse_through_restoration(tmp_path, small_synth):
+    """A run that changes only the omission budget misses the ``flow``
+    and ``compact`` entries but reuses collapse, ATPG and the
+    detection map restoration starts from."""
+    cache = str(tmp_path / "cache")
+    _run_flow(small_synth, FlowConfig(seed=3, cache_dir=cache))
+    other = FlowConfig(seed=3, cache_dir=cache, max_omission_passes=2)
+    warm, counters = _run_flow(small_synth, other)
+    cold, _ = _run_flow(small_synth, other.replace(cache_dir=""))
+    assert warm == cold
+    assert counters.get("cache.miss.flow") == 1
+    assert counters.get("cache.miss.compact") == 1
+    for stage in ("collapse", "atpg", "detection"):
+        assert counters.get(f"cache.hit.{stage}", 0) >= 1, stage
+    assert not any(k.startswith("atpg.") for k in counters)
+
+
+def _damage_flow_entry(path, damage):
+    if damage == "truncate":
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        return
+    envelope = json.loads(path.read_text())
+    payload = envelope["payload"]
+    universe = len(payload["faults"])
+    if damage == "index":
+        payload["compact"]["omitted"]["detected"][0] = universe
+    else:  # a negative index must not wrap around to the universe's end
+        payload["atpg"]["aborted"].append(-1)
+    path.write_text(json.dumps(envelope))
+
+
+@pytest.mark.parametrize("damage", ["truncate", "index", "negative"])
+def test_damaged_flow_entry_falls_back_to_stages(tmp_path, small_synth,
+                                                 damage):
+    cache = tmp_path / "cache"
+    cfg = FlowConfig(seed=3, cache_dir=str(cache))
+    cold, _ = _run_flow(small_synth, cfg)
+    (entry,) = _flow_entries(cache)
+    before = entry.read_bytes()
+    _damage_flow_entry(entry, damage)
+    warm, counters = _run_flow(small_synth, cfg)
+    assert warm == cold
+    assert not _engine_work(counters)
+    assert counters.get("cache.miss.flow") == 1
+    assert not counters.get("cache.hit.flow")
+    assert counters.get("cache.hit.atpg") == 1
+    assert entry.read_bytes() == before  # rewritten, byte for byte
+
+
+def test_undecodable_stage_payload_is_a_miss(tmp_path, small_synth):
+    """A per-stage entry that parses but does not decode re-derives
+    that stage instead of raising."""
+    cache = tmp_path / "cache"
+    cfg = FlowConfig(seed=3, cache_dir=str(cache))
+    cold, _ = _run_flow(small_synth, cfg)
+    _flow_entries(cache)[0].unlink()
+    (atpg,) = cache.glob("*/*/atpg-*.json")
+    envelope = json.loads(atpg.read_text())
+    envelope["payload"] = {"sequence": None}
+    atpg.write_text(json.dumps(envelope))
+    warm, counters = _run_flow(small_synth, cfg)
+    assert warm == cold
+    assert counters.get("cache.miss.atpg") == 1
+    assert counters.get("cache.hit.collapse") == 1
+
+
+def test_passed_baseline_bypasses_flow_entry(tmp_path):
+    """``translation_flow(..., baseline=)`` is built from the passed
+    baseline even when the store holds the same config's flow entry,
+    and leaves that entry alone."""
+    from repro.atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
+
+    circuit = s27()
+    cache = tmp_path / "cache"
+    cfg = FlowConfig(seed=0, cache_dir=str(cache))
+    cached, _ = _run_flow(circuit, cfg, translation_flow)
+    (entry,) = _flow_entries(cache)
+    before = entry.read_bytes()
+    passed = SecondApproachATPG(
+        circuit, config=SecondApproachConfig(seed=5, max_test_length=3),
+    ).generate()
+    with obs.session() as telemetry:
+        flow = translation_flow(circuit, cfg, baseline=passed)
+    counters = _counters(telemetry)
+    assert flow.baseline is passed
+    assert _translation_bits(flow)["tests"] != cached["tests"]
+    uncached = translation_flow(circuit, cfg.replace(cache_dir=""),
+                                baseline=passed)
+    assert _translation_bits(flow) == _translation_bits(uncached)
+    assert not counters.get("cache.hit.flow")
+    assert not counters.get("cache.miss.flow")
+    assert entry.read_bytes() == before
+    assert _run_flow(circuit, cfg, translation_flow)[0] == cached
 
 
 def test_corrupted_entry_rederives_end_to_end(tmp_path, small_synth):
@@ -313,4 +476,4 @@ def test_env_var_turns_caching_on(tmp_path, monkeypatch):
     assert cold_counters.get("cache.stores", 0) >= 1
     warm, warm_counters = _run_flow(s27(), cfg)
     assert warm == cold
-    assert warm_counters.get("cache.hit", 0) >= 3
+    assert warm_counters.get("cache.hit.flow") == 1
