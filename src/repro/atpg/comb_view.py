@@ -70,6 +70,12 @@ class CombView:
         return [q for q, d in self.pseudo_output_of.items() if d in nets]
 
 
+def has_view_site(sequential: Circuit, fault: Fault) -> bool:
+    """False for a branch fault on a flip-flop D pin of ``sequential``:
+    the flop is gone from the comb view, so no gate there carries it."""
+    return fault.consumer is None or fault.consumer not in sequential.flop_by_q
+
+
 def view_fault(sequential: Circuit, fault: Fault) -> Fault:
     """Rewrite a fault of ``sequential`` for injection in its comb view.
 
@@ -82,7 +88,7 @@ def view_fault(sequential: Circuit, fault: Fault) -> Fault:
     out", the full-scan semantics under which D-pin and Q-stem faults
     are test-equivalent.
     """
-    if fault.consumer is not None and fault.consumer in sequential.flop_by_q:
+    if not has_view_site(sequential, fault):
         return branch_fault(fault.net, f"PO:{fault.net}", 0, fault.stuck_at)
     return fault
 

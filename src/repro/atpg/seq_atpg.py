@@ -30,9 +30,11 @@ knowledge is injected through the ``completion_hook`` callback: when the
 search fails but fault effects were seen in flip-flops, the hook may
 return extra vectors that finish the job (see
 :mod:`repro.core.scan_aware`, which implements the paper's
-scan-out/scan-in completions).  This mirrors the paper's structure — a
-conventional procedure, "enhanced by functional-level knowledge that the
-circuit has scan".
+scan-out/scan-in completions).  An optional ``triage_hook`` is asked
+before each search whether the target is proven untestable; a proven
+target is aborted without a search.  This mirrors the paper's
+structure — a conventional procedure, "enhanced by functional-level
+knowledge that the circuit has scan".
 """
 
 from __future__ import annotations
@@ -165,6 +167,11 @@ class PropagationTrace:
 #: a full detecting subsequence, or None.
 CompletionHook = Callable[[PropagationTrace, SimBackend], Optional[List[Tuple[int, ...]]]]
 
+#: A triage hook is asked about each target before its search and
+#: returns True when the fault is proven untestable; such a target is
+#: aborted at once, with no search and no completion hook.
+TriageHook = Callable[[Fault], bool]
+
 
 @dataclass
 class SeqATPGResult:
@@ -198,11 +205,13 @@ class SequentialATPG:
         completion_hook: Optional[CompletionHook] = None,
         targets: Optional[Sequence[Fault]] = None,
         simulator_factory=None,
+        triage_hook: Optional[TriageHook] = None,
     ):
         self.circuit = circuit
         self.faults = list(faults)
         self.config = config or SeqATPGConfig()
         self.completion_hook = completion_hook
+        self.triage_hook = triage_hook
         #: Targeting order (defaults to ``faults``).  Every entry must be
         #: in ``faults``; callers use this to front-load dominance-reduced
         #: targets so dominated faults mostly fall to fault dropping.
@@ -263,6 +272,13 @@ class SequentialATPG:
                 continue
             obs.incr("atpg.seq.targets")
             ledger.record("atpg.target", fault=fault, engine="seq")
+            if self.triage_hook is not None and self.triage_hook(fault):
+                obs.incr("atpg.seq.aborted")
+                obs.incr("atpg.seq.proven")
+                ledger.record("atpg.abort", fault=fault, engine="seq",
+                              proven=True)
+                result.aborted.append(fault)
+                continue
             subsequence, via_hook = self._target(fault, sim)
             if subsequence is None:
                 obs.incr("atpg.seq.aborted")

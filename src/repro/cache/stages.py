@@ -77,7 +77,7 @@ from .store import ResultStore
 #: Per-stage algorithm versions — bump when an engine's output could
 #: change for identical inputs.
 COLLAPSE_VERSION = 1
-ATPG_VERSION = 1
+ATPG_VERSION = 2
 REDUNDANCY_VERSION = 1
 BASELINE_VERSION = 1
 COMPACT_VERSION = 1

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..atpg.comb_view import comb_view
+from ..atpg.comb_view import comb_view, has_view_site
 from ..atpg.podem import UNTESTABLE, Podem
 from ..cache.stages import StageCache
 from ..circuit.netlist import Circuit
@@ -202,13 +202,12 @@ def _generate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
             if untestable is None:
                 untestable = []
                 # The generator's engine (same comb view) memoizes the
-                # justification hook's verdicts; a cached `atpg` stage
-                # leaves none to reuse.
+                # triage's verdicts; a cached `atpg` stage leaves none
+                # to reuse.
                 podem = generator.podem if generator is not None else \
                     Podem(comb_view(scan_circuit.circuit).circuit)
                 for fault in atpg.base.aborted:
-                    if fault.consumer is not None and \
-                            fault.consumer in scan_circuit.circuit.flop_by_q:
+                    if not has_view_site(scan_circuit.circuit, fault):
                         continue
                     verdict = podem.run(
                         fault,

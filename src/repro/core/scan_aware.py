@@ -27,6 +27,17 @@ Every completion is verified against the actual (faulty) sequential
 behaviour of ``C_scan`` before it is accepted: the fault is present
 *during* the scan operations too (it may live in the scan multiplexers),
 so the idealized reasoning above is a proposal generator, not an oracle.
+
+**Verdict-first targeting.**  While the justification completion is on,
+the same comb-view PODEM engine is asked about each target *before* its
+search, through the base engine's ``triage_hook``.  Full scan makes an
+``untestable`` verdict exact — a fault with no test in one frame of the
+comb view has no sequential test — so such a target is aborted without
+a search or a completion, and the redundancy pass later reads its proof
+from the engine memo.  Faults on a flip-flop's D pin have no comb-view
+site and are never triaged.  The forward-only setting
+(``use_justification=False``) and runs without scan knowledge do not
+triage: they search every target, as before.
 """
 
 from __future__ import annotations
@@ -35,8 +46,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..atpg.comb_view import CombView, comb_view
-from ..atpg.podem import Podem
+from ..atpg.comb_view import CombView, comb_view, has_view_site
+from ..atpg.podem import UNTESTABLE, Podem
 from ..atpg.seq_atpg import (
     PropagationTrace,
     SeqATPGConfig,
@@ -95,9 +106,9 @@ class ScanAwareATPG:
     config:
         Base engine configuration (seeds, search effort).
     use_justification:
-        Enable the PODEM + scan-in fallback (completion 2).  Disable to
-        reproduce the paper's forward-only setting, which uses only the
-        scan-out completion.
+        Enable the PODEM + scan-in fallback (completion 2) and the
+        verdict-first triage.  Disable to reproduce the paper's
+        forward-only setting, which uses only the scan-out completion.
     verify_retries:
         Random refills attempted when verifying a proposed completion.
     """
@@ -148,6 +159,8 @@ class ScanAwareATPG:
         self._scan_out_hits = []
         self._justify_hits = []
         hook = self._complete if self.use_scan_knowledge else None
+        triage = self._proven_untestable \
+            if self.use_scan_knowledge and self.use_justification else None
         targets = None
         if self.use_dominance:
             from ..faults.dominance import dominance_reduce
@@ -159,7 +172,7 @@ class ScanAwareATPG:
         engine = SequentialATPG(
             self.circuit, self.faults, config=self.config,
             completion_hook=hook, targets=targets,
-            simulator_factory=self.simulator_factory,
+            simulator_factory=self.simulator_factory, triage_hook=triage,
         )
         base = engine.generate()
         confirmed = set(base.hook_detected)
@@ -172,6 +185,15 @@ class ScanAwareATPG:
                 if f in confirmed and f not in self._scan_out_hits
             ],
         )
+
+    # -- triage hook -----------------------------------------------------------
+
+    def _proven_untestable(self, fault: Fault) -> bool:
+        """PODEM on the comb view proves ``fault`` untestable (the
+        verdict lands in the engine memo the justification completion
+        and the redundancy pass read)."""
+        return has_view_site(self.circuit, fault) and \
+            self.podem.run(fault).status == UNTESTABLE
 
     # -- completion hook -------------------------------------------------------
 
@@ -218,8 +240,8 @@ class ScanAwareATPG:
         """Scan in an activating state found by combinational ATPG, apply
         its input vector, scan out if the effect is captured in a flop."""
         fault = trace.fault
-        if fault.consumer is not None and fault.consumer in self.circuit.flop_by_q:
-            return None  # not representable in the combinational view
+        if not has_view_site(self.circuit, fault):
+            return None
         result = self.podem.run(fault)
         if not result.found:
             return None

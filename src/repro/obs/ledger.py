@@ -250,6 +250,9 @@ def _describe(event: LedgerEvent, fault=None) -> str:
         return (f"PODEM run on the combinational view: {d.get('status')}"
                 f" ({d.get('backtracks', 0)} backtracks{reused})")
     if kind == "atpg.abort":
+        if d.get("proven"):
+            return ("proven untestable on the combinational view before "
+                    "search (not searched)")
         return (f"abandoned by the {d.get('engine', '?')} engine "
                 f"(search and completions exhausted)")
     if kind == "atpg.detect":

@@ -199,21 +199,22 @@ def _generate(scan_circuit, faults, config, **kwargs):
 
 
 #: (digest of sequence, detection_time items in order, aborted and
-#: hook_detected; atpg.backtracks) of ScanAwareATPG at defaults, as the
-#: one-candidate-at-a-time beam search produced them.
+#: hook_detected; atpg.backtracks) of ScanAwareATPG at defaults, with
+#: verdict-first triage skipping the search of proven-untestable targets.
+#: The lanes reproduce what a one-candidate-at-a-time search decides.
 PINNED = {
-    ("s208", 0): ("9cd7a5a9019996e27f3f4cfda9ce9f15"
-                  "f6d34023443be5a18f384575bfad7f55", 5770),
-    ("s208", 1): ("e1184a8714cad1f94a40cf6a0edaefff"
-                  "1c36299103421237749fc0d1a9656d78", 5730),
-    ("s298", 0): ("6e3e08b885dab588d3b37dbc8019f3bd"
-                  "27bf09a1177d2e5dc4a2b18742dc9aae", 12334),
-    ("s298", 1): ("0d4221ecd47ce5a60e3583eb640c25fd"
-                  "d3717689d921479a7aab0141b5fafd68", 12920),
-    ("s386", 0): ("f5c8d7ca2e614770985370ee31b83c72"
-                  "de6f33a175e30e1efa506409f04e182d", 15634),
-    ("s386", 1): ("e707f8b69ec77171238f865433d354b9"
-                  "c7fcdf931c47412c8d6910160d6de77f", 15176),
+    ("s208", 0): ("27910da2f6a51be2984cdb0c1317dfa2"
+                  "9d54b60cf0042cb083bd42f6ab3eefef", 1141),
+    ("s208", 1): ("636f45c1b1ceb7a177dab7abb01c6384"
+                  "5a8a9a6444c5ab3d09ac612eed505990", 1405),
+    ("s298", 0): ("8dfbc3c2453d9e7ec09ff763244b42dd"
+                  "2b84e6be5093edfceacd51dba42daf80", 2074),
+    ("s298", 1): ("24723789f37e9533af050695cd4d28c4"
+                  "a96acb07d20ad2a9d74f70a8bdeabaea", 2485),
+    ("s386", 0): ("9557b0e28ffd19b21fa3f6f77a32b1b5"
+                  "26b4ef04d875ed27db3f97de184cc60a", 2210),
+    ("s386", 1): ("8fb93a943afc2a8ec1a7159264e0ad60"
+                  "20382db97bff6aaf8664da7ca0ccb21e", 1509),
 }
 
 

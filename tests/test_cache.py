@@ -18,7 +18,9 @@ Covers the PR's tentpole and its regression satellites:
 * the fallbacks: a missing or damaged ``flow`` entry replays the
   per-stage entries bit-identically and is written again, a run that
   changes one knob reuses the stages it does not reach, and a passed
-  translation baseline bypasses the ``flow`` entry.
+  translation baseline bypasses the ``flow`` entry;
+* stage versions: a bumped ``ATPG_VERSION`` misses the ``flow`` and
+  ``atpg`` entries a store filled before it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.cache import (
     faults_fingerprint,
     vectors_fingerprint,
 )
+from repro.cache import stages as stage_versions
 from repro.circuit import insert_scan, s27
 from repro.circuit.netlist import Circuit, Gate
 from repro.compaction import CompactionOracle, omission_compact
@@ -369,6 +372,27 @@ def test_partial_reuse_through_restoration(tmp_path, small_synth):
     for stage in ("collapse", "atpg", "detection"):
         assert counters.get(f"cache.hit.{stage}", 0) >= 1, stage
     assert not any(k.startswith("atpg.") for k in counters)
+
+
+def test_bumped_atpg_version_misses_flow_and_atpg(tmp_path, small_synth,
+                                                  monkeypatch):
+    """A store filled before an ATPG algorithm change must not replay
+    the old sequence: bumping ``ATPG_VERSION`` turns the warm ``flow``
+    and ``atpg`` hits into misses while collapse still hits."""
+    cfg = FlowConfig(seed=3, cache_dir=str(tmp_path / "cache"))
+    cold, _ = _run_flow(small_synth, cfg)
+    _, counters = _run_flow(small_synth, cfg)
+    assert counters.get("cache.hit.flow") == 1
+    monkeypatch.setattr(stage_versions, "ATPG_VERSION",
+                        stage_versions.ATPG_VERSION + 1)
+    bumped, counters = _run_flow(small_synth, cfg)
+    assert bumped == cold  # same engine here, so the same bits
+    assert counters.get("cache.miss.flow") == 1
+    assert counters.get("cache.miss.atpg") == 1
+    assert not counters.get("cache.hit.flow")
+    assert not counters.get("cache.hit.atpg")
+    assert counters.get("cache.hit.collapse") == 1
+    assert _engine_work(counters)
 
 
 def _damage_flow_entry(path, damage):

@@ -113,6 +113,26 @@ def test_explain_fault_renders_chain(s27_run):
     assert "final status" in text
 
 
+def test_explain_fault_of_a_triaged_fault():
+    """A fault PODEM proves untestable before its search is explained
+    as such, with no search or completion claimed for it."""
+    with obs.session(ledger=True) as telemetry:
+        flow = generation_flow(suite.build_circuit("s298"),
+                               FlowConfig(seed=0))
+    ledger = telemetry.ledger
+    proven = [e.fault for e in ledger.events
+              if e.kind == "atpg.abort" and e.data.get("proven")]
+    assert proven and set(proven) <= set(flow.untestable)
+    fault = proven[0]
+    kinds = [e.kind for e in ledger.events_for(fault)]
+    assert "atpg.completion" not in kinds
+    text = ledger_mod.explain_fault(ledger, fault)
+    assert ("proven untestable on the combinational view before search "
+            "(not searched)") in text
+    assert "search and completions exhausted" not in text
+    assert "functional scan completion" not in text
+
+
 def test_render_attribution_is_consistent(s27_run):
     ledger, flow = s27_run
     text = ledger_mod.render_attribution(ledger, flow)

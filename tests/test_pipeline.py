@@ -7,6 +7,7 @@ from repro.atpg import UNTESTABLE, Podem, SeqATPGConfig, comb_view
 from repro.circuit import random_circuit, s27
 from repro.circuit.corpus import flow_overrides
 from repro.core import FlowConfig, generation_flow, translation_flow
+from repro.core.scan_aware import ScanAwareATPG
 from repro.experiments.suite import build_circuit
 from repro.sim import PackedFaultSimulator
 
@@ -104,16 +105,32 @@ def _fresh_proofs(flow, targets, limit):
 
 class TestRedundancyReuse:
     """The redundancy pass asks the generator's PODEM engine, whose memo
-    already holds the justification hook's verdicts on the same view."""
+    already holds the triage's verdicts on the same view."""
 
-    def test_every_proof_is_a_memo_hit(self, tmp_path):
+    def test_every_proof_is_a_memo_hit(self, tmp_path, monkeypatch):
+        """Counted from the end of generation, so the generator's own
+        memo hits (justification after triage) stay out of the tally."""
+        after_atpg = {}
+        generate = ScanAwareATPG.generate
+
+        def snapshot(self):
+            result = generate(self)
+            metrics = obs.active().metrics
+            after_atpg.update(
+                (name, metrics.counter(name).value)
+                for name in ("atpg.podem.calls", "atpg.podem.memo_hits"))
+            return result
+
+        monkeypatch.setattr(ScanAwareATPG, "generate", snapshot)
         cfg = FlowConfig(seed=0, cache_dir=str(tmp_path))  # cold run
         with obs.session() as telemetry:
             flow = generation_flow(build_circuit("s298"), cfg)
         targets = _redundancy_targets(flow)
         assert targets
         counters = telemetry.metrics
-        assert counters.counter("atpg.podem.memo_hits").value == len(targets)
+        for name in ("atpg.podem.calls", "atpg.podem.memo_hits"):
+            assert counters.counter(name).value - after_atpg[name] \
+                == len(targets), name
         assert flow.untestable == _fresh_proofs(
             flow, targets, cfg.redundancy_backtrack_limit)
 

@@ -1,11 +1,19 @@
 """Section 2 scan-aware test generation: coverage, funct accounting,
-the two functional-knowledge completions."""
+the two functional-knowledge completions and verdict-first triage."""
 
 import pytest
 
-from repro.atpg import SeqATPGConfig
+from repro import obs
+from repro.atpg import (
+    UNTESTABLE,
+    Podem,
+    SeqATPGConfig,
+    SequentialATPG,
+    comb_view,
+)
 from repro.circuit import insert_scan, random_circuit, s27
-from repro.core import ScanAwareATPG
+from repro.core import FlowConfig, ScanAwareATPG
+from repro.experiments.suite import build_circuit
 from repro.faults import collapse_faults
 from repro.sim import PackedFaultSimulator
 
@@ -201,3 +209,69 @@ class TestDominanceTargeting:
         )
         result = engine.generate()
         assert len(result.detection_time) + len(result.aborted) == len(faults)
+
+
+#: Triage soundness cases: suite circuits at the default search effort,
+#: synthetic ones (rich in redundant logic) at a small one.
+_SMALL_SEARCH = dict(initial_random_vectors=32, max_subseq_len=16,
+                     restarts=1)
+_TRIAGE_CASES = [
+    ("s208", 0, {}),
+    ("s298", 1, {}),
+    ("synth41", 1, _SMALL_SEARCH),
+    ("synth45", 2, _SMALL_SEARCH),
+    ("synth51", 0, _SMALL_SEARCH),
+]
+
+
+def _triage_circuit(name):
+    if name.startswith("synth"):
+        return insert_scan(random_circuit(name, 3, 4, 40, seed=int(name[5:])))
+    return insert_scan(build_circuit(name))
+
+
+class TestVerdictFirstTriage:
+    """Faults PODEM proves untestable on the comb view are aborted
+    before their search; the proof must hold and the skip must cost no
+    detection."""
+
+    @pytest.mark.parametrize("name,seed,search", _TRIAGE_CASES,
+                             ids=[case[0] for case in _TRIAGE_CASES])
+    def test_skipped_faults_are_sound(self, name, seed, search):
+        sc = _triage_circuit(name)
+        faults = collapse_faults(sc.circuit)
+        config = SeqATPGConfig(seed=seed, **search)
+        with obs.session(ledger=True) as telemetry:
+            triaged = ScanAwareATPG(sc, faults, config=config).generate()
+        skipped = [e.fault for e in telemetry.ledger.events
+                   if e.kind == "atpg.abort" and e.data.get("proven")]
+        assert skipped
+        assert telemetry.metrics.counter("atpg.seq.proven").value \
+            == len(skipped)
+        assert set(skipped) <= set(triaged.base.aborted)
+
+        limit = FlowConfig().redundancy_backtrack_limit
+        podem = Podem(comb_view(sc.circuit).circuit, backtrack_limit=limit)
+        assert all(podem.run(f).status == UNTESTABLE for f in skipped)
+
+        # The reference searches every target with the same completions.
+        hook = ScanAwareATPG(sc, faults, config=config)._complete
+        reference = SequentialATPG(sc.circuit, faults, config=config,
+                                   completion_hook=hook).generate()
+        assert reference.detected_count == triaged.base.detected_count
+        for result in (triaged, reference):
+            sim = PackedFaultSimulator(sc.circuit, faults)
+            detected = sim.run(list(result.sequence.vectors)).detection_time
+            assert not set(skipped) & set(detected)
+
+    def test_forward_only_does_not_triage(self):
+        sc = _triage_circuit("synth51")
+        faults = collapse_faults(sc.circuit)
+        config = SeqATPGConfig(seed=0, **_SMALL_SEARCH)
+        for kwargs in ({"use_justification": False},
+                       {"use_scan_knowledge": False}):
+            with obs.session() as telemetry:
+                result = ScanAwareATPG(sc, faults, config=config,
+                                       **kwargs).generate()
+            assert result.base.aborted
+            assert telemetry.metrics.counter("atpg.seq.proven").value == 0
