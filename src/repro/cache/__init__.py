@@ -3,14 +3,13 @@
 The package has three layers:
 
 * :mod:`~repro.cache.fingerprint` — canonical identities: a stable
-  netlist hash (:func:`circuit_fingerprint`), scan-chain and config
-  hashes, fault-list and vector-sequence hashes;
+  netlist hash (:func:`circuit_fingerprint`) and config hashes;
 * :mod:`~repro.cache.store` — :class:`ResultStore`, the disk format:
   versioned envelopes, atomic write-then-rename, corruption-tolerant
   reads, ``cache.*`` telemetry;
-* :mod:`~repro.cache.stages` — :class:`StageCache`, which maps pipeline
-  artifacts (collapsed universes, ATPG results, detection-time maps,
-  compacted sequences) to store payloads and back, bit-identically.
+* :mod:`~repro.cache.stages` — :class:`StageCache`, which maps a
+  finished flow's whole result to one ``flow`` entry and back,
+  bit-identically.  A flow reads and writes no other entry.
 
 Enable it with ``FlowConfig(cache_dir=...)``, the ``REPRO_CACHE``
 environment variable, or ``--cache`` on the CLI; inspect it with
@@ -21,11 +20,8 @@ from .fingerprint import (
     CACHE_SCHEMA,
     circuit_fingerprint,
     config_fingerprint,
-    faults_fingerprint,
-    scan_config_fingerprint,
-    vectors_fingerprint,
 )
-from .stages import StageCache, detection_config_fp
+from .stages import StageCache
 from .store import (
     CACHE_ENV,
     DEFAULT_CACHE_DIR,
@@ -55,9 +51,5 @@ __all__ = [
     "write_namespace",
     "circuit_fingerprint",
     "config_fingerprint",
-    "detection_config_fp",
-    "faults_fingerprint",
     "resolve_cache_dir",
-    "scan_config_fingerprint",
-    "vectors_fingerprint",
 ]

@@ -11,7 +11,7 @@ Every cached artifact is addressed by two coordinates:
   tuples aligned with the input order, so permuting inputs changes
   every derived artifact;
 * a **config fingerprint** — a SHA-256 over the semantically relevant
-  knobs of the producing stage plus :data:`CACHE_SCHEMA`.  Settings
+  knobs of the producing flow or serve job plus :data:`CACHE_SCHEMA`.  Settings
   that cannot change a bit-identical result (``jobs``, ``cache_dir``,
   ``run_index``) are excluded by construction: callers simply never
   feed them in.
@@ -31,11 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence
 
 from ..circuit.netlist import Circuit
-from ..circuit.scan import ScanCircuit
-from ..faults.model import Fault
 
 #: Global cache schema version.  Bump on any change to fingerprint
 #: canonicalization or payload encodings: every existing entry then
@@ -78,19 +75,6 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return digest
 
 
-def scan_config_fingerprint(scan_circuit: ScanCircuit) -> str:
-    """Hash of the scan configuration: chain membership/order, serial
-    IO nets and the select net (the Section 2 completions depend on
-    all of them, beyond the raw ``C_scan`` netlist)."""
-    return hash_payload({
-        "select": scan_circuit.select_net,
-        "chains": [
-            [chain.scan_in, chain.scan_out, list(chain.order)]
-            for chain in scan_circuit.chains
-        ],
-    })
-
-
 def config_fingerprint(stage: str, **fields) -> str:
     """Hash of one stage's semantically relevant configuration.
 
@@ -99,16 +83,3 @@ def config_fingerprint(stage: str, **fields) -> str:
     can never alias each other's entries.
     """
     return hash_payload({"schema": CACHE_SCHEMA, "stage": stage, **fields})
-
-
-def faults_fingerprint(faults: Iterable[Fault]) -> str:
-    """Hash of an *ordered* fault list (order defines the packing, so it
-    is part of the identity)."""
-    return hash_payload([
-        [f.kind, f.net, f.consumer, f.pin, f.stuck_at] for f in faults
-    ])
-
-
-def vectors_fingerprint(vectors: Sequence[Sequence[int]]) -> str:
-    """Hash of an ordered vector sequence."""
-    return hash_payload([list(v) for v in vectors])

@@ -468,7 +468,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     _export_cache_env(args)
     runner.prefetch(
         suite_mod.suite_circuits(args.profile), args.jobs,
-        translation=args.number == "7",
+        translation=args.number in ("6", "7"),
     )
     module = {"5": table5, "6": table6, "7": table7}[args.number]
     module.main(args.profile)

@@ -39,8 +39,7 @@ class CompactionOracle:
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault],
                  simulator_factory=None,
-                 incremental: bool = True,
-                 store=None):
+                 incremental: bool = True):
         self.circuit = circuit
         self.faults = list(faults)
         self.session = SimSession(
@@ -50,14 +49,6 @@ class CompactionOracle:
             incremental=incremental,
         )
         self._position = {f: i + 1 for i, f in enumerate(self.faults)}
-        # Full-universe detection_times results are memoized in the
-        # content-addressed store when one is attached; custom simulator
-        # factories (test doubles, other fault models) stay uncached —
-        # their results are not keyed by the stuck-at fault identity
-        # alone.  Standard backends are interchangeable bit-for-bit, so
-        # cached results are backend-independent.
-        self._store = store if simulator_factory is None else None
-        self._stages = None
 
     # -- mask helpers -----------------------------------------------------
 
@@ -75,33 +66,8 @@ class CompactionOracle:
     # -- whole-sequence queries ---------------------------------------------
 
     def detection_times(self, vectors: Sequence[Sequence[int]]) -> Dict[Fault, int]:
-        """First-detection time of every target fault under ``vectors``.
-
-        With a result store attached, full-universe results (no faults
-        dropped) are served from / persisted to the cache — these are
-        the expensive queries warm restarts skip entirely."""
-        stages = self._stage_cache()
-        if stages is not None:
-            times = stages.load_detection(self.faults, vectors)
-            if times is not None:
-                return times
-        times = self.session.detection_times(vectors)
-        if stages is not None:
-            stages.save_detection(self.faults, vectors, times)
-        return times
-
-    def _stage_cache(self):
-        """The bound :class:`~repro.cache.stages.StageCache`, when
-        caching applies right now (store attached *and* the full
-        universe live — dropped-fault queries are procedure-internal
-        and never cached)."""
-        if self._store is None or self.session.dropped_mask != 0:
-            return None
-        if self._stages is None:
-            from ..cache.stages import StageCache
-
-            self._stages = StageCache(self._store, self.circuit)
-        return self._stages
+        """First-detection time of every target fault under ``vectors``."""
+        return self.session.detection_times(vectors)
 
     def detected_mask(
         self,

@@ -13,18 +13,18 @@ Both return rich result objects; the experiment modules only format.
 
 With a result store attached (see :mod:`repro.cache.stages`), a flow
 first reads its whole result from one ``flow`` entry; only when that
-entry is missing or damaged does it run its stages, each of which
-reads its own entry, and it then writes the ``flow`` entry.
+entry is missing or damaged does it run its engines, and it then writes
+the ``flow`` entry.  A flow reads and writes no other entry.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..atpg.comb_view import comb_view, has_view_site
-from ..atpg.podem import UNTESTABLE, Podem
+from ..atpg.comb_view import has_view_site
+from ..atpg.podem import UNTESTABLE
 from ..cache.stages import StageCache
 from ..circuit.netlist import Circuit
 from ..circuit.scan import ScanCircuit, insert_scan
@@ -36,13 +36,13 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from ..obs.history import maybe_test_sleep, record_flow_run
+from ..testseq.sequences import SequenceStats, TestSequence
 from .config import FlowConfig
 from .scan_aware import ScanATPGResult, ScanAwareATPG
-
-if False:  # pragma: no cover - import-time cycle avoidance; see TYPE notes
-    from ..atpg.scan_seq import SecondApproachResult
-from ..testseq.sequences import SequenceStats, TestSequence
 from .translate import translate_test_set
+
+if TYPE_CHECKING:
+    from ..atpg.scan_seq import SecondApproachResult
 
 
 @dataclass
@@ -134,8 +134,8 @@ def generation_flow(
                           "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        flow_stages = StageCache(store, circuit)
-        fields = flow_stages.load_flow(cfg, "generation", circuit)
+        flow_cache = StageCache(store, circuit)
+        fields = flow_cache.load_flow(cfg, "generation")
         if fields is not None:
             result = GenerationFlowResult(
                 circuit=circuit, scan_circuit=scan_circuit,
@@ -143,8 +143,8 @@ def generation_flow(
             obs.coverage("pipeline.atpg", result.detected_total,
                          len(result.faults))
         else:
-            result = _generate(circuit, scan_circuit, cfg, store)
-            flow_stages.save_flow(cfg, "generation", result)
+            result = _generate(circuit, scan_circuit, cfg)
+            flow_cache.save_flow(cfg, "generation", result)
         if ledger.enabled():
             ledger.record(
                 "flow.summary", flow="generation",
@@ -163,31 +163,22 @@ def generation_flow(
     return result
 
 
-def _generate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
-              store) -> GenerationFlowResult:
-    """The generation flow's stages, each read from the per-stage
-    entries when present."""
-    stages = StageCache(store, scan_circuit.circuit, scan_circuit)
+def _generate(circuit: Circuit, scan_circuit: ScanCircuit,
+              cfg: FlowConfig) -> GenerationFlowResult:
+    """The generation flow's engines, run in order."""
     with obs.span("collapse"):
-        faults = stages.load_faults()
-        if faults is None:
-            faults = collapse_faults(scan_circuit.circuit)
-            stages.save_faults(faults)
+        faults = collapse_faults(scan_circuit.circuit)
     obs.event("progress.work", phase="atpg", total=len(faults),
               unit="faults")
-    generator = None
     with obs.span("atpg"):
-        atpg = stages.load_generation_atpg(cfg, faults)
-        if atpg is None:
-            generator = ScanAwareATPG(
-                scan_circuit,
-                faults,
-                config=cfg.atpg_config(),
-                use_scan_knowledge=cfg.use_scan_knowledge,
-                use_justification=cfg.use_justification,
-            )
-            atpg = generator.generate()
-            stages.save_generation_atpg(cfg, faults, atpg)
+        generator = ScanAwareATPG(
+            scan_circuit,
+            faults,
+            config=cfg.atpg_config(),
+            use_scan_knowledge=cfg.use_scan_knowledge,
+            use_justification=cfg.use_justification,
+        )
+        atpg = generator.generate()
     result = GenerationFlowResult(
         circuit=circuit,
         scan_circuit=scan_circuit,
@@ -198,29 +189,17 @@ def _generate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
     obs.coverage("pipeline.atpg", result.detected_total, len(faults))
     if cfg.classify_redundant and atpg.base.aborted:
         with obs.span("redundancy"):
-            untestable = stages.load_redundancy(cfg, atpg.base.aborted)
-            if untestable is None:
-                untestable = []
-                # The generator's engine (same comb view) memoizes the
-                # triage's verdicts; a cached `atpg` stage leaves none
-                # to reuse.
-                podem = generator.podem if generator is not None else \
-                    Podem(comb_view(scan_circuit.circuit).circuit)
-                for fault in atpg.base.aborted:
-                    if not has_view_site(scan_circuit.circuit, fault):
-                        continue
-                    verdict = podem.run(
-                        fault,
-                        backtrack_limit=cfg.redundancy_backtrack_limit)
-                    if verdict.status == UNTESTABLE:
-                        untestable.append(fault)
-                stages.save_redundancy(cfg, atpg.base.aborted, untestable)
-            result.untestable.extend(untestable)
+            # The generator's engine (same comb view) memoizes the
+            # triage's verdicts.
+            for fault in atpg.base.aborted:
+                if not has_view_site(scan_circuit.circuit, fault):
+                    continue
+                verdict = generator.podem.run(
+                    fault, backtrack_limit=cfg.redundancy_backtrack_limit)
+                if verdict.status == UNTESTABLE:
+                    result.untestable.append(fault)
     if cfg.compact:
-        _compact_into(
-            result, scan_circuit.circuit, atpg.sequence, faults, cfg,
-            store=store,
-        )
+        _compact_into(result, scan_circuit.circuit, atpg.sequence, faults, cfg)
     return result
 
 
@@ -258,14 +237,11 @@ class TranslationFlowResult:
 def translation_flow(
     circuit: Circuit,
     config: Optional[FlowConfig] = None,
-    baseline=None,
 ) -> TranslationFlowResult:
     """Run the Section 3 experiment on ``circuit`` (see module docstring).
 
     ``config`` is a :class:`FlowConfig` (its ``baseline`` field holds
-    the conventional-ATPG configuration; ``None`` means defaults).  A
-    precomputed ``baseline`` *result* may be passed to share it with a
-    Table 6 run on the same circuit.
+    the conventional-ATPG configuration; ``None`` means defaults).
     """
     cfg = _flow_config("translation_flow", config)
     store = _flow_store(cfg)
@@ -275,50 +251,35 @@ def translation_flow(
                           "translate", "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        # A passed baseline is not part of the flow key, so such a run
-        # neither reads nor writes the entry.
-        flow_stages = StageCache(store, circuit)
-        fields = (flow_stages.load_flow(cfg, "translation", circuit)
-                  if baseline is None else None)
+        flow_cache = StageCache(store, circuit)
+        fields = flow_cache.load_flow(cfg, "translation")
         if fields is not None:
             result = TranslationFlowResult(
                 circuit=circuit, scan_circuit=scan_circuit, **fields)
         else:
-            result = _translate(circuit, scan_circuit, cfg, store, baseline)
-            if baseline is None:
-                flow_stages.save_flow(cfg, "translation", result)
+            result = _translate(circuit, scan_circuit, cfg)
+            flow_cache.save_flow(cfg, "translation", result)
         maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "translation", result.elapsed_seconds)
     return result
 
 
-def _translate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
-               store, baseline) -> TranslationFlowResult:
-    """The translation flow's stages, each read from the per-stage
-    entries when present."""
+def _translate(circuit: Circuit, scan_circuit: ScanCircuit,
+               cfg: FlowConfig) -> TranslationFlowResult:
+    """The translation flow's engines, run in order."""
     from ..atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
 
-    stages = StageCache(store, scan_circuit.circuit, scan_circuit)
     with obs.span("collapse"):
-        faults = stages.load_faults()
-        if faults is None:
-            faults = collapse_faults(scan_circuit.circuit)
-            stages.save_faults(faults)
+        faults = collapse_faults(scan_circuit.circuit)
     obs.event("progress.work", phase="baseline_atpg",
               total=len(faults), unit="faults")
-    if baseline is None:
-        baseline_config = cfg.baseline or SecondApproachConfig(seed=cfg.seed)
-        # The baseline runs on the *non-scan* circuit: its cache
-        # entries live under that circuit's fingerprint.
-        base_stages = StageCache(store, circuit)
-        with obs.span("baseline_atpg"):
-            baseline = base_stages.load_baseline(baseline_config, circuit)
-            if baseline is None:
-                baseline = SecondApproachATPG(
-                    circuit, config=baseline_config
-                ).generate()
-                base_stages.save_baseline(baseline_config, baseline)
+    # The baseline runs on the *non-scan* circuit.
+    with obs.span("baseline_atpg"):
+        baseline = SecondApproachATPG(
+            circuit,
+            config=cfg.baseline or SecondApproachConfig(seed=cfg.seed),
+        ).generate()
     with obs.span("translate"):
         translated = translate_test_set(scan_circuit, baseline.test_set)
         translated = translated.randomize_x(random.Random(cfg.seed ^ 0x7EA5))
@@ -330,8 +291,7 @@ def _translate(circuit: Circuit, scan_circuit: ScanCircuit, cfg: FlowConfig,
         translated=translated,
     )
     if cfg.compact:
-        _compact_into(result, scan_circuit.circuit, translated, faults,
-                      cfg, store=store)
+        _compact_into(result, scan_circuit.circuit, translated, faults, cfg)
     return result
 
 
@@ -359,23 +319,13 @@ def _compact_into(
     sequence: TestSequence,
     faults,
     cfg: Optional[FlowConfig] = None,
-    store=None,
 ) -> None:
     """Shared Section 4 tail: restoration (on the detected set), then
     omission (accounted over the full universe so ``ext det`` shows).
     Both stages share one incremental oracle, so omission reuses the
-    packed-state checkpoints restoration left behind.
-
-    With a result store attached the whole tail is memoized under the
-    ``compact`` stage: a hit decodes the restored/omitted sequences
-    without building an oracle (zero simulated cycles)."""
+    packed-state checkpoints restoration left behind."""
     cfg = cfg or FlowConfig()
-    stages = StageCache(store, circuit)
-    cached = stages.load_compaction(cfg, faults, sequence)
-    if cached is not None:
-        result.restored, result.omitted = cached
-        return
-    oracle = CompactionOracle(circuit, faults, store=store)
+    oracle = CompactionOracle(circuit, faults)
     session = oracle.session
     cycles_start = session.cycles_simulated
     obs.event("progress.work", phase="restoration",
@@ -404,7 +354,6 @@ def _compact_into(
         final_times = oracle.detection_times(list(omitted.sequence.vectors))
         ledger.record("flow.final_times", times=final_times)
     oracle.close()
-    stages.save_compaction(cfg, faults, sequence, restored, omitted)
     result.restored = restored
     result.omitted = omitted
 

@@ -1,8 +1,9 @@
 """Shared, memoized execution of the per-circuit flows.
 
 Tables 5 and 6 consume the *same* generation run, and Tables 6 and 7
-share the conventional baseline; this module runs each flow at most once
-per process so the benchmark files stay cheap and mutually consistent.
+share the conventional baseline, which the translation flow computes;
+this module runs each flow at most once per process so the benchmark
+files stay cheap and mutually consistent.
 
 :func:`prefetch` adds **circuit-level parallelism** on top: it warms the
 memo caches by running whole per-circuit flows in a
@@ -14,9 +15,9 @@ pickling).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from ..atpg.scan_seq import SecondApproachATPG, SecondApproachResult
+from ..atpg.scan_seq import SecondApproachResult
 from ..core import (
     FlowConfig,
     GenerationFlowResult,
@@ -28,7 +29,6 @@ from ..obs import context as obs
 from . import suite
 
 _GENERATION: Dict[str, GenerationFlowResult] = {}
-_BASELINE: Dict[str, SecondApproachResult] = {}
 _TRANSLATION: Dict[str, TranslationFlowResult] = {}
 
 
@@ -61,25 +61,19 @@ def generation_result(name: str, use_scan_knowledge: bool = True,
 
 
 def baseline_result(name: str) -> SecondApproachResult:
-    """Conventional second-approach baseline for one suite circuit."""
-    if name not in _BASELINE:
-        with obs.span(f"experiments.baseline.{name}"):
-            _BASELINE[name] = SecondApproachATPG(
-                suite.build_circuit(name),
-                config=suite.baseline_config_for(name),
-            ).generate()
-    return _BASELINE[name]
+    """Conventional second-approach baseline for one suite circuit (the
+    one its translation flow translated)."""
+    return translation_result(name).baseline
 
 
 def translation_result(name: str) -> TranslationFlowResult:
-    """Section 3 flow for one suite circuit, sharing the baseline."""
+    """Section 3 flow for one suite circuit (memoized)."""
     if name not in _TRANSLATION:
-        baseline = baseline_result(name)
         with obs.span(f"experiments.translation.{name}"):
             _TRANSLATION[name] = translation_flow(
                 suite.build_circuit(name),
-                FlowConfig(seed=suite.circuit_seed(name)),
-                baseline=baseline,
+                FlowConfig(seed=suite.circuit_seed(name),
+                           baseline=suite.baseline_config_for(name)),
             )
     return _TRANSLATION[name]
 
@@ -87,7 +81,6 @@ def translation_result(name: str) -> TranslationFlowResult:
 def clear_caches() -> None:
     """Drop memoized results (tests use this for isolation)."""
     _GENERATION.clear()
-    _BASELINE.clear()
     _TRANSLATION.clear()
 
 
@@ -108,12 +101,9 @@ def _generation_task(name: str) -> Tuple[str, GenerationFlowResult]:
 
 def _full_task(
     name: str,
-) -> Tuple[str, GenerationFlowResult, SecondApproachResult,
-           TranslationFlowResult]:
-    """Pool task: generation + baseline + translation for one circuit."""
-    generation = generation_result(name)
-    translation = translation_result(name)
-    return name, generation, _BASELINE[name], translation
+) -> Tuple[str, GenerationFlowResult, TranslationFlowResult]:
+    """Pool task: generation + translation for one circuit."""
+    return name, generation_result(name), translation_result(name)
 
 
 def prefetch(names: Iterable[str], jobs: int = 1, *,
@@ -124,9 +114,9 @@ def prefetch(names: Iterable[str], jobs: int = 1, *,
     serially in-process — same code path as before.  With more,
     whole circuits fan out across a worker pool and the results land in
     the caches exactly as a serial warm-up would have left them.
-    ``translation`` also prepares the baseline + Section 3 flow (what
-    Table 7 and the full report consume).  Returns the names actually
-    computed (cached ones are skipped).
+    ``translation`` also prepares the Section 3 flow and its baseline
+    (what Tables 6 and 7 and the full report consume).  Returns the
+    names actually computed (cached ones are skipped).
     """
     from ..parallel import ResilientPool
 
@@ -154,7 +144,6 @@ def prefetch(names: Iterable[str], jobs: int = 1, *,
             name = item[0]
             _GENERATION.setdefault(name, item[1])
             if translation:
-                _BASELINE.setdefault(name, item[2])
-                _TRANSLATION.setdefault(name, item[3])
+                _TRANSLATION.setdefault(name, item[2])
             obs.event("experiments.prefetch.circuit", circuit=name)
     return todo

@@ -134,22 +134,6 @@ class TestRedundancyReuse:
         assert flow.untestable == _fresh_proofs(
             flow, targets, cfg.redundancy_backtrack_limit)
 
-    def test_cached_atpg_proves_on_a_fresh_engine(self, tmp_path):
-        circuit = build_circuit("s298")
-        cfg = FlowConfig(seed=0, cache_dir=str(tmp_path))
-        cold = generation_flow(circuit, cfg)
-        with obs.session() as telemetry:
-            warm = generation_flow(
-                circuit, cfg.replace(redundancy_backtrack_limit=5000))
-        counters = telemetry.metrics
-        assert counters.counter("cache.hit.atpg").value == 1
-        assert counters.counter("cache.miss.redundancy").value == 1
-        targets = _redundancy_targets(warm)
-        assert counters.counter("atpg.podem.calls").value == len(targets)
-        assert counters.counter("atpg.podem.memo_hits").value == 0
-        assert warm.untestable == cold.untestable
-        assert warm.untestable == _fresh_proofs(warm, targets, 5000)
-
 
 class TestTranslationFlow:
     def test_translated_length_equals_baseline_cycles(self, s27_translation):
@@ -170,13 +154,6 @@ class TestTranslationFlow:
 
         for vector in s27_translation.translated:
             assert X not in vector
-
-    def test_baseline_reuse(self, s27_translation):
-        """Passing a precomputed baseline skips regeneration."""
-        flow2 = translation_flow(s27(), FlowConfig(seed=1),
-                                 baseline=s27_translation.baseline)
-        assert flow2.baseline is s27_translation.baseline
-        assert flow2.baseline_cycles == s27_translation.baseline_cycles
 
     def test_limited_scan_emerges_from_translation(self, s27_translation):
         """The translated set has only complete scan runs; compaction must
