@@ -52,6 +52,11 @@ from ..sim.backend import SimBackend, make_backend
 from ..testseq.sequences import TestSequence
 
 
+#: Rebuild (repack) the global fault simulator once detected faults
+#: outnumber undetected by this factor, to shrink the packed words.
+REPACK_FACTOR = 1.0
+
+
 @dataclass
 class SeqATPGConfig:
     """Tuning knobs for :class:`SequentialATPG`.
@@ -74,9 +79,6 @@ class SeqATPGConfig:
     restarts: int = 2
     #: Abandon a search after this many steps with no score improvement.
     max_stale_steps: int = 8
-    #: Rebuild (repack) the global fault simulator once detected faults
-    #: outnumber undetected by this factor, to shrink the packed words.
-    repack_factor: float = 1.0
     #: Probability that a candidate vector mutates the previous vector
     #: instead of being drawn fresh (temporal locality helps sequential
     #: justification).
@@ -367,7 +369,7 @@ class SequentialATPG:
         undetected = [f for f in sim.faults if f not in result.detection_time]
         if not undetected:
             return sim
-        if len(sim.faults) < (1 + self.config.repack_factor) * len(undetected):
+        if len(sim.faults) < (1 + REPACK_FACTOR) * len(undetected):
             return sim
         packed = self._make_sim(undetected)
         packed.reset()

@@ -5,14 +5,10 @@ one non-scan circuit and maps a finished flow result to one ``flow``
 entry and back, bit-identically.  A ``None`` store degrades ``load_flow``
 to a miss and ``save_flow`` to a no-op, so the pipeline code reads the
 same with caching on or off.  An entry whose payload does not decode is
-a miss too, like a damaged file.
-
-============  =============================================================
-stage         keyed on (beyond the circuit fingerprint + schema version)
-============  =============================================================
-flow          flow name, run config, :data:`FLOW_VERSION` — one finished
-              flow's whole result
-============  =============================================================
+a miss too, like a damaged file.  Beyond the circuit fingerprint and
+schema version, the entry is keyed on the flow name, the run config and
+:data:`FLOW_VERSION` (see :func:`flow_entry_fp`); the serve daemon's
+job key is the same pair, so it answers repeat submissions from it.
 
 A flow looks up its ``flow`` entry first and, on a hit, reads nothing
 else.  On a miss it runs every engine and then writes the entry.  The
@@ -65,10 +61,6 @@ class StageCache:
         self.circuit = circuit
         self.circuit_fp = circuit_fingerprint(circuit) if store else ""
 
-    def _flow_fp(self, cfg, flow: str) -> str:
-        return config_fingerprint(
-            "flow", v=FLOW_VERSION, run=run_config_fingerprint(cfg, flow))
-
     def load_flow(self, cfg, flow: str) -> Optional[dict]:
         """The result fields of one finished ``flow`` (``"generation"``
         or ``"translation"``) on the non-scan circuit this cache is
@@ -79,7 +71,7 @@ class StageCache:
         if self.store is None:
             return None
         return self.store.get(
-            "flow", self.circuit_fp, self._flow_fp(cfg, flow),
+            self.circuit_fp, flow_entry_fp(run_config_fingerprint(cfg, flow)),
             lambda payload: _flow_fields(payload, self.circuit))
 
     def save_flow(self, cfg, flow: str, result) -> None:
@@ -124,8 +116,14 @@ class StageCache:
                     "extra_detected": faults_of(omitted.extra_detected),
                 },
             }
-        self.store.put("flow", self.circuit_fp, self._flow_fp(cfg, flow),
+        self.store.put(self.circuit_fp,
+                       flow_entry_fp(run_config_fingerprint(cfg, flow)),
                        payload)
+
+
+def flow_entry_fp(run_fp: str) -> str:
+    """The ``flow`` entry's config fingerprint for a run fingerprint."""
+    return config_fingerprint("flow", v=FLOW_VERSION, run=run_fp)
 
 
 # -- payload shapes -----------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Layout
 ------
-One JSON file per entry::
+One JSON file per entry, each a finished flow's whole result (see
+:mod:`repro.cache.stages`)::
 
-    <root>/<circuit_fp[:2]>/<circuit_fp>/<stage>-<config_fp[:24]>.json
+    <root>/<circuit_fp[:2]>/<circuit_fp>/flow-<config_fp[:24]>.json
 
 Each file is a **versioned envelope**::
 
-    {"schema": "repro.cache/1", "stage": ..., "circuit": <circuit_fp>,
+    {"schema": "repro.cache/1", "stage": "flow", "circuit": <circuit_fp>,
      "config": <config_fp>, "payload": {...}}
 
 The full fingerprints are stored *inside* the envelope and re-verified
@@ -28,22 +29,22 @@ file, truncated JSON, garbage bytes, wrong schema, fingerprint mismatch
 — is a miss, never an exception: a damaged cache costs a re-derivation,
 not a run.
 
-Telemetry: every lookup emits ``cache.hit``/``cache.miss`` counters
-(plus per-stage variants) and journal events; writes count
-``cache.stores`` and ``cache.bytes``.
+Telemetry: every lookup emits a ``cache.hit`` or ``cache.miss``
+counter and journal event; writes count ``cache.stores`` and
+``cache.bytes``.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
 import json
 import os
 import re
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..obs import context as obs
 
@@ -58,12 +59,9 @@ CACHE_ENV = "REPRO_CACHE"
 #: Root used by ``--cache`` with no explicit directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Per-stage hit/miss tallies persisted in the store root; feeds the
-#: hit-rate percentages ``repro-atpg cache stats`` reports.
+#: Lifetime ``[hits, misses]`` of a store root, persisted in the root;
+#: feeds the hit rate ``repro-atpg cache stats`` reports.
 TALLY_FILE = "hit-tally.json"
-
-#: Pending tally increments buffered before a flush to disk.
-_TALLY_FLUSH_EVERY = 64
 
 #: Marker file that turns a store root into a *namespace layer*: a
 #: tenant-private overlay whose reads fall through to a shared base
@@ -73,8 +71,42 @@ NAMESPACE_FILE = "namespace.json"
 #: Schema tag inside :data:`NAMESPACE_FILE`.
 NAMESPACE_SCHEMA = "repro.cache.namespace/1"
 
-#: Name of an entry file (see :meth:`ResultStore._entry_path`).
+#: Name of an entry file (see :meth:`ResultStore._entry_path`); also
+#: matches the ``serve-*`` entries older daemons wrote, so ``clear``
+#: removes them.
 _ENTRY_NAME = re.compile(r"\w+-[0-9a-f]{24}\.json")
+
+#: Serialises this process's tally read-modify-writes (see
+#: :meth:`ResultStore._tally`).
+_tally_lock = threading.Lock()
+
+
+def _reset_tally_lock() -> None:
+    """In a forked child: a fresh lock, since another parent thread may
+    have held the old one at the fork."""
+    global _tally_lock
+    _tally_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_tally_lock)
+
+
+def _replace_atomically(path: Path, blob: bytes) -> bool:
+    """Write ``blob`` to ``path`` through a temp file and a rename;
+    ``False``, leaving no temp file, when the disk refuses."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+        return True
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        return False
 
 
 @contextmanager
@@ -98,6 +130,19 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
+def _tally_pair(raw: bytes) -> List[int]:
+    """The ``[hits, misses]`` pair a tally file holds; ``[0, 0]`` for
+    an empty or damaged one."""
+    try:
+        cell = json.loads(raw)
+    except ValueError:
+        return [0, 0]
+    if isinstance(cell, list) and len(cell) == 2 \
+            and all(type(n) is int for n in cell):
+        return cell
+    return [0, 0]
+
+
 def resolve_cache_dir(cache_dir: Union[str, Path, None] = None
                       ) -> Optional[Path]:
     """The effective cache root: the explicit argument, else the
@@ -117,43 +162,25 @@ class CacheStats:
     root: str
     entries: int = 0
     total_bytes: int = 0
-    #: entry count per stage name.
-    stages: Dict[str, int] = field(default_factory=dict)
-    #: lifetime ``[hits, misses]`` per stage (persisted tallies plus
-    #: this process's pending increments).
-    tallies: Dict[str, List[int]] = field(default_factory=dict)
-
-    def hit_rate(self, stage: str) -> Optional[float]:
-        """Hit-rate percentage for a stage (hits / (hits+misses)), or
-        ``None`` when the stage was never looked up."""
-        hits, misses = self.tallies.get(stage, (0, 0))
-        total = hits + misses
-        if total == 0:
-            return None
-        return 100.0 * hits / total
+    #: lifetime ``[hits, misses]`` of the root.
+    tallies: List[int] = field(default_factory=lambda: [0, 0])
 
 
 class ResultStore:
-    """Content-addressed store of stage results under one root
+    """Content-addressed store of flow results under one root
     directory.  Safe to share between processes; every method is
     crash-tolerant (see module docstring)."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        #: stage -> [hits, misses] accumulated since the last flush.
-        self._pending_tally: Dict[str, List[int]] = {}
-        self._pending_count = 0
-        self._atexit_registered = False
 
-    def _entry_path(self, stage: str, circuit_fp: str,
-                    config_fp: str) -> Path:
+    def _entry_path(self, circuit_fp: str, config_fp: str) -> Path:
         return (self.root / circuit_fp[:2] / circuit_fp /
-                f"{stage}-{config_fp[:24]}.json")
+                f"flow-{config_fp[:24]}.json")
 
     # -- lookup / persist ----------------------------------------------------
 
-    def get(self, stage: str, circuit_fp: str, config_fp: str,
-            decode=None):
+    def get(self, circuit_fp: str, config_fp: str, decode=None):
         """The stored payload for this address, or ``None`` on any kind
         of miss (absent, corrupt, stale schema, fingerprint mismatch).
 
@@ -161,21 +188,19 @@ class ResultStore:
         payload that ``decode`` rejects with a ``KeyError``,
         ``IndexError``, ``TypeError``, ``ValueError`` or
         ``AttributeError`` is a ``corrupt`` miss."""
-        payload, size, reason = self._read(stage, circuit_fp, config_fp,
-                                           decode)
+        payload, size, reason = self._read(circuit_fp, config_fp, decode)
         if reason is not None:
-            return self._miss(stage, reason)
-        self._hit(stage, circuit_fp, size)
+            return self._miss(reason)
+        self._hit(circuit_fp, size)
         return payload
 
-    def _read(self, stage: str, circuit_fp: str, config_fp: str,
-              decode=None):
-        """Telemetry-free entry read: ``(payload, bytes, None)`` on a
-        valid entry, ``(None, 0, reason)`` on any kind of miss.  The
-        layered store composes lookups out of this so a tenant-layer
-        miss that falls through to a base-layer hit counts as exactly
-        one lookup, not two."""
-        path = self._entry_path(stage, circuit_fp, config_fp)
+    def _read(self, circuit_fp: str, config_fp: str, decode=None):
+        """Entry read without hit/miss telemetry: ``(payload, bytes,
+        None)`` on a valid entry, ``(None, 0, reason)`` on any kind of
+        miss.  The layered store overrides it so a tenant-layer miss
+        that falls through to a base-layer hit counts as exactly one
+        lookup, not two."""
+        path = self._entry_path(circuit_fp, config_fp)
         try:
             raw = path.read_bytes()
         except OSError:
@@ -185,7 +210,7 @@ class ResultStore:
                 envelope = json.loads(raw.decode("utf-8"))
                 schema = envelope["schema"]
                 payload = envelope["payload"]
-                stale = (envelope["stage"] != stage
+                stale = (envelope["stage"] != "flow"
                          or envelope["circuit"] != circuit_fp
                          or envelope["config"] != config_fp)
             except (ValueError, KeyError, TypeError, UnicodeDecodeError):
@@ -202,119 +227,85 @@ class ResultStore:
                     return None, 0, "corrupt"
             return payload, len(raw), None
 
-    def _hit(self, stage: str, circuit_fp: str, size: int):
+    def _hit(self, circuit_fp: str, size: int):
         obs.incr("cache.hit")
-        obs.incr(f"cache.hit.{stage}")
-        obs.event("cache.hit", stage=stage, circuit=circuit_fp[:12],
-                  bytes=size)
-        self._tally(stage, hit=True)
+        obs.event("cache.hit", circuit=circuit_fp[:12], bytes=size)
+        self._tally(hit=True)
 
-    def _miss(self, stage: str, reason: str):
+    def _miss(self, reason: str):
         obs.incr("cache.miss")
-        obs.incr(f"cache.miss.{stage}")
-        obs.event("cache.miss", stage=stage, reason=reason)
-        self._tally(stage, hit=False)
+        obs.event("cache.miss", reason=reason)
+        self._tally(hit=False)
         return None
 
     # -- hit/miss tallies --------------------------------------------------------
 
-    def _tally(self, stage: str, hit: bool) -> None:
-        """Count one lookup toward the persisted per-stage hit-rate
-        tallies.  Buffered (flushed every :data:`_TALLY_FLUSH_EVERY`
-        lookups and at interpreter exit); like every store write,
-        best-effort."""
-        cell = self._pending_tally.setdefault(stage, [0, 0])
-        cell[0 if hit else 1] += 1
-        self._pending_count += 1
-        if not self._atexit_registered:
-            self._atexit_registered = True
-            atexit.register(self.flush_tallies)
-        if self._pending_count >= _TALLY_FLUSH_EVERY:
-            self.flush_tallies()
-
-    def flush_tallies(self) -> None:
-        """Merge pending hit/miss counts into ``<root>/hit-tally.json``
-        (read-modify-write + atomic rename; concurrent writers may drop
-        each other's increments — the tallies are advisory, last writer
-        wins).  Errors are swallowed: tallies never fail a run."""
-        if not self._pending_count:
-            return
-        pending, self._pending_tally = self._pending_tally, {}
-        self._pending_count = 0
+    def _tally(self, hit: bool) -> None:
+        """Count one lookup in ``<root>/hit-tally.json`` at once, so a
+        pool worker that leaves through ``os._exit`` loses none.  The
+        file is rewritten in place, new bytes first and then the
+        truncation: the counts only grow, so a concurrent reader sees
+        the old or the new pair, and the few system calls cost a
+        fraction of creating and renaming a temp file.  Exact within a
+        process; across processes the tallies are advisory (two writers
+        may drop each other's increment).  Errors are swallowed."""
         path = self.root / TALLY_FILE
-        merged = self._read_tally_file()
-        for stage, (hits, misses) in pending.items():
-            cell = merged.setdefault(stage, [0, 0])
-            cell[0] += hits
-            cell[1] += misses
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(merged, separators=(",", ":"),
-                                      sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
+        with _tally_lock:
             try:
-                tmp.unlink()
+                try:
+                    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+                except FileNotFoundError:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+                try:
+                    cell = _tally_pair(os.read(fd, 256))
+                    cell[0 if hit else 1] += 1
+                    blob = json.dumps(cell).encode()
+                    os.lseek(fd, 0, os.SEEK_SET)
+                    os.write(fd, blob)
+                    os.ftruncate(fd, len(blob))
+                finally:
+                    os.close(fd)
             except OSError:
                 pass
 
-    def _read_tally_file(self) -> Dict[str, List[int]]:
+    def tallies(self) -> List[int]:
+        """Lifetime ``[hits, misses]`` of the root."""
         try:
-            raw = json.loads((self.root / TALLY_FILE)
-                             .read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        tallies: Dict[str, List[int]] = {}
-        if isinstance(raw, dict):
-            for stage, cell in raw.items():
-                if (isinstance(cell, list) and len(cell) == 2
-                        and all(isinstance(n, int) for n in cell)):
-                    tallies[str(stage)] = [cell[0], cell[1]]
-        return tallies
+            return _tally_pair((self.root / TALLY_FILE).read_bytes())
+        except OSError:
+            return [0, 0]
 
-    def tallies(self) -> Dict[str, List[int]]:
-        """Lifetime ``stage -> [hits, misses]``: the persisted file plus
-        this process's unflushed increments."""
-        merged = self._read_tally_file()
-        for stage, (hits, misses) in self._pending_tally.items():
-            cell = merged.setdefault(stage, [0, 0])
-            cell[0] += hits
-            cell[1] += misses
-        return merged
-
-    def put(self, stage: str, circuit_fp: str, config_fp: str,
-            payload) -> None:
+    def put(self, circuit_fp: str, config_fp: str, payload) -> None:
         """Persist a payload atomically (write-then-rename).  A write
         failure (full or read-only disk) is reported as telemetry and
         swallowed: the cache is an accelerator, never a point of
         failure."""
-        path = self._entry_path(stage, circuit_fp, config_fp)
         envelope = {
             "schema": ENVELOPE_SCHEMA,
-            "stage": stage,
+            "stage": "flow",
             "circuit": circuit_fp,
             "config": config_fp,
             "payload": payload,
         }
         blob = json.dumps(envelope, separators=(",", ":"))
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(blob, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
+        if not _replace_atomically(self._entry_path(circuit_fp, config_fp),
+                                   blob.encode()):
             obs.incr("cache.store_errors")
-            obs.event("cache.store_error", stage=stage)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            obs.event("cache.store_error")
             return
         obs.incr("cache.stores")
         obs.incr("cache.bytes", len(blob))
-        obs.event("cache.store", stage=stage, circuit=circuit_fp[:12],
-                  bytes=len(blob))
+        obs.event("cache.store", circuit=circuit_fp[:12], bytes=len(blob))
+
+    def copy_to(self, target: "ResultStore", circuit_fp: str,
+                config_fp: str) -> None:
+        """Give ``target`` the entry this store serves at the address,
+        byte for byte (:meth:`put` rebuilds the envelope it parsed); a
+        no-op when there is no valid entry."""
+        payload, _size, reason = self._read(circuit_fp, config_fp)
+        if reason is None:
+            target.put(circuit_fp, config_fp, payload)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -340,18 +331,15 @@ class ResultStore:
                     yield entry
 
     def stats(self) -> CacheStats:
-        """Entry counts, byte totals and lookup tallies (per stage and
-        overall)."""
+        """Entry count, byte total and lookup tally."""
         stats = CacheStats(root=str(self.root))
         for entry in self._entries():
             try:
                 size = entry.stat().st_size
             except OSError:
                 continue
-            stage = entry.name.rsplit("-", 1)[0]
             stats.entries += 1
             stats.total_bytes += size
-            stats.stages[stage] = stats.stages.get(stage, 0) + 1
         stats.tallies = self.tallies()
         return stats
 
@@ -397,23 +385,18 @@ class LayeredResultStore(ResultStore):
         self.base = (base if isinstance(base, ResultStore)
                      else ResultStore(base))
 
-    def get(self, stage: str, circuit_fp: str, config_fp: str,
-            decode=None):
-        payload, size, reason = self._read(stage, circuit_fp, config_fp,
-                                           decode)
-        if reason is None:
-            self._hit(stage, circuit_fp, size)
-            return payload
+    def _read(self, circuit_fp: str, config_fp: str, decode=None):
+        found = super()._read(circuit_fp, config_fp, decode)
+        if found[2] is None:
+            return found
         payload, size, base_reason = self.base._read(
-            stage, circuit_fp, config_fp, decode)
+            circuit_fp, config_fp, decode)
         if base_reason is None:
             obs.incr("cache.hit.base")
-            self._hit(stage, circuit_fp, size)
-            return payload
+            return payload, size, None
         # Report the overlay's reason unless it was merely absent there
         # (the interesting diagnosis is then the base layer's).
-        return self._miss(stage,
-                          reason if reason != "absent" else base_reason)
+        return None, 0, found[2] if found[2] != "absent" else base_reason
 
 
 def write_namespace(root: Union[str, Path],
@@ -443,7 +426,7 @@ def open_store(root: Union[str, Path]) -> ResultStore:
     cache rather than an error.  Every internal call site
     (``FlowConfig.result_store``) routes through this factory, which is
     what lets the serve daemon hand workers a tenant directory and have
-    the whole stage-cache machinery become tenant-aware transparently.
+    the flows' cache become tenant-aware transparently.
     """
     root = Path(root)
     try:

@@ -35,10 +35,10 @@ worker processes (see :mod:`repro.parallel`), with the same results
 as a serial run.
 
 ``--cache [DIR]`` turns on the content-addressed result store (see
-:mod:`repro.cache`): expensive stage results (fault collapse, per-fault
-ATPG, full-universe detection times, compaction) are persisted under
-DIR and replayed on the next run of the same circuit + config — warm
-runs skip straight to the final numbers, bit-identically.  Bare
+:mod:`repro.cache`): each finished flow's whole result is persisted
+under DIR as one entry and replayed on the next run of the same
+circuit + config — warm runs skip straight to the final numbers,
+bit-identically.  Bare
 ``--cache`` uses ``$REPRO_CACHE`` or ``.repro-cache``.  ``table`` and
 ``report`` export the resolved directory to the environment so their
 prefetch workers share the store.
@@ -540,17 +540,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"cache root: {stats.root}")
     print(f" entries: {stats.entries}")
     print(f"   bytes: {stats.total_bytes}")
-    for stage in sorted(stats.stages):
-        print(f"   {stage:>9}: {stats.stages[stage]}")
-    lookups = sorted(set(stats.tallies))
-    if lookups:
-        print("hit rates (lifetime lookups):")
-        for stage in lookups:
-            hits, misses = stats.tallies[stage]
-            rate = stats.hit_rate(stage)
-            print(f"   {stage:>9}: {rate:5.1f}%  "
-                  f"({hits} hit{'s' if hits != 1 else ''} / "
-                  f"{hits + misses} lookups)")
+    hits, misses = stats.tallies
+    if hits + misses:
+        print(f"hit rate: {100.0 * hits / (hits + misses):5.1f}%  "
+              f"({hits} hit{'s' if hits != 1 else ''} / "
+              f"{hits + misses} lookups)")
     return 0
 
 
@@ -614,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow_group.add_argument("--seed", type=int, default=0)
     flow_group.add_argument(
         "--cache", nargs="?", const="", default=None, metavar="DIR",
-        help="persist stage results to the content-addressed store "
+        help="persist flow results to the content-addressed store "
              "under DIR and replay them on warm runs (bare --cache = "
              "$REPRO_CACHE or .repro-cache)")
     flow_group.add_argument(

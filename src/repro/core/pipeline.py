@@ -134,17 +134,13 @@ def generation_flow(
                           "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        flow_cache = StageCache(store, circuit)
-        fields = flow_cache.load_flow(cfg, "generation")
-        if fields is not None:
-            result = GenerationFlowResult(
-                circuit=circuit, scan_circuit=scan_circuit,
-                raw=fields["atpg"].sequence, **fields)
+        result = replay_flow("generation", circuit, scan_circuit, cfg, store)
+        if result is not None:
             obs.coverage("pipeline.atpg", result.detected_total,
                          len(result.faults))
         else:
             result = _generate(circuit, scan_circuit, cfg)
-            flow_cache.save_flow(cfg, "generation", result)
+            StageCache(store, circuit).save_flow(cfg, "generation", result)
         if ledger.enabled():
             ledger.record(
                 "flow.summary", flow="generation",
@@ -251,14 +247,11 @@ def translation_flow(
                           "translate", "restoration", "omission"])
         with obs.span("scan_insert"):
             scan_circuit = insert_scan(circuit, num_chains=cfg.num_chains)
-        flow_cache = StageCache(store, circuit)
-        fields = flow_cache.load_flow(cfg, "translation")
-        if fields is not None:
-            result = TranslationFlowResult(
-                circuit=circuit, scan_circuit=scan_circuit, **fields)
-        else:
+        result = replay_flow("translation", circuit, scan_circuit, cfg,
+                             store)
+        if result is None:
             result = _translate(circuit, scan_circuit, cfg)
-            flow_cache.save_flow(cfg, "translation", result)
+            StageCache(store, circuit).save_flow(cfg, "translation", result)
         maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "translation", result.elapsed_seconds)
@@ -293,6 +286,24 @@ def _translate(circuit: Circuit, scan_circuit: ScanCircuit,
     if cfg.compact:
         _compact_into(result, scan_circuit.circuit, translated, faults, cfg)
     return result
+
+
+def replay_flow(flow: str, circuit: Circuit,
+                scan_circuit: Optional[ScanCircuit], cfg: FlowConfig, store):
+    """The result of ``flow`` (``"generation"`` or ``"translation"``)
+    rebuilt from its ``flow`` entry in ``store``, or ``None`` when there
+    is none (or ``store`` is ``None``).  The entry holds no scan
+    circuit: the result carries ``scan_circuit`` as given, which may be
+    ``None`` for a caller that reads only the sequences and coverage."""
+    fields = StageCache(store, circuit).load_flow(cfg, flow)
+    if fields is None:
+        return None
+    if flow == "generation":
+        return GenerationFlowResult(
+            circuit=circuit, scan_circuit=scan_circuit,
+            raw=fields["atpg"].sequence, **fields)
+    return TranslationFlowResult(
+        circuit=circuit, scan_circuit=scan_circuit, **fields)
 
 
 def _flow_config(name: str, config) -> FlowConfig:

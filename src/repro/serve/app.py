@@ -23,8 +23,9 @@ the ``(circuit fingerprint, run-config fingerprint)`` pair, and
 
 * an **in-flight** job with the same key is joined, not re-run — the
   second client gets the same ``job_id`` with ``"source": "dedup"``;
-* a **completed** job is replayed from the submitting tenant's result
-  store — ``"source": "cache"``, served without touching the pool;
+* a **completed** job is replayed from the ``flow`` entry its worker
+  left in the submitting tenant's result store — ``"source": "cache"``,
+  served without touching the pool;
 * only a genuinely novel key reaches the queue — ``"source": "new"``.
 
 Tenancy: the ``X-Repro-Tenant`` header namespaces result caching (each
@@ -32,8 +33,8 @@ tenant an overlay over the shared base store, see
 :mod:`repro.serve.store`) and fair queueing (round-robin across
 per-tenant FIFOs, bounded depth, 429 on overflow).  Dedup of in-flight
 work is deliberately global — results are bit-identical regardless of
-who computes them — but every attached tenant's namespace receives the
-completed result.
+who computes them — but every attached tenant's namespace receives a
+copy of the completed job's ``flow`` entry.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..cache.stages import flow_entry_fp
 from ..obs import context as obs
 from ..parallel.pool import ResilientPool
 from .jobs import (
@@ -55,11 +57,11 @@ from .jobs import (
     job_fingerprints,
     job_key,
     parse_submission,
+    replay_result,
     run_job,
 )
 from .queue import DEFAULT_MAX_DEPTH, DEFAULT_TENANT, FairQueue, QueueFull
-from .store import SERVE_STAGE, JobStore, tenant_cache_dir, tenant_store, \
-    valid_tenant
+from .store import JobStore, tenant_cache_dir, tenant_store, valid_tenant
 
 #: Job states a client can observe.
 TERMINAL_STATES = frozenset(
@@ -197,9 +199,9 @@ class ReproServer:
                 obs.event("serve.dedup", job=record.job_id, tenant=tenant)
                 return 200, {**record.public(), "source": "dedup"}
 
-        cached = tenant_store(self.cache_base, tenant).get(
-            SERVE_STAGE, circuit_fp, config_fp)
-        if cached is not None and isinstance(cached.get("result"), dict):
+        cached = replay_result(tenant_store(self.cache_base, tenant),
+                               circuit, cfg, flow)
+        if cached is not None:
             # A pure replay: no job directory (the tenant store is the
             # durable copy — provisioning one per hit would grow disk
             # with every repeat request), result kept on the record
@@ -209,10 +211,10 @@ class ReproServer:
                                     in_flight=False)
             with self._lock:
                 record.finished_at = time.time()
-                record.cached_result = cached["result"]
+                record.cached_result = cached
             obs.incr("serve.cache_hits")
             obs.event("serve.cache_hit", job=record.job_id, tenant=tenant)
-            return 200, {**record.public(), "result": cached["result"]}
+            return 200, {**record.public(), "result": cached}
 
         if self._draining:
             return 503, {"error": "server is draining"}
@@ -319,24 +321,26 @@ class ReproServer:
         outcome = outcomes[0] if outcomes else {
             "job_id": job_id, "status": "failed",
             "error": "worker pool returned no result"}
-        self._finish(record, outcome)
+        self._finish(record, outcome, tenant)
         obs.observe("serve.latency", time.perf_counter() - started)
 
-    def _finish(self, record: JobRecord, outcome: Dict) -> None:
+    def _finish(self, record: JobRecord, outcome: Dict,
+                submitter: str) -> None:
         status = outcome.get("status", "failed")
         outcome.setdefault("source", record.source)
         self.job_store.write_result(record.job_id, outcome)
         done = status == "done" and isinstance(outcome.get("result"), dict)
-        # Tenant-store puts happen *while the key is still in the
-        # in-flight index*, and the key is only removed once every
-        # attached tenant has its entry — otherwise an identical
-        # submission landing between key removal and the puts would
-        # miss both the in-flight index and the cache and re-execute.
-        # New tenants can attach during a put round (they join under
-        # the lock while the key is present), so loop until none are
-        # pending, then drop the key under the same lock that admits
-        # attachers.
-        stored: Set[str] = set()
+        # The worker wrote its ``flow`` entry into the submitter's
+        # store; each tenant that joined through dedup gets a copy
+        # *while the key is still in the in-flight index*, or an
+        # identical submission landing between key removal and the
+        # copy would miss both and re-execute.  Tenants can attach
+        # during a copy round (under the lock, while the key is
+        # present), so loop until none are pending, then drop the key
+        # under the same lock.
+        source = tenant_store(self.cache_base, submitter)
+        entry = (record.circuit_fp, flow_entry_fp(record.config_fp))
+        stored = {submitter}
         while True:
             with self._lock:
                 pending = sorted(record.tenants - stored) if done else []
@@ -348,9 +352,8 @@ class ReproServer:
                         del self._by_key[record.key]
                     break
             for tenant in pending:
-                tenant_store(self.cache_base, tenant).put(
-                    SERVE_STAGE, record.circuit_fp, record.config_fp,
-                    {"result": outcome["result"]})
+                source.copy_to(tenant_store(self.cache_base, tenant),
+                               *entry)
             stored.update(pending)
         obs.incr("serve.completed" if done else "serve.failed")
         obs.event("serve.finished", job=record.job_id, status=status)

@@ -48,6 +48,7 @@ from ..cache.fingerprint import circuit_fingerprint, config_fingerprint
 from ..circuit.bench import parse_bench, write_bench
 from ..circuit.netlist import Circuit, CircuitError, FlipFlop, Gate
 from ..core.config import FlowConfig
+from ..core.pipeline import generation_flow, replay_flow, translation_flow
 from ..obs import context as obs
 from ..obs.history import run_config_fingerprint
 
@@ -312,6 +313,15 @@ def _result_payload(flow: str, result) -> Dict:
     return payload
 
 
+def replay_result(store, circuit: Circuit, cfg: FlowConfig,
+                  flow: str) -> Optional[Dict]:
+    """The result payload of a job, replayed from the ``flow`` entry
+    its flow left in ``store``, or ``None`` when there is none.  The
+    payload reads no scan circuit, so none is built."""
+    result = replay_flow(flow, circuit, None, cfg, store)
+    return None if result is None else _result_payload(flow, result)
+
+
 def run_job(payload: Dict) -> Dict:
     """Execute one job (pool task).  Never raises: every outcome —
     success, flow error, budget breach — is a status dict, so the pool's
@@ -353,12 +363,9 @@ def run_job(payload: Dict) -> Dict:
                 enforce=enforce)
             monitor.start()
             try:
-                if flow == "generation":
-                    from ..core.pipeline import generation_flow
-                    result = generation_flow(circuit, cfg)
-                else:
-                    from ..core.pipeline import translation_flow
-                    result = translation_flow(circuit, cfg)
+                run_flow = generation_flow if flow == "generation" \
+                    else translation_flow
+                result = run_flow(circuit, cfg)
             finally:
                 monitor.cancel()
                 monitor.join(timeout=1.0)

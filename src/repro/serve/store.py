@@ -19,11 +19,11 @@ Job state
 Each accepted job owns ``<state>/jobs/<job_id>/`` holding ``spec.json``
 (the canonicalized submission), ``journal.jsonl`` (the worker's
 telemetry journal, streamed live by ``GET /jobs/<id>/events``) and
-``result.json`` once finished.  Completed results are additionally put
-into the submitting tenant's result store under the ``serve`` stage,
-keyed by the job's (circuit, run-config) fingerprint pair — that entry
-is what makes an identical submission after a server restart an
-instant ``"source": "cache"`` response.
+``result.json`` once finished.  The durable copy of a completed result
+is the ``flow`` entry the job's worker wrote into the submitting
+tenant's result store (and the daemon copied into every tenant that
+joined the job): an identical submission, also after a server
+restart, is answered from it as ``"source": "cache"``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from typing import Dict, Optional, Union
 
 from ..cache.store import ResultStore, open_store, write_namespace
 from .queue import DEFAULT_TENANT
-
-#: Stage name of completed serve results in the content-addressed store.
-SERVE_STAGE = "serve"
 
 #: Directory under the cache root holding tenant overlays.
 TENANTS_DIR = "tenants"

@@ -115,23 +115,22 @@ def _addressed(tmp_path):
 def test_store_round_trip_and_stats(tmp_path):
     store, cfp, kfp = _addressed(tmp_path)
     payload = {"faults": [["gate_output", "G1", None, None, 1]]}
-    assert store.get("collapse", cfp, kfp) is None
-    store.put("collapse", cfp, kfp, payload)
-    assert store.get("collapse", cfp, kfp) == payload
+    assert store.get(cfp, kfp) is None
+    store.put(cfp, kfp, payload)
+    assert store.get(cfp, kfp) == payload
     stats = store.stats()
     assert stats.entries == 1
-    assert stats.stages == {"collapse": 1}
     assert stats.total_bytes > 0
     assert store.clear() == 1
-    assert store.get("collapse", cfp, kfp) is None
+    assert store.get(cfp, kfp) is None
     assert store.stats().entries == 0
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "schema", "swap"])
 def test_damaged_entries_miss_then_rederive(tmp_path, damage):
     store, cfp, kfp = _addressed(tmp_path)
-    store.put("collapse", cfp, kfp, {"v": 1})
-    path = store._entry_path("collapse", cfp, kfp)
+    store.put(cfp, kfp, {"v": 1})
+    path = store._entry_path(cfp, kfp)
     if damage == "truncate":
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
     elif damage == "garbage":
@@ -144,11 +143,11 @@ def test_damaged_entries_miss_then_rederive(tmp_path, damage):
         # A relocated/renamed entry: the filename now claims a different
         # address than the envelope records -> fingerprint mismatch.
         other = config_fingerprint("collapse", probe=2)
-        path.rename(store._entry_path("collapse", cfp, other))
+        path.rename(store._entry_path(cfp, other))
         kfp = other
-    assert store.get("collapse", cfp, kfp) is None  # miss, not a crash
-    store.put("collapse", cfp, kfp, {"v": 2})  # re-derivation repairs it
-    assert store.get("collapse", cfp, kfp) == {"v": 2}
+    assert store.get(cfp, kfp) is None  # miss, not a crash
+    store.put(cfp, kfp, {"v": 2})  # re-derivation repairs it
+    assert store.get(cfp, kfp) == {"v": 2}
 
 
 @pytest.mark.parametrize("was_enabled", [True, False])
@@ -159,7 +158,7 @@ def test_decode_runs_with_cyclic_gc_paused(tmp_path, was_enabled):
     import gc
 
     store, cfp, kfp = _addressed(tmp_path)
-    store.put("flow", cfp, kfp, {"v": 1})
+    store.put(cfp, kfp, {"v": 1})
     seen = []
 
     def decode(payload):
@@ -174,9 +173,9 @@ def test_decode_runs_with_cyclic_gc_paused(tmp_path, was_enabled):
     try:
         if not was_enabled:
             gc.disable()
-        assert store.get("flow", cfp, kfp, decode) == 1
+        assert store.get(cfp, kfp, decode) == 1
         assert gc.isenabled() is was_enabled
-        assert store.get("flow", cfp, kfp, reject) is None
+        assert store.get(cfp, kfp, reject) is None
         assert gc.isenabled() is was_enabled
     finally:
         if enabled:
@@ -191,17 +190,32 @@ def test_stats_and_clear_skip_tenant_overlays(tmp_path):
     from repro.serve import tenant_store
 
     base, cfp, kfp = _addressed(tmp_path)
-    base.put("flow", cfp, kfp, {"v": 1})
+    base.put(cfp, kfp, {"v": 1})
     overlay = tenant_store(base.root, "acme")
-    overlay.put("flow", cfp, kfp, {"v": 2})
+    overlay.put(cfp, kfp, {"v": 2})
     pointer = overlay.root / NAMESPACE_FILE
     stats = base.stats()
-    assert (stats.entries, stats.stages) == (1, {"flow": 1})
+    assert stats.entries == 1
     assert base.clear() == 1
     assert base.stats().entries == 0
     assert pointer.exists()
     assert overlay.stats().entries == 1
-    assert overlay.get("flow", cfp, kfp) == {"v": 2}
+    assert overlay.get(cfp, kfp) == {"v": 2}
+
+
+def test_cache_clear_removes_serve_entries_of_older_daemons(tmp_path,
+                                                             capsys):
+    """Older serve daemons wrote a ``serve-*`` entry next to each
+    ``flow`` entry; ``cache clear`` removes it with the rest."""
+    from repro.cli import main
+
+    store, cfp, kfp = _addressed(tmp_path)
+    store.put(cfp, kfp, {"v": 1})
+    entry = store._entry_path(cfp, kfp)
+    entry.with_name(f"serve-{kfp[:24]}.json").write_text("{}")
+    assert main(["cache", "clear", str(store.root)]) == 0
+    assert "cleared 2 cache entries" in capsys.readouterr().out
+    assert not entry.parent.exists()
 
 
 # -- satellite regressions ----------------------------------------------------
@@ -324,7 +338,7 @@ def _assert_warm_equals_cold(circuit, cold_cfg, warm_cfg,
                              flow=generation_flow):
     cold, cold_counters = _run_flow(circuit, cold_cfg, flow)
     assert _engine_work(cold_counters), "cold run should exercise the engines"
-    assert cold_counters.get("cache.miss.flow") == 1
+    assert cold_counters.get("cache.miss") == 1
     warm, warm_counters = _run_flow(circuit, warm_cfg, flow)
     assert warm == cold
     # The acceptance bar: a warm restart does *zero* engine work and
@@ -332,7 +346,6 @@ def _assert_warm_equals_cold(circuit, cold_cfg, warm_cfg,
     assert not _engine_work(warm_counters), \
         f"warm run did engine work: {_engine_work(warm_counters)}"
     assert warm_counters.get("cache.hit") == 1
-    assert warm_counters.get("cache.hit.flow") == 1
     assert not warm_counters.get("cache.miss")
 
 
@@ -380,7 +393,7 @@ def _assert_rederives(circuit, cfg, cold):
     warm, counters = _run_flow(circuit, cfg)
     assert warm == cold
     assert _engine_work(counters)
-    assert counters.get("cache.miss") == counters.get("cache.miss.flow") == 1
+    assert counters.get("cache.miss") == 1
     assert not counters.get("cache.hit")
     assert counters.get("cache.stores") == 1
 
@@ -399,7 +412,7 @@ def test_missing_flow_entry_falls_back_to_stages(tmp_path, small_synth):
     assert entry.read_bytes() == before
     again, counters = _run_flow(small_synth, cfg)
     assert again == cold
-    assert counters.get("cache.hit") == counters.get("cache.hit.flow") == 1
+    assert counters.get("cache.hit") == 1
 
 
 def test_bumped_atpg_version_misses_flow_and_atpg(tmp_path, small_synth,
@@ -411,7 +424,7 @@ def test_bumped_atpg_version_misses_flow_and_atpg(tmp_path, small_synth,
     cfg = FlowConfig(seed=3, cache_dir=str(cache))
     cold, _ = _run_flow(small_synth, cfg)
     _, counters = _run_flow(small_synth, cfg)
-    assert counters.get("cache.hit.flow") == 1
+    assert counters.get("cache.hit") == 1
     (old,) = _flow_entries(cache)
     monkeypatch.setattr(stage_versions, "FLOW_VERSION",
                         stage_versions.FLOW_VERSION + 1)
@@ -477,4 +490,4 @@ def test_env_var_turns_caching_on(tmp_path, monkeypatch):
     assert cold_counters.get("cache.stores", 0) >= 1
     warm, warm_counters = _run_flow(s27(), cfg)
     assert warm == cold
-    assert warm_counters.get("cache.hit.flow") == 1
+    assert warm_counters.get("cache.hit") == 1

@@ -332,31 +332,28 @@ def test_export_trace_cli_rejects_garbage(tmp_path, capsys):
 
 def test_cache_tallies_persist_and_rate(tmp_path):
     store = ResultStore(tmp_path / "cache")
-    store.put("detection", "a" * 40, "b" * 40, {"times": []})
-    store.get("detection", "a" * 40, "b" * 40)      # hit
-    store.get("detection", "a" * 40, "c" * 40)      # miss
-    store.get("atpg", "a" * 40, "b" * 40)           # miss
-    assert store.tallies() == {"detection": [1, 1], "atpg": [0, 1]}
-    store.flush_tallies()
+    store.put("a" * 40, "b" * 40, {"times": []})
+    store.get("a" * 40, "b" * 40)      # hit
+    store.get("a" * 40, "c" * 40)      # miss
+    store.get("d" * 40, "b" * 40)      # miss
+    assert store.tallies() == [1, 2]
     # A fresh store instance reads the persisted file.
     fresh = ResultStore(tmp_path / "cache")
     stats = fresh.stats()
-    assert stats.tallies["detection"] == [1, 1]
-    assert stats.hit_rate("detection") == pytest.approx(50.0)
-    assert stats.hit_rate("atpg") == pytest.approx(0.0)
-    assert stats.hit_rate("never_looked_up") is None
+    assert stats.tallies == [1, 2]
+    assert ResultStore(tmp_path / "never_looked_up").stats().tallies == \
+        [0, 0]
 
 
 def test_cache_stats_cli_shows_hit_rates(tmp_path, capsys):
     root = tmp_path / "cache"
     store = ResultStore(root)
-    store.put("detection", "a" * 40, "b" * 40, {"times": []})
-    store.get("detection", "a" * 40, "b" * 40)
-    store.get("detection", "a" * 40, "c" * 40)
-    store.flush_tallies()
+    store.put("a" * 40, "b" * 40, {"times": []})
+    store.get("a" * 40, "b" * 40)
+    store.get("a" * 40, "c" * 40)
     assert main(["cache", "stats", str(root)]) == 0
     out = capsys.readouterr().out
-    assert "hit rates" in out
+    assert "hit rate" in out
     assert " 50.0%" in out and "1 hit / 2 lookups" in out
 
 
@@ -365,6 +362,82 @@ def test_cache_tally_file_damage_is_a_clean_slate(tmp_path):
     root.mkdir()
     (root / "hit-tally.json").write_text("][", encoding="utf-8")
     store = ResultStore(root)
-    store.get("detection", "a" * 40, "b" * 40)      # miss; must not raise
-    store.flush_tallies()
-    assert store.tallies() == {"detection": [0, 1]}
+    store.get("a" * 40, "b" * 40)      # miss; must not raise
+    assert store.tallies() == [0, 1]
+
+
+def test_cache_tallies_free_stores_and_count_every_lookup(tmp_path):
+    """Lookups through short-lived stores (one per flow, one per serve
+    submission): no store outlives its last reference, no exit hook is
+    added, and every lookup is counted."""
+    import atexit
+    import gc
+    import weakref
+
+    root = tmp_path / "cache"
+    hooks = atexit._ncallbacks()
+    refs = []
+    for _ in range(200):
+        store = ResultStore(root)
+        store.get("a" * 40, "b" * 40)
+        refs.append(weakref.ref(store))
+    del store
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert atexit._ncallbacks() == hooks
+    assert ResultStore(root).tallies() == [0, 200]
+
+
+def test_cache_tallies_count_every_lookup_across_threads(tmp_path):
+    """Threads looking up through their own stores on one root (the
+    daemon's event loop and an in-process flow) lose no increment."""
+    import threading
+
+    root = tmp_path / "cache"
+
+    def lookups():
+        for _ in range(150):
+            ResultStore(root).get("a" * 40, "b" * 40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookups) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert ResultStore(root).tallies() == [0, 600]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_worker_tallies_reach_disk(tmp_path):
+    """A pool worker forked while another thread held the tally lock
+    still counts its lookups, and they reach the tally file although
+    it leaves through ``os._exit`` (no exit hooks run)."""
+    import time
+
+    from repro.cache import store as store_module
+
+    root = tmp_path / "cache"
+    ResultStore(root).get("a" * 40, "b" * 40)
+    with store_module._tally_lock:
+        pid = os.fork()
+        if pid == 0:
+            ResultStore(root).get("a" * 40, "b" * 40)
+            os._exit(0)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done, "the forked child deadlocked on the tally lock"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert ResultStore(root).tallies() == [0, 2]

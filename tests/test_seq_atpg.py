@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.atpg.seq_atpg as seq_atpg
 from repro.atpg import SecondApproachConfig, SeqATPGConfig, SequentialATPG
 from repro.circuit import insert_scan, s27
 from repro.faults import collapse_faults
@@ -161,16 +162,14 @@ def test_search_config_rejects_bad_values(config_cls, field, value):
 
 
 class TestRepacking:
-    def test_repack_preserves_results(self, s27_circuit):
+    def test_repack_preserves_results(self, s27_circuit, monkeypatch):
         """Aggressive repacking must not change what gets detected."""
         faults = collapse_faults(s27_circuit)
+        monkeypatch.setattr(seq_atpg, "REPACK_FACTOR", 0.01)
         eager = SequentialATPG(
-            s27_circuit, faults,
-            config=SeqATPGConfig(seed=5, repack_factor=0.01),
-        ).generate()
+            s27_circuit, faults, config=SeqATPGConfig(seed=5)).generate()
+        monkeypatch.setattr(seq_atpg, "REPACK_FACTOR", 1e9)
         lazy = SequentialATPG(
-            s27_circuit, faults,
-            config=SeqATPGConfig(seed=5, repack_factor=1e9),
-        ).generate()
+            s27_circuit, faults, config=SeqATPGConfig(seed=5)).generate()
         assert eager.sequence == lazy.sequence
         assert set(eager.detection_time) == set(lazy.detection_time)

@@ -45,7 +45,6 @@ from repro.serve import (
     valid_tenant,
 )
 from repro.serve.jobs import canonical_submission, run_job
-from repro.serve.store import SERVE_STAGE
 
 S27_BENCH = write_bench(s27())
 
@@ -255,17 +254,16 @@ def test_default_tenant_uses_base_store(tmp_path):
 
 def test_tenant_overlay_reads_through_and_isolates_writes(tmp_path):
     base = ResultStore(tmp_path)
-    base.put(SERVE_STAGE, "c" * 64, "f" * 64, {"from": "base"})
+    base.put("c" * 64, "f" * 64, {"from": "base"})
     overlay = tenant_store(tmp_path, "team-a")
     # Read-through: the tenant sees what the shared layer computed.
-    assert overlay.get(SERVE_STAGE, "c" * 64, "f" * 64) == {"from": "base"}
+    assert overlay.get("c" * 64, "f" * 64) == {"from": "base"}
     # Writes stay inside the tenant's namespace.
-    overlay.put(SERVE_STAGE, "d" * 64, "e" * 64, {"from": "team-a"})
-    assert base.get(SERVE_STAGE, "d" * 64, "e" * 64) is None
-    assert overlay.get(SERVE_STAGE, "d" * 64, "e" * 64) == \
-        {"from": "team-a"}
+    overlay.put("d" * 64, "e" * 64, {"from": "team-a"})
+    assert base.get("d" * 64, "e" * 64) is None
+    assert overlay.get("d" * 64, "e" * 64) == {"from": "team-a"}
     other = tenant_store(tmp_path, "team-b")
-    assert other.get(SERVE_STAGE, "d" * 64, "e" * 64) is None
+    assert other.get("d" * 64, "e" * 64) is None
 
 
 # -- worker task --------------------------------------------------------------
@@ -400,6 +398,37 @@ def test_warm_cache_hit_is_bit_identical_and_fast(live_server):
     counters = client.stats()["metrics"]["counters"]
     assert counters.get("serve.cache_hits", 0) >= 1
     assert counters.get("cache.hit", 0) >= 1
+    # The job's result lives in one entry: the flow's own.
+    fp = first["circuit_fp"]
+    entries = sorted(live_server.cache_base.glob(f"{fp[:2]}/{fp}/*"))
+    assert len(entries) == 1 and entries[0].name.startswith("flow-"), \
+        entries
+
+
+def test_daemon_replays_flow_entry_written_by_a_plain_flow(tmp_path):
+    """A ``flow`` entry any flow run left in the daemon's base store
+    answers a matching submission, for the default tenant and through
+    a tenant overlay: no execution, and the result a fresh execution
+    reports."""
+    from repro.core.pipeline import generation_flow
+    from repro.serve.jobs import _result_payload
+
+    server = ReproServer(ServerConfig(
+        port=0, workers=1, state_dir=str(tmp_path / "state")))
+    body = submission({"seed": 4})
+    circuit, cfg, flow = parse_submission(body)
+    fresh = _result_payload(flow, generation_flow(circuit, cfg))
+    generation_flow(circuit, cfg.replace(cache_dir=str(server.cache_base)))
+    with obs.session() as telemetry:
+        replies = [server.submit(body, tenant)
+                   for tenant in (DEFAULT_TENANT, "team-a")]
+        counters = telemetry.metrics.snapshot()["counters"]
+    for status, reply in replies:
+        assert status == 200 and reply["source"] == "cache", reply
+        assert reply["result"] == fresh
+    assert not counters.get("serve.pool.runs")
+    assert not counters.get("serve.queued")
+    assert counters.get("cache.hit") == 2
 
 
 def test_sse_stream_follows_job_to_end(live_server):
@@ -706,32 +735,52 @@ def test_header_bomb_closes_connection(bounded_server):
 def test_finish_publishes_to_tenants_attached_during_put(
         tmp_path, monkeypatch):
     """Closing the dedup window: the in-flight key must stay in the
-    index until every attached tenant's store holds the result — a
-    tenant attaching mid-put still gets its cache entry."""
+    index until every attached tenant's store holds a copy of the
+    worker's ``flow`` entry — a tenant attaching mid-copy still gets
+    its entry."""
+    from repro.core.pipeline import generation_flow
     from repro.serve import app as serve_app
 
     server = ReproServer(ServerConfig(
         port=0, workers=1, state_dir=str(tmp_path / "state")))
+    body = submission({"seed": 1})
     with obs.session():
-        status, body = server.submit(submission({"seed": 1}), "team-a")
+        status, reply = server.submit(body, "team-a")
         assert status == 202
-        record = server._jobs[body["job_id"]]
+        record = server._jobs[reply["job_id"]]
+        status, joined = server.submit(body, "team-b")
+        assert joined["source"] == "dedup"
+        # The worker's part: the flow writes its entry into the
+        # submitter's overlay.
+        circuit, cfg, _ = parse_submission(body)
+        generation_flow(circuit, cfg.replace(cache_dir=str(
+            tenant_cache_dir(server.cache_base, "team-a"))))
         real_tenant_store = serve_app.tenant_store
 
         def attaching_store(base, tenant):
             # Simulate a concurrent identical submission joining the
-            # still-in-flight job while the first put round runs.
-            record.tenants.add("team-late")
+            # still-in-flight job while the first copy round runs.
+            if tenant == "team-b":
+                record.tenants.add("team-late")
             return real_tenant_store(base, tenant)
 
         monkeypatch.setattr(serve_app, "tenant_store", attaching_store)
         server._finish(record, {"job_id": record.job_id, "status": "done",
-                                "result": {"ok": 1}})
+                                "result": {"ok": 1}}, "team-a")
         monkeypatch.setattr(serve_app, "tenant_store", real_tenant_store)
-
-        for tenant in ("team-a", "team-late"):
-            assert tenant_store(server.cache_base, tenant).get(
-                SERVE_STAGE, record.circuit_fp, record.config_fp) == \
-                {"result": {"ok": 1}}, tenant
         assert record.key not in server._by_key
         assert record.status == "done"
+
+        def entries(tenant):
+            # Entries live in <fp[:2]>/<fp>/ buckets, below the root's
+            # hit-tally.json.
+            return sorted(tenant_cache_dir(server.cache_base, tenant)
+                          .glob("*/*/*-*.json"))
+
+        (written,) = entries("team-a")
+        for tenant in ("team-b", "team-late"):
+            (copy,) = entries(tenant)
+            assert copy.name == written.name, tenant
+            assert copy.read_bytes() == written.read_bytes(), tenant
+            status, reply = server.submit(body, tenant)
+            assert reply["source"] == "cache", tenant
