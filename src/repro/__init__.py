@@ -27,7 +27,7 @@ Layering (see DESIGN.md):
 * :mod:`repro.faults` — stuck-at model + equivalence collapsing;
 * :mod:`repro.sim` — scalar logic simulation and the pluggable
   fault-simulation backends (packed reference + vectorized kernel)
-  behind the :class:`SimBackend` protocol;
+  on the shared :class:`SimBackend` base;
 * :mod:`repro.atpg` — PODEM, combinational view, simulation-based
   sequential ATPG, and the two conventional scan approaches;
 * :mod:`repro.core` — the paper: scan-aware generation (Section 2),

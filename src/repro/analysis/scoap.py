@@ -45,10 +45,6 @@ class Testability:
     cc1: int
     co: int
 
-    def control_cost(self, value: int) -> int:
-        """Cost of forcing this net to ``value`` (CC0 or CC1)."""
-        return self.cc1 if value else self.cc0
-
     @property
     def hardest(self) -> int:
         return max(self.cc0, self.cc1, self.co)

@@ -109,21 +109,21 @@ class SecondApproachATPG:
         result = SecondApproachResult(test_set=ScanTestSet(self.circuit))
         sim = make_backend(self.circuit, self.faults)
         undetected_mask = sim.fault_mask
-        position_of = {f: i + 1 for i, f in enumerate(self.faults)}
 
         for fault in self.faults:
-            if not undetected_mask & (1 << position_of[fault]):
+            bit = 1 << sim.machine_of(fault)
+            if not undetected_mask & bit:
                 continue
             ledger.record("atpg.target", fault=fault, engine="scan_seq")
             podem_result = self._podem.run(view_fault(self.circuit, fault))
             if podem_result.status == UNTESTABLE:
                 result.untestable.append(fault)
-                undetected_mask &= ~(1 << position_of[fault])
+                undetected_mask &= ~bit
                 continue
             if podem_result.status == ABORTED:
                 ledger.record("atpg.abort", fault=fault, engine="scan_seq")
                 result.aborted.append(fault)
-                undetected_mask &= ~(1 << position_of[fault])
+                undetected_mask &= ~bit
                 continue
             state, first = self._view.split_assignment(podem_result.assignment, fill=X)
             state = tuple(self._fill(v) for v in state)

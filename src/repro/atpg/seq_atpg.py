@@ -231,17 +231,6 @@ class SequentialATPG:
         self.simulator_factory = simulator_factory
         self._rng = random.Random(self.config.seed)
         self._num_inputs = circuit.num_inputs
-        # fault -> machine position for the current global simulator;
-        # rebuilt on repack.  Avoids an O(faults) list.index per target.
-        self._position_sim = None
-        self._position_map: Dict[Fault, int] = {}
-
-    def _fault_position(self, sim, fault: Fault) -> int:
-        """Machine index (bit position) of ``fault`` in ``sim``."""
-        if sim is not self._position_sim:
-            self._position_sim = sim
-            self._position_map = {f: i + 1 for i, f in enumerate(sim.faults)}
-        return self._position_map[fault]
 
     def _make_sim(self, faults: Sequence[Fault]):
         """A simulator over ``faults``: the custom factory when one was
@@ -345,17 +334,11 @@ class SequentialATPG:
     def _record_detections(sim, newly, time, detection_time) -> None:
         """Ledger-recording twin of the setdefault loop: per genuinely
         new detection, note the vector index and observation points."""
-        faults = sim.faults
-        scan = newly & ~1
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            fault = faults[low.bit_length() - 2]
+        for fault in sim.faults_from_mask(newly):
             if fault in detection_time:
                 continue
             detection_time[fault] = time
-            observed = sim.detecting_outputs(low) \
-                if hasattr(sim, "detecting_outputs") else None
+            observed = sim.detecting_outputs(sim.mask_of((fault,)))
             ledger.record("atpg.detect", fault=fault, vector=time,
                           engine="seq", observed=observed)
 
@@ -395,8 +378,7 @@ class SequentialATPG:
         """
         config = self.config
         good_state = global_sim.machine_state(0)
-        fault_position = self._fault_position(global_sim, fault)
-        fault_state = global_sim.machine_state(fault_position)
+        fault_state = global_sim.machine_state(global_sim.machine_of(fault))
         mini = self._make_sim([fault])
         lanes = lane_view(mini)
 

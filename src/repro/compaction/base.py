@@ -48,16 +48,12 @@ class CompactionOracle:
             simulator_factory=simulator_factory,
             incremental=incremental,
         )
-        self._position = {f: i + 1 for i, f in enumerate(self.faults)}
 
     # -- mask helpers -----------------------------------------------------
 
     def mask_of(self, faults: Iterable[Fault]) -> int:
         """Bit mask corresponding to a set of target faults."""
-        mask = 0
-        for fault in faults:
-            mask |= 1 << self._position[fault]
-        return mask
+        return self.session.mask_of(faults)
 
     def faults_of(self, mask: int) -> List[Fault]:
         """Decode a detection mask back into fault objects."""

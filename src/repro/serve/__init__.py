@@ -5,7 +5,7 @@ over HTTP/JSON, canonicalizes each to its (circuit, run-config)
 fingerprint pair, and **dedupes aggressively**: identical in-flight
 work is joined, completed work replays from the content-addressed
 result store, and only novel keys reach the shared worker pool.
-Admission is weighted-fair across tenants with bounded queues and 429
+Admission is round-robin across tenants with bounded queues and 429
 back-pressure; every job journals its run for live SSE streaming.
 
 Modules:
@@ -14,7 +14,7 @@ Modules:
   threads, dedup/admission logic, graceful drain;
 * :mod:`~repro.serve.jobs` — submission canonicalization, the dedup
   key, and the worker-side task (with cycle/wall budget enforcement);
-* :mod:`~repro.serve.queue` — weighted fair queueing across tenants;
+* :mod:`~repro.serve.queue` — round-robin queueing across tenants;
 * :mod:`~repro.serve.store` — tenant cache namespaces + job state;
 * :mod:`~repro.serve.stream` — journal -> Server-Sent Events;
 * :mod:`~repro.serve.client` — the blocking Python client.

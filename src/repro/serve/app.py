@@ -170,6 +170,10 @@ class ReproServer:
         ]
         self._dispatchers: List[threading.Thread] = []
         self._lock = threading.Lock()
+        # Submissions run off the event loop, one admission at a time:
+        # the in-flight check and the registration of a new job must
+        # not interleave with another submission's.
+        self._admission = threading.Lock()
         self._jobs: Dict[str, JobRecord] = {}
         self._by_key: Dict[str, str] = {}    # in-flight dedup index
         self._seq = 0
@@ -190,54 +194,57 @@ class ReproServer:
         circuit_fp, config_fp = job_fingerprints(circuit, cfg, flow)
         key = job_key(circuit_fp, config_fp)
 
-        with self._lock:
-            in_flight = self._by_key.get(key)
-            if in_flight is not None:
-                record = self._jobs[in_flight]
-                record.tenants.add(tenant)
-                obs.incr("serve.deduped")
-                obs.event("serve.dedup", job=record.job_id, tenant=tenant)
-                return 200, {**record.public(), "source": "dedup"}
+        with self._admission:
+            with self._lock:
+                in_flight = self._by_key.get(key)
+                if in_flight is not None:
+                    record = self._jobs[in_flight]
+                    record.tenants.add(tenant)
+                    obs.incr("serve.deduped")
+                    obs.event("serve.dedup", job=record.job_id,
+                              tenant=tenant)
+                    return 200, {**record.public(), "source": "dedup"}
 
-        cached = replay_result(tenant_store(self.cache_base, tenant),
-                               circuit, cfg, flow)
-        if cached is not None:
-            # A pure replay: no job directory (the tenant store is the
-            # durable copy — provisioning one per hit would grow disk
-            # with every repeat request), result kept on the record
-            # until it ages out of the bounded registry.
+            cached = replay_result(tenant_store(self.cache_base, tenant),
+                                   circuit, cfg, flow)
+            if cached is not None:
+                # A pure replay: no job directory (the tenant store is
+                # the durable copy — provisioning one per hit would grow
+                # disk with every repeat request), result kept on the
+                # record until it ages out of the bounded registry.
+                record = self._register(key, circuit_fp, config_fp, flow,
+                                        tenant, source="cache",
+                                        status="done", in_flight=False)
+                with self._lock:
+                    record.finished_at = time.time()
+                    record.cached_result = cached
+                obs.incr("serve.cache_hits")
+                obs.event("serve.cache_hit", job=record.job_id,
+                          tenant=tenant)
+                return 200, {**record.public(), "result": cached}
+
+            if self._draining:
+                return 503, {"error": "server is draining"}
             record = self._register(key, circuit_fp, config_fp, flow,
-                                    tenant, source="cache", status="done",
-                                    in_flight=False)
-            with self._lock:
-                record.finished_at = time.time()
-                record.cached_result = cached
-            obs.incr("serve.cache_hits")
-            obs.event("serve.cache_hit", job=record.job_id, tenant=tenant)
-            return 200, {**record.public(), "result": cached}
-
-        if self._draining:
-            return 503, {"error": "server is draining"}
-        record = self._register(key, circuit_fp, config_fp, flow, tenant,
-                                source="new", status="queued",
-                                in_flight=True)
-        self.job_store.create(record.job_id,
-                              canonical_submission(circuit, cfg, flow))
-        try:
-            depth = self.queue.push(tenant, record.job_id)
-        except (QueueFull, RuntimeError) as exc:
-            with self._lock:
-                self._jobs.pop(record.job_id, None)
-                if self._by_key.get(key) == record.job_id:
-                    del self._by_key[key]
-            if isinstance(exc, QueueFull):
-                obs.incr("serve.rejected")
-                return 429, {"error": str(exc), "tenant": tenant}
-            return 503, {"error": "server is draining"}
-        obs.incr("serve.queued")
-        obs.event("serve.queued", job=record.job_id, tenant=tenant,
-                  depth=depth)
-        return 202, record.public()
+                                    tenant, source="new", status="queued",
+                                    in_flight=True)
+            self.job_store.create(record.job_id,
+                                  canonical_submission(circuit, cfg, flow))
+            try:
+                depth = self.queue.push(tenant, record.job_id)
+            except (QueueFull, RuntimeError) as exc:
+                with self._lock:
+                    self._jobs.pop(record.job_id, None)
+                    if self._by_key.get(key) == record.job_id:
+                        del self._by_key[key]
+                if isinstance(exc, QueueFull):
+                    obs.incr("serve.rejected")
+                    return 429, {"error": str(exc), "tenant": tenant}
+                return 503, {"error": "server is draining"}
+            obs.incr("serve.queued")
+            obs.event("serve.queued", job=record.job_id, tenant=tenant,
+                      depth=depth)
+            return 202, record.public()
 
     def _register(self, key: str, circuit_fp: str, config_fp: str,
                   flow: str, tenant: str, *, source: str, status: str,
@@ -515,8 +522,12 @@ class ReproServer:
         except (ValueError, UnicodeDecodeError):
             await self._respond(writer, 400, {"error": "body is not JSON"})
             return
+        # A cache hit decodes a whole ``flow`` entry: keep it off the
+        # event loop so other requests are served meanwhile.
+        loop = asyncio.get_running_loop()
         try:
-            status, response = self.submit(payload, tenant)
+            status, response = await loop.run_in_executor(
+                None, self.submit, payload, tenant)
         except SubmissionError as exc:
             await self._respond(writer, 400, {"error": str(exc)})
             return

@@ -1,4 +1,4 @@
-"""Weighted fair queueing across tenants.
+"""Fair (round-robin) queueing across tenants.
 
 The serve daemon schedules jobs from many tenants onto one shared
 worker pool.  A single global FIFO would let one chatty tenant starve
@@ -9,11 +9,10 @@ split per tenant:
   full tenant queue raises :class:`QueueFull`, which the HTTP layer
   maps to ``429 Too Many Requests`` — back-pressure lands on the tenant
   causing it, never on the others;
-* dispatchers pop via **weighted round-robin**: the rotation visits
-  tenants in a stable order and takes up to ``weight`` consecutive
-  items from each before moving on (default weight 1 = classic
-  round-robin).  A tenant that queued 50 jobs and a tenant that queued
-  1 both get served on every rotation.
+* dispatchers pop via **round-robin**: the rotation visits tenants in
+  a stable order and takes one item from each before moving on.  A
+  tenant that queued 50 jobs and a tenant that queued 1 both get
+  served on every rotation.
 
 Thread-safe: any number of producer (HTTP handler) and consumer
 (dispatcher) threads may call concurrently.  ``pop`` blocks up to its
@@ -47,20 +46,17 @@ class QueueFull(Exception):
 
 
 class FairQueue:
-    """Bounded per-tenant FIFOs drained by weighted round-robin."""
+    """Bounded per-tenant FIFOs drained by round-robin."""
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
         self._queues: Dict[str, Deque[Any]] = {}
-        self._weights: Dict[str, int] = {}
-        #: stable rotation order (tenant arrival order) + cursor state:
-        #: which tenant the next pop starts from, and how many
-        #: consecutive items it has already taken from that tenant.
+        #: stable rotation order (tenant arrival order) and the index
+        #: of the tenant the next pop starts from.
         self._rotation: List[str] = []
         self._cursor = 0
-        self._taken = 0
         self._closed = False
         self._cond = threading.Condition()
 
@@ -83,35 +79,19 @@ class FairQueue:
             self._cond.notify()
             return len(queue)
 
-    def set_weight(self, tenant: str, weight: int) -> None:
-        """Consecutive items ``tenant`` may receive per rotation turn
-        (>= 1; tenants default to 1)."""
-        if weight < 1:
-            raise ValueError("weight must be >= 1")
-        with self._cond:
-            self._weights[tenant] = weight
-
     # -- consumers --------------------------------------------------------------
 
     def _next_locked(self) -> Optional[Tuple[str, Any]]:
-        """One weighted-round-robin pop; caller holds the lock."""
-        if not self._rotation:
-            return None
+        """One round-robin pop; caller holds the lock."""
         n = len(self._rotation)
-        # n+1 probes: the first may only advance the cursor off a
-        # tenant that exhausted its per-turn allowance.
-        for _ in range(n + 1):
-            if self._cursor >= n:
-                self._cursor = 0
-            tenant = self._rotation[self._cursor]
+        for offset in range(n):
+            index = (self._cursor + offset) % n
+            tenant = self._rotation[index]
             queue = self._queues[tenant]
-            weight = self._weights.get(tenant, 1)
-            if queue and self._taken < weight:
-                self._taken += 1
+            if queue:
+                # The next pop starts after the tenant served now.
+                self._cursor = index + 1
                 return tenant, queue.popleft()
-            # Turn over: this tenant is empty or used its allowance.
-            self._cursor += 1
-            self._taken = 0
         return None
 
     def pop(self, timeout: Optional[float] = None

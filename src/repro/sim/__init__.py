@@ -1,7 +1,7 @@
 """Simulation substrate: scalar reference logic simulation, the
-pluggable fault-simulation backends (the packed bit-parallel reference
-oracle and the vectorized levelized kernel) behind the
-:class:`SimBackend` protocol, and the incremental checkpoint/fault-drop
+fault simulators (the packed bit-parallel reference oracle, the
+vectorized levelized kernel and the transition simulator) on the shared
+:class:`SimBackend` base, and the incremental checkpoint/fault-drop
 session engine layered on top of them.
 
 The vector kernel itself (:mod:`repro.sim.kernel`) is imported lazily —
@@ -13,7 +13,6 @@ from .backend import (
     BACKEND_NAMES,
     BACKEND_PACKED,
     BACKEND_VECTOR,
-    SimBackend,
     make_backend,
     resolve_backend_name,
 )
@@ -21,6 +20,7 @@ from .fault_sim import (
     CompiledTopology,
     FaultSimResult,
     PackedFaultSimulator,
+    SimBackend,
     compiled_topology,
     iter_fault_positions,
 )

@@ -1,7 +1,8 @@
-"""Pluggable fault-simulation backends: the ``SimBackend`` protocol and
-the ``make_backend`` factory.
+"""Pluggable fault-simulation backends and the ``make_backend`` factory.
 
-Two standard backends implement the protocol, bit-identically:
+Every simulator subclasses :class:`~repro.sim.fault_sim.SimBackend`,
+which holds the contract once.  Two standard backends implement it,
+bit-identically:
 
 * ``"packed"`` — :class:`~repro.sim.fault_sim.PackedFaultSimulator`,
   the pure-Python packed-integer reference oracle.  Always available.
@@ -16,23 +17,20 @@ amortize: at least ``AUTO_MIN_FAULTS`` fault machines or
 Because the backends are bit-identical, the choice can never change
 result bits.  An explicit ``"packed"`` or ``"vector"`` exists for the
 backend parity tests and benchmarks.  Custom API-compatible
-``simulator_factory`` callables (e.g. ``PackedTransitionSimulator``,
-test doubles) bypass selection.
+``simulator_factory`` callables (e.g. ``PackedTransitionSimulator``)
+bypass selection.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from time import perf_counter
-from typing import (
-    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
-    runtime_checkable,
-)
+from typing import Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..obs import context as obs
-from .fault_sim import FaultSimResult, PackedFaultSimulator
+from .fault_sim import PackedFaultSimulator, SimBackend
 
 #: Resolve to packed/vector by availability and fault count.
 BACKEND_AUTO = "auto"
@@ -64,37 +62,6 @@ AUTO_MIN_FAULTS = 16
 #: one vector at a time, where the kernel wins (0.19 ms against 1.65 ms
 #: per single-fault step there).
 AUTO_MIN_GATES = 4096
-
-
-@runtime_checkable
-class SimBackend(Protocol):
-    """What every fault-simulation backend must provide.
-
-    The contract is exactly the surface :class:`SimSession`, the
-    compaction oracle and the ATPG engines consume; the protocol is
-    ``runtime_checkable`` so tests can assert conformance structurally.
-    Implementations also expose ``faults`` / ``num_machines`` /
-    ``full_mask`` / ``fault_mask`` / ``time`` attributes and the
-    ``backend_name`` class attribute naming them.
-    """
-
-    def reset(self) -> None: ...
-
-    def step(self, vector: Sequence[int]) -> int: ...
-
-    def run(self, vectors: Iterable[Sequence[int]],
-            stop_when_all_detected: bool = False,
-            reset: bool = True) -> FaultSimResult: ...
-
-    def save_state(self): ...
-
-    def restore_state(self, token) -> None: ...
-
-    def detects_all(self, vectors: Sequence[Sequence[int]]) -> bool: ...
-
-    def detecting_outputs(self, mask: int) -> List[str]: ...
-
-    def faults_from_mask(self, mask: int) -> List[Fault]: ...
 
 
 def numpy_available() -> bool:

@@ -15,6 +15,11 @@ evaluation at the cost of a handful of bitwise operations on ~80-word
 integers — the classic parallel-fault scheme of Seshu, generalized to
 three-valued logic.
 
+Every fault simulator (this one, the vector kernel and the transition
+simulator) subclasses :class:`SimBackend`, which holds that machine/bit
+rule, whole-sequence runs and the plane read-outs once; a simulator
+adds its fault injection and :meth:`~SimBackend.step`.
+
 Fault injection
 ---------------
 Faults are compiled to per-site masks and *forced* at the right moment:
@@ -274,7 +279,303 @@ class FaultSimResult:
         return 100.0 * len(self.detected_set) / len(self.faults)
 
 
-class PackedFaultSimulator:
+
+
+def _gather_bits(pair: Tuple[int, int],
+                 kept_bits: Sequence[int]) -> Tuple[int, int]:
+    """Project one ``(ones, zeros)`` plane pair onto a narrower packing:
+    old machine ``kept_bits[j]`` becomes machine ``j``."""
+    ones, zeros = pair
+    new_ones = new_zeros = 0
+    for new_bit, old_bit in enumerate(kept_bits):
+        new_ones |= ((ones >> old_bit) & 1) << new_bit
+        new_zeros |= ((zeros >> old_bit) & 1) << new_bit
+    return (new_ones, new_zeros)
+
+
+class SimBackend:
+    """The contract every fault simulator keeps, written once.
+
+    Machine 0 is the fault-free circuit and machine ``i + 1`` simulates
+    ``faults[i]``: bit ``i + 1`` of every plane and detection mask is
+    ``faults[i]``.  This class owns that rule (:meth:`faults_from_mask`,
+    :meth:`machine_of`, :meth:`mask_of`), whole-sequence simulation
+    (:meth:`run`, :meth:`detects_all`) and every read-out of the planes.
+
+    A backend supplies :meth:`step`.  The flip-flop state is stored here
+    as one ``(ones, zeros)`` int pair per flip-flop in ``_state``, and a
+    step leaves each net's planes in ``_ones``/``_zeros``; a backend
+    that stores them otherwise overrides the storage hooks
+    (``_state_pairs``, ``_set_state_pairs``, ``_net_pair``) and the
+    state-token methods.  ``_po_masks`` holds the branch-fault force of
+    each primary output, applied where a read-out observes one.
+
+    The simulator is stateful across :meth:`step` calls; call
+    :meth:`reset` between sequences.
+    """
+
+    def __init__(self, circuit: Circuit, faults: Sequence[Fault]):
+        self.circuit = circuit
+        self.faults = list(faults)
+        self.num_machines = len(self.faults) + 1
+        self.full_mask = (1 << self.num_machines) - 1
+        self.fault_mask = self.full_mask & ~1  # every machine except fault-free
+        # The fault-independent flat arrays are compiled once per circuit
+        # and shared; only the injection tables depend on the fault list.
+        self._topology = compiled_topology(circuit)
+        self._index = self._topology.index
+        self._po = self._topology.po
+        self._po_masks: list = [None] * len(self._po)
+        self._state: List[Tuple[int, int]] = [(0, 0)] * len(circuit.flops)
+        self.time = 0
+        self._machines: Optional[Dict[Fault, int]] = None
+
+    def step(self, vector: Sequence[int]) -> int:
+        """Apply one vector; return the mask of machines detected this cycle.
+
+        The returned mask has bit ``f`` set when machine ``f`` produced a
+        binary value opposite to the fault-free machine on some primary
+        output this cycle.  Bit 0 is never set.  Flip-flops advance.
+        """
+        raise NotImplementedError
+
+    # -- the fault <-> bit rule ------------------------------------------------
+
+    def faults_from_mask(self, mask: int) -> List[Fault]:
+        """Decode a detection mask into the fault objects it covers."""
+        faults = self.faults
+        return [faults[position] for position in iter_fault_positions(mask)]
+
+    def _machine_map(self) -> Dict[Fault, int]:
+        """fault -> machine, built on first use and kept for the
+        simulator's lifetime."""
+        if self._machines is None:
+            self._machines = {f: i + 1 for i, f in enumerate(self.faults)}
+        return self._machines
+
+    def machine_of(self, fault: Fault) -> int:
+        """Machine (bit position) simulating ``fault``."""
+        return self._machine_map()[fault]
+
+    def mask_of(self, faults: Iterable[Fault]) -> int:
+        """Mask covering ``faults`` (each must be packed here)."""
+        machines = self._machine_map()
+        mask = 0
+        for fault in faults:
+            mask |= 1 << machines[fault]
+        return mask
+
+    # -- state -----------------------------------------------------------------
+
+    def _state_pairs(self) -> List[Tuple[int, int]]:
+        """The flip-flop planes, one ``(ones, zeros)`` pair per flop."""
+        return self._state
+
+    def _set_state_pairs(self, pairs: List[Tuple[int, int]]) -> None:
+        self._state = pairs
+
+    def _net_pair(self, idx: int) -> Tuple[int, int]:
+        """The planes of net ``idx`` as of the last :meth:`step`."""
+        return self._ones[idx], self._zeros[idx]
+
+    def reset(self) -> None:
+        """All flip-flops back to X in every machine; time to 0."""
+        self._set_state_pairs([(0, 0)] * len(self.circuit.flops))
+        self.time = 0
+
+    def load_state(self, values: Sequence[int]) -> None:
+        """Force an identical binary/X state into every machine (used by
+        tests and by scan-based tooling that models a known state)."""
+        if len(values) != len(self.circuit.flops):
+            raise ValueError(f"need {len(self.circuit.flops)} state values")
+        full = self.full_mask
+        table = {ZERO: (0, full), ONE: (full, 0), X: (0, 0)}
+        self._set_state_pairs([table[v] for v in values])
+
+    def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
+        """Load a distinct scalar state per machine.
+
+        ``states[m]`` is the flip-flop state of machine ``m``; exactly
+        ``num_machines`` states are required.  Used to hand a fault's
+        accumulated sequential state from one simulator to another (e.g.
+        from the global fault-dropping simulator into a per-fault search
+        simulator).
+        """
+        if len(states) != self.num_machines:
+            raise ValueError(f"need {self.num_machines} per-machine states")
+        planes = []
+        for flop_index in range(len(self.circuit.flops)):
+            ones = zeros = 0
+            for machine, state in enumerate(states):
+                value = state[flop_index]
+                if value == ONE:
+                    ones |= 1 << machine
+                elif value == ZERO:
+                    zeros |= 1 << machine
+            planes.append((ones, zeros))
+        self._set_state_pairs(planes)
+
+    def save_state(self):
+        """Snapshot the (packed) flip-flop state and time; the returned
+        token is opaque and only valid for this simulator instance."""
+        return (list(self._state), self.time)
+
+    def restore_state(self, token) -> None:
+        """Restore a snapshot taken by :meth:`save_state`."""
+        state, time = token
+        self._state = list(state)
+        self.time = time
+
+    @staticmethod
+    def remap_state_token(token, kept_bits: Sequence[int]):
+        """Project a :meth:`save_state` token onto a narrower packing.
+
+        ``kept_bits[j]`` is the old machine bit that becomes machine
+        ``j`` in the new packing.  Machines are simulated independently,
+        so the projected token restored into a simulator packed over the
+        kept faults is bit-identical to having simulated that narrower
+        packing from the start — which lets a session keep its
+        checkpoints across fault-dropping repacks.
+        """
+        state, time = token
+        return ([_gather_bits(pair, kept_bits) for pair in state], time)
+
+    # -- plane read-outs -------------------------------------------------------
+
+    def machine_state(self, machine: int) -> Tuple[int, ...]:
+        """Scalar flip-flop values of one machine (0 = fault-free)."""
+        bit = 1 << machine
+        return tuple(
+            ONE if ones & bit else ZERO if zeros & bit else X
+            for ones, zeros in self._state_pairs()
+        )
+
+    def good_state(self) -> Tuple[int, ...]:
+        """Fault-free flip-flop values (``ZERO``/``ONE``/``X``)."""
+        return self.machine_state(0)
+
+    def ff_effect_masks(self) -> List[int]:
+        """Per flip-flop: mask of machines holding the *opposite binary*
+        value of the fault-free machine.
+
+        This is the "fault effect reached flip-flop i" predicate of
+        Section 2: a fault whose bit is set here would be observed if the
+        chain were scanned out starting now.
+        """
+        fault_mask = self.fault_mask
+        result = []
+        for ones, zeros in self._state_pairs():
+            if ones & 1:
+                result.append(zeros & fault_mask)
+            elif zeros & 1:
+                result.append(ones & fault_mask)
+            else:
+                result.append(0)
+        return result
+
+    def good_net_value(self, net: str) -> int:
+        """Fault-free value of ``net`` as of the last :meth:`step`."""
+        ones, zeros = self._net_pair(self._index[net])
+        return ONE if ones & 1 else ZERO if zeros & 1 else X
+
+    def net_effect_mask(self, net: str) -> int:
+        """Machines whose value at ``net`` is the opposite binary value of
+        the fault-free machine (as of the last :meth:`step`)."""
+        ones, zeros = self._net_pair(self._index[net])
+        if ones & 1:
+            return zeros & self.fault_mask
+        if zeros & 1:
+            return ones & self.fault_mask
+        return 0
+
+    def good_outputs(self) -> Tuple[int, ...]:
+        """Fault-free primary output values of the *last* :meth:`step`."""
+        result = []
+        for idx, _po in self._po:
+            ones, zeros = self._net_pair(idx)
+            result.append(ONE if ones & 1 else ZERO if zeros & 1 else X)
+        return tuple(result)
+
+    def detecting_outputs(self, mask: int) -> List[str]:
+        """Primary-output names where the machines in ``mask`` produced
+        a value opposite to the fault-free machine on the *last*
+        :meth:`step` (the observation points of those detections).
+        Valid until the next step/reset; used by the fault ledger."""
+        observed: List[str] = []
+        for (idx, name), po_mask in zip(self._po, self._po_masks):
+            o, z = self._net_pair(idx)
+            if po_mask is not None:
+                m1, m0 = po_mask
+                o = (o | m1) & ~m0
+                z = (z | m0) & ~m1
+            if o & 1:
+                hit = z
+            elif z & 1:
+                hit = o
+            else:
+                hit = 0
+            if hit & mask:
+                observed.append(name)
+        return observed
+
+    # -- whole sequences -------------------------------------------------------
+
+    def _run_block(self, vectors: Iterable[Sequence[int]]) -> Iterable[int]:
+        """Step every vector in order; the detection mask of each."""
+        return map(self.step, vectors)
+
+    def run(
+        self,
+        vectors: Iterable[Sequence[int]],
+        stop_when_all_detected: bool = False,
+        reset: bool = True,
+    ) -> FaultSimResult:
+        """Simulate a whole sequence; record first-detection times.
+
+        ``stop_when_all_detected`` ends the run early once every packed
+        fault has been observed (used by detection oracles in compaction,
+        where only a target subset matters).  Otherwise the backend may
+        simulate the whole sequence as one block.
+        """
+        if reset:
+            self.reset()
+        result = FaultSimResult(faults=list(self.faults))
+        faults = self.faults
+        detection_time = result.detection_time
+        remaining = self.fault_mask
+        masks = (map(self.step, vectors) if stop_when_all_detected
+                 else self._run_block(vectors))
+        for t, newly in enumerate(masks):
+            newly &= remaining
+            if newly:
+                remaining &= ~newly
+                for position in iter_fault_positions(newly):
+                    detection_time[faults[position]] = t
+            result.num_vectors = t + 1
+            if stop_when_all_detected and remaining == 0:
+                break
+        obs.incr("faultsim.runs")
+        obs.incr("faultsim.cycles", result.num_vectors)
+        if result.detection_time:
+            obs.incr("faultsim.faults_dropped", len(result.detection_time))
+        if ledger.enabled():
+            ledger.record("faultsim.run", vectors=result.num_vectors,
+                          detected=len(result.detection_time),
+                          packed=len(faults))
+        return result
+
+    def detects_all(self, vectors: Sequence[Sequence[int]]) -> bool:
+        """True when the sequence detects *every* packed fault."""
+        self.reset()
+        remaining = self.fault_mask
+        for vector in vectors:
+            remaining &= ~self.step(vector)
+            if remaining == 0:
+                return True
+        return remaining == 0
+
+
+class PackedFaultSimulator(SimBackend):
     """Parallel-fault three-valued sequential fault simulator.
 
     Parameters
@@ -285,31 +586,22 @@ class PackedFaultSimulator:
         Faults to pack, one machine each.  Order defines bit positions
         (bit ``i + 1`` simulates ``faults[i]``).
 
-    The simulator is stateful across :meth:`step` calls; call
-    :meth:`reset` between sequences.
+    Adds to :class:`SimBackend` its static injection tables, the packed
+    :meth:`step` and the lane step of the ATPG beam search.
     """
 
     #: Name this class is registered under in :mod:`repro.sim.backend`.
     backend_name = "packed"
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault]):
-        self.circuit = circuit
-        self.faults = list(faults)
-        self.num_machines = len(self.faults) + 1
-        self.full_mask = (1 << self.num_machines) - 1
-        self.fault_mask = self.full_mask & ~1  # every machine except fault-free
-
-        # The fault-independent flat arrays are compiled once per circuit
-        # and shared; only the injection masks depend on the fault list.
-        topology = compiled_topology(circuit)
-        index = topology.index
-        self._index = index
+        super().__init__(circuit, faults)
+        topology = self._topology
         self._pi = topology.pi
-        self._po = topology.po
         self._flop_q = topology.flop_q
         self._flop_d = topology.flop_d
 
-        stem_masks, branch_masks = self._compile_masks(index)
+        stem_masks, branch_masks = compile_injection_masks(self.faults,
+                                                           self._index)
         self._pi_masks = [stem_masks.get(n) for _i, n in self._pi]
         self._po_masks = [branch_masks.get((po, 0)) for _i, po in self._po]
         self._flop_q_masks = [stem_masks.get(f.q) for f in circuit.flops]
@@ -340,141 +632,14 @@ class PackedFaultSimulator:
 
         self._ones = [0] * scratch
         self._zeros = [0] * scratch
-        self._state: List[Tuple[int, int]] = [(0, 0)] * len(circuit.flops)
-        self.time = 0
         # Replicated injection tables per lane count, and the outcome of
         # the last lane step awaiting select_lane.
         self._lane_tables: Dict[int, _LaneTables] = {}
         self._lane_next: Tuple[List[Tuple[int, int]], int] = ([], 0)
 
-    # -- construction ----------------------------------------------------------
-
-    def _compile_masks(self, index):
-        return compile_injection_masks(self.faults, index)
-
-    # -- state -----------------------------------------------------------------
-
-    def reset(self) -> None:
-        """All flip-flops back to X in every machine; time to 0."""
-        self._state = [(0, 0)] * len(self._state)
-        self.time = 0
-
-    def load_state(self, values: Sequence[int]) -> None:
-        """Force an identical binary/X state into every machine (used by
-        tests and by scan-based tooling that models a known state)."""
-        if len(values) != len(self._state):
-            raise ValueError(f"need {len(self._state)} state values")
-        full = self.full_mask
-        table = {ZERO: (0, full), ONE: (full, 0), X: (0, 0)}
-        self._state = [table[v] for v in values]
-
-    def save_state(self):
-        """Snapshot the (packed) flip-flop state and time; the returned
-        token is opaque and only valid for this simulator instance."""
-        return (list(self._state), self.time)
-
-    def restore_state(self, token) -> None:
-        """Restore a snapshot taken by :meth:`save_state`."""
-        state, time = token
-        self._state = list(state)
-        self.time = time
-
-    @staticmethod
-    def remap_state_token(token, kept_bits: Sequence[int]):
-        """Project a :meth:`save_state` token onto a narrower packing.
-
-        ``kept_bits[j]`` is the old machine bit that becomes machine
-        ``j`` in the new packing.  Machines are simulated independently,
-        so the projected token restored into a simulator packed over the
-        kept faults is bit-identical to having simulated that narrower
-        packing from the start — which lets a session keep its
-        checkpoints across fault-dropping repacks.
-        """
-        state, time = token
-        new_state = []
-        for ones, zeros in state:
-            new_ones = new_zeros = 0
-            for new_bit, old_bit in enumerate(kept_bits):
-                new_ones |= ((ones >> old_bit) & 1) << new_bit
-                new_zeros |= ((zeros >> old_bit) & 1) << new_bit
-            new_state.append((new_ones, new_zeros))
-        return (new_state, time)
-
-    def machine_state(self, machine: int) -> Tuple[int, ...]:
-        """Scalar flip-flop values of one machine (0 = fault-free)."""
-        bit = 1 << machine
-        result = []
-        for ones, zeros in self._state:
-            if ones & bit:
-                result.append(ONE)
-            elif zeros & bit:
-                result.append(ZERO)
-            else:
-                result.append(X)
-        return tuple(result)
-
-    def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
-        """Load a distinct scalar state per machine.
-
-        ``states[m]`` is the flip-flop state of machine ``m``; exactly
-        ``num_machines`` states are required.  Used to hand a fault's
-        accumulated sequential state from one simulator to another (e.g.
-        from the global fault-dropping simulator into a per-fault search
-        simulator).
-        """
-        if len(states) != self.num_machines:
-            raise ValueError(f"need {self.num_machines} per-machine states")
-        planes = []
-        for flop_index in range(len(self._state)):
-            ones = zeros = 0
-            for machine, state in enumerate(states):
-                value = state[flop_index]
-                if value == ONE:
-                    ones |= 1 << machine
-                elif value == ZERO:
-                    zeros |= 1 << machine
-            planes.append((ones, zeros))
-        self._state = planes
-
-    def good_state(self) -> Tuple[int, ...]:
-        """Fault-free flip-flop values (``ZERO``/``ONE``/``X``)."""
-        result = []
-        for ones, zeros in self._state:
-            if ones & 1:
-                result.append(ONE)
-            elif zeros & 1:
-                result.append(ZERO)
-            else:
-                result.append(X)
-        return tuple(result)
-
-    def ff_effect_masks(self) -> List[int]:
-        """Per flip-flop: mask of machines holding the *opposite binary*
-        value of the fault-free machine.
-
-        This is the "fault effect reached flip-flop i" predicate of
-        Section 2: a fault whose bit is set here would be observed if the
-        chain were scanned out starting now.
-        """
-        result = []
-        for ones, zeros in self._state:
-            if ones & 1:
-                result.append(zeros & self.fault_mask)
-            elif zeros & 1:
-                result.append(ones & self.fault_mask)
-            else:
-                result.append(0)
-        return result
-
     # -- simulation --------------------------------------------------------------
 
     def step(self, vector: Sequence[int]) -> int:
-        """Apply one vector; return the mask of machines detected this cycle.
-
-        The returned mask has bit ``f`` set when machine ``f`` produced a
-        binary value opposite to the fault-free machine on some primary
-        output this cycle.  Bit 0 is never set.  Flip-flops advance.
-        """
         if isinstance(vector, str):
             vector = vector_from_string(vector)
         ones = self._ones
@@ -668,111 +833,3 @@ class PackedFaultSimulator:
         self._state = [((o >> shift) & machines, (z >> shift) & machines)
                        for o, z in state]
         self.time = time
-
-    def good_net_value(self, net: str) -> int:
-        """Fault-free value of ``net`` as of the last :meth:`step`."""
-        idx = self._index[net]
-        if self._ones[idx] & 1:
-            return ONE
-        if self._zeros[idx] & 1:
-            return ZERO
-        return X
-
-    def net_effect_mask(self, net: str) -> int:
-        """Machines whose value at ``net`` is the opposite binary value of
-        the fault-free machine (as of the last :meth:`step`)."""
-        idx = self._index[net]
-        ones, zeros = self._ones[idx], self._zeros[idx]
-        if ones & 1:
-            return zeros & self.fault_mask
-        if zeros & 1:
-            return ones & self.fault_mask
-        return 0
-
-    def good_outputs(self) -> Tuple[int, ...]:
-        """Fault-free primary output values of the *last* :meth:`step`."""
-        result = []
-        for idx, _po in self._po:
-            if self._ones[idx] & 1:
-                result.append(ONE)
-            elif self._zeros[idx] & 1:
-                result.append(ZERO)
-            else:
-                result.append(X)
-        return tuple(result)
-
-    def run(
-        self,
-        vectors: Iterable[Sequence[int]],
-        stop_when_all_detected: bool = False,
-        reset: bool = True,
-    ) -> FaultSimResult:
-        """Simulate a whole sequence; record first-detection times.
-
-        ``stop_when_all_detected`` ends the run early once every packed
-        fault has been observed (used by detection oracles in compaction,
-        where only a target subset matters).
-        """
-        if reset:
-            self.reset()
-        result = FaultSimResult(faults=list(self.faults))
-        faults = self.faults
-        detection_time = result.detection_time
-        remaining = self.fault_mask
-        for t, vector in enumerate(vectors):
-            newly = self.step(vector) & remaining
-            if newly:
-                remaining &= ~newly
-                for position in iter_fault_positions(newly):
-                    detection_time[faults[position]] = t
-            result.num_vectors = t + 1
-            if stop_when_all_detected and remaining == 0:
-                break
-        obs.incr("faultsim.runs")
-        obs.incr("faultsim.cycles", result.num_vectors)
-        if result.detection_time:
-            obs.incr("faultsim.faults_dropped", len(result.detection_time))
-        if ledger.enabled():
-            ledger.record("faultsim.run", vectors=result.num_vectors,
-                          detected=len(result.detection_time),
-                          packed=len(faults))
-        return result
-
-    def detecting_outputs(self, mask: int) -> List[str]:
-        """Primary-output names where the machines in ``mask`` produced
-        a value opposite to the fault-free machine on the *last*
-        :meth:`step` (the observation points of those detections).
-        Valid until the next step/reset; used by the fault ledger."""
-        observed: List[str] = []
-        ones, zeros = self._ones, self._zeros
-        for (idx, name), po_mask in zip(self._po, self._po_masks):
-            o, z = ones[idx], zeros[idx]
-            if po_mask is not None:
-                m1, m0 = po_mask
-                o = (o | m1) & ~m0
-                z = (z | m0) & ~m1
-            if o & 1:
-                hit = z
-            elif z & 1:
-                hit = o
-            else:
-                hit = 0
-            if hit & mask:
-                observed.append(name)
-        return observed
-
-    def detects_all(self, vectors: Sequence[Sequence[int]]) -> bool:
-        """True when the sequence detects *every* packed fault."""
-        self.reset()
-        remaining = self.fault_mask
-        for vector in vectors:
-            remaining &= ~self.step(vector)
-            if remaining == 0:
-                return True
-        return remaining == 0
-
-    def faults_from_mask(self, mask: int) -> List[Fault]:
-        """Decode a detection mask into the fault objects it covers."""
-        faults = self.faults
-        return [faults[position] for position in iter_fault_positions(mask)]
-

@@ -48,15 +48,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..obs import context as obs
-from ..obs import ledger
-from .fault_sim import (
-    FaultSimResult, compile_injection_masks, compiled_topology,
-    iter_fault_positions,
-)
+from .fault_sim import SimBackend, compile_injection_masks, compiled_topology
 from .logic_sim import vector_from_string
 
 _C_SOURCE = r"""
@@ -479,14 +473,15 @@ def _force_entries(masks: Sequence[Tuple[int, int]],
     return entries, offsets
 
 
-class VectorFaultSimulator:
+class VectorFaultSimulator(SimBackend):
     """Parallel-fault three-valued simulator over a uint64 plane matrix.
 
-    API-compatible with :class:`PackedFaultSimulator` (the full
-    :class:`~repro.sim.backend.SimBackend` surface plus the query
-    helpers the flow uses), with bit-identical detection behaviour.
-    Raises :class:`RuntimeError` when the C step library cannot be
-    compiled on this machine.
+    Adds to :class:`~repro.sim.fault_sim.SimBackend` the C plumbing, the
+    plane storage with its state-token format and the one-call block
+    run, with detection behaviour bit-identical to
+    :class:`~repro.sim.fault_sim.PackedFaultSimulator`.  Raises
+    :class:`RuntimeError` when the C step library cannot be compiled on
+    this machine.
     """
 
     backend_name = "vector"
@@ -496,15 +491,9 @@ class VectorFaultSimulator:
         if self._lib is None:
             raise RuntimeError("sim_backend='vector' requires a working C "
                                "compiler; use 'packed' or 'auto'")
-        self.circuit = circuit
-        self.faults = list(faults)
-        self.num_machines = len(self.faults) + 1
-        self.full_mask = (1 << self.num_machines) - 1
-        self.fault_mask = self.full_mask & ~1
-        topo = compiled_topology(circuit)
+        super().__init__(circuit, faults)
+        topo = self._topology
         program = levelized_topology(circuit)
-        self._index = topo.index
-        self._topo = topo
         W = (self.num_machines + 63) // 64
         self.W = W
         self._full_words = _int_to_words(self.full_mask, W)
@@ -556,7 +545,6 @@ class VectorFaultSimulator:
         self._scratch = np.zeros((2 * program.max_arity, 2, W),
                                  dtype=np.uint64)
         self._det = np.zeros(W, dtype=np.uint64)
-        self.time = 0
         #: Words :meth:`step` simulates: machines ``< 64 * active_words``.
         #: :class:`~repro.sim.session.SimSession` narrows it per query;
         #: words past it keep stale values until a full-width reset or
@@ -586,17 +574,6 @@ class VectorFaultSimulator:
         self._state[:] = 0
         self.time = 0
 
-    def load_state(self, values: Sequence[int]) -> None:
-        """Force an identical binary/X state into every machine."""
-        if len(values) != len(self._state):
-            raise ValueError(f"need {len(self._state)} state values")
-        self._state[:] = 0
-        for i, v in enumerate(values):
-            if v == ONE:
-                self._state[i, 0] = self._full_words
-            elif v == ZERO:
-                self._state[i, 1] = self._full_words
-
     def save_state(self):
         """Snapshot the flip-flop planes of the active words and the
         time (opaque token)."""
@@ -625,50 +602,19 @@ class VectorFaultSimulator:
         packed = np.packbits(gathered, axis=2, bitorder="little")
         return (packed.view("<u8").astype(np.uint64), time)
 
-    def machine_state(self, machine: int) -> Tuple[int, ...]:
-        """Scalar flip-flop values of one machine (0 = fault-free)."""
-        word, bit = machine >> 6, np.uint64(machine & 63)
-        ones = (self._state[:, 0, word] >> bit) & np.uint64(1)
-        zeros = (self._state[:, 1, word] >> bit) & np.uint64(1)
-        return tuple(ONE if o else (ZERO if z else X)
-                     for o, z in zip(ones, zeros))
+    def _state_pairs(self) -> List[Tuple[int, int]]:
+        raw = self._state.astype("<u8", copy=False).tobytes()
+        wb = 8 * self.W
+        return [(int.from_bytes(raw[i:i + wb], "little"),
+                 int.from_bytes(raw[i + wb:i + 2 * wb], "little"))
+                for i in range(0, len(raw), 2 * wb)]
 
-    def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
-        """Load a distinct scalar state per machine (packed contract)."""
-        if len(states) != self.num_machines:
-            raise ValueError(f"need {self.num_machines} per-machine states")
-        arr = np.asarray(states, dtype=np.int64)  # (machines, nff)
-        machines = np.arange(self.num_machines)
-        words, bits = machines >> 6, (machines & 63).astype(np.uint64)
-        self._state[:] = 0
-        for plane, value in ((0, ONE), (1, ZERO)):
-            sel = arr == value  # (machines, nff)
-            for w in range(self.W):
-                m = words == w
-                if not m.any():
-                    continue
-                contrib = sel[m].astype(np.uint64) << bits[m][:, None]
-                self._state[:, plane, w] = np.bitwise_or.reduce(
-                    contrib, axis=0)
-
-    def good_state(self) -> Tuple[int, ...]:
-        """Fault-free flip-flop values (``ZERO``/``ONE``/``X``)."""
-        return self.machine_state(0)
-
-    def ff_effect_masks(self) -> List[int]:
-        """Per flip-flop: machines holding the opposite binary value of
-        the fault-free machine (packed contract)."""
-        result = []
-        one = np.uint64(1)
-        for i in range(len(self._state)):
-            ones, zeros = self._state[i, 0], self._state[i, 1]
-            if ones[0] & one:
-                result.append(_words_to_int(zeros) & self.fault_mask)
-            elif zeros[0] & one:
-                result.append(_words_to_int(ones) & self.fault_mask)
-            else:
-                result.append(0)
-        return result
+    def _set_state_pairs(self, pairs: List[Tuple[int, int]]) -> None:
+        wb = 8 * self.W
+        raw = b"".join(plane.to_bytes(wb, "little")
+                       for pair in pairs for plane in pair)
+        self._state[:] = np.frombuffer(raw, dtype="<u8").reshape(
+            self._state.shape)
 
     # -- simulation ------------------------------------------------------------
 
@@ -705,114 +651,15 @@ class VectorFaultSimulator:
         self.time += 1
         return _words_to_int(self._det[:words]) & self.fault_mask
 
-    # -- queries (post-step plane reads, packed contract) ----------------------
-
-    def _net_planes(self, idx: int) -> Tuple[int, int]:
+    def _net_pair(self, idx: int) -> Tuple[int, int]:
         return (_words_to_int(self.planes[idx, 0]),
                 _words_to_int(self.planes[idx, 1]))
 
-    def good_net_value(self, net: str) -> int:
-        """Fault-free value of ``net`` as of the last :meth:`step`."""
-        one = np.uint64(1)
-        idx = self._index[net]
-        if self.planes[idx, 0, 0] & one:
-            return ONE
-        if self.planes[idx, 1, 0] & one:
-            return ZERO
-        return X
-
-    def net_effect_mask(self, net: str) -> int:
-        """Machines whose value at ``net`` opposes the fault-free one."""
-        idx = self._index[net]
-        ones, zeros = self._net_planes(idx)
-        if ones & 1:
-            return zeros & self.fault_mask
-        if zeros & 1:
-            return ones & self.fault_mask
-        return 0
-
-    def good_outputs(self) -> Tuple[int, ...]:
-        """Fault-free primary output values of the last :meth:`step`."""
-        one = np.uint64(1)
-        result = []
-        for idx in self._pos[:, 0]:
-            if self.planes[idx, 0, 0] & one:
-                result.append(ONE)
-            elif self.planes[idx, 1, 0] & one:
-                result.append(ZERO)
-            else:
-                result.append(X)
-        return tuple(result)
-
-    def detecting_outputs(self, mask: int) -> List[str]:
-        """PO names observing the machines in ``mask`` (last step)."""
-        observed: List[str] = []
-        for k, (idx, name) in enumerate(self._topo.po):
-            ones, zeros = self._net_planes(idx)
-            force = self._po_masks[k]
-            if force is not None:
-                m1, m0 = force
-                ones = (ones | m1) & ~m0
-                zeros = (zeros | m0) & ~m1
-            if ones & 1:
-                hit = zeros
-            elif zeros & 1:
-                hit = ones
-            else:
-                hit = 0
-            if hit & mask:
-                observed.append(name)
-        return observed
-
-    def run(
-        self,
-        vectors: Iterable[Sequence[int]],
-        stop_when_all_detected: bool = False,
-        reset: bool = True,
-    ) -> FaultSimResult:
-        """Simulate a whole sequence; record first-detection times.
-
-        Identical semantics (and telemetry counters) to the packed
-        simulator's :meth:`~PackedFaultSimulator.run`.  Without early
-        stopping the entire block runs in one C call.
-        """
-        if reset:
-            self.reset()
-        result = FaultSimResult(faults=list(self.faults))
-        faults = self.faults
-        detection_time = result.detection_time
-        remaining = self.fault_mask
-        vectors = list(vectors)
-        if not stop_when_all_detected and vectors:
-            for t, newly in enumerate(self._run_block(vectors)):
-                newly &= remaining
-                if newly:
-                    remaining &= ~newly
-                    for position in iter_fault_positions(newly):
-                        detection_time[faults[position]] = t
-            result.num_vectors = len(vectors)
-        else:
-            for t, vector in enumerate(vectors):
-                newly = self.step(vector) & remaining
-                if newly:
-                    remaining &= ~newly
-                    for position in iter_fault_positions(newly):
-                        detection_time[faults[position]] = t
-                result.num_vectors = t + 1
-                if stop_when_all_detected and remaining == 0:
-                    break
-        obs.incr("faultsim.runs")
-        obs.incr("faultsim.cycles", result.num_vectors)
-        if result.detection_time:
-            obs.incr("faultsim.faults_dropped", len(result.detection_time))
-        if ledger.enabled():
-            ledger.record("faultsim.run", vectors=result.num_vectors,
-                          detected=len(result.detection_time),
-                          packed=len(faults))
-        return result
-
-    def _run_block(self, vectors: Sequence[Sequence[int]]) -> List[int]:
+    def _run_block(self, vectors: Iterable[Sequence[int]]) -> List[int]:
         """One C call for the whole sequence; per-cycle detection ints."""
+        vectors = list(vectors)
+        if not vectors:
+            return []
         vecs = b"".join(self._vector_bytes(v) for v in vectors)
         words = self._checked_words()
         dets = np.zeros((len(vectors), self.W), dtype=np.uint64)
@@ -827,21 +674,6 @@ class VectorFaultSimulator:
         wb = words * 8
         return [int.from_bytes(raw[t * wb:(t + 1) * wb], "little")
                 & fault_mask for t in range(len(vectors))]
-
-    def detects_all(self, vectors: Sequence[Sequence[int]]) -> bool:
-        """True when the sequence detects *every* packed fault."""
-        self.reset()
-        remaining = self.fault_mask
-        for vector in vectors:
-            remaining &= ~self.step(vector)
-            if remaining == 0:
-                return True
-        return remaining == 0
-
-    def faults_from_mask(self, mask: int) -> List[Fault]:
-        """Decode a detection mask into the fault objects it covers."""
-        faults = self.faults
-        return [faults[position] for position in iter_fault_positions(mask)]
 
     @property
     def plane_bytes(self) -> int:

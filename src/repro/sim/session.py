@@ -119,8 +119,8 @@ class SimSession:
         own token format and must never switch formats mid-session.
     simulator_factory:
         A custom ``factory(circuit, faults)`` used instead of backend
-        selection (the transition simulator is API-compatible, except
-        ``initial_state`` queries, which need ``load_state``).
+        selection (e.g. the transition simulator); it must build a
+        :class:`~repro.sim.fault_sim.SimBackend`.
     incremental:
         When ``False``, every query restarts from cycle 0 and no state
         is snapshotted — the restart baseline used by the perf guards.
@@ -154,7 +154,6 @@ class SimSession:
         # Only the vector kernel steps a word range; the others always
         # simulate the whole packing.
         self._narrows = self.sim_backend == BACKEND_VECTOR
-        self._position = {f: i for i, f in enumerate(self.faults)}
 
         #: external mask with one bit per fault (bit 0 clear).
         self.fault_mask = ((1 << (len(self.faults) + 1)) - 1) & ~1
@@ -203,24 +202,16 @@ class SimSession:
 
     # -- mask conversions ------------------------------------------------------
 
+    # The full-universe simulator packs the session's faults in order,
+    # so its fault <-> bit rule is the external mask convention.
+
     def mask_of(self, faults: Iterable[Fault]) -> int:
         """External mask covering ``faults`` (must be session faults)."""
-        position = self._position
-        mask = 0
-        for fault in faults:
-            mask |= 1 << (position[fault] + 1)
-        return mask
+        return self._base_sim.mask_of(faults)
 
     def faults_of(self, mask: int) -> List[Fault]:
         """Fault objects covered by an external ``mask``."""
-        faults = self.faults
-        result = []
-        mask &= ~1
-        while mask:
-            low = mask & -mask
-            result.append(faults[low.bit_length() - 2])
-            mask ^= low
-        return result
+        return self._base_sim.faults_from_mask(mask)
 
     @property
     def live_mask(self) -> int:
@@ -345,18 +336,17 @@ class SimSession:
         """Rebuild the simulator over the live faults ``positions`` (in
         that machine order).
 
-        Full-width checkpoints survive when the simulator can project
-        its state tokens onto the new packing (machines are independent,
-        so the projection is bit-identical to a run of the new packing
-        from scratch); narrower ones, or all of them without a
-        projection, are invalidated.
+        Full-width checkpoints survive: the simulator projects their
+        state tokens onto the new packing (machines are independent, so
+        the projection is bit-identical to a run of the new packing from
+        scratch).  Narrower ones are invalidated.
         """
         faults = self.faults
         old_positions = self._live_positions
-        remap = getattr(type(self._sim), "remap_state_token", None)
+        remap = type(self._sim).remap_state_token
         checkpoints = [cp for cp in self._checkpoints
                        if cp.width == self._words]
-        if remap is None or not checkpoints:
+        if not checkpoints:
             checkpoints, log = [], []
             self._invalidate()
         else:
@@ -503,10 +493,6 @@ class SimSession:
             checkpoints = []
             sim.reset()
             if initial_state is not None:
-                if not hasattr(sim, "load_state"):
-                    raise TypeError(
-                        f"{type(sim).__name__} does not support initial_state"
-                    )
                 sim.load_state(initial_state)
             start = 0
             seen = self._dead_int
@@ -651,13 +637,8 @@ class SimSession:
             self._normalize(vectors), self._live_mask,
             stop_when_all_detected, initial_state
         )
-        live = self._live_mask
-        position = self._position
-        result = FaultSimResult(
-            faults=[f for f in self.faults
-                    if live >> (position[f] + 1) & 1],
-            num_vectors=end,
-        )
+        result = FaultSimResult(faults=self.faults_of(self._live_mask),
+                                num_vectors=end)
         result.detection_time.update(self._times())
         return result
 

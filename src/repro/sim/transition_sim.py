@@ -14,51 +14,38 @@ The "last cycle" value is the *post-injection* faulty value, so a site
 that keeps getting blocked keeps holding — the gross-delay model.  X
 previous values never launch.
 
-Detection, state handling, snapshots and the mask/result API mirror the
-stuck-at simulator so the ATPG engines can drive either through the same
-interface (see ``SequentialATPG(simulator_factory=...)``).
+Detection, state handling, snapshots and the mask/result API come from
+the shared :class:`~repro.sim.fault_sim.SimBackend` base, so the ATPG
+engines drive either simulator through the same interface (see
+``SequentialATPG(simulator_factory=...)``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import ONE, X, ZERO
+from ..circuit.gates import ONE, ZERO
 from ..circuit.netlist import Circuit
 from ..faults.transition import RISE, TransitionFault
-from .fault_sim import (
-    FaultSimResult,
-    _eval_gates,
-    compiled_topology,
-    iter_fault_positions,
-)
+from .fault_sim import SimBackend, _eval_gates, _gather_bits
 from .logic_sim import vector_from_string
 
 
-class PackedTransitionSimulator:
+class PackedTransitionSimulator(SimBackend):
     """Parallel transition-fault simulator (see module docstring).
 
-    API-compatible with :class:`PackedFaultSimulator` for everything the
-    generators and compactors use: ``step``/``run``/``reset``,
-    ``save_state``/``restore_state``, ``machine_state``/
-    ``load_machine_states``, ``ff_effect_masks``, ``good_net_value``/
-    ``net_effect_mask``, ``faults_from_mask`` and the ``fault_mask``/
-    ``faults`` attributes.
+    Adds to :class:`~repro.sim.fault_sim.SimBackend` the dynamic
+    injection, its :meth:`step` and the per-site transition history,
+    which the state methods carry along.  It has no lane step, so the
+    ATPG beam search steps it one candidate at a time.
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[TransitionFault]):
-        self.circuit = circuit
-        self.faults = list(faults)
-        self.num_machines = len(self.faults) + 1
-        self.full_mask = (1 << self.num_machines) - 1
-        self.fault_mask = self.full_mask & ~1
-
-        topology = compiled_topology(circuit)
-        self._index = topology.index
+        super().__init__(circuit, faults)
+        topology = self._topology
         self._pi_idx = [idx for idx, _n in topology.pi]
-        self._po_idx = [self._index[n] for n in circuit.outputs]
         self._flop_q = topology.flop_q
-        self._flop_d = [self._index[f.d] for f in circuit.flops]
+        self._flop_d = [d for d, _q in topology.flop_d]
 
         # Injection tables: net index -> (slow_to_rise bits, slow_to_fall bits)
         site_masks: Dict[int, List[int]] = {}
@@ -91,129 +78,42 @@ class PackedTransitionSimulator:
 
         self._ones = [0] * topology.num_nets
         self._zeros = [0] * topology.num_nets
-        self._state: List[Tuple[int, int]] = [(0, 0)] * len(circuit.flops)
-        self.time = 0
 
-    # -- state management -----------------------------------------------------
+    # -- transition history ----------------------------------------------------
 
     def reset(self) -> None:
         """All flip-flops to X; transition history cleared."""
-        self._state = [(0, 0)] * len(self._state)
+        super().reset()
         self._prev = {}
-        self.time = 0
 
     def save_state(self):
         """Snapshot state + per-site transition history + time."""
-        return (list(self._state), dict(self._prev), self.time)
+        state, time = super().save_state()
+        return (state, dict(self._prev), time)
 
     def restore_state(self, token) -> None:
         """Restore a :meth:`save_state` snapshot."""
         state, prev, time = token
-        self._state = list(state)
+        super().restore_state((state, time))
         self._prev = dict(prev)
-        self.time = time
 
     @staticmethod
     def remap_state_token(token, kept_bits: Sequence[int]):
         """Project a :meth:`save_state` token onto a narrower packing
-        (see :meth:`PackedFaultSimulator.remap_state_token`); the
-        per-site transition history is projected along with the state."""
+        (see :meth:`SimBackend.remap_state_token`); the per-site
+        transition history is projected along with the state."""
         state, prev, time = token
-
-        def project(pair):
-            ones, zeros = pair
-            new_ones = new_zeros = 0
-            for new_bit, old_bit in enumerate(kept_bits):
-                new_ones |= ((ones >> old_bit) & 1) << new_bit
-                new_zeros |= ((zeros >> old_bit) & 1) << new_bit
-            return (new_ones, new_zeros)
-
-        return (
-            [project(pair) for pair in state],
-            {idx: project(pair) for idx, pair in prev.items()},
-            time,
-        )
+        state, time = SimBackend.remap_state_token((state, time), kept_bits)
+        return (state,
+                {idx: _gather_bits(pair, kept_bits)
+                 for idx, pair in prev.items()},
+                time)
 
     def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
         """Load a scalar flip-flop state per machine (history cleared, so
         the next cycle cannot launch at any site)."""
-        if len(states) != self.num_machines:
-            raise ValueError(f"need {self.num_machines} per-machine states")
-        planes = []
-        for flop_index in range(len(self._state)):
-            ones = zeros = 0
-            for machine, state in enumerate(states):
-                value = state[flop_index]
-                if value == ONE:
-                    ones |= 1 << machine
-                elif value == ZERO:
-                    zeros |= 1 << machine
-            planes.append((ones, zeros))
-        self._state = planes
+        super().load_machine_states(states)
         self._prev = {}
-
-    def machine_state(self, machine: int) -> Tuple[int, ...]:
-        """Scalar flip-flop values of one machine (0 = fault-free)."""
-        bit = 1 << machine
-        return tuple(
-            ONE if ones & bit else ZERO if zeros & bit else X
-            for ones, zeros in self._state
-        )
-
-    def good_state(self) -> Tuple[int, ...]:
-        """Fault-free flip-flop values."""
-        return self.machine_state(0)
-
-    # -- queries ------------------------------------------------------------------
-
-    def ff_effect_masks(self) -> List[int]:
-        """Per flip-flop: machines holding the opposite binary value of
-        the fault-free machine (scan-out-observable effects)."""
-        result = []
-        for ones, zeros in self._state:
-            if ones & 1:
-                result.append(zeros & self.fault_mask)
-            elif zeros & 1:
-                result.append(ones & self.fault_mask)
-            else:
-                result.append(0)
-        return result
-
-    def good_net_value(self, net: str) -> int:
-        """Fault-free value of ``net`` as of the last step."""
-        idx = self._index[net]
-        if self._ones[idx] & 1:
-            return ONE
-        if self._zeros[idx] & 1:
-            return ZERO
-        return X
-
-    def net_effect_mask(self, net: str) -> int:
-        """Machines whose ``net`` value opposes the fault-free one."""
-        idx = self._index[net]
-        ones, zeros = self._ones[idx], self._zeros[idx]
-        if ones & 1:
-            return zeros & self.fault_mask
-        if zeros & 1:
-            return ones & self.fault_mask
-        return 0
-
-    def faults_from_mask(self, mask: int) -> List[TransitionFault]:
-        """Decode a detection mask into fault objects."""
-        faults = self.faults
-        return [faults[position] for position in iter_fault_positions(mask)]
-
-    def good_outputs(self) -> Tuple[int, ...]:
-        """Fault-free primary output values of the last step."""
-        result = []
-        for idx in self._po_idx:
-            if self._ones[idx] & 1:
-                result.append(ONE)
-            elif self._zeros[idx] & 1:
-                result.append(ZERO)
-            else:
-                result.append(X)
-        return tuple(result)
 
     # -- simulation -------------------------------------------------------------------
 
@@ -269,7 +169,7 @@ class PackedTransitionSimulator:
             self._prev[idx] = (ones[idx], zeros[idx])
 
         detected = 0
-        for idx in self._po_idx:
+        for idx, _po in self._po:
             o, z = ones[idx], zeros[idx]
             if o & 1:
                 detected |= z
@@ -279,23 +179,3 @@ class PackedTransitionSimulator:
         self._state = [(ones[d], zeros[d]) for d in self._flop_d]
         self.time += 1
         return detected & self.fault_mask
-
-    def run(self, vectors: Iterable[Sequence[int]],
-            stop_when_all_detected: bool = False,
-            reset: bool = True) -> FaultSimResult:
-        """Simulate a sequence; record first-detection times."""
-        if reset:
-            self.reset()
-        result = FaultSimResult(faults=list(self.faults))
-        faults = self.faults
-        remaining = self.fault_mask
-        for t, vector in enumerate(vectors):
-            newly = self.step(vector) & remaining
-            if newly:
-                remaining &= ~newly
-                for position in iter_fault_positions(newly):
-                    result.detection_time[faults[position]] = t
-            result.num_vectors = t + 1
-            if stop_when_all_detected and remaining == 0:
-                break
-        return result

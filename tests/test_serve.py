@@ -79,17 +79,6 @@ def test_fair_queue_round_robin_across_tenants():
         ["big0", "big1", "big2"]
 
 
-def test_fair_queue_weights():
-    queue = FairQueue()
-    queue.set_weight("heavy", 2)
-    for item in range(4):
-        queue.push("heavy", f"h{item}")
-        queue.push("light", f"l{item}")
-    tenants = [queue.pop(0)[0] for _ in range(6)]
-    # heavy takes 2 consecutive slots per turn, light takes 1.
-    assert tenants == ["heavy", "heavy", "light", "heavy", "heavy", "light"]
-
-
 def test_fair_queue_depth_limit_raises():
     queue = FairQueue(max_depth=2)
     queue.push("t", 1)
@@ -403,6 +392,40 @@ def test_warm_cache_hit_is_bit_identical_and_fast(live_server):
     entries = sorted(live_server.cache_base.glob(f"{fp[:2]}/{fp}/*"))
     assert len(entries) == 1 and entries[0].name.startswith("flow-"), \
         entries
+
+
+def test_cache_replay_leaves_the_event_loop_free(live_server, monkeypatch):
+    """While a repeat submission is being replayed from the cache, the
+    daemon still answers other requests."""
+    from repro.serve import app as app_module
+
+    client = ServeClient("127.0.0.1", live_server.port)
+    first = client.submit(S27_BENCH, config={"seed": 17})
+    client.wait(first["job_id"])
+
+    entered, release = threading.Event(), threading.Event()
+    replay = app_module.replay_result
+
+    def slow_replay(*args):
+        entered.set()
+        release.wait(timeout=20)
+        return replay(*args)
+
+    monkeypatch.setattr(app_module, "replay_result", slow_replay)
+    replies = []
+    submitter = threading.Thread(target=lambda: replies.append(
+        client.submit(S27_BENCH, config={"seed": 17})))
+    submitter.start()
+    try:
+        assert entered.wait(timeout=10), "the replay never started"
+        health = ServeClient("127.0.0.1", live_server.port,
+                             timeout=5).health()
+        assert not release.is_set()
+    finally:
+        release.set()
+        submitter.join(timeout=30)
+    assert health["status"] == "ok"
+    assert replies and replies[0]["source"] == "cache"
 
 
 def test_daemon_replays_flow_entry_written_by_a_plain_flow(tmp_path):

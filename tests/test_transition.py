@@ -2,6 +2,7 @@
 naive reference, and end-to-end generation/compaction on the scan
 circuit."""
 
+import hashlib
 import random
 
 import pytest
@@ -226,3 +227,24 @@ class TestAtSpeedGeneration:
         sim = PackedTransitionSimulator(sc.circuit, faults)
         final = sim.run(list(omitted.sequence.vectors))
         assert len(final.detection_time) == len(faults)
+
+    def test_flow_digest_is_pinned(self, generated):
+        """The s27_scan transition flow at seed 1 — generated sequence,
+        its detection times, restored and omitted sequences — hashes to
+        a pinned digest, so any change to a result bit of the transition
+        simulator, the generator or the compactors shows here."""
+        sc, faults, result = generated
+        oracle = CompactionOracle(
+            sc.circuit, faults, simulator_factory=PackedTransitionSimulator
+        )
+        restored = restoration_compact(sc.circuit, result.sequence, faults,
+                                       oracle=oracle)
+        omitted = omission_compact(sc.circuit, restored.sequence, faults,
+                                   oracle=oracle)
+        parts = [list(result.sequence.vectors),
+                 sorted((str(f), t)
+                        for f, t in result.base.detection_time.items()),
+                 list(restored.sequence.vectors),
+                 list(omitted.sequence.vectors)]
+        assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+            "c60c83154e6bfa2d07cd93762c23666ff496ecb19311f0b42f81fea621658471")
