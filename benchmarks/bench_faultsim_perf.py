@@ -15,6 +15,7 @@ inside a telemetry session and writes the metrics artifact — that
 produced the committed ``BENCH_faultsim.json`` baseline CI diffs fresh
 runs against with ``repro-atpg diff-metrics``."""
 
+import random
 import time
 
 import pytest
@@ -26,13 +27,20 @@ from repro.faults import collapse_faults
 from repro.sim import LogicSimulator, PackedFaultSimulator, SimSession
 from repro.sim.backend import make_backend, vector_available
 from repro.sim.fault_sim import FaultSimResult, iter_fault_positions
-from tests.util import random_vectors
 
 SCALES = {
     "s298-class": (3, 14, 90),
     "s953-class": (16, 29, 300),
     "s1423-class": (17, 74, 450),
 }
+
+
+def random_vectors(circuit, count, seed=0):
+    """Deterministic random binary vectors aligned with circuit.inputs."""
+    gen = random.Random(seed)
+    return [
+        tuple(gen.randint(0, 1) for _ in circuit.inputs) for _ in range(count)
+    ]
 
 
 def _build(name):

@@ -28,9 +28,8 @@ useful on their own: `repro-atpg`-style reports of hard-to-test regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
-from ..circuit.gates import CONTROLLING_VALUE, INVERTING
 from ..circuit.netlist import Circuit
 
 #: Cost cap: saturate instead of overflowing on reconvergent chains.

@@ -17,8 +17,8 @@ three-valued logic.
 
 Every fault simulator (this one, the vector kernel and the transition
 simulator) subclasses :class:`SimBackend`, which holds that machine/bit
-rule, whole-sequence runs and the plane read-outs once; a simulator
-adds its fault injection and :meth:`~SimBackend.step`.
+rule, the whole-sequence query loop and the plane read-outs once; a
+simulator adds its fault injection and :meth:`~SimBackend.step`.
 
 Fault injection
 ---------------
@@ -293,6 +293,34 @@ def _gather_bits(pair: Tuple[int, int],
     return (new_ones, new_zeros)
 
 
+def words_of(mask: int) -> int:
+    """Leading 64-bit machine words holding every machine of ``mask`` —
+    at least 1, for the fault-free machine every detection compares
+    against."""
+    return max(1, (mask.bit_length() + 63) >> 6)
+
+
+class Query(NamedTuple):
+    """What one :meth:`SimBackend.query` simulated.
+
+    ``end`` is the cycle after the last step and ``seen`` the machines
+    detected by then, the query's starting ``seen`` included.
+    ``word_cycles`` sums the machine words stepped per cycle.  ``log``
+    holds one ``(cycle, mask)`` per cycle that detected machines not
+    seen before, all of them, wanted or not.  ``checkpoints`` holds one
+    ``(cycle, token, width, logged, seen)`` per snapshot: the
+    :meth:`~SimBackend.save_state` token after ``cycle`` cycles, the
+    words stepped then, and the ``log`` length and ``seen`` mask at
+    that cycle.
+    """
+
+    end: int
+    seen: int
+    word_cycles: int
+    log: List[Tuple[int, int]]
+    checkpoints: List[Tuple[int, object, int, int, int]]
+
+
 class SimBackend:
     """The contract every fault simulator keeps, written once.
 
@@ -300,14 +328,16 @@ class SimBackend:
     ``faults[i]``: bit ``i + 1`` of every plane and detection mask is
     ``faults[i]``.  This class owns that rule (:meth:`faults_from_mask`,
     :meth:`machine_of`, :meth:`mask_of`), whole-sequence simulation
-    (:meth:`run`, :meth:`detects_all`) and every read-out of the planes.
+    (:meth:`query`, and :meth:`run` and :meth:`detects_all` on top of
+    it) and every read-out of the planes.
 
-    A backend supplies :meth:`step`.  The flip-flop state is stored here
-    as one ``(ones, zeros)`` int pair per flip-flop in ``_state``, and a
-    step leaves each net's planes in ``_ones``/``_zeros``; a backend
-    that stores them otherwise overrides the storage hooks
-    (``_state_pairs``, ``_set_state_pairs``, ``_net_pair``) and the
-    state-token methods.  ``_po_masks`` holds the branch-fault force of
+    A backend supplies :meth:`step`, and may override :meth:`query`
+    with a faster loop that returns the same.  The flip-flop state is
+    stored here as one ``(ones, zeros)`` int pair per flip-flop in
+    ``_state``, and a step leaves each net's planes in
+    ``_ones``/``_zeros``; a backend that stores them otherwise overrides
+    the storage hooks (``_state_pairs``, ``_set_state_pairs``,
+    ``_net_pair``) and the state-token methods.  ``_po_masks`` holds the branch-fault force of
     each primary output, applied where a read-out observes one.
 
     The simulator is stateful across :meth:`step` calls; call
@@ -520,9 +550,68 @@ class SimBackend:
 
     # -- whole sequences -------------------------------------------------------
 
-    def _run_block(self, vectors: Iterable[Sequence[int]]) -> Iterable[int]:
-        """Step every vector in order; the detection mask of each."""
-        return map(self.step, vectors)
+    #: Leading machine words :meth:`step` simulates; :meth:`query` sets
+    #: it, and only the vector kernel narrows to it.
+    active_words: int
+
+    def query(
+        self,
+        vectors: Iterable[Sequence[int]],
+        start: int,
+        seen: int,
+        wanted: int,
+        stop_early: bool = False,
+        narrow: bool = False,
+        grid: Optional[Tuple[int, int]] = None,
+    ) -> Query:
+        """Step ``vectors`` from the current state as cycles ``start``,
+        ``start + 1``, ...: the one loop behind sessions, :meth:`run`
+        and :meth:`detects_all`.
+
+        ``seen`` is the mask of machines already detected, which are
+        never logged again, and ``wanted`` the machines the caller asks
+        about.  With ``stop_early`` the query ends as soon as every
+        ``wanted`` machine is seen, checked before each step, so a
+        covered query costs no cycle.  With ``narrow`` it steps only the
+        words up to the one holding its highest unseen ``wanted``
+        machine and sheds words as those fall; otherwise every word.
+        ``grid = (interval, prefix)`` snapshots the state after each
+        cycle that is a multiple of ``interval`` or equals ``prefix``,
+        and after the last one; ``None`` takes no snapshot.
+
+        This is the reference; the vector kernel overrides it with one
+        C call.
+        """
+        remaining = wanted & ~seen
+        width = (words_of(remaining) if narrow
+                 else (self.num_machines + 63) >> 6)
+        self.active_words = width
+        log: List[Tuple[int, int]] = []
+        checkpoints: list = []
+        word_cycles = 0
+        t = start
+        for vector in vectors:
+            if stop_early and not remaining:
+                break
+            newly = self.step(vector) & ~seen
+            word_cycles += width
+            t += 1
+            if newly:
+                seen |= newly
+                log.append((t - 1, newly))
+                if remaining & newly:
+                    remaining &= ~newly
+                    if narrow:
+                        # Shed the words no unseen target lives in.
+                        width = words_of(remaining)
+                        self.active_words = width
+            if grid is not None and (t % grid[0] == 0 or t == grid[1]):
+                checkpoints.append(
+                    (t, self.save_state(), width, len(log), seen))
+        if grid is not None and t > start and (
+                not checkpoints or checkpoints[-1][0] != t):
+            checkpoints.append((t, self.save_state(), width, len(log), seen))
+        return Query(t, seen, word_cycles, log, checkpoints)
 
     def run(
         self,
@@ -532,28 +621,21 @@ class SimBackend:
     ) -> FaultSimResult:
         """Simulate a whole sequence; record first-detection times.
 
-        ``stop_when_all_detected`` ends the run early once every packed
-        fault has been observed (used by detection oracles in compaction,
-        where only a target subset matters).  Otherwise the backend may
-        simulate the whole sequence as one block.
+        ``stop_when_all_detected`` ends the run once every packed fault
+        has been observed (used by detection oracles in compaction,
+        where only a target subset matters).
         """
         if reset:
             self.reset()
         result = FaultSimResult(faults=list(self.faults))
         faults = self.faults
         detection_time = result.detection_time
-        remaining = self.fault_mask
-        masks = (map(self.step, vectors) if stop_when_all_detected
-                 else self._run_block(vectors))
-        for t, newly in enumerate(masks):
-            newly &= remaining
-            if newly:
-                remaining &= ~newly
-                for position in iter_fault_positions(newly):
-                    detection_time[faults[position]] = t
-            result.num_vectors = t + 1
-            if stop_when_all_detected and remaining == 0:
-                break
+        query = self.query(vectors, 0, 0, self.fault_mask,
+                           stop_early=stop_when_all_detected)
+        for t, newly in query.log:
+            for position in iter_fault_positions(newly):
+                detection_time[faults[position]] = t
+        result.num_vectors = query.end
         obs.incr("faultsim.runs")
         obs.incr("faultsim.cycles", result.num_vectors)
         if result.detection_time:
@@ -567,12 +649,9 @@ class SimBackend:
     def detects_all(self, vectors: Sequence[Sequence[int]]) -> bool:
         """True when the sequence detects *every* packed fault."""
         self.reset()
-        remaining = self.fault_mask
-        for vector in vectors:
-            remaining &= ~self.step(vector)
-            if remaining == 0:
-                return True
-        return remaining == 0
+        fault_mask = self.fault_mask
+        seen = self.query(vectors, 0, 0, fault_mask, stop_early=True).seen
+        return seen & fault_mask == fault_mask
 
 
 class PackedFaultSimulator(SimBackend):

@@ -8,11 +8,17 @@ netlist through a *compiled program*: flat gate/slot tables in
 topological order plus a sparse force table.  A small C interpreter
 walks those tables; it is compiled once per machine from the embedded
 source below (``cc -O3``), loaded with ``ctypes`` and cached under the
-user cache dir keyed by a source digest.  One C call per step (or one
-per *sequence* via ``run_block``) leaves zero Python dispatch in the
-inner loop.  Gates of any fanin run on it.  Without a working C
-compiler the backend is unavailable and ``auto`` stays on the packed
-reference.
+user cache dir keyed by a source digest.  Gates of any fanin run on it.
+Without a working C compiler the backend is unavailable and ``auto``
+stays on the packed reference.
+
+A :meth:`~VectorFaultSimulator.step` is one C call per cycle.  A whole
+query — each :class:`~repro.sim.session.SimSession` query, ``run`` and
+``detects_all`` — is one C call too: ``repro_query`` runs the loop of
+:meth:`~repro.sim.fault_sim.SimBackend.query` (the stop rule, the log of
+new detections, word shedding and checkpoint snapshots) around the same
+step code, so no Python runs between cycles.  The base class's Python
+loop stays the reference the parity tests hold it to.
 
 Fault injection is sparse: a force is a run of ``(word, ones, zeros)``
 entries covering only the machine words where it forces something, so
@@ -20,9 +26,9 @@ applying one costs O(entries), not O(words).  Stem forces are OR/AND-NOT
 into the driven row; a gate-pin (branch) force is applied in place on
 its source row and undone after the gate reads it, except on gates whose
 source feeds two pins, which force a copy.  Each step simulates only
-machine words ``< active_words`` (the row stride stays ``W``):
-:class:`~repro.sim.session.SimSession` narrows the bound to the words
-holding a query's undetected targets.
+machine words ``< active_words`` (the row stride stays ``W``): a
+narrowing query sets the bound to the words holding its undetected
+targets and sheds words as those fall.
 
 The interpreter mirrors ``PackedFaultSimulator``'s gate formulas word
 for word, so detection masks, coverage and ``(cycle, position)``
@@ -50,7 +56,9 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from .fault_sim import SimBackend, compile_injection_masks, compiled_topology
+from .fault_sim import (
+    Query, SimBackend, compile_injection_masks, compiled_topology, words_of,
+)
 from .logic_sim import vector_from_string
 
 _C_SOURCE = r"""
@@ -277,24 +285,95 @@ void repro_step(
               det);
 }
 
-void repro_run_block(
+/* Slots of the status array repro_query reads and updates. */
+enum { Q_POS, Q_WIDTH, Q_HIGH, Q_WORD_CYCLES, Q_LAST_CP, Q_NLOG, Q_NCP,
+       Q_SWAPPED, Q_DONE };
+
+/* Snapshot after cycle t: its cycle, width and log length into meta,
+   the active words of the flip-flop planes into dst as an (nff, 2, A)
+   token. */
+static void snapshot(i64 *meta, u64 *dst, const u64 *state, i64 nff,
+                     i64 W, i64 A, i64 t, i64 nlog) {
+    meta[0] = t; meta[1] = A; meta[2] = nlog;
+    for (i64 r = 0; r < 2 * nff; r++)
+        memcpy(dst + r * A, state + r * W, (size_t)A * 8);
+}
+
+/* One session query: step vecs[pos..nvec) as cycles t0 + pos, ..., the
+   loop of SimBackend.query.  seen/rem are the W-word detected and
+   still-wanted masks; rem lives in words [0, A) and its highest nonzero
+   word is st[Q_HIGH] (-1 when empty).  Each cycle that detects unseen
+   machines appends its cycle and mask to the log; with interval > 0 the
+   state is snapshotted after cycles on the grid, at prefix and at the
+   end.  A only shrinks, so log rows and snapshot slots are sized by the
+   width the query starts at, `stride` words (2 * nff * stride a slot).
+   Returns early, with st[Q_DONE] clear, when the log or the snapshot
+   slots are full; the caller drains them and calls again. */
+void repro_query(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *fents, const i64 *foff, u64 *scratch, u64 *save, i64 A,
-    const uint8_t *vecs, i64 nvec, const i32 *pis, i64 npis,
+    const u64 *fents, const i64 *foff, u64 *scratch, u64 *save,
+    const uint8_t *vecs, i64 nvec, i64 t0, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
-    const i32 *ffs, i64 nff, u64 *state, u64 *state_scratch,
-    u64 *dets)
+    const i32 *ffs, i64 nff, u64 *state, u64 *state_scratch, u64 *det,
+    u64 *seen, u64 *rem, i64 narrow, i64 stop_early, i64 interval,
+    i64 prefix, i64 stride, i64 *log_cycles, u64 *log_masks, i64 log_cap,
+    i64 *cp_meta, u64 *cp_states, i64 cp_cap, i64 *st)
 {
+    i64 p = st[Q_POS], A = st[Q_WIDTH], high = st[Q_HIGH];
+    i64 word_cycles = st[Q_WORD_CYCLES], last = st[Q_LAST_CP];
+    i64 nlog = 0, ncp = 0, done = 0;
     u64 *sin = state, *sout = state_scratch;
-    for (i64 t = 0; t < nvec; t++) {
+    for (;;) {
+        if (p >= nvec || (stop_early && high < 0)) { done = 1; break; }
+        if (nlog == log_cap || ncp == cp_cap) break;
         step_core(planes, W, fullm, gates, ngates, slots, fents, foff,
-                  scratch, save, A, vecs + t * npis, pis, npis, pos, npos,
-                  ffs, nff, sin, sout, dets + t * W);
+                  scratch, save, A, vecs + p * npis, pis, npis, pos, npos,
+                  ffs, nff, sin, sout, det);
         u64 *tmp = sin; sin = sout; sout = tmp;
+        word_cycles += A;
+        p++;
+        i64 t = t0 + p;
+        u64 any = 0;
+        for (i64 w = 0; w < A; w++) {
+            det[w] &= fullm[w] & ~seen[w];
+            any |= det[w];
+        }
+        if (any) {
+            u64 *row = log_masks + nlog * stride;
+            memcpy(row, det, (size_t)A * 8);
+            memset(row + A, 0, (size_t)(stride - A) * 8);
+            log_cycles[nlog++] = t - 1;
+            u64 hit = 0;
+            for (i64 w = 0; w < A; w++) {
+                seen[w] |= det[w];
+                hit |= rem[w] & det[w];
+                rem[w] &= ~det[w];
+            }
+            if (hit) {
+                while (high >= 0 && !rem[high]) high--;
+                /* shed the words no unseen target lives in */
+                if (narrow) A = high < 0 ? 1 : high + 1;
+            }
+        }
+        if (interval > 0 && (t % interval == 0 || t == prefix)) {
+            snapshot(cp_meta + 3 * ncp, cp_states + ncp * 2 * nff * stride,
+                     sin, nff, W, A, t, nlog);
+            ncp++;
+            last = t;
+        }
     }
-    if (sin != state)
-        memcpy(state, sin, (size_t)nff * 2 * W * 8);
+    /* The last step took no grid snapshot, so a slot is free for it. */
+    if (done && interval > 0 && t0 + p != last) {
+        snapshot(cp_meta + 3 * ncp, cp_states + ncp * 2 * nff * stride,
+                 sin, nff, W, A, t0 + p, nlog);
+        ncp++;
+        last = t0 + p;
+    }
+    st[Q_POS] = p; st[Q_WIDTH] = A; st[Q_HIGH] = high;
+    st[Q_WORD_CYCLES] = word_cycles; st[Q_LAST_CP] = last;
+    st[Q_NLOG] = nlog; st[Q_NCP] = ncp; st[Q_SWAPPED] = sin != state;
+    st[Q_DONE] = done;
 }
 """
 
@@ -367,9 +446,14 @@ def load_kernel_library() -> Optional[ctypes.CDLL]:
         tables = [ptr, i64, ptr, i64, ptr, i64]
         lib.repro_step.argtypes = head + [ptr] + tables + [ptr, ptr, ptr]
         lib.repro_step.restype = None
-        lib.repro_run_block.argtypes = (head + [ptr, i64] + tables
-                                        + [ptr, ptr, ptr])
-        lib.repro_run_block.restype = None
+        # repro_query: head without A; the vectors and start cycle; the
+        # tables; state, scratch state, detection row, seen and wanted
+        # words; narrow, stop_early, interval, prefix, stride; the log,
+        # the snapshot slots and the status array.
+        lib.repro_query.argtypes = (
+            head[:-1] + [ptr, i64, i64] + tables + [ptr] * 5
+            + [i64] * 5 + [ptr, ptr, i64, ptr, ptr, i64, ptr])
+        lib.repro_query.restype = None
         _LIB = lib
     except OSError:
         _LIB = None
@@ -433,6 +517,11 @@ def _words_to_int(row: np.ndarray) -> int:
                           "little")
 
 
+#: Bound on each of the detection log and snapshot buffers one
+#: :meth:`VectorFaultSimulator.query` call fills before it returns to
+#: drain them.
+_QUERY_BUFFER_BYTES = 1 << 20
+
 #: Force masks expanded to words per batch while building force entries
 #: (bounds the dense scratch to about 1 MB per plane).
 _FORCE_BATCH_BYTES = 1 << 20
@@ -477,8 +566,8 @@ class VectorFaultSimulator(SimBackend):
     """Parallel-fault three-valued simulator over a uint64 plane matrix.
 
     Adds to :class:`~repro.sim.fault_sim.SimBackend` the C plumbing, the
-    plane storage with its state-token format and the one-call block
-    run, with detection behaviour bit-identical to
+    plane storage with its state-token format and the one-call
+    :meth:`query`, with detection behaviour bit-identical to
     :class:`~repro.sim.fault_sim.PackedFaultSimulator`.  Raises
     :class:`RuntimeError` when the C step library cannot be compiled on
     this machine.
@@ -546,9 +635,8 @@ class VectorFaultSimulator(SimBackend):
                                  dtype=np.uint64)
         self._det = np.zeros(W, dtype=np.uint64)
         #: Words :meth:`step` simulates: machines ``< 64 * active_words``.
-        #: :class:`~repro.sim.session.SimSession` narrows it per query;
-        #: words past it keep stale values until a full-width reset or
-        #: restore.
+        #: A narrowing :meth:`query` lowers it; words past it keep stale
+        #: values until a full-width reset or restore.
         self.active_words = W
 
         vp = ctypes.c_void_p
@@ -655,25 +743,80 @@ class VectorFaultSimulator(SimBackend):
         return (_words_to_int(self.planes[idx, 0]),
                 _words_to_int(self.planes[idx, 1]))
 
-    def _run_block(self, vectors: Iterable[Sequence[int]]) -> List[int]:
-        """One C call for the whole sequence; per-cycle detection ints."""
-        vectors = list(vectors)
-        if not vectors:
-            return []
-        vecs = b"".join(self._vector_bytes(v) for v in vectors)
-        words = self._checked_words()
-        dets = np.zeros((len(vectors), self.W), dtype=np.uint64)
-        self._lib.repro_run_block(
-            *self._head_args, words, vecs, len(vectors), *self._tail_args,
-            self._state_ptr, self._state_scratch_ptr,
-            ctypes.c_void_p(dets.ctypes.data))
-        self.time += len(vectors)
-        self._det[:] = dets[-1]
-        fault_mask = self.fault_mask
-        raw = dets[:, :words].astype("<u8").tobytes()
-        wb = words * 8
-        return [int.from_bytes(raw[t * wb:(t + 1) * wb], "little")
-                & fault_mask for t in range(len(vectors))]
+    def query(
+        self,
+        vectors: Iterable[Sequence[int]],
+        start: int,
+        seen: int,
+        wanted: int,
+        stop_early: bool = False,
+        narrow: bool = False,
+        grid: Optional[Tuple[int, int]] = None,
+    ) -> Query:
+        """:meth:`SimBackend.query` as one ``repro_query`` call, plus
+        one more each time its bounded log or snapshot slots fill up."""
+        block = [self._vector_bytes(v) for v in vectors]
+        n = len(block)
+        nff = len(self._ffs)
+        remaining = wanted & ~seen
+        width = words_of(remaining) if narrow else self.W
+        interval, prefix = grid if grid is not None else (0, -1)
+        # Buffers sized from the query, each bounded to about 1 MB; the
+        # width only shrinks, so rows and slots are ``width`` words wide.
+        log_cap = max(1, min(n, _QUERY_BUFFER_BYTES // (8 * width)))
+        cp_cap = 1 if grid is None else max(1, min(
+            n // interval + 2,
+            _QUERY_BUFFER_BYTES // (16 * width * nff or 1)))
+        log_cycles = np.empty(log_cap, dtype=np.int64)
+        log_masks = np.empty((log_cap, width), dtype=np.uint64)
+        cp_meta = np.empty((cp_cap, 3), dtype=np.int64)
+        cp_states = np.empty((cp_cap, 2 * width * nff), dtype=np.uint64)
+        high = ((remaining.bit_length() + 63) >> 6) - 1
+        status = np.array([0, width, high, 0, start, 0, 0, 0, 0],
+                          dtype=np.int64)
+        seen_words = _int_to_words(seen, self.W)
+        rem_words = _int_to_words(remaining, self.W)
+        p = lambda a: a.ctypes.data
+        args = (b"".join(block), n, start, *self._tail_args)
+        tail = (p(seen_words), p(rem_words), narrow, stop_early, interval,
+                prefix, width, p(log_cycles), p(log_masks), log_cap,
+                p(cp_meta), p(cp_states), cp_cap, p(status))
+        log: List[Tuple[int, int]] = []
+        checkpoints = []
+        time = self.time
+        while True:
+            self._lib.repro_query(
+                *self._head_args, *args, self._state_ptr,
+                self._state_scratch_ptr, self._det_ptr, *tail)
+            nlog, ncp, swapped, done = status[5:].tolist()
+            if swapped:
+                self._state, self._state_scratch = (self._state_scratch,
+                                                    self._state)
+                self._state_ptr, self._state_scratch_ptr = (
+                    self._state_scratch_ptr, self._state_ptr)
+            raw = log_masks[:nlog].astype("<u8", copy=False).tobytes()
+            wb = 8 * width
+            drained = [
+                (cycle, int.from_bytes(raw[i * wb:(i + 1) * wb], "little"))
+                for i, cycle in enumerate(log_cycles[:nlog].tolist())]
+            # A snapshot's seen mask is the log up to it.
+            at = 0
+            for (cycle, words, logged), row in zip(cp_meta[:ncp].tolist(),
+                                                   cp_states):
+                for _cycle, mask in drained[at:logged]:
+                    seen |= mask
+                at = logged
+                token = row[:2 * words * nff].reshape(nff, 2, words).copy()
+                checkpoints.append((cycle, (token, time + cycle - start),
+                                    words, len(log) + logged, seen))
+            for _cycle, mask in drained[at:]:
+                seen |= mask
+            log += drained
+            if done:
+                break
+        steps, self.active_words, _high, word_cycles = status[:4].tolist()
+        self.time += steps
+        return Query(start + steps, seen, word_cycles, log, checkpoints)
 
     @property
     def plane_bytes(self) -> int:

@@ -60,19 +60,13 @@ from ..obs import ledger
 from .backend import (
     BACKEND_VECTOR, backend_class, make_backend, resolve_concrete_backend,
 )
+from .fault_sim import FaultSimResult, words_of
 from .logic_sim import vector_from_string
 
 
 def _popcount(mask: int) -> int:
     # int.bit_count needs 3.10; the package supports 3.9.
     return bin(mask).count("1")
-
-
-def _words_of(mask: int) -> int:
-    """Leading 64-bit machine words holding every machine of an
-    internal ``mask`` — at least 1, for the fault-free machine every
-    detection compares against."""
-    return max(1, (mask.bit_length() + 63) >> 6)
 
 
 class _Checkpoint:
@@ -467,7 +461,7 @@ class SimSession:
 
         narrow = narrow and self._narrows
         wanted_int = self._to_internal(wanted)
-        width = _words_of(wanted_int) if narrow else self._words
+        width = words_of(wanted_int) if narrow else self._words
         # Resume from the latest checkpoint inside the shared prefix that
         # was stepped at least as wide as this query; the narrower ones
         # after it are re-simulated (and replaced) at this width.
@@ -501,65 +495,36 @@ class SimSession:
             obs.incr("faultsim.session.checkpoint_misses")
         self._checkpoints = checkpoints
 
-        remaining = wanted_int & ~seen
-        if narrow:
-            width = _words_of(remaining)
-        if self._narrows:
-            sim.active_words = width
-
         # Interval choice only affects resume granularity, never
-        # detection bits.
-        interval = max(4, math.isqrt(len(vectors)))
-        incremental = self.incremental
-        last_cp_cycle = checkpoints[-1].cycle if checkpoints else 0
-        log = self._log
-        cycles = 0
-        word_cycles = 0
-        n = len(vectors)
-
-        t = start
-        while t < n:
-            if stop_early and not remaining:
-                break
-            newly = sim.step(vectors[t]) & ~seen
-            cycles += 1
-            word_cycles += width
-            t += 1
-            if newly:
-                seen |= newly
-                log.append((t - 1, newly))
-                if remaining & newly:
-                    remaining &= ~newly
-                    if narrow:
-                        # Shed the words no undetected target lives in.
-                        width = _words_of(remaining)
-                        sim.active_words = width
-            # Snapshot on the interval grid, and also exactly at the
-            # divergence point from the previous timeline: queries that
-            # keep editing the same position (omission retries, span
-            # growth) then resume with zero re-simulated cycles.
-            if incremental and t > last_cp_cycle and (
-                t % interval == 0 or t == prefix
-            ):
-                checkpoints.append(
-                    _Checkpoint(t, sim.save_state(), width, len(log), seen))
-                last_cp_cycle = t
-
+        # detection bits.  The query also snapshots exactly at the
+        # divergence point from the previous timeline: queries that keep
+        # editing the same position (omission retries, span growth) then
+        # resume with zero re-simulated cycles.
+        grid = None
+        if self.incremental:
+            grid = (max(4, math.isqrt(len(vectors))), prefix)
+        query = sim.query(vectors[start:], start, seen, wanted_int,
+                          stop_early, narrow, grid)
+        t = query.end
+        logged = len(self._log)
+        self._log.extend(query.log)
+        checkpoints.extend(
+            _Checkpoint(cycle, token, width, logged + at, cp_seen)
+            for cycle, token, width, at, cp_seen in query.checkpoints)
+        cycles = t - start
         if cycles:
-            if incremental and t > last_cp_cycle:
-                checkpoints.append(
-                    _Checkpoint(t, sim.save_state(), width, len(log), seen))
             # The timeline the retained + new checkpoints describe: the
             # new vectors up to the simulated depth, extended through
             # the shared prefix that justifies the retained ones.
             self._trace = vectors[: max(t, prefix)]
             self.cycles_simulated += cycles
-            self.word_cycles += word_cycles
+            self.word_cycles += query.word_cycles
             obs.incr("faultsim.session.cycles", cycles)
-            obs.incr("faultsim.session.word_cycles", word_cycles)
+            obs.incr("faultsim.session.word_cycles", query.word_cycles)
         self.runs += 1
         obs.incr("faultsim.session.runs")
-        return remaining, seen & ~self._dead_int, t
+        seen = query.seen
+        return wanted_int & ~seen, seen & ~self._dead_int, t
 
     def _times(self) -> Dict[Fault, int]:
         """First-detection cycle per live fault on the timeline the last
@@ -621,7 +586,7 @@ class SimSession:
         vectors: Iterable[Sequence[int]],
         stop_when_all_detected: bool = False,
         initial_state: Optional[Sequence[int]] = None,
-    ) -> "FaultSimResult":
+    ) -> FaultSimResult:
         """Simulate a whole sequence and return a
         :class:`~repro.sim.fault_sim.FaultSimResult` over the live
         faults — the same contract as
@@ -631,8 +596,6 @@ class SimSession:
         fault has been observed; ``num_vectors`` reports the cycles the
         *timeline* covers (identical to a fresh packed run).
         """
-        from .fault_sim import FaultSimResult
-
         _missing, _seen, end = self._run(
             self._normalize(vectors), self._live_mask,
             stop_when_all_detected, initial_state

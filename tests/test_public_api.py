@@ -31,8 +31,9 @@ def test_sim_backend_surface_exported():
 def test_sim_backend_protocol_methods_pinned():
     """The SimBackend protocol is the cross-backend contract; renaming a
     method is an API break and must show up here."""
-    for method in ("reset", "step", "run", "save_state", "restore_state",
-                   "detects_all", "detecting_outputs", "faults_from_mask"):
+    for method in ("reset", "step", "query", "run", "save_state",
+                   "restore_state", "detects_all", "detecting_outputs",
+                   "faults_from_mask"):
         assert hasattr(repro.SimBackend, method), method
         assert hasattr(repro.PackedFaultSimulator, method), method
 

@@ -27,7 +27,6 @@ from repro import obs
 from repro.cache.store import ResultStore
 from repro.circuit import s27
 from repro.circuit.bench import write_bench
-from repro.core.config import FlowConfig
 from repro.obs.journal import read_journal
 from repro.serve import (
     DEFAULT_TENANT,

@@ -5,7 +5,9 @@ The contract under test: the ``vector`` backend is bit-identical to the
 ``PackedFaultSimulator`` reference on every observable surface:
 per-step detection masks, ``run()`` detection maps and (cycle, position)
 ordering, state tokens round-tripping through :class:`SimSession`
-checkpoints, and fault drops/repacks.  The ``SimBackend`` base contract
+checkpoints, and fault drops/repacks.  The kernel's one-call session
+query returns exactly what the base class's reference loop returns.
+The ``SimBackend`` base contract
 (state round trips, effect masks, the fault/bit rule, run against
 detects_all, independent machines) is checked on the packed, vector and
 transition simulators alike.  Backend selection
@@ -331,6 +333,97 @@ def test_branch_fault_on_shared_source_pin(pin):
     ref = PackedFaultSimulator(circuit, target).run(
         [(1, 0), (1, 1), (1, 0), (1, 1)])
     assert ref.detection_time
+
+
+# -- the query primitive: the C loop against the reference loop --------------
+
+
+def _query_outcome(query):
+    """Every field of a Query, tokens as (shape, values, time)."""
+    return (query.end, query.seen, query.word_cycles, query.log,
+            [(cycle, token[0].shape, token[0].tolist(), token[1], width,
+              logged, seen)
+             for cycle, token, width, logged, seen in query.checkpoints])
+
+
+@requires_vector
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.tuples(
+        st.integers(min_value=2, max_value=5),     # inputs
+        st.integers(min_value=1, max_value=5),     # flops
+        st.integers(min_value=8, max_value=40),    # gates
+        st.integers(min_value=0, max_value=10_000),  # seed
+    ),
+    words=st.integers(min_value=1, max_value=3),
+    length=st.integers(min_value=0, max_value=30),
+    data=st.data(),
+)
+def test_query_override_matches_reference_loop(params, words, length, data):
+    """VectorFaultSimulator.query (one C call) returns what the
+    SimBackend.query loop returns on an identical simulator: end cycle,
+    seen mask, word cycles, the detection log and every checkpoint,
+    state tokens included, for any start cycle, seen/wanted masks,
+    stop rule, narrowing, grid and initial state, also when its
+    buffers hold a single entry and it returns to drain them."""
+    from unittest import mock
+
+    from repro.sim import kernel
+
+    inputs, flops, gates, seed = params
+    circuit = random_circuit("qp", inputs, flops, max(gates, flops),
+                             seed=seed)
+    rng = random.Random(data.draw(st.integers(0, 1000), label="rng"))
+    faults = _fault_list(circuit, words, rng)
+    vectors = _vectors_with_x(circuit, length, rng)
+    start = data.draw(st.integers(0, length), label="start")
+    initial_state = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from((ZERO, ONE, X)), min_size=len(circuit.flops),
+        max_size=len(circuit.flops))), label="initial_state")
+    fault_mask = (1 << (len(faults) + 1)) - 2
+
+    def simulator():
+        """A vector simulator stepped through ``vectors[:start]``."""
+        sim = kernel.VectorFaultSimulator(circuit, faults)
+        if initial_state is not None:
+            sim.load_state(initial_state)
+        for vec in vectors[:start]:
+            sim.step(vec)
+        return sim
+
+    def sparse():
+        bits = len(faults) + 1
+        return rng.getrandbits(bits) & rng.getrandbits(bits) & fault_mask
+
+    def few():
+        # A handful of the machines the suffix detects, so narrowing
+        # sheds words as they fall.
+        detected = SimBackend.query(simulator(), vectors[start:], start,
+                                    0, fault_mask).seen
+        bits = [b for b in range(detected.bit_length()) if detected >> b & 1]
+        return sum(1 << b for b in rng.sample(bits, min(len(bits), 4)))
+
+    seen = sparse() if data.draw(st.booleans(), label="seen") else 0
+    targets = {"all": lambda: fault_mask, "sparse": sparse, "few": few,
+               "none": lambda: 0}
+    wanted = targets[data.draw(st.sampled_from(sorted(targets)),
+                               label="wanted")]()
+    stop_early = data.draw(st.booleans(), label="stop_early")
+    narrow = data.draw(st.booleans(), label="narrow")
+    grid = data.draw(st.one_of(st.none(), st.tuples(
+        st.integers(1, 8), st.integers(0, length + 1))), label="grid")
+    tiny = data.draw(st.booleans(), label="tiny_buffers")
+
+    outcomes = []
+    for query in (SimBackend.query, kernel.VectorFaultSimulator.query):
+        sim = simulator()
+        with mock.patch.object(kernel, "_QUERY_BUFFER_BYTES",
+                               8 if tiny else kernel._QUERY_BUFFER_BYTES):
+            result = query(sim, vectors[start:], start, seen, wanted,
+                           stop_early, narrow, grid)
+        outcomes.append((_query_outcome(result), sim.time,
+                         sim.active_words, sim.save_state()[0].tolist()))
+    assert outcomes[1] == outcomes[0]
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)

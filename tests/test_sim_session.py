@@ -303,6 +303,41 @@ def test_narrowed_compaction_matches_packed(params, length, seq_seed):
     assert narrowed == reference
 
 
+@requires_vector
+def test_compaction_queries_never_step_per_cycle(monkeypatch):
+    """Restoration and omission on a vector-backed oracle answer every
+    session query with one kernel call: with the per-cycle step made to
+    raise they still finish, exactly as on the packed reference."""
+    from repro.sim.kernel import VectorFaultSimulator
+
+    circuit = random_circuit("ns", 4, 5, 60, seed=3)
+    faults = collapse_faults(circuit)
+    sequence = TestSequence(
+        circuit.inputs, random_vectors(circuit, 40, random.Random(2)))
+
+    def compact(factory):
+        oracle = CompactionOracle(circuit, faults, simulator_factory=factory)
+        restored = restoration_compact(circuit, sequence, faults,
+                                       oracle=oracle)
+        omitted = omission_compact(circuit, restored.sequence, faults,
+                                   oracle=oracle)
+        return oracle.session, (
+            restored.sequence.vectors, restored.detected,
+            omitted.sequence.vectors, omitted.detected,
+            omitted.extra_detected)
+
+    _packed, reference = compact(PackedFaultSimulator)
+
+    def step(self, vector):
+        raise AssertionError("a session query stepped one cycle")
+
+    monkeypatch.setattr(VectorFaultSimulator, "step", step)
+    session, got = compact(None)
+    assert session.sim_backend == "vector"
+    assert session.cycles_simulated > 0
+    assert reference[1] and got == reference
+
+
 class TestScanTestMask:
     def test_matches_raw_simulator(self):
         """scan_test_mask == manual load_state + step + ff effects."""
