@@ -250,10 +250,12 @@ class SequentialATPG:
         )
         sim = self._make_sim(self.faults)
         sim.reset()
+        # Machines of ``sim`` whose detections are already recorded.
+        seen = 0
 
         if config.initial_random_vectors:
             preamble = [self._random_vector() for _ in range(config.initial_random_vectors)]
-            self._apply_suffix(sim, preamble, sequence, result)
+            seen = self._apply_suffix(sim, seen, preamble, sequence, result)
 
         undetected = [f for f in self.targets if f not in result.detection_time]
         if config.max_targeted_faults > 0:
@@ -277,7 +279,8 @@ class SequentialATPG:
                 result.aborted.append(fault)
                 continue
             obs.observe("atpg.seq.subseq_len", len(subsequence))
-            self._apply_suffix(sim, subsequence, sequence, result)
+            seen = self._apply_suffix(sim, seen, subsequence, sequence,
+                                      result)
             if fault not in result.detection_time:
                 # Verified during search/hook but not confirmed globally —
                 # treat as aborted rather than claim a phantom detection.
@@ -290,7 +293,7 @@ class SequentialATPG:
                 obs.incr("atpg.seq.hook_detections")
                 ledger.record("atpg.hook_detect", fault=fault)
                 result.hook_detected.append(fault)
-            sim = self._maybe_repack(sim, sequence, result)
+            sim, seen = self._maybe_repack(sim, seen, sequence, result)
 
         targeted = set(self.targets)
         for fault in self.faults:
@@ -308,32 +311,36 @@ class SequentialATPG:
 
     # -- global bookkeeping -------------------------------------------------------
 
-    def _apply_suffix(self, sim, suffix, sequence, result) -> None:
+    def _apply_suffix(self, sim, seen, suffix, sequence, result) -> int:
         """Append ``suffix`` to the global sequence, simulating it on the
         global fault simulator and recording first detections (with their
-        observation points when the fault ledger is recording)."""
+        observation points when the fault ledger is recording).  A step
+        reports every mismatching machine, so only those outside ``seen``,
+        the machines already recorded, are decoded; returns the new
+        ``seen``."""
         base_time = len(sequence)
         detection_time = result.detection_time
         before = len(detection_time)
-        want_ledger = ledger.enabled()
         for offset, vector in enumerate(suffix):
-            newly = sim.step(vector)
+            newly = sim.step(vector) & ~seen
             if newly:
-                if want_ledger:
-                    self._record_detections(sim, newly, base_time + offset,
-                                            detection_time)
-                else:
-                    for fault in sim.faults_from_mask(newly):
-                        detection_time.setdefault(fault, base_time + offset)
+                seen |= newly
+                self._record_detections(sim, newly, base_time + offset,
+                                        detection_time)
             sequence.append(tuple(vector))
         dropped = len(detection_time) - before
         if dropped:
             obs.incr("faultsim.faults_dropped", dropped)
+        return seen
 
     @staticmethod
     def _record_detections(sim, newly, time, detection_time) -> None:
-        """Ledger-recording twin of the setdefault loop: per genuinely
-        new detection, note the vector index and observation points."""
+        """Record ``time`` for each fault of ``newly`` not yet detected,
+        with its observation points when the fault ledger is recording."""
+        if not ledger.enabled():
+            for fault in sim.faults_from_mask(newly):
+                detection_time.setdefault(fault, time)
+            return
         for fault in sim.faults_from_mask(newly):
             if fault in detection_time:
                 continue
@@ -342,31 +349,30 @@ class SequentialATPG:
             ledger.record("atpg.detect", fault=fault, vector=time,
                           engine="seq", observed=observed)
 
-    def _maybe_repack(self, sim, sequence, result):
-        """Shrink the packed simulator to undetected faults when worth it.
+    def _maybe_repack(self, sim, seen, sequence, result):
+        """Shrink the packed simulator to undetected faults when worth it;
+        returns the simulator and its ``seen`` mask.
 
         Repacking replays the whole sequence so every surviving fault
         machine carries its correct sequential state; the replay also
         cross-checks detections (a fault already detected stays detected).
         """
-        undetected = [f for f in sim.faults if f not in result.detection_time]
+        # Every machine of ``sim`` outside ``seen`` is undetected.
+        undetected = bin(sim.fault_mask & ~seen).count("1")
         if not undetected:
-            return sim
-        if len(sim.faults) < (1 + REPACK_FACTOR) * len(undetected):
-            return sim
-        packed = self._make_sim(undetected)
+            return sim, seen
+        if len(sim.faults) < (1 + REPACK_FACTOR) * undetected:
+            return sim, seen
+        packed = self._make_sim(sim.faults_from_mask(sim.fault_mask & ~seen))
         packed.reset()
-        want_ledger = ledger.enabled()
+        seen = 0
         for t, vector in enumerate(sequence):
-            newly = packed.step(vector)
+            newly = packed.step(vector) & ~seen
             if newly:
-                if want_ledger:
-                    self._record_detections(packed, newly, t,
-                                            result.detection_time)
-                else:
-                    for fault in packed.faults_from_mask(newly):
-                        result.detection_time.setdefault(fault, t)
-        return packed
+                seen |= newly
+                self._record_detections(packed, newly, t,
+                                        result.detection_time)
+        return packed, seen
 
     # -- per-fault search ------------------------------------------------------------
 

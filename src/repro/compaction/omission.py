@@ -113,17 +113,19 @@ def omission_compact(
                 del vectors[last + 1:]
                 del origins[last + 1:]
 
-            # Faults ordered by detection time, as (time, mask) pairs; a
+            # Required faults ordered by detection time, as (time,
+            # position) pairs from one pass over the session's faults; a
             # pointer sweeps them into the needed set as the index falls.
             by_time = sorted(
-                (t, oracle.mask_of([f])) for f, t in times.items()
+                (t, p) for p, t in enumerate(map(times.get, oracle.faults))
+                if t is not None
             )
             need_after = 0
             cursor = len(by_time)
             for index in range(len(vectors) - 1, -1, -1):
                 while cursor and by_time[cursor - 1][0] >= index:
                     cursor -= 1
-                    need_after |= by_time[cursor][1]
+                    need_after |= 1 << (by_time[cursor][1] + 1)
                 obs.incr("compaction.omission.attempts")
                 trial = vectors[:index] + vectors[index + 1:]
                 if want_ledger:

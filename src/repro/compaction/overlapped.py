@@ -53,6 +53,7 @@ def overlapped_restoration_compact(
     pending: List[Fault] = sorted(
         detection, key=lambda f: detection[f], reverse=True
     )
+    pending_mask = oracle.mask_of(pending)
     restored_set = set()
 
     def detects(indices, fault_mask) -> bool:
@@ -101,12 +102,11 @@ def overlapped_restoration_compact(
                 restored_set -= set(segment_sorted[:low_keep])
 
         # Fault-drop the rest of the pending list.
-        pending_mask = oracle.mask_of(pending)
         subsequence = [vectors[i] for i in sorted(restored_set)]
         detected_mask = oracle.detected_mask(subsequence, pending_mask)
-        pending = [
-            f for f in pending if not detected_mask & oracle.mask_of([f])
-        ]
+        pending_mask &= ~detected_mask
+        secured = set(oracle.faults_of(detected_mask))
+        pending = [f for f in pending if f not in secured]
 
     kept = sorted(restored_set)
     compacted = sequence.subsequence(kept)

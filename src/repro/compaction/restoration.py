@@ -68,6 +68,7 @@ def restoration_compact(
     pending: List[Fault] = sorted(
         detection, key=lambda f: detection[f], reverse=True
     )
+    pending_mask = oracle.mask_of(pending)
     restored: List[int] = []  # kept original indices, ascending
     restored_set = set()
 
@@ -108,7 +109,6 @@ def restoration_compact(
         # planes (the restored set only grows, and the final accounting
         # below restores the full universe anyway).
         subsequence = [vectors[i] for i in restored]
-        pending_mask = oracle.mask_of(pending)
         detected_mask = oracle.detected_mask(subsequence, pending_mask)
         if want_ledger:
             ledger.record(
@@ -118,10 +118,9 @@ def restoration_compact(
                 cycles=oracle.session.cycles_simulated - cycles_before,
             )
         oracle.drop(detected_mask)
-        pending = [
-            f for f in pending
-            if not detected_mask & oracle.mask_of([f])
-        ]
+        pending_mask &= ~detected_mask
+        secured = set(oracle.faults_of(detected_mask))
+        pending = [f for f in pending if f not in secured]
 
     obs.incr("compaction.restoration.restored_vectors", len(restored))
     obs.incr("compaction.restoration.dropped_vectors",

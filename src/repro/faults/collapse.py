@@ -31,17 +31,24 @@ through single-fanout paths exactly as in the classic formulation.
 
 The reduction is typically to ~55-60% of the uncollapsed universe, which
 is what the paper's per-circuit ``faults`` column reflects.
+
+The union-find runs on integer fault ids over field tuples; a ``Fault``
+is built once per id, for the result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
-from .model import Fault, branch_fault, enumerate_faults, stem_fault
+from .model import BRANCH, STEM, Fault, fault_keys
+
+#: A fault as its field tuple ``(kind, net, consumer, pin, stuck_at)``,
+#: which sorts in the dataclass ordering of :class:`Fault`.
+FaultKey = Tuple[str, str, Optional[str], int, int]
 
 
-def _representative_key(fault: Fault):
+def _representative_key(key: FaultKey):
     """Sort key choosing class representatives.
 
     Stem faults are preferred over branch faults: stem representatives
@@ -49,57 +56,55 @@ def _representative_key(fault: Fault):
     its combinational view (where gate structure is preserved but
     flip-flops disappear).
     """
-    return (
-        0 if fault.kind == "stem" else 1,
-        fault.net,
-        fault.consumer or "",
-        fault.pin,
-        fault.stuck_at,
-    )
+    kind, net, consumer, pin, stuck_at = key
+    return (0 if kind == STEM else 1, net, consumer or "", pin, stuck_at)
 
 
-class _UnionFind:
-    """Minimal union-find over :class:`Fault` objects."""
+def _classes(circuit: Circuit, faults: Optional[Iterable[Fault]]
+             ) -> Tuple[List[FaultKey], List[int]]:
+    """Union-find over integer fault ids.
 
-    def __init__(self):
-        self._parent: Dict[Fault, Fault] = {}
-
-    def find(self, fault: Fault) -> Fault:
-        parent = self._parent.setdefault(fault, fault)
-        if parent is fault or parent == fault:
-            return fault
-        root = self.find(parent)
-        self._parent[fault] = root
-        return root
-
-    def union(self, a: Fault, b: Fault) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            if _representative_key(root_b) < _representative_key(root_a):
-                root_a, root_b = root_b, root_a
-            self._parent[root_b] = root_a
-
-
-def _input_line_fault(circuit: Circuit, consumer: str, pin: int, net: str,
-                      stuck_at: int) -> Fault:
-    """The fault object on a consumer's input pin ``pin`` fed by ``net``."""
-    if circuit.fanout_count(net) > 1:
-        return branch_fault(net, consumer, pin, stuck_at)
-    return stem_fault(net, stuck_at)
-
-
-def equivalence_classes(circuit: Circuit,
-                        faults: Optional[Iterable[Fault]] = None) -> Dict[Fault, Fault]:
-    """Map every fault to its class representative.
-
-    ``faults`` defaults to the full universe of ``circuit``.  The mapping
-    is total over the provided faults; representatives are chosen
-    deterministically (minimum under the dataclass ordering).
+    Id ``i`` is the ``i``-th distinct fault of ``faults`` (default: the
+    universe of ``circuit``); a gate rule that reaches a line outside
+    them gives it the next id, so it still joins its class.  Returns the
+    key of every id and the representative id of each of ``faults``: the
+    class member ranked first by :func:`_representative_key`.
     """
-    universe = list(faults) if faults is not None else enumerate_faults(circuit)
-    uf = _UnionFind()
-    for fault in universe:
-        uf.find(fault)
+    if faults is None:
+        keys = fault_keys(circuit)
+    else:
+        keys = [(f.kind, f.net, f.consumer, f.pin, f.stuck_at) for f in faults]
+    by_id = list(dict.fromkeys(keys))
+    ids = {key: i for i, key in enumerate(by_id)}
+    universe = len(by_id)
+    parent = list(range(universe))
+
+    def line_id(key: FaultKey) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(by_id)
+            by_id.append(key)
+            parent.append(i)
+        return i
+
+    def pin_id(consumer: str, pin: int, net: str, stuck_at: int) -> int:
+        """The fault on ``consumer``'s input pin ``pin`` fed by ``net``:
+        its branch when ``net`` fans out, else ``net``'s stem."""
+        if circuit.fanout_count(net) > 1:
+            return line_id((BRANCH, net, consumer, pin, stuck_at))
+        return line_id((STEM, net, None, 0, stuck_at))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            if _representative_key(by_id[b]) < _representative_key(by_id[a]):
+                a, b = b, a
+            parent[b] = a
 
     for gate in circuit.gates:
         out = gate.output
@@ -111,22 +116,35 @@ def equivalence_classes(circuit: Circuit,
         elif kind in ("NOT", "BUF"):
             invert = kind == "NOT"
             for value in (0, 1):
-                pin_fault = _input_line_fault(circuit, out, 0, gate.inputs[0], value)
                 out_value = 1 - value if invert else value
-                uf.union(pin_fault, stem_fault(out, out_value))
+                union(pin_id(out, 0, gate.inputs[0], value),
+                      line_id((STEM, out, None, 0, out_value)))
             continue
         else:  # XOR / XNOR / MUX have no single-gate equivalences
             continue
-        target = stem_fault(out, out_sa)
+        target = line_id((STEM, out, None, 0, out_sa))
         for pin, net in enumerate(gate.inputs):
-            uf.union(_input_line_fault(circuit, out, pin, net, merged_sa), target)
+            union(pin_id(out, pin, net, merged_sa), target)
 
-    return {fault: uf.find(fault) for fault in universe}
+    return by_id, [find(i) for i in range(universe)]
+
+
+def equivalence_classes(circuit: Circuit,
+                        faults: Optional[Iterable[Fault]] = None) -> Dict[Fault, Fault]:
+    """Map every fault to its class representative.
+
+    ``faults`` defaults to the full universe of ``circuit``.  The mapping
+    is total over the provided faults; representatives are chosen
+    deterministically (stems first, see :func:`_representative_key`).
+    """
+    by_id, root = _classes(circuit, faults)
+    built = [Fault(*key) for key in by_id]
+    return {built[i]: built[rep] for i, rep in enumerate(root)}
 
 
 def collapse_faults(circuit: Circuit,
                     faults: Optional[Iterable[Fault]] = None) -> List[Fault]:
     """Collapsed fault list: one representative per equivalence class,
-    in deterministic sorted order."""
-    mapping = equivalence_classes(circuit, faults)
-    return sorted(set(mapping.values()))
+    in the dataclass ordering of :class:`Fault`."""
+    by_id, root = _classes(circuit, faults)
+    return [Fault(*key) for key in sorted(by_id[rep] for rep in set(root))]

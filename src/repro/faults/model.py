@@ -22,7 +22,7 @@ which falls out naturally because scan muxes are ordinary gates after
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 
@@ -90,19 +90,26 @@ def branch_fault(net: str, consumer: str, pin: int, stuck_at: int) -> Fault:
     return Fault(kind=BRANCH, net=net, consumer=consumer, pin=pin, stuck_at=stuck_at)
 
 
+def fault_keys(circuit: Circuit) -> List[Tuple[str, str, Optional[str], int, int]]:
+    """The fault universe of ``circuit`` as field tuples
+    ``(kind, net, consumer, pin, stuck_at)``, in :func:`enumerate_faults`
+    order, for code that needs no :class:`Fault` objects."""
+    keys = []
+    for net in circuit.nets():
+        keys.append((STEM, net, None, 0, 0))
+        keys.append((STEM, net, None, 0, 1))
+        sinks = circuit.fanout(net)
+        if len(sinks) > 1:
+            for consumer, pin in sinks:
+                keys.append((BRANCH, net, consumer, pin, 0))
+                keys.append((BRANCH, net, consumer, pin, 1))
+    return keys
+
+
 def enumerate_faults(circuit: Circuit) -> List[Fault]:
     """Full (uncollapsed) single stuck-at fault universe of ``circuit``.
 
     Deterministic order: stems in net declaration order, then branches in
     fanout order, SA0 before SA1 at each site.
     """
-    faults: List[Fault] = []
-    for net in circuit.nets():
-        faults.append(stem_fault(net, 0))
-        faults.append(stem_fault(net, 1))
-        sinks = circuit.fanout(net)
-        if len(sinks) > 1:
-            for consumer, pin in sinks:
-                faults.append(branch_fault(net, consumer, pin, 0))
-                faults.append(branch_fault(net, consumer, pin, 1))
-    return faults
+    return [Fault(*key) for key in fault_keys(circuit)]

@@ -53,7 +53,8 @@ candidate vectors at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
@@ -98,12 +99,33 @@ def compile_injection_masks(faults: Sequence[Fault], index):
 
 def iter_fault_positions(mask: int):
     """Yield 0-based fault-list indices for the set machine bits of a
-    detection mask (bit 0, the fault-free machine, is never yielded)."""
-    mask &= ~1
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 2
-        mask ^= low
+    detection mask (bit 0, the fault-free machine, is never yielded), in
+    ascending order, by one ``str.find`` scan of its bit string: linear
+    in the width, where peeling bits off the int costs a width per bit."""
+    bits = format(mask >> 1, "b")[::-1]
+    find = bits.find
+    position = find("1")
+    while position >= 0:
+        yield position
+        position = find("1", position + 1)
+
+
+def bit_gather(bits: Sequence[int]) -> Callable[[int], int]:
+    """A function mapping ``mask`` to the mask whose bit ``j`` is bit
+    ``bits[j]`` of ``mask``: one :func:`operator.itemgetter` pick from its
+    bit string, linear in the width however many bits are set."""
+    if not bits:
+        return lambda mask: 0
+    width = max(bits) + 1
+    low = (1 << width) - 1
+    spec = f"0{width}b"
+    # Indices into the most-significant-first string, highest bit first.
+    pick = itemgetter(*[width - 1 - bit for bit in reversed(bits)])
+
+    def gather(mask: int) -> int:
+        return int("".join(pick(format(mask & low, spec))), 2)
+
+    return gather
 
 
 class CompiledTopology:
@@ -281,18 +303,6 @@ class FaultSimResult:
 
 
 
-def _gather_bits(pair: Tuple[int, int],
-                 kept_bits: Sequence[int]) -> Tuple[int, int]:
-    """Project one ``(ones, zeros)`` plane pair onto a narrower packing:
-    old machine ``kept_bits[j]`` becomes machine ``j``."""
-    ones, zeros = pair
-    new_ones = new_zeros = 0
-    for new_bit, old_bit in enumerate(kept_bits):
-        new_ones |= ((ones >> old_bit) & 1) << new_bit
-        new_zeros |= ((zeros >> old_bit) & 1) << new_bit
-    return (new_ones, new_zeros)
-
-
 def words_of(mask: int) -> int:
     """Leading 64-bit machine words holding every machine of ``mask`` —
     at least 1, for the fault-free machine every detection compares
@@ -468,7 +478,9 @@ class SimBackend:
         checkpoints across fault-dropping repacks.
         """
         state, time = token
-        return ([_gather_bits(pair, kept_bits) for pair in state], time)
+        gather = bit_gather(kept_bits)
+        return ([(gather(ones), gather(zeros)) for ones, zeros in state],
+                time)
 
     # -- plane read-outs -------------------------------------------------------
 

@@ -706,16 +706,23 @@ class VectorFaultSimulator(SimBackend):
 
     # -- simulation ------------------------------------------------------------
 
-    def _vector_bytes(self, vector: Sequence[int]) -> bytes:
-        """One byte per primary input (0, 1 or X), checked against the
-        PI count the C kernel reads."""
-        if isinstance(vector, str):
-            vector = vector_from_string(vector)
-        vec = bytes(vector)
-        if len(vec) != len(self._pis):
+    def _encode(self, vectors: Iterable[Sequence[int]]) -> Tuple[bytes, int]:
+        """``(block, n)``: ``n`` vectors as one byte per primary input
+        (0, 1 or X), each checked against the PI count the C kernel
+        reads, in C-level passes; only ``"01X"`` strings are parsed one
+        by one."""
+        vectors = list(vectors)
+        try:
+            block = b"".join(map(bytes, vectors))
+        except TypeError:
+            vectors = [vector_from_string(v) if isinstance(v, str) else v
+                       for v in vectors]
+            block = b"".join(map(bytes, vectors))
+        bad = set(map(len, vectors)) - {len(self._pis)}
+        if bad:
             raise ValueError(f"need {len(self._pis)} input values, "
-                             f"got {len(vec)}")
-        return vec
+                             f"got {min(bad)}")
+        return block, len(vectors)
 
     def _checked_words(self) -> int:
         words = self.active_words
@@ -730,7 +737,7 @@ class VectorFaultSimulator(SimBackend):
         below ``64 * active_words``; no machine above is reported)."""
         words = self._checked_words()
         self._lib.repro_step(
-            *self._head_args, words, self._vector_bytes(vector),
+            *self._head_args, words, self._encode((vector,))[0],
             *self._tail_args, self._state_ptr, self._state_scratch_ptr,
             self._det_ptr)
         self._state, self._state_scratch = self._state_scratch, self._state
@@ -755,8 +762,7 @@ class VectorFaultSimulator(SimBackend):
     ) -> Query:
         """:meth:`SimBackend.query` as one ``repro_query`` call, plus
         one more each time its bounded log or snapshot slots fill up."""
-        block = [self._vector_bytes(v) for v in vectors]
-        n = len(block)
+        block, n = self._encode(vectors)
         nff = len(self._ffs)
         remaining = wanted & ~seen
         width = words_of(remaining) if narrow else self.W
@@ -777,7 +783,7 @@ class VectorFaultSimulator(SimBackend):
         seen_words = _int_to_words(seen, self.W)
         rem_words = _int_to_words(remaining, self.W)
         p = lambda a: a.ctypes.data
-        args = (b"".join(block), n, start, *self._tail_args)
+        args = (block, n, start, *self._tail_args)
         tail = (p(seen_words), p(rem_words), narrow, stop_early, interval,
                 prefix, width, p(log_cycles), p(log_masks), log_cap,
                 p(cp_meta), p(cp_states), cp_cap, p(status))

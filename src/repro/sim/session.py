@@ -49,8 +49,10 @@ Correctness invariants:
 from __future__ import annotations
 
 import math
+from itertools import compress, count
+from operator import ne
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from ..circuit.netlist import Circuit
@@ -60,7 +62,9 @@ from ..obs import ledger
 from .backend import (
     BACKEND_VECTOR, backend_class, make_backend, resolve_concrete_backend,
 )
-from .fault_sim import FaultSimResult, words_of
+from .fault_sim import (
+    FaultSimResult, bit_gather, iter_fault_positions, words_of,
+)
 from .logic_sim import vector_from_string
 
 
@@ -217,35 +221,31 @@ class SimSession:
         """External mask of faults currently dropped."""
         return self._dropped
 
+    # Both conversions are linear in the mask width, not per set bit:
+    # detection masks going out are sparse, so their set positions are
+    # scanned and written into a bit string; target masks coming in are
+    # dense, so they are one ``bit_gather`` built per packing.
+
     def _to_external(self, mask: int) -> int:
         """Internal (current packing) mask -> external mask."""
         mask &= ~1
-        if self._identity:
+        if self._identity or not mask:
             return mask
         positions = self._live_positions
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << (positions[low.bit_length() - 2] + 1)
-            mask ^= low
-        return out
+        bits = bytearray(b"0") * len(self.faults)  # most significant first
+        for j in iter_fault_positions(mask):
+            bits[~positions[j]] = 49  # ord("1")
+        return int(bits, 2) << 1
 
     def _to_internal(self, mask: int) -> int:
         """External mask of packed faults -> internal (current packing)."""
         mask &= ~1
-        if self._identity:
+        if self._identity or not mask:
             return mask
-        bit_of = self._bit_of
-        if bit_of is None:
-            bit_of = self._bit_of = [0] * len(self.faults)
-            for j, p in enumerate(self._live_positions):
-                bit_of[p] = j + 1
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << bit_of[low.bit_length() - 2]
-            mask ^= low
-        return out
+        if self._internal_of is None:
+            self._internal_of = bit_gather(
+                [0] + [p + 1 for p in self._live_positions])
+        return self._internal_of(mask)
 
     # -- packing ---------------------------------------------------------------
 
@@ -254,7 +254,7 @@ class SimSession:
         internal machine ``j + 1`` simulates ``faults[positions[j]]``."""
         self._live_positions = positions
         self._identity = positions == list(range(len(self.faults)))
-        self._bit_of: Optional[List[int]] = None
+        self._internal_of: Optional[Callable[[int], int]] = None
         #: Internal mask of packed machines that were dropped since the
         #: packing was built; queries treat them as already seen.
         self._dead_int = 0
@@ -295,9 +295,8 @@ class SimSession:
                 self._repack_if_sparse(mask)
             return mask
         faults = self.faults
-        order = sorted(
-            (p for p in range(len(faults)) if live >> (p + 1) & 1),
-            key=lambda p: (-times[faults[p]], p))
+        order = sorted(iter_fault_positions(live),
+                       key=lambda p: (-times[faults[p]], p))
         if order != self._live_positions:
             self._repack(order)
         elif mask:
@@ -321,8 +320,7 @@ class SimSession:
     def _repack_if_sparse(self, mask: int) -> None:
         live = self._live_mask
         if _popcount(live) * 2 <= len(self._live_positions):
-            self._repack([i for i in range(len(self.faults))
-                          if live >> (i + 1) & 1])
+            self._repack(list(iter_fault_positions(live)))
         else:
             self._dead_int |= self._to_internal(mask)
 
@@ -410,7 +408,8 @@ class SimSession:
     @staticmethod
     def _normalize(vectors: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
         return [
-            tuple(vector_from_string(v)) if isinstance(v, str) else tuple(v)
+            v if type(v) is tuple
+            else vector_from_string(v) if isinstance(v, str) else tuple(v)
             for v in vectors
         ]
 
@@ -454,10 +453,8 @@ class SimSession:
         # Longest value-equal prefix between the new sequence and the
         # timeline the stored checkpoints describe.
         trace = self._trace
-        prefix = 0
-        limit = min(len(trace), len(vectors))
-        while prefix < limit and trace[prefix] == vectors[prefix]:
-            prefix += 1
+        prefix = next(compress(count(), map(ne, trace, vectors)),
+                      min(len(trace), len(vectors)))
 
         narrow = narrow and self._narrows
         wanted_int = self._to_internal(wanted)
@@ -530,15 +527,15 @@ class SimSession:
         """First-detection cycle per live fault on the timeline the last
         full-width query simulated, in (cycle, position) order."""
         faults = self.faults
-        live = self._live_mask
-        to_external = self._to_external
+        positions = self._live_positions
+        dead = self._dead_int
         times: Dict[Fault, int] = {}
         for cycle, mask in self._log:
-            mask = to_external(mask) & live
-            while mask:
-                low = mask & -mask
-                times[faults[low.bit_length() - 2]] = cycle
-                mask ^= low
+            # ``keep`` may pack out of position order; a cycle's faults
+            # enter ``times`` in position order all the same.
+            for p in sorted([positions[j]
+                             for j in iter_fault_positions(mask & ~dead)]):
+                times[faults[p]] = cycle
         return times
 
     # -- queries ---------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit.gates import ONE, ZERO
 from ..circuit.netlist import Circuit
 from ..faults.transition import RISE, TransitionFault
-from .fault_sim import SimBackend, _eval_gates, _gather_bits
+from .fault_sim import SimBackend, _eval_gates, bit_gather
 from .logic_sim import vector_from_string
 
 
@@ -104,9 +104,10 @@ class PackedTransitionSimulator(SimBackend):
         transition history is projected along with the state."""
         state, prev, time = token
         state, time = SimBackend.remap_state_token((state, time), kept_bits)
+        gather = bit_gather(kept_bits)
         return (state,
-                {idx: _gather_bits(pair, kept_bits)
-                 for idx, pair in prev.items()},
+                {idx: (gather(ones), gather(zeros))
+                 for idx, (ones, zeros) in prev.items()},
                 time)
 
     def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
