@@ -103,7 +103,7 @@ def bench_corpus_identity(benchmark, report_dir):
     from conftest import emit
 
     if not vector_available():
-        pytest.skip("vector backend unavailable (needs numpy + C engine)")
+        pytest.skip("vector backend unavailable (needs a C compiler)")
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(report_dir, "corpus_identity", "\n".join(report_lines(*out)))
 
@@ -118,7 +118,7 @@ def main(argv=None):
     parser.add_argument("--metrics-out", metavar="FILE", required=True)
     args = parser.parse_args(argv)
     if not vector_available():
-        print("vector backend unavailable (needs numpy + a C compiler); "
+        print("vector backend unavailable (needs a C compiler); "
               "this gate requires it")
         return 2
 

@@ -68,7 +68,7 @@ def bench_packed_fault_sim(benchmark, scale):
 @pytest.mark.parametrize("scale", sorted(SCALES))
 def bench_vector_fault_sim(benchmark, scale):
     if not vector_available():
-        pytest.skip("vector backend unavailable (needs numpy + C engine)")
+        pytest.skip("vector backend unavailable (needs a C compiler)")
     circuit, faults = _build(scale)
     sim = make_backend(circuit, faults, "vector")
     vectors = random_vectors(circuit, 32, seed=1)
@@ -86,7 +86,7 @@ def bench_vector_speedup_floor(benchmark):
     """The tentpole claim: the vector backend is >= 10x the packed
     reference at the s1423 scale, with bit-identical detection maps."""
     if not vector_available():
-        pytest.skip("vector backend unavailable (needs numpy + C engine)")
+        pytest.skip("vector backend unavailable (needs a C compiler)")
     circuit, faults = _build("s1423-class")
     vectors = random_vectors(circuit, 32, seed=1)
     packed = PackedFaultSimulator(circuit, faults)
@@ -265,7 +265,7 @@ def main(argv=None):
     parser.add_argument("--metrics-out", metavar="FILE", required=True)
     args = parser.parse_args(argv)
     if not vector_available():
-        print("vector backend unavailable (needs numpy + a C compiler); "
+        print("vector backend unavailable (needs a C compiler); "
               "this gate requires it")
         return 2
     from conftest import record_bench

@@ -20,7 +20,7 @@ boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
@@ -51,7 +51,7 @@ class CompactionOracle:
 
     # -- mask helpers -----------------------------------------------------
 
-    def mask_of(self, faults: Iterable[Fault]) -> int:
+    def mask_of(self, faults: Collection[Fault]) -> int:
         """Bit mask corresponding to a set of target faults."""
         return self.session.mask_of(faults)
 

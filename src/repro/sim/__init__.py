@@ -5,8 +5,8 @@ vectorized levelized kernel and the transition simulator) on the shared
 session engine layered on top of them.
 
 The vector kernel itself (:mod:`repro.sim.kernel`) is imported lazily —
-it needs numpy, and nothing here pulls it in until a caller selects the
-``vector`` backend."""
+it compiles and loads a C library, and nothing here pulls it in until a
+caller asks whether the ``vector`` backend is available."""
 
 from .backend import (
     BACKEND_AUTO,

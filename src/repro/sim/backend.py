@@ -7,8 +7,8 @@ bit-identically:
 * ``"packed"`` — :class:`~repro.sim.fault_sim.PackedFaultSimulator`,
   the pure-Python packed-integer reference oracle.  Always available.
 * ``"vector"`` — :class:`~repro.sim.kernel.VectorFaultSimulator`, the
-  compiled C kernel over uint64 planes.  Needs numpy and a C compiler
-  (found automatically, the library cached per machine).
+  compiled C kernel over uint64 planes.  Needs a C compiler (found
+  automatically, the library cached per machine).
 
 The flows never name a backend.  ``auto`` (``None``) picks ``vector``
 when it is available and the run is big enough for kernel setup to
@@ -23,7 +23,6 @@ bypass selection.
 
 from __future__ import annotations
 
-import importlib.util
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -52,8 +51,8 @@ AUTO_MIN_FAULTS = 16
 
 #: ...unless the circuit itself is big.  Above this gate count a packed
 #: Python step costs milliseconds even for one fault machine, while the
-#: kernel's levelized program is fingerprint-cached on the circuit
-#: object, so every mini sim after the first reuses it.  The vector
+#: kernel's program is part of the circuit's fingerprint-cached
+#: compiled topology, so every mini sim after the first reuses it.  The vector
 #: kernel has no lane step, and at s9234 scale the two tie on search:
 #: 60 preset rollouts from the post-preamble state took a
 #: median 0.74 s on vector minis (one candidate at a time) and 0.77 s
@@ -64,17 +63,9 @@ AUTO_MIN_FAULTS = 16
 AUTO_MIN_GATES = 4096
 
 
-def numpy_available() -> bool:
-    """True when numpy is importable — checked via ``find_spec`` so the
-    packed-only path never pays (or risks) the actual import."""
-    return importlib.util.find_spec("numpy") is not None
-
-
 def vector_available() -> bool:
-    """True when the vector backend can run: numpy importable and the C
-    step library loaded."""
-    if not numpy_available():
-        return False
+    """True when the vector backend can run: the C step library
+    loaded."""
     from .kernel import load_kernel_library
 
     return load_kernel_library() is not None
@@ -126,7 +117,7 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
 
     ``name`` is ``None``/``"auto"`` (the size rule of
     :func:`resolve_concrete_backend`), ``"packed"`` or ``"vector"``.  An
-    explicit ``"vector"`` without numpy or a C compiler raises
+    explicit ``"vector"`` without a C compiler raises
     :class:`RuntimeError` rather than silently degrading.  Emits one
     ``faultsim.backend`` event (journal) and counter/gauges (metrics
     registry) per build so ``repro-atpg profile``/``watch`` show which
@@ -134,10 +125,6 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
     """
     concrete = resolve_concrete_backend(name, len(faults),
                                         circuit.num_gates)
-    if concrete == BACKEND_VECTOR and not numpy_available():
-        raise RuntimeError(
-            "sim_backend='vector' requires numpy (not importable here); "
-            "use 'packed' or 'auto'")
     start = perf_counter()
     sim = backend_class(concrete)(circuit, faults)
     compile_seconds = perf_counter() - start

@@ -52,9 +52,11 @@ candidate vectors at once.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
@@ -128,17 +130,35 @@ def bit_gather(bits: Sequence[int]) -> Callable[[int], int]:
     return gather
 
 
+class KernelProgram(NamedTuple):
+    """The vector kernel's fault-free program: int32 tables in
+    topological order, force columns at -1.  ``gates`` holds a ``(kind,
+    out_net, slot_off, nin, out_force, shared_source)`` record per gate,
+    ``slots`` a ``(source_net, pin_force)`` pair per gate input, and
+    ``gate_of`` each gate's record number by output net index.  A gate
+    with ``shared_source`` has one net on two pins, so its branch faults
+    force a copy of the source row, not the row itself."""
+
+    gates: array
+    slots: array
+    max_arity: int
+    gate_of: Dict[int, int]
+
+
 class CompiledTopology:
-    """Per-circuit flat arrays shared by every packed simulator instance.
+    """Per-circuit flat arrays shared by every simulator instance.
 
     The net indexing, PI/PO/flip-flop index lists and the per-gate
     ``(kind_code, output_index, input_indices)`` tuples depend only on
     the circuit, not on the packed fault list — compiling them once and
     caching on the circuit makes repacking a simulator to a smaller
-    fault set (fault dropping) cheap even for large netlists.
+    fault set (fault dropping) cheap even for large netlists.  The vector
+    kernel's tables (:meth:`kernel_program`) are built from them on
+    first use.
     """
 
-    __slots__ = ("index", "num_nets", "pi", "po", "flop_q", "flop_d", "gates")
+    __slots__ = ("index", "num_nets", "pi", "po", "flop_q", "flop_d", "gates",
+                 "_kernel")
 
     def __init__(self, circuit: Circuit):
         nets = circuit.nets()
@@ -157,6 +177,25 @@ class CompiledTopology:
             )
             for gate in circuit.topo_gates
         ]
+        self._kernel: Optional[KernelProgram] = None
+
+    def kernel_program(self) -> KernelProgram:
+        """The vector kernel's fault-free tables (built once)."""
+        if self._kernel is None:
+            gates = array("i")
+            slots = array("i")
+            for code, out_idx, in_idx in self.gates:
+                shared = int(len(set(in_idx)) < len(in_idx))
+                gates.extend((code, out_idx, len(slots) // 2, len(in_idx),
+                              -1, shared))
+                for i in in_idx:
+                    slots.extend((i, -1))
+            self._kernel = KernelProgram(
+                gates, slots,
+                max((len(in_idx) for _c, _o, in_idx in self.gates),
+                    default=1),
+                {out_idx: g for g, (_c, out_idx, _i) in enumerate(self.gates)})
+        return self._kernel
 
 
 def compiled_topology(circuit: Circuit) -> CompiledTopology:
@@ -397,13 +436,21 @@ class SimBackend:
         """Machine (bit position) simulating ``fault``."""
         return self._machine_map()[fault]
 
-    def mask_of(self, faults: Iterable[Fault]) -> int:
-        """Mask covering ``faults`` (each must be packed here)."""
+    def mask_of(self, faults: Collection[Fault]) -> int:
+        """Mask covering ``faults`` (each must be packed here).  A few
+        are OR-ed in one by one; more are set in one bit string, as each
+        OR costs a whole width."""
         machines = self._machine_map()
-        mask = 0
-        for fault in faults:
-            mask |= 1 << machines[fault]
-        return mask
+        if len(faults) < 128:
+            mask = 0
+            for fault in faults:
+                mask |= 1 << machines[fault]
+            return mask
+        bits = [machines[fault] for fault in faults]
+        string = bytearray(b"0") * (max(bits) + 1)  # most significant first
+        for bit in bits:
+            string[~bit] = 49  # ord("1")
+        return int(string, 2)
 
     # -- state -----------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 :class:`VectorFaultSimulator` is a drop-in alternative to
 :class:`~repro.sim.fault_sim.PackedFaultSimulator` that stores the
-three-valued ``(ones, zeros)`` planes as a ``(nets, 2, words)`` uint64
-numpy matrix instead of per-net Python integers, and evaluates the
+three-valued ``(ones, zeros)`` planes as ``(nets, 2, words)`` uint64
+rows in standard-library ``array`` buffers instead of per-net Python
+integers, and evaluates the
 netlist through a *compiled program*: flat gate/slot tables in
 topological order plus a sparse force table.  A small C interpreter
 walks those tables; it is compiled once per machine from the embedded
@@ -36,11 +37,13 @@ detection order are bit-identical to the packed reference — the parity
 tests in ``tests/test_sim_backend.py`` assert exactly that, for every
 active-word bound.
 
-Compilation is keyed on the circuit fingerprint: the fault-independent
-tables are cached on the circuit object (``circuit._vector_topology``),
-mirroring ``compiled_topology``, so fault-dropping repacks reuse them
-for free.  The per-fault-list force table is rebuilt per instance,
-exactly like the packed simulator's injection masks.
+The fault-independent int32 tables are part of the circuit's
+:class:`~repro.sim.fault_sim.CompiledTopology` (its
+:meth:`~repro.sim.fault_sim.CompiledTopology.kernel_program`, built on
+first use), so fault-dropping repacks reuse them for free.  The
+per-fault-list force table is rebuilt per instance, exactly like the
+packed simulator's injection masks.  State tokens are remapped onto a
+narrower packing by one C bit-gather too.
 """
 
 from __future__ import annotations
@@ -50,15 +53,12 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from .fault_sim import (
-    Query, SimBackend, compile_injection_masks, compiled_topology, words_of,
-)
+from .fault_sim import Query, SimBackend, compile_injection_masks, words_of
 from .logic_sim import vector_from_string
 
 _C_SOURCE = r"""
@@ -110,7 +110,7 @@ static const u64 *unforce(u64 *o, u64 *z, const u64 *e, const u64 *end,
     return sv;
 }
 
-static void step_core(
+void repro_step(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
     const u64 *fents, const i64 *foff, u64 *scratch, u64 *save, i64 A,
@@ -271,23 +271,32 @@ static void step_core(
     }
 }
 
-void repro_step(
-    u64 *planes, i64 W, const u64 *fullm,
-    const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *fents, const i64 *foff, u64 *scratch, u64 *save, i64 A,
-    const uint8_t *vec, const i32 *pis, i64 npis,
-    const i32 *pos, i64 npos,
-    const i32 *ffs, i64 nff, const u64 *state, u64 *newstate,
-    u64 *det)
-{
-    step_core(planes, W, fullm, gates, ngates, slots, fents, foff, scratch,
-              save, A, vec, pis, npis, pos, npos, ffs, nff, state, newstate,
-              det);
-}
-
 /* Slots of the status array repro_query reads and updates. */
 enum { Q_POS, Q_WIDTH, Q_HIGH, Q_WORD_CYCLES, Q_LAST_CP, Q_NLOG, Q_NCP,
        Q_SWAPPED, Q_DONE };
+
+/* Copy the first A words of each of `rows` rows between row strides:
+   state tokens hold the active words of the W-word flip-flop rows. */
+void repro_copy_rows(u64 *dst, i64 dst_stride, const u64 *src,
+                     i64 src_stride, i64 rows, i64 A) {
+    for (i64 r = 0; r < rows; r++)
+        memcpy(dst + r * dst_stride, src + r * src_stride, (size_t)A * 8);
+}
+
+/* Bit j of each dst row (new_stride words, zeroed by the caller) is bit
+   kept[j] of the same src row (stride words): a state token projected
+   onto a narrower packing. */
+void repro_remap(u64 *dst, i64 new_stride, const u64 *src, i64 stride,
+                 i64 rows, const i64 *kept, i64 nkept) {
+    for (i64 r = 0; r < rows; r++) {
+        const u64 *s = src + r * stride;
+        u64 *d = dst + r * new_stride;
+        for (i64 j = 0; j < nkept; j++) {
+            i64 b = kept[j];
+            d[j >> 6] |= ((s[b >> 6] >> (b & 63)) & 1) << (j & 63);
+        }
+    }
+}
 
 /* Snapshot after cycle t: its cycle, width and log length into meta,
    the active words of the flip-flop planes into dst as an (nff, 2, A)
@@ -295,8 +304,7 @@ enum { Q_POS, Q_WIDTH, Q_HIGH, Q_WORD_CYCLES, Q_LAST_CP, Q_NLOG, Q_NCP,
 static void snapshot(i64 *meta, u64 *dst, const u64 *state, i64 nff,
                      i64 W, i64 A, i64 t, i64 nlog) {
     meta[0] = t; meta[1] = A; meta[2] = nlog;
-    for (i64 r = 0; r < 2 * nff; r++)
-        memcpy(dst + r * A, state + r * W, (size_t)A * 8);
+    repro_copy_rows(dst, A, state, W, 2 * nff, A);
 }
 
 /* One session query: step vecs[pos..nvec) as cycles t0 + pos, ..., the
@@ -327,7 +335,7 @@ void repro_query(
     for (;;) {
         if (p >= nvec || (stop_early && high < 0)) { done = 1; break; }
         if (nlog == log_cap || ncp == cp_cap) break;
-        step_core(planes, W, fullm, gates, ngates, slots, fents, foff,
+        repro_step(planes, W, fullm, gates, ngates, slots, fents, foff,
                   scratch, save, A, vecs + p * npis, pis, npis, pos, npos,
                   ffs, nff, sin, sout, det);
         u64 *tmp = sin; sin = sout; sout = tmp;
@@ -445,7 +453,6 @@ def load_kernel_library() -> Optional[ctypes.CDLL]:
         head = [ptr, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, i64]
         tables = [ptr, i64, ptr, i64, ptr, i64]
         lib.repro_step.argtypes = head + [ptr] + tables + [ptr, ptr, ptr]
-        lib.repro_step.restype = None
         # repro_query: head without A; the vectors and start cycle; the
         # tables; state, scratch state, detection row, seen and wanted
         # words; narrow, stop_early, interval, prefix, stride; the log,
@@ -453,68 +460,29 @@ def load_kernel_library() -> Optional[ctypes.CDLL]:
         lib.repro_query.argtypes = (
             head[:-1] + [ptr, i64, i64] + tables + [ptr] * 5
             + [i64] * 5 + [ptr, ptr, i64, ptr, ptr, i64, ptr])
-        lib.repro_query.restype = None
+        # dst, dst stride, src, src stride, rows, words.
+        lib.repro_copy_rows.argtypes = [ptr, i64, ptr, i64, i64, i64]
+        # dst, its stride, src, its stride, rows, kept bits, their count.
+        lib.repro_remap.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64]
+        for name in ("repro_step", "repro_query", "repro_copy_rows",
+                     "repro_remap"):
+            getattr(lib, name).restype = None
         _LIB = lib
     except OSError:
         _LIB = None
     return _LIB
 
 
-class LevelizedTopology:
-    """Fault-independent compiled program for one circuit.
-
-    Flat int32 tables in topological order — the C interpreter's input,
-    force columns left at -1.  A gate record is ``(kind, out_net,
-    slot_off, nin, out_force, shared_source)``; ``shared_source`` marks
-    gates where one net feeds two pins, whose branch faults must force a
-    copy of the source rather than the source row itself.  Cached on the
-    circuit keyed by its content fingerprint, like
-    :func:`~repro.sim.fault_sim.compiled_topology`.
-    """
-
-    __slots__ = ("num_nets", "gates", "slots", "max_arity")
-
-    def __init__(self, circuit: Circuit):
-        topo = compiled_topology(circuit)
-        self.num_nets = topo.num_nets
-        gates: List[List[int]] = []
-        slots: List[List[int]] = []
-        max_arity = 1
-        for code, out_idx, in_idx in topo.gates:
-            soff = len(slots)
-            for i in in_idx:
-                slots.append([i, -1])
-            shared = int(len(set(in_idx)) < len(in_idx))
-            gates.append([code, out_idx, soff, len(in_idx), -1, shared])
-            max_arity = max(max_arity, len(in_idx))
-        self.gates = np.asarray(gates, dtype=np.int32).reshape(-1, 6)
-        self.slots = np.asarray(slots, dtype=np.int32).reshape(-1, 2)
-        self.max_arity = max_arity
+def _zeros(words: int) -> array:
+    return array("Q", [0]) * words  # no zeroed bytes of that size first
 
 
-def levelized_topology(circuit: Circuit) -> LevelizedTopology:
-    """The (fingerprint-cached) levelized program for ``circuit``."""
-    from ..cache.fingerprint import circuit_fingerprint
-
-    fingerprint = circuit_fingerprint(circuit)
-    cached = getattr(circuit, "_vector_topology", None)
-    if cached is not None:
-        cached_fp, topo = cached
-        if cached_fp == fingerprint:
-            return topo
-    topo = LevelizedTopology(circuit)
-    circuit._vector_topology = (fingerprint, topo)
-    return topo
+def _to_words(value: int, words: int) -> array:
+    return array("Q", value.to_bytes(8 * words, "little"))
 
 
-def _int_to_words(value: int, words: int) -> np.ndarray:
-    return np.frombuffer(value.to_bytes(words * 8, "little"),
-                         dtype="<u8").copy()
-
-
-def _words_to_int(row: np.ndarray) -> int:
-    return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(),
-                          "little")
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
 
 
 #: Bound on each of the detection log and snapshot buffers one
@@ -522,48 +490,32 @@ def _words_to_int(row: np.ndarray) -> int:
 #: drain them.
 _QUERY_BUFFER_BYTES = 1 << 20
 
-#: Force masks expanded to words per batch while building force entries
-#: (bounds the dense scratch to about 1 MB per plane).
-_FORCE_BATCH_BYTES = 1 << 20
+_WORD = (1 << 64) - 1
 
 
-def _force_entries(masks: Sequence[Tuple[int, int]],
-                   words: int) -> Tuple[np.ndarray, np.ndarray]:
+def _force_entries(masks: Sequence[Tuple[int, int]]) -> Tuple[array, array]:
     """Sparse force table: ``(entries, offsets)`` where force ``i`` is
-    ``entries[offsets[i]:offsets[i + 1]]``, one ``(word, ones, zeros)``
-    row per nonzero word of its ``(force_ones, force_zeros)`` mask pair,
-    in ascending word order.  A fault forces one machine, so most masks
-    touch a single word of the ``words``-wide packing."""
-    nbytes = words * 8
-    batch = max(1, _FORCE_BATCH_BYTES // nbytes)
-    chunks: List[np.ndarray] = []
-    counts = np.zeros(len(masks), dtype=np.int64)
-    for lo in range(0, len(masks), batch):
-        part = masks[lo:lo + batch]
-        ones = np.frombuffer(
-            b"".join(m1.to_bytes(nbytes, "little") for m1, _m0 in part),
-            dtype="<u8").reshape(-1, words)
-        zeros = np.frombuffer(
-            b"".join(m0.to_bytes(nbytes, "little") for _m1, m0 in part),
-            dtype="<u8").reshape(-1, words)
-        rows, cols = np.nonzero(ones | zeros)
-        chunk = np.empty((len(rows), 3), dtype=np.uint64)
-        chunk[:, 0] = cols
-        chunk[:, 1] = ones[rows, cols]
-        chunk[:, 2] = zeros[rows, cols]
-        chunks.append(chunk)
-        counts[lo:lo + len(part)] = np.bincount(rows, minlength=len(part))
-    entries = (np.concatenate(chunks) if chunks
-               else np.zeros((0, 3), dtype=np.uint64))
-    if not len(entries):
-        entries = np.zeros((1, 3), dtype=np.uint64)  # a valid pointer
-    offsets = np.zeros(len(masks) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    the ``(word, ones, zeros)`` triples ``offsets[i]`` up to
+    ``offsets[i + 1]`` of the flat ``entries``, one per nonzero word of
+    its ``(force_ones, force_zeros)`` mask pair, in ascending word order.
+    A fault forces one machine, so most masks touch a single word."""
+    entries = array("Q")
+    offsets = array("q", [0])
+    for ones, zeros in masks:
+        both = ones | zeros
+        while both:
+            shift = ((both & -both).bit_length() - 1) & ~63
+            entries.extend((shift >> 6, ones >> shift & _WORD,
+                            zeros >> shift & _WORD))
+            both &= ~(_WORD << shift)
+        offsets.append(len(entries) // 3)
+    if not entries:
+        entries.extend((0, 0, 0))  # a valid pointer
     return entries, offsets
 
 
 class VectorFaultSimulator(SimBackend):
-    """Parallel-fault three-valued simulator over a uint64 plane matrix.
+    """Parallel-fault three-valued simulator over uint64 plane buffers.
 
     Adds to :class:`~repro.sim.fault_sim.SimBackend` the C plumbing, the
     plane storage with its state-token format and the one-call
@@ -582,13 +534,13 @@ class VectorFaultSimulator(SimBackend):
                                "compiler; use 'packed' or 'auto'")
         super().__init__(circuit, faults)
         topo = self._topology
-        program = levelized_topology(circuit)
+        index = topo.index
+        program = topo.kernel_program()
         W = (self.num_machines + 63) // 64
         self.W = W
-        self._full_words = _int_to_words(self.full_mask, W)
+        self._full_words = _to_words(self.full_mask, W)
 
-        stem_masks, branch_masks = compile_injection_masks(
-            self.faults, topo.index)
+        stem_masks, branch_masks = compile_injection_masks(self.faults, index)
 
         force_masks: List[Tuple[int, int]] = []
 
@@ -598,100 +550,113 @@ class VectorFaultSimulator(SimBackend):
             force_masks.append(mask)
             return len(force_masks) - 1
 
-        self._pis = np.asarray(
-            [[i, fidx(stem_masks.get(n))] for i, n in topo.pi],
-            dtype=np.int32).reshape(-1, 2)
+        self._pis = array("i", [x for i, n in topo.pi
+                                for x in (i, fidx(stem_masks.get(n)))])
         self._po_masks = [branch_masks.get((n, 0)) for _i, n in topo.po]
-        self._pos = np.asarray(
-            [[i, fidx(mask)] for (i, _n), mask in zip(topo.po,
-                                                     self._po_masks)],
-            dtype=np.int32).reshape(-1, 2)
-        self._ffs = np.asarray(
-            [[q, d, fidx(stem_masks.get(flop.q)),
-              fidx(branch_masks.get((flop.q, 0)))]
-             for (q, (d, _)), flop in zip(
-                 zip(topo.flop_q, topo.flop_d), circuit.flops)],
-            dtype=np.int32).reshape(-1, 4)
+        self._pos = array("i", [x for (i, _n), mask in zip(topo.po,
+                                                          self._po_masks)
+                                for x in (i, fidx(mask))])
+        self._ffs = array("i", [
+            x for q, (d, name) in zip(topo.flop_q, topo.flop_d)
+            for x in (q, d, fidx(stem_masks.get(name)),
+                      fidx(branch_masks.get((name, 0))))])
 
-        gates = program.gates.copy()
-        slots = program.slots.copy()
-        for gate, rec in zip(circuit.topo_gates, gates):
-            soff = rec[2]
-            for pin in range(rec[3]):
-                slots[soff + pin, 1] = fidx(
-                    branch_masks.get((gate.output, pin)))
-            rec[4] = fidx(stem_masks.get(gate.output))
+        # Only the gates a fault sits on differ from the shared program.
+        gates = program.gates[:]
+        slots = program.slots[:]
+        gate_of = program.gate_of
+        for net, mask in stem_masks.items():
+            g = gate_of.get(index[net])
+            if g is not None:
+                gates[6 * g + 4] = fidx(mask)
+        for (consumer, pin), mask in branch_masks.items():
+            g = gate_of.get(index.get(consumer))
+            if g is not None and pin < gates[6 * g + 3]:
+                slots[2 * (gates[6 * g + 2] + pin) + 1] = fidx(mask)
         self._gates = gates
         self._slots = slots
-        self._fents, self._foff = _force_entries(force_masks, W)
+        self._fents, self._foff = _force_entries(force_masks)
 
-        self.planes = np.zeros((program.num_nets, 2, W), dtype=np.uint64)
-        nff = len(self._ffs)
-        self._state = np.zeros((nff, 2, W), dtype=np.uint64)
-        self._state_scratch = np.zeros_like(self._state)
+        self._nff = nff = len(circuit.flops)
+        self.planes = _zeros(topo.num_nets * 2 * W)
+        self._state = _zeros(nff * 2 * W)
+        self._state_scratch = _zeros(nff * 2 * W)
         # Rows [0, arity) hold forced copies of shared sources; the rest
         # saves the words in-place forcing overwrites.
-        self._scratch = np.zeros((2 * program.max_arity, 2, W),
-                                 dtype=np.uint64)
-        self._det = np.zeros(W, dtype=np.uint64)
+        self._scratch = _zeros(2 * program.max_arity * 2 * W)
+        self._det = _zeros(W)
         #: Words :meth:`step` simulates: machines ``< 64 * active_words``.
         #: A narrowing :meth:`query` lowers it; words past it keep stale
         #: values until a full-width reset or restore.
         self.active_words = W
 
         vp = ctypes.c_void_p
-        p = lambda a: vp(a.ctypes.data)
+        p = lambda a: vp(_address(a))
         self._head_args = (
-            p(self.planes), ctypes.c_int64(self.W), p(self._full_words),
-            p(self._gates), ctypes.c_int64(len(self._gates)), p(self._slots),
-            p(self._fents), p(self._foff), p(self._scratch),
-            vp(self._scratch.ctypes.data
-               + program.max_arity * self._scratch.strides[0]))
+            p(self.planes), ctypes.c_int64(W), p(self._full_words),
+            p(self._gates), ctypes.c_int64(len(self._gates) // 6),
+            p(self._slots), p(self._fents), p(self._foff), p(self._scratch),
+            vp(_address(self._scratch) + program.max_arity * 2 * W * 8))
         self._tail_args = (
-            p(self._pis), ctypes.c_int64(len(self._pis)),
-            p(self._pos), ctypes.c_int64(len(self._pos)),
-            p(self._ffs), ctypes.c_int64(len(self._ffs)))
+            p(self._pis), ctypes.c_int64(len(self._pis) // 2),
+            p(self._pos), ctypes.c_int64(len(self._pos) // 2),
+            p(self._ffs), ctypes.c_int64(nff))
         self._state_ptr = p(self._state)
         self._state_scratch_ptr = p(self._state_scratch)
         self._det_ptr = p(self._det)
 
     # -- state -----------------------------------------------------------------
 
+    def _swap_states(self) -> None:
+        self._state, self._state_scratch = self._state_scratch, self._state
+        self._state_ptr, self._state_scratch_ptr = (self._state_scratch_ptr,
+                                                    self._state_ptr)
+
     def reset(self) -> None:
         """All flip-flops back to X in every machine; time to 0."""
-        self._state[:] = 0
+        ctypes.memset(self._state_ptr, 0, 8 * len(self._state))
         self.time = 0
 
     def save_state(self):
         """Snapshot the flip-flop planes of the active words and the
-        time (opaque token)."""
-        return (self._state[:, :, :self.active_words].copy(), self.time)
+        time: an opaque ``(rows, words, time)`` token, ``rows`` holding
+        ``words`` words of each flip-flop's ones and zeros rows."""
+        words = self.active_words
+        if words == self.W:
+            return (self._state[:], words, self.time)
+        rows = _zeros(2 * self._nff * words)
+        self._lib.repro_copy_rows(_address(rows), words, self._state_ptr,
+                                  self.W, 2 * self._nff, words)
+        return (rows, words, self.time)
 
     def restore_state(self, token) -> None:
-        state, time = token
-        self._state[:, :, :state.shape[2]] = state
+        rows, words, time = token
+        if words == self.W:
+            memoryview(self._state)[:] = rows  # never resizes the buffer
+        else:
+            self._lib.repro_copy_rows(self._state_ptr, self.W,
+                                      _address(rows), words, 2 * self._nff,
+                                      words)
         self.time = time
 
     @staticmethod
     def remap_state_token(token, kept_bits: Sequence[int]):
         """Project a :meth:`save_state` token onto a narrower packing
         (same contract as the packed simulator's method — machines are
-        independent, so bit-gathering the planes is exact).  ``kept_bits``
-        may list the old machines in any order."""
-        state, time = token
-        kept = np.asarray(list(kept_bits), dtype=np.intp)
-        new_w = (len(kept) + 63) // 64
-        bits = np.unpackbits(
-            np.ascontiguousarray(state, dtype="<u8").view(np.uint8),
-            axis=2, bitorder="little")
-        gathered = np.zeros(state.shape[:2] + (new_w * 64,), dtype=np.uint8)
-        gathered[:, :, :len(kept)] = bits[:, :, kept]
-        del bits
-        packed = np.packbits(gathered, axis=2, bitorder="little")
-        return (packed.view("<u8").astype(np.uint64), time)
+        independent, so bit-gathering the planes is exact), in one C
+        pass.  ``kept_bits`` may list the old machines in any order."""
+        rows, words, time = token
+        kept = array("q", kept_bits)
+        new_words = (len(kept) + 63) // 64
+        count = len(rows) // words
+        gathered = _zeros(count * new_words)
+        load_kernel_library().repro_remap(
+            _address(gathered), new_words, _address(rows), words, count,
+            _address(kept), len(kept))
+        return (gathered, new_words, time)
 
     def _state_pairs(self) -> List[Tuple[int, int]]:
-        raw = self._state.astype("<u8", copy=False).tobytes()
+        raw = self._state.tobytes()
         wb = 8 * self.W
         return [(int.from_bytes(raw[i:i + wb], "little"),
                  int.from_bytes(raw[i + wb:i + 2 * wb], "little"))
@@ -699,10 +664,8 @@ class VectorFaultSimulator(SimBackend):
 
     def _set_state_pairs(self, pairs: List[Tuple[int, int]]) -> None:
         wb = 8 * self.W
-        raw = b"".join(plane.to_bytes(wb, "little")
-                       for pair in pairs for plane in pair)
-        self._state[:] = np.frombuffer(raw, dtype="<u8").reshape(
-            self._state.shape)
+        memoryview(self._state).cast("B")[:] = b"".join(
+            plane.to_bytes(wb, "little") for pair in pairs for plane in pair)
 
     # -- simulation ------------------------------------------------------------
 
@@ -718,10 +681,10 @@ class VectorFaultSimulator(SimBackend):
             vectors = [vector_from_string(v) if isinstance(v, str) else v
                        for v in vectors]
             block = b"".join(map(bytes, vectors))
-        bad = set(map(len, vectors)) - {len(self._pis)}
+        npis = len(self._pis) // 2
+        bad = set(map(len, vectors)) - {npis}
         if bad:
-            raise ValueError(f"need {len(self._pis)} input values, "
-                             f"got {min(bad)}")
+            raise ValueError(f"need {npis} input values, got {min(bad)}")
         return block, len(vectors)
 
     def _checked_words(self) -> int:
@@ -740,15 +703,16 @@ class VectorFaultSimulator(SimBackend):
             *self._head_args, words, self._encode((vector,))[0],
             *self._tail_args, self._state_ptr, self._state_scratch_ptr,
             self._det_ptr)
-        self._state, self._state_scratch = self._state_scratch, self._state
-        self._state_ptr, self._state_scratch_ptr = (
-            self._state_scratch_ptr, self._state_ptr)
+        self._swap_states()
         self.time += 1
-        return _words_to_int(self._det[:words]) & self.fault_mask
+        return (int.from_bytes(self._det[:words].tobytes(), "little")
+                & self.fault_mask)
 
     def _net_pair(self, idx: int) -> Tuple[int, int]:
-        return (_words_to_int(self.planes[idx, 0]),
-                _words_to_int(self.planes[idx, 1]))
+        W = self.W
+        raw = self.planes[2 * W * idx:2 * W * (idx + 1)].tobytes()
+        return (int.from_bytes(raw[:8 * W], "little"),
+                int.from_bytes(raw[8 * W:], "little"))
 
     def query(
         self,
@@ -763,7 +727,7 @@ class VectorFaultSimulator(SimBackend):
         """:meth:`SimBackend.query` as one ``repro_query`` call, plus
         one more each time its bounded log or snapshot slots fill up."""
         block, n = self._encode(vectors)
-        nff = len(self._ffs)
+        nff = self._nff
         remaining = wanted & ~seen
         width = words_of(remaining) if narrow else self.W
         interval, prefix = grid if grid is not None else (0, -1)
@@ -773,20 +737,22 @@ class VectorFaultSimulator(SimBackend):
         cp_cap = 1 if grid is None else max(1, min(
             n // interval + 2,
             _QUERY_BUFFER_BYTES // (16 * width * nff or 1)))
-        log_cycles = np.empty(log_cap, dtype=np.int64)
-        log_masks = np.empty((log_cap, width), dtype=np.uint64)
-        cp_meta = np.empty((cp_cap, 3), dtype=np.int64)
-        cp_states = np.empty((cp_cap, 2 * width * nff), dtype=np.uint64)
+        slot = 2 * width * nff
+        log_cycles = array("q", [0]) * log_cap
+        log_masks = _zeros(log_cap * width)
+        cp_meta = array("q", [0]) * (3 * cp_cap)
+        cp_states = _zeros(max(1, cp_cap * slot))
         high = ((remaining.bit_length() + 63) >> 6) - 1
-        status = np.array([0, width, high, 0, start, 0, 0, 0, 0],
-                          dtype=np.int64)
-        seen_words = _int_to_words(seen, self.W)
-        rem_words = _int_to_words(remaining, self.W)
-        p = lambda a: a.ctypes.data
+        status = array("q", [0, width, high, 0, start, 0, 0, 0, 0])
+        seen_words = _to_words(seen, self.W)
+        rem_words = _to_words(remaining, self.W)
         args = (block, n, start, *self._tail_args)
-        tail = (p(seen_words), p(rem_words), narrow, stop_early, interval,
-                prefix, width, p(log_cycles), p(log_masks), log_cap,
-                p(cp_meta), p(cp_states), cp_cap, p(status))
+        tail = (_address(seen_words), _address(rem_words), narrow,
+                stop_early, interval, prefix, width, _address(log_cycles),
+                _address(log_masks), log_cap, _address(cp_meta),
+                _address(cp_states), cp_cap, _address(status))
+        raw = memoryview(log_masks).cast("B")
+        wb = 8 * width
         log: List[Tuple[int, int]] = []
         checkpoints = []
         time = self.time
@@ -794,38 +760,34 @@ class VectorFaultSimulator(SimBackend):
             self._lib.repro_query(
                 *self._head_args, *args, self._state_ptr,
                 self._state_scratch_ptr, self._det_ptr, *tail)
-            nlog, ncp, swapped, done = status[5:].tolist()
+            nlog, ncp, swapped, done = status[5:]
             if swapped:
-                self._state, self._state_scratch = (self._state_scratch,
-                                                    self._state)
-                self._state_ptr, self._state_scratch_ptr = (
-                    self._state_scratch_ptr, self._state_ptr)
-            raw = log_masks[:nlog].astype("<u8", copy=False).tobytes()
-            wb = 8 * width
+                self._swap_states()
             drained = [
                 (cycle, int.from_bytes(raw[i * wb:(i + 1) * wb], "little"))
-                for i, cycle in enumerate(log_cycles[:nlog].tolist())]
+                for i, cycle in enumerate(log_cycles[:nlog])]
             # A snapshot's seen mask is the log up to it.
             at = 0
-            for (cycle, words, logged), row in zip(cp_meta[:ncp].tolist(),
-                                                   cp_states):
+            for i in range(ncp):
+                cycle, words, logged = cp_meta[3 * i:3 * i + 3]
                 for _cycle, mask in drained[at:logged]:
                     seen |= mask
                 at = logged
-                token = row[:2 * words * nff].reshape(nff, 2, words).copy()
-                checkpoints.append((cycle, (token, time + cycle - start),
+                rows = cp_states[i * slot:i * slot + 2 * words * nff]
+                checkpoints.append((cycle, (rows, words,
+                                            time + cycle - start),
                                     words, len(log) + logged, seen))
             for _cycle, mask in drained[at:]:
                 seen |= mask
             log += drained
             if done:
                 break
-        steps, self.active_words, _high, word_cycles = status[:4].tolist()
+        steps, self.active_words, _high, word_cycles = status[:4]
         self.time += steps
         return Query(start + steps, seen, word_cycles, log, checkpoints)
 
     @property
     def plane_bytes(self) -> int:
-        """Bytes held in the uint64 plane/force/state matrices."""
-        return (self.planes.nbytes + self._fents.nbytes + self._foff.nbytes
-                + 2 * self._state.nbytes + self._scratch.nbytes)
+        """Bytes held in the uint64 plane/force/state buffers."""
+        return 8 * (len(self.planes) + len(self._fents) + len(self._foff)
+                    + 2 * len(self._state) + len(self._scratch))

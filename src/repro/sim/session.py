@@ -52,7 +52,8 @@ import math
 from itertools import compress, count
 from operator import ne
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from ..circuit.netlist import Circuit
@@ -203,7 +204,7 @@ class SimSession:
     # The full-universe simulator packs the session's faults in order,
     # so its fault <-> bit rule is the external mask convention.
 
-    def mask_of(self, faults: Iterable[Fault]) -> int:
+    def mask_of(self, faults: Collection[Fault]) -> int:
         """External mask covering ``faults`` (must be session faults)."""
         return self._base_sim.mask_of(faults)
 

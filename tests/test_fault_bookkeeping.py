@@ -16,7 +16,7 @@ from repro.atpg import SeqATPGConfig, SequentialATPG
 from repro.atpg import seq_atpg
 from repro.circuit import insert_scan, random_circuit
 from repro.faults import collapse_faults, enumerate_faults, equivalence_classes
-from repro.sim import SimSession, iter_fault_positions
+from repro.sim import PackedFaultSimulator, SimSession, iter_fault_positions
 from repro.sim.fault_sim import bit_gather
 
 from tests.util import (
@@ -25,6 +25,7 @@ from tests.util import (
     reference_decode_atpg,
     reference_equivalence_classes,
     reference_fault_positions,
+    reference_mask_of,
     reference_to_external,
     reference_to_internal,
 )
@@ -78,6 +79,23 @@ def test_bit_gather_matches_reference(width, seed):
 
 
 # -- collapse -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(gates=st.integers(2, 80), density=st.floats(0, 1),
+       seed=st.integers(0, 10_000), container=st.sampled_from(
+           (list, tuple, set, dict.fromkeys)))
+def test_mask_of_matches_per_fault_or(gates, density, seed, container):
+    """Small and large fault sets (both sides of the bit-string switch),
+    in any order and any collection type."""
+    circuit = random_circuit("mask", 3, 2, gates, seed=seed)
+    faults = enumerate_faults(circuit)
+    sim = PackedFaultSimulator(circuit, faults)
+    rng = random.Random(seed)
+    subset = [f for f in faults if rng.random() < density]
+    rng.shuffle(subset)
+    subset = container(subset)
+    assert sim.mask_of(subset) == reference_mask_of(sim, subset)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,8 +11,8 @@ The ``SimBackend`` base contract
 (state round trips, effect masks, the fault/bit rule, run against
 detects_all, independent machines) is checked on the packed, vector and
 transition simulators alike.  Backend selection
-(``auto``/explicit), custom simulator factories, and the
-no-numpy-when-packed guarantee are covered alongside.
+(``auto``/explicit), custom simulator factories, and a vector flow run
+with a third-party array package blocked are covered alongside.
 """
 
 import os
@@ -43,10 +43,8 @@ from repro.sim import (
     make_backend,
     resolve_backend_name,
 )
-from repro.sim import backend as backend_mod
 from repro.sim.backend import (
     AUTO_MIN_FAULTS,
-    numpy_available,
     resolve_concrete_backend,
     vector_available,
 )
@@ -339,11 +337,9 @@ def test_branch_fault_on_shared_source_pin(pin):
 
 
 def _query_outcome(query):
-    """Every field of a Query, tokens as (shape, values, time)."""
+    """Every field of a Query (both sides hold vector state tokens)."""
     return (query.end, query.seen, query.word_cycles, query.log,
-            [(cycle, token[0].shape, token[0].tolist(), token[1], width,
-              logged, seen)
-             for cycle, token, width, logged, seen in query.checkpoints])
+            query.checkpoints)
 
 
 @requires_vector
@@ -422,7 +418,7 @@ def test_query_override_matches_reference_loop(params, words, length, data):
             result = query(sim, vectors[start:], start, seen, wanted,
                            stop_early, narrow, grid)
         outcomes.append((_query_outcome(result), sim.time,
-                         sim.active_words, sim.save_state()[0].tolist()))
+                         sim.active_words, sim._state_pairs()))
     assert outcomes[1] == outcomes[0]
 
 
@@ -542,20 +538,6 @@ def test_auto_picks_vector_for_big_circuits():
         BACKEND_AUTO, 1, AUTO_MIN_GATES - 1) == BACKEND_PACKED
 
 
-def test_auto_degrades_without_numpy(monkeypatch):
-    monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-    assert resolve_concrete_backend(BACKEND_AUTO, 10_000) == BACKEND_PACKED
-
-
-def test_explicit_vector_without_numpy_raises(monkeypatch):
-    monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    with pytest.raises(RuntimeError, match="requires numpy"):
-        make_backend(circuit, faults, BACKEND_VECTOR)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
 def test_vector_without_c_compiler(monkeypatch):
     """No C library: explicit vector raises, auto resolves to packed."""
     from repro.sim import kernel
@@ -735,20 +717,38 @@ def test_make_backend_emits_metrics_and_event():
     assert "faultsim.backend.plane_bytes" in snapshot["gauges"]
 
 
-# -- import hygiene: packed never pays for numpy -----------------------------
+# -- the vector kernel runs on the standard library -------------------------
 
 
-def test_packed_backend_never_imports_numpy():
-    """Building the packed backend (and importing repro at all) must not
-    drag numpy in — the no-numpy tier-1 job depends on it."""
+@requires_vector
+def test_vector_flow_without_numpy():
+    """With ``import numpy`` made to fail, the vector backend still
+    builds and serves a whole s27 generation flow."""
     code = (
         "import sys\n"
-        "from repro import make_backend, s27\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "from repro import FlowConfig, generation_flow, make_backend, obs\n"
+        "from repro import s27\n"
         "from repro.faults import collapse_faults\n"
         "c = s27()\n"
-        "sim = make_backend(c, collapse_faults(c), 'packed')\n"
-        "sim.run([tuple(0 for _ in c.inputs)] * 4)\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sim = make_backend(c, collapse_faults(c), 'vector')\n"
+        "assert type(sim).backend_name == 'vector'\n"
+        "with obs.session() as telemetry:\n"
+        "    flow = generation_flow(c, FlowConfig(seed=1))\n"
+        "    counters = telemetry.metrics.snapshot()['counters']\n"
+        "assert counters.get('faultsim.backend.vector', 0) > 0, counters\n"
+        "assert flow.fault_coverage > 0\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the blocker let numpy in')\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

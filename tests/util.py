@@ -30,6 +30,14 @@ def reference_fault_positions(mask):
     return positions
 
 
+def reference_mask_of(sim, faults):
+    """Mask of ``faults`` in ``sim``'s packing, one OR per fault."""
+    mask = 0
+    for fault in faults:
+        mask |= 1 << sim.machine_of(fault)
+    return mask
+
+
 def reference_to_external(mask, live_positions):
     """Internal (packing ``live_positions``) mask -> external mask."""
     out = 0
