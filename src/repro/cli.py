@@ -15,7 +15,6 @@ Subcommands::
     repro-atpg watch     <journal> [--once | --interval S] [--top N]
     repro-atpg export-trace <journal> <out.json>
     repro-atpg runs      {list,show,trend,gc} [...]
-    repro-atpg metrics-export <metrics.json|runs:ID> [--textfile FILE]
     repro-atpg cache     {stats,clear} [dir]
     repro-atpg serve     [--host H] [--port P] [--workers N] [--cache DIR]
     repro-atpg info      <circuit>
@@ -63,13 +62,9 @@ are rich.  ``runs list/show`` browse the index, ``runs trend``
 computes median/MAD statistics over the last N same-fingerprint runs
 and — with ``--assert`` — becomes a statistical regression gate
 (deterministic drift fails; wall-clock outliers are flagged but never
-fatal), ``runs gc --keep N`` prunes old records.  ``diff-metrics`` and
-``metrics-export`` accept ``runs:<id>`` / ``runs:latest`` wherever a
-metrics JSON path is expected, so ``diff-metrics runs:A runs:B`` diffs
-any two records;
-``metrics-export`` renders any artifact or index record as
-Prometheus/OpenMetrics text (``--textfile`` installs it atomically for
-node_exporter's textfile collector).
+fatal), ``runs gc --keep N`` prunes old records.  ``diff-metrics``
+accepts ``runs:<id>`` / ``runs:latest`` wherever a metrics JSON path
+is expected, so ``diff-metrics runs:A runs:B`` diffs any two records.
 
 Service mode: ``serve`` starts the ATPG-as-a-service daemon (see
 :mod:`repro.serve` and ``docs/SERVICE.md``) — HTTP/JSON submissions,
@@ -133,9 +128,9 @@ def _run_index_arg(args: argparse.Namespace) -> Optional[str]:
 
 
 def _runs_index_path(args: argparse.Namespace) -> Path:
-    """The index database the ``runs``/``metrics-export``/
-    ``diff-metrics`` read paths operate on: the explicit flag, the
-    environment, or the default database."""
+    """The index database the ``runs``/``diff-metrics`` read paths
+    operate on: the explicit flag, the environment, or the default
+    database."""
     from .obs.history import DEFAULT_RUN_INDEX, resolve_run_index
 
     resolved = resolve_run_index(getattr(args, "run_index", None) or None)
@@ -365,30 +360,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
     print(f"runs: unknown action {args.action!r}")
     return 2
-
-
-def _cmd_metrics_export(args: argparse.Namespace) -> int:
-    from .obs.openmetrics import render_openmetrics, write_textfile
-
-    labels = {}
-    for spec in args.label:
-        key, sep, value = spec.partition("=")
-        if not sep or not key:
-            print(f"metrics-export: --label {spec!r} is not KEY=VALUE")
-            return 2
-        labels[key] = value
-    try:
-        artifact = _load_metrics_spec(args.source, args)
-        text = render_openmetrics(artifact, labels=labels)
-    except ValueError as exc:
-        print(f"metrics-export: {exc}")
-        return 2
-    if args.textfile:
-        write_textfile(args.textfile, text)
-        print(f"OpenMetrics text written to {args.textfile}")
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
@@ -756,24 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="records kept per fingerprint (default 5; "
                               "the newest is never deleted)")
     runs.set_defaults(func=_cmd_runs)
-
-    mex = sub.add_parser("metrics-export",
-                         help="render a metrics artifact or run-index "
-                              "record as Prometheus/OpenMetrics text")
-    mex.add_argument("source", help="metrics JSON path or run-index "
-                                    "reference (runs:<id> / runs:latest)")
-    mex.add_argument("--textfile", default=None, metavar="FILE",
-                     help="write atomically to FILE (node_exporter "
-                          "textfile-collector friendly) instead of stdout")
-    mex.add_argument("--label", action="append", default=[],
-                     metavar="KEY=VALUE",
-                     help="extra label attached to every sample; "
-                          "repeatable")
-    mex.add_argument("--run-index", default=None, metavar="DB",
-                     help="index database runs:<id> references resolve "
-                          "against (default: $REPRO_RUN_INDEX or "
-                          ".repro-runs.sqlite)")
-    mex.set_defaults(func=_cmd_metrics_export)
 
     table = sub.add_parser("table", parents=[telemetry],
                            help="regenerate a paper table")

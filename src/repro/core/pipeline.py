@@ -35,7 +35,7 @@ from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
-from ..obs.history import maybe_test_sleep, record_flow_run
+from ..obs.history import record_flow_run
 from ..testseq.sequences import SequenceStats, TestSequence
 from .config import FlowConfig
 from .scan_aware import ScanATPGResult, ScanAwareATPG
@@ -150,10 +150,6 @@ def generation_flow(
                 final_len=len(result.omitted.sequence.vectors)
                 if result.omitted else len(result.raw.vectors),
             )
-        # Wall-clock-only test hook ($REPRO_TEST_SLEEP): inflates the
-        # flow's elapsed time without touching a single counter, so the
-        # trend gate's outlier/drift separation is testable end to end.
-        maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "generation", result.elapsed_seconds)
     return result
@@ -252,7 +248,6 @@ def translation_flow(
         if result is None:
             result = _translate(circuit, scan_circuit, cfg)
             StageCache(store, circuit).save_flow(cfg, "translation", result)
-        maybe_test_sleep()
     result.elapsed_seconds = root.duration
     record_flow_run(cfg, circuit, "translation", result.elapsed_seconds)
     return result

@@ -1,7 +1,7 @@
 """repro.obs — structured telemetry for the ATPG → fault-sim →
 compaction pipeline.
 
-Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
+Cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
 
 * a **metrics registry** of named counters / gauges / histograms
   (:mod:`~repro.obs.metrics`), populated by instrumentation hooks in the
@@ -30,10 +30,7 @@ Three cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
   run's metrics artifact, platform/git rev) to a
   corruption-tolerant SQLite database; ``repro-atpg runs`` browses
   and trend-gates the fleet of records, and ``diff-metrics runs:A
-  runs:B`` compares two of them;
-* an **OpenMetrics surface** (:mod:`~repro.obs.openmetrics`): render
-  any metrics artifact or index record as Prometheus/OpenMetrics text
-  via ``repro-atpg metrics-export``.
+  runs:B`` compares two of them.
 
 Telemetry is **off by default and free when off**: every hook is a
 global load plus an ``is None`` test until a session is opened with
@@ -91,7 +88,7 @@ from .history import (
     run_config_fingerprint,
 )
 from .journal import SCHEMA as JOURNAL_SCHEMA
-from .journal import RunJournal, read_journal, rotated_journal_path
+from .journal import RunJournal, read_journal
 from .ledger import (
     FaultLedger,
     LedgerEvent,
@@ -108,11 +105,6 @@ from .live import (
     render_watch,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .openmetrics import (
-    parse_openmetrics,
-    render_openmetrics,
-    write_textfile,
-)
 from .report import (
     METRICS_SCHEMA,
     metrics_artifact,
@@ -163,7 +155,6 @@ __all__ = [
     "SpanRecord",
     "RunJournal",
     "read_journal",
-    "rotated_journal_path",
     "JOURNAL_SCHEMA",
     "RUN_RECORD_SCHEMA",
     "RunEntry",
@@ -177,9 +168,6 @@ __all__ = [
     "render_trend",
     "resolve_run_index",
     "run_config_fingerprint",
-    "parse_openmetrics",
-    "render_openmetrics",
-    "write_textfile",
     "METRICS_SCHEMA",
     "metrics_artifact",
     "render_profile",

@@ -113,8 +113,8 @@ class _SpanContext:
         self.duration = record.duration
         if record.rss_kb:
             # The per-path high-water mark as a gauge, so peak memory
-            # rides along in metrics artifacts, run records and the
-            # OpenMetrics export like any other metric.
+            # rides along in metrics artifacts and run records like any
+            # other metric.
             telemetry.set_gauge(f"{record.path}.peak_rss_kb",
                                 record.rss_kb)
         telemetry.event("span.close", path=record.path,

@@ -72,11 +72,6 @@ RUN_INDEX_ENV = "REPRO_RUN_INDEX"
 #: Database used by ``--run-index`` with no explicit path.
 DEFAULT_RUN_INDEX = ".repro-runs.sqlite"
 
-#: Dormant test hook: seconds to sleep inside the flow stopwatch, so
-#: tests (and the CI acceptance scenario) can force a wall-clock
-#: outlier without touching any deterministic counter.
-TEST_SLEEP_ENV = "REPRO_TEST_SLEEP"
-
 #: Counter patterns that must be **bit-identical** across runs with the
 #: same (circuit, config) fingerprints — the default deterministic gate
 #: set for ``runs trend --assert``.  Cache-warmth
@@ -112,23 +107,6 @@ def resolve_run_index(path: Union[str, Path, None] = None
     if env:
         return Path(env)
     return None
-
-
-def maybe_test_sleep() -> None:
-    """Sleep for ``$REPRO_TEST_SLEEP`` seconds (dormant unless set).
-
-    Exists so tests and CI can inject a wall-clock-only slowdown into a
-    real flow — the trend gate must flag the outlier while every
-    deterministic counter stays bit-identical."""
-    raw = os.environ.get(TEST_SLEEP_ENV, "").strip()
-    if not raw:
-        return
-    try:
-        seconds = float(raw)
-    except ValueError:
-        return
-    if seconds > 0:
-        time.sleep(seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +699,7 @@ def rows_of_kind(report: TrendReport, kind: str) -> List[TrendRow]:
 
 
 # ---------------------------------------------------------------------------
-# runs:<id> reference resolution (diff-metrics / metrics-export)
+# runs:<id> reference resolution (diff-metrics)
 # ---------------------------------------------------------------------------
 
 RUNS_REF_PREFIX = "runs:"

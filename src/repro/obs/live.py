@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from .journal import rotated_journal_path
-
 #: Relative expected cost per pipeline phase (leaf span name).  Units
 #: are arbitrary — only ratios matter.  Derived from typical benchmark
 #: splits: ATPG and the two compaction passes dominate; structural
@@ -67,14 +65,6 @@ class JournalFollower:
     the writer mid-``write`` simply buffers the partial tail until the
     rest arrives — no event is ever lost or double-read, and a torn
     line never reaches ``json.loads``.
-
-    Rotation-aware: when the file shrinks below the read offset the
-    writer has rotated it to ``<path>.1`` (see
-    :class:`repro.obs.journal.RunJournal`) — the tail of the sealed
-    segment is drained from there, then reading restarts at the fresh
-    file's beginning.  A rotation ``journal.open`` (one carrying a
-    ``segment`` number) re-bases the wall clock so ``_wall`` stays
-    continuous across segments.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -82,47 +72,19 @@ class JournalFollower:
         self.offset = 0
         self.finished = False     # saw the journal.close
         self.malformed = 0        # complete-but-unparseable lines skipped
-        self.rotations = 0        # segment boundaries crossed
         self._buffer = b""
-        self._ino: Optional[int] = None
         self._base_wall: Optional[float] = None
 
     def poll(self) -> List[Dict]:
         """Drain everything newly appended (possibly nothing)."""
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return []
-        events: List[Dict] = []
-        # Rotation = a new inode at the path (the writer re-creates the
-        # file), or the file shrinking below our offset (filesystems
-        # without stable inodes).  Size alone is not enough: a fresh
-        # segment can outgrow the old offset between two polls.
-        rotated = (self._ino is not None and stat.st_ino != self._ino) \
-            or stat.st_size < self.offset
-        if rotated:
-            # Our segment now lives at <path>.1 (one rotation level;
-            # intermediate segments sealed between slow polls are gone).
-            # Drain whatever it wrote past our offset before moving on.
-            self.rotations += 1
-            try:
-                with rotated_journal_path(self.path).open("rb") as fh:
-                    fh.seek(self.offset)
-                    events.extend(self._parse(fh.read()))
-            except OSError:
-                pass
-            self.offset = 0
-            self._buffer = b""
-        self._ino = stat.st_ino
         try:
             with self.path.open("rb") as fh:
                 fh.seek(self.offset)
                 chunk = fh.read()
                 self.offset = fh.tell()
         except OSError:
-            return events
-        events.extend(self._parse(chunk))
-        return events
+            return []
+        return self._parse(chunk)
 
     def _parse(self, chunk: bytes) -> List[Dict]:
         if not chunk:
@@ -143,13 +105,9 @@ class JournalFollower:
                 self.malformed += 1
                 continue
             etype = event.get("type")
-            if etype == "journal.open":
-                data = event.get("data") or {}
-                wall = data.get("wall_time")
-                # First open sets the wall base; later opens re-base it
-                # only for rotation segments.
-                if isinstance(wall, (int, float)) and \
-                        (self._base_wall is None or data.get("segment")):
+            if etype == "journal.open" and self._base_wall is None:
+                wall = (event.get("data") or {}).get("wall_time")
+                if isinstance(wall, (int, float)):
                     self._base_wall = wall - float(event.get("t", 0.0))
             if etype == "journal.close":
                 self.finished = True

@@ -10,6 +10,10 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+        # metrics-export is not a subcommand: argparse exits 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics-export", "runs:latest"])
+        assert exc.value.code == 2
 
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "s27"])

@@ -1,9 +1,10 @@
 """Tests for the ``repro.obs`` telemetry layer.
 
 Covers the metrics registry arithmetic, span nesting/monotonicity, the
-JSONL journal schema round-trip, the no-op-when-disabled guarantee, and
-the end-to-end ``repro-atpg profile`` acceptance path (nonzero hot-layer
-counters plus per-phase span durations in the metrics artifact).
+JSONL journal schema round-trip, the no-op-when-disabled guarantee, the
+end-to-end ``repro-atpg profile`` acceptance path (nonzero hot-layer
+counters plus per-phase span durations in the metrics artifact), and
+per-phase peak-RSS sampling from span close to the run record.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanLog
+from repro.obs.spans import SpanLog, peak_rss_kb
 
 
 # -- metrics registry -------------------------------------------------------
@@ -388,3 +389,48 @@ def test_profile_s27_metrics_artifact(tmp_path, capsys):
     assert any(e["type"] == "coverage" for e in events)
     # Telemetry is torn down after the CLI returns.
     assert not obs.enabled()
+
+
+# -- per-phase peak RSS -----------------------------------------------------
+
+
+class TestPeakRss:
+    def test_sampling_returns_positive_on_linux(self):
+        assert peak_rss_kb() > 0
+
+    def test_span_log_records_rss_when_tracking(self):
+        """Every span close samples peak RSS; there is no switch."""
+        log = SpanLog()
+        log.open("phase")
+        record = log.close()
+        assert record.rss_kb > 0
+        assert log.aggregate()["phase"]["peak_rss_kb"] > 0
+
+    def test_session_emits_gauges_and_profile_column(self):
+        with obs.session() as telemetry:
+            with obs.span("pipeline.generation"):
+                pass
+        gauges = telemetry.metrics.snapshot()["gauges"]
+        assert gauges["pipeline.generation.peak_rss_kb"] > 0
+        profile = obs.render_profile(telemetry)
+        assert "peakMB" in profile
+        [span] = obs.metrics_artifact(telemetry)["spans"]
+        assert span["peak_rss_kb"] > 0
+
+    def test_rss_lands_in_run_record(self, tmp_path):
+        from repro import FlowConfig, generation_flow
+        from repro.circuit import s27
+        from repro.obs.history import RunIndex
+
+        db = tmp_path / "runs.sqlite"
+        with obs.session():
+            generation_flow(s27(), FlowConfig(seed=1,
+                                              run_index=str(db)))
+        entry = RunIndex(db).latest()
+        rss_gauges = {name: value
+                      for name, value in entry.record["gauges"].items()
+                      if name.endswith("peak_rss_kb")}
+        assert rss_gauges
+        assert all(value > 0 for value in rss_gauges.values())
+        assert all(span["peak_rss_kb"] > 0
+                   for span in entry.record["spans"])

@@ -64,6 +64,10 @@ def test_parallel_surface_is_the_pool():
         ("repro.obs", "progress_snapshot"),
         ("repro.obs", "follow_journal"),
         ("repro.circuit", "eval_gate_packed"),
+        ("repro.obs", "render_openmetrics"),
+        ("repro.obs", "parse_openmetrics"),
+        ("repro.obs", "write_textfile"),
+        ("repro.obs", "rotated_journal_path"),
     ]
     for module, name in removed:
         assert name not in repro.__all__, name
