@@ -58,11 +58,9 @@ from .circuit import (
 )
 from .faults import (
     Fault,
-    TransitionFault,
     collapse_faults,
     dominance_reduce,
     enumerate_faults,
-    enumerate_transition_faults,
 )
 from .sim import (
     BACKEND_AUTO,
@@ -72,7 +70,6 @@ from .sim import (
     FaultSimResult,
     LogicSimulator,
     PackedFaultSimulator,
-    PackedTransitionSimulator,
     SimBackend,
     SimSession,
     make_backend,
@@ -126,7 +123,7 @@ __all__ = [
     "Fault", "enumerate_faults", "collapse_faults",
     # sim
     "LogicSimulator", "PackedFaultSimulator", "FaultSimResult",
-    "PackedTransitionSimulator", "SimSession",
+    "SimSession",
     "SimBackend", "make_backend",
     "BACKEND_AUTO", "BACKEND_PACKED", "BACKEND_VECTOR", "BACKEND_NAMES",
     # atpg
@@ -144,7 +141,6 @@ __all__ = [
     # extensions
     "dominance_reduce",
     "analyze", "compute_testability",
-    "TransitionFault", "enumerate_transition_faults",
     # process pool
     "ResilientPool",
     # result cache

@@ -19,7 +19,7 @@ without looking at simulation results, so a step simulates the whole
 batch at once: :meth:`repro.sim.PackedFaultSimulator.lane_step` puts
 candidate ``j`` in lane ``j`` of one bit-parallel pass, and
 ``select_lane`` commits the winner.  Simulators without a native lane
-step (the vector kernel, custom factories) run the same contract
+step (the vector kernel) run the same contract
 through :class:`SteppedLanes`, one candidate at a time.  The result
 bits — sequence, RNG stream, tie-breaks, backtrack counts — are those
 of trying the candidates one by one and stopping at the first that
@@ -112,10 +112,9 @@ class SteppedLanes:
     ``select_lane`` for any simulator: restore, step and read back one
     candidate at a time.
 
-    Wraps simulators without a native lane step (the vector kernel,
-    :class:`~repro.sim.transition_sim.PackedTransitionSimulator`, test
-    doubles); it is also the reference the packed lane step is tested
-    against.
+    Wraps the vector kernel, which has no native lane step and serves
+    the search minis of big circuits; it is also the reference the
+    packed lane step is tested against.
     """
 
     def __init__(self, sim):
@@ -206,7 +205,6 @@ class SequentialATPG:
         config: Optional[SeqATPGConfig] = None,
         completion_hook: Optional[CompletionHook] = None,
         targets: Optional[Sequence[Fault]] = None,
-        simulator_factory=None,
         triage_hook: Optional[TriageHook] = None,
     ):
         self.circuit = circuit
@@ -222,21 +220,12 @@ class SequentialATPG:
         if unknown:
             raise ValueError(f"targets outside the fault universe: "
                              f"{sorted(map(str, unknown))[:4]}")
-        #: Builds simulators; swap in PackedTransitionSimulator to
-        #: generate for the transition (at-speed) fault model.  ``None``
-        #: routes through :func:`repro.sim.make_backend`, whose size rule
-        #: picks the vector kernel for the global multi-fault simulator
-        #: and packed for the single-fault search minis, where kernel
-        #: setup would dominate.
-        self.simulator_factory = simulator_factory
         self._rng = random.Random(self.config.seed)
         self._num_inputs = circuit.num_inputs
 
     def _make_sim(self, faults: Sequence[Fault]):
-        """A simulator over ``faults``: the custom factory when one was
-        given, otherwise backend selection sized to the fault list."""
-        if self.simulator_factory is not None:
-            return self.simulator_factory(self.circuit, list(faults))
+        """A simulator over ``faults``, picked by the size rule of
+        :func:`repro.sim.make_backend`."""
         return make_backend(self.circuit, list(faults))
 
     # -- public entry ---------------------------------------------------------
@@ -426,7 +415,7 @@ class SequentialATPG:
         config = self.config
         rng = self._rng
         width = config.candidates_per_step
-        held = fault.held_value
+        held = fault.stuck_at
         mini.reset()
         mini.load_machine_states([good_state, fault_state])
         chosen: List[Tuple[int, ...]] = []

@@ -252,6 +252,8 @@ def _load_metrics_spec(spec: str, args: argparse.Namespace):
 
 
 def _cmd_diff_metrics(args: argparse.Namespace) -> int:
+    from .obs.diff import format_rel, format_value
+
     try:
         old = _load_metrics_spec(args.old, args)
         new = _load_metrics_spec(args.new, args)
@@ -265,9 +267,10 @@ def _cmd_diff_metrics(args: argparse.Namespace) -> int:
     if violations:
         print()
         for row, pattern, limit in violations:
-            rel = "inf" if row.rel == float("inf") else f"{100 * row.rel:.1f}"
-            print(f"REGRESSION {row.name}: {row.old:g} -> {row.new:g} "
-                  f"(+{rel}% > {limit:g}% allowed by '{pattern}')")
+            allowed = "no change" if limit == 0 else f"+{limit:g}%"
+            print(f"REGRESSION {row.name}: {format_value(row.old)} -> "
+                  f"{format_value(row.new)} ({format_rel(row)}; "
+                  f"'{pattern}' allows {allowed})")
         return 1
     if thresholds:
         print(f"\nall thresholds satisfied "

@@ -32,20 +32,19 @@ class CompactionOracle:
 
     ``incremental=False`` restarts every query of the underlying
     :class:`SimSession` from cycle 0 (the baseline the perf guards
-    measure against).  ``simulator_factory`` replaces backend selection
-    with a custom API-compatible factory (another fault model, a test
-    double).
+    measure against).  ``sim_backend`` is the session's backend name
+    (``None`` applies the size rule).
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault],
-                 simulator_factory=None,
+                 sim_backend: Optional[str] = None,
                  incremental: bool = True):
         self.circuit = circuit
         self.faults = list(faults)
         self.session = SimSession(
             circuit,
             self.faults,
-            simulator_factory=simulator_factory,
+            sim_backend=sim_backend,
             incremental=incremental,
         )
 

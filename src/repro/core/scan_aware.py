@@ -123,7 +123,6 @@ class ScanAwareATPG:
         use_dominance: bool = False,
         verify_retries: int = 3,
         podem_backtrack_limit: int = 400,
-        simulator_factory=None,
     ):
         self.scan_circuit = scan_circuit
         circuit = scan_circuit.circuit
@@ -134,11 +133,6 @@ class ScanAwareATPG:
         self.use_justification = use_justification
         self.use_dominance = use_dominance
         self.verify_retries = verify_retries
-        #: None = stuck-at via backend selection.  Pass
-        #: PackedTransitionSimulator (with TransitionFault targets and
-        #: use_justification=False — PODEM is stuck-at-only) for at-speed
-        #: transition-fault generation.
-        self.simulator_factory = simulator_factory
         self._rng = random.Random(self.config.seed ^ 0x5CA9)
         self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
         self._sel_idx = self._input_index[scan_circuit.scan_select]
@@ -171,8 +165,7 @@ class ScanAwareATPG:
             targets = reduced + [f for f in self.faults if f in covered]
         engine = SequentialATPG(
             self.circuit, self.faults, config=self.config,
-            completion_hook=hook, targets=targets,
-            simulator_factory=self.simulator_factory, triage_hook=triage,
+            completion_hook=hook, targets=targets, triage_hook=triage,
         )
         base = engine.generate()
         confirmed = set(base.hook_detected)

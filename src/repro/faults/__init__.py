@@ -2,12 +2,6 @@
 
 from .collapse import collapse_faults, equivalence_classes
 from .dominance import dominance_reduce
-from .transition import (
-    TransitionFault,
-    enumerate_transition_faults,
-    slow_to_fall,
-    slow_to_rise,
-)
 from .model import (
     BRANCH,
     STEM,
@@ -27,8 +21,4 @@ __all__ = [
     "collapse_faults",
     "equivalence_classes",
     "dominance_reduce",
-    "TransitionFault",
-    "enumerate_transition_faults",
-    "slow_to_rise",
-    "slow_to_fall",
 ]

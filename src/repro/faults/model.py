@@ -72,13 +72,6 @@ class Fault:
             return f"{self.net}/SA{self.stuck_at}"
         return f"{self.net}->{self.consumer}.{self.pin}/SA{self.stuck_at}"
 
-    @property
-    def held_value(self) -> int:
-        """The value the faulty line holds (same name as on
-        :class:`~repro.faults.transition.TransitionFault`, so fault-model
-        agnostic code can ask whether a site is activated)."""
-        return self.stuck_at
-
 
 def stem_fault(net: str, stuck_at: int) -> Fault:
     """Convenience constructor for a stem fault."""

@@ -8,7 +8,8 @@ Configurable thresholds (shell-style name patterns, each with a maximum
 allowed relative increase) turn the diff into a CI gate:
 ``repro-atpg diff-metrics BENCH_table4.json fresh.json --threshold
 'faultsim.cycles=20'`` exits non-zero when the simulated-cycle count
-regressed by more than 20%.  This is how the committed ``BENCH_*.json``
+regressed by more than 20%; a ``0`` threshold demands exact equality.
+This is how the committed ``BENCH_*.json``
 baselines start the benchmark trajectory: every PR regenerates the
 artifact and diffs it against the committed one.
 """
@@ -59,8 +60,8 @@ class DiffRow:
     """One metric's old/new comparison.
 
     ``rel`` is the relative change (``(new-old)/old``); ``None`` when
-    the metric is new (absent from the old artifact — not a regression)
-    and ``inf`` when it went from exactly 0 to nonzero.
+    the metric is absent from either artifact, and ``inf`` when it went
+    from exactly 0 to nonzero.
     """
 
     name: str
@@ -100,6 +101,21 @@ def diff_metrics(old: Dict, new: Dict) -> List[DiffRow]:
     return sorted(rows, key=key)
 
 
+def format_value(value: Optional[float]) -> str:
+    """One side of a row: the value, or ``-`` when absent."""
+    return "-" if value is None else f"{value:.6g}"
+
+
+def format_rel(row: DiffRow) -> str:
+    """``+12.5%``, ``-3.0%``, ``+inf``, or ``new``/``gone``."""
+    rel = row.rel
+    if rel is None:
+        return "new" if row.old is None else "gone"
+    if rel == float("inf"):
+        return "+inf"
+    return f"{100.0 * rel:+.1f}%"
+
+
 def render_diff(rows: Sequence[DiffRow], top: Optional[int] = None,
                 only_changed: bool = True) -> str:
     """The sorted delta table.  ``only_changed`` hides identical rows;
@@ -110,22 +126,10 @@ def render_diff(rows: Sequence[DiffRow], top: Optional[int] = None,
     if top is not None:
         shown = shown[:top]
 
-    def fmt(value: Optional[float]) -> str:
-        if value is None:
-            return "-"
-        return f"{value:.6g}"
-
-    def fmt_rel(row: DiffRow) -> str:
-        rel = row.rel
-        if rel is None:
-            return "new" if row.old is None else "gone"
-        if rel == float("inf"):
-            return "+inf"
-        return f"{100.0 * rel:+.1f}%"
-
     table = format_table(
         ["metric", "old", "new", "delta", "rel"],
-        [[r.name, fmt(r.old), fmt(r.new), f"{r.delta:+.6g}", fmt_rel(r)]
+        [[r.name, format_value(r.old), format_value(r.new),
+          f"{r.delta:+.6g}", format_rel(r)]
          for r in shown],
         title=f"metric deltas ({total} changed of {len(rows)})",
     )
@@ -163,15 +167,20 @@ def check_thresholds(
     thresholds: Sequence[Tuple[str, float]],
 ) -> List[Tuple[DiffRow, str, float]]:
     """Regressions: rows whose name matches a threshold pattern and
-    whose relative *increase* exceeds that threshold's percentage.
-    Decreases and brand-new metrics never violate."""
+    that break it.  A positive threshold bounds the relative *increase*
+    (decreases pass); a ``0`` threshold demands exact equality.  A
+    gated metric gone from the new artifact violates unless its baseline
+    is 0 (counters absent when zero); brand-new metrics never do."""
     violations = []
     for row in rows:
-        rel = row.rel
-        if rel is None or rel <= 0.0:
-            continue
         for pattern, limit in thresholds:
-            if fnmatchcase(row.name, pattern) and 100.0 * rel > limit:
+            if fnmatchcase(row.name, pattern) and _breaks(row, limit):
                 violations.append((row, pattern, limit))
                 break
     return violations
+
+
+def _breaks(row: DiffRow, limit: float) -> bool:
+    if row.old is None or row.new is None:
+        return row.old not in (None, 0)
+    return row.new != row.old if limit == 0 else 100.0 * row.rel > limit

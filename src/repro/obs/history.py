@@ -541,11 +541,11 @@ def robust_stats(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def modified_z(value: float, median: float, mad: float) -> float:
-    """Iglewicz-Hoaglin modified z-score with a floor on the scale so
-    a near-zero MAD (wall-clock samples that happened to agree) does
-    not turn harmless jitter into infinite scores: deviations smaller
-    than 5% of the median never flag."""
-    scale = max(1.4826 * mad, 0.05 * abs(median), 1e-9)
+    """Iglewicz-Hoaglin modified z-score with the scale floored at half
+    the median and at 2 ms, so a near-zero MAD does not turn jitter (a
+    cold first run at twice the median, a few ms on a sub-ms span) into
+    an outlier."""
+    scale = max(1.4826 * mad, 0.5 * abs(median), 0.002)
     return abs(value - median) / scale
 
 

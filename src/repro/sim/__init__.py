@@ -1,8 +1,8 @@
-"""Simulation substrate: scalar reference logic simulation, the
-fault simulators (the packed bit-parallel reference oracle, the
-vectorized levelized kernel and the transition simulator) on the shared
-:class:`SimBackend` base, and the incremental checkpoint/fault-drop
-session engine layered on top of them.
+"""Simulation substrate: scalar reference logic simulation, the two
+fault simulators (the packed bit-parallel reference oracle and the
+vectorized levelized kernel) on the shared :class:`SimBackend` base,
+and the incremental checkpoint/fault-drop session engine layered on top
+of them.
 
 The vector kernel itself (:mod:`repro.sim.kernel`) is imported lazily —
 it compiles and loads a C library, and nothing here pulls it in until a
@@ -26,7 +26,6 @@ from .fault_sim import (
 )
 from .logic_sim import LogicSimulator, vector_from_string
 from .session import SimSession
-from .transition_sim import PackedTransitionSimulator
 
 __all__ = [
     "LogicSimulator",
@@ -36,7 +35,6 @@ __all__ = [
     "CompiledTopology",
     "compiled_topology",
     "iter_fault_positions",
-    "PackedTransitionSimulator",
     "SimSession",
     "SimBackend",
     "make_backend",

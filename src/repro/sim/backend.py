@@ -16,9 +16,7 @@ amortize: at least ``AUTO_MIN_FAULTS`` fault machines or
 ``AUTO_MIN_GATES`` gates.  Every other case falls back to ``packed``.
 Because the backends are bit-identical, the choice can never change
 result bits.  An explicit ``"packed"`` or ``"vector"`` exists for the
-backend parity tests and benchmarks.  Custom API-compatible
-``simulator_factory`` callables (e.g. ``PackedTransitionSimulator``)
-bypass selection.
+backend parity tests and benchmarks.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ evaluation at the cost of a handful of bitwise operations on ~80-word
 integers — the classic parallel-fault scheme of Seshu, generalized to
 three-valued logic.
 
-Every fault simulator (this one, the vector kernel and the transition
-simulator) subclasses :class:`SimBackend`, which holds that machine/bit
-rule, the whole-sequence query loop and the plane read-outs once; a
-simulator adds its fault injection and :meth:`~SimBackend.step`.
+Both fault simulators (this one and the vector kernel) subclass
+:class:`SimBackend`, which holds that machine/bit rule, the
+whole-sequence query loop and the plane read-outs once; a simulator adds
+its fault injection and :meth:`~SimBackend.step`.
 
 Fault injection
 ---------------
@@ -60,7 +60,7 @@ from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
 
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
-from ..faults.model import BRANCH, STEM, Fault
+from ..faults.model import STEM, Fault
 from ..obs import context as obs
 from ..obs import ledger
 from .logic_sim import vector_from_string
@@ -87,10 +87,8 @@ def compile_injection_masks(faults: Sequence[Fault], index):
             if fault.net not in index:
                 raise ValueError(f"fault on unknown net: {fault}")
             entry = stem.setdefault(fault.net, [0, 0])
-        elif fault.kind == BRANCH:
+        else:  # BRANCH; Fault validates kinds
             entry = branch.setdefault((fault.consumer, fault.pin), [0, 0])
-        else:  # pragma: no cover - Fault validates kinds
-            raise ValueError(f"bad fault kind {fault.kind!r}")
         # entry[0] accumulates force-to-1 bits (SA1 faults),
         # entry[1] accumulates force-to-0 bits (SA0 faults).
         entry[fault.stuck_at ^ 1] |= bit

@@ -116,10 +116,6 @@ class SimSession:
         construction: fault-dropping repacks rebuild the same backend,
         because checkpoint state tokens are remapped in the backend's
         own token format and must never switch formats mid-session.
-    simulator_factory:
-        A custom ``factory(circuit, faults)`` used instead of backend
-        selection (e.g. the transition simulator); it must build a
-        :class:`~repro.sim.fault_sim.SimBackend`.
     incremental:
         When ``False``, every query restarts from cycle 0 and no state
         is snapshotted — the restart baseline used by the perf guards.
@@ -130,28 +126,20 @@ class SimSession:
         circuit: Circuit,
         faults: Sequence[Fault],
         *,
-        simulator_factory=None,
         sim_backend: Optional[str] = None,
         incremental: bool = True,
     ):
         self.circuit = circuit
         self.faults = list(faults)
         self.incremental = incremental
-        if simulator_factory is None:
-            #: Concrete backend name pinned for the session's lifetime
-            #: (None with a custom factory).
-            self.sim_backend = resolve_concrete_backend(
-                sim_backend, len(self.faults), circuit.num_gates)
-            self._factory = backend_class(self.sim_backend)
-            self._sim = make_backend(circuit, self.faults, self.sim_backend)
-        else:
-            self.sim_backend = None
-            self._factory = simulator_factory
-            self._sim = simulator_factory(circuit, self.faults)
+        #: Concrete backend name pinned for the session's lifetime.
+        self.sim_backend = resolve_concrete_backend(
+            sim_backend, len(self.faults), circuit.num_gates)
+        self._sim = make_backend(circuit, self.faults, self.sim_backend)
         # The full-universe simulator, kept for restore_dropped.
         self._base_sim = self._sim
-        # Only the vector kernel steps a word range; the others always
-        # simulate the whole packing.
+        # Only the vector kernel steps a word range; packed always
+        # simulates the whole packing.
         self._narrows = self.sim_backend == BACKEND_VECTOR
 
         #: external mask with one bit per fault (bit 0 clear).
@@ -350,7 +338,8 @@ class SimSession:
         # Release a previous narrow simulator before building the next
         # one; the full-universe one stays for restore_dropped.
         self._sim = None
-        self._sim = self._factory(self.circuit, [faults[i] for i in positions])
+        self._sim = backend_class(self.sim_backend)(
+            self.circuit, [faults[i] for i in positions])
         self._set_packing(positions)
         if checkpoints:
             old_bit = {p: j + 1 for j, p in enumerate(old_positions)}

@@ -13,14 +13,14 @@ from repro import obs
 from repro.atpg import SeqATPGConfig, SequentialATPG
 from repro.atpg import seq_atpg
 from repro.atpg.seq_atpg import SteppedLanes, lane_view
-from repro.circuit import insert_scan, random_circuit, s27
+from repro.circuit import insert_scan, random_circuit
 from repro.circuit.gates import ONE, X, ZERO
 from repro.core.scan_aware import ScanAwareATPG
 from repro.experiments.suite import build_circuit
 from repro.faults import collapse_faults
 from repro.faults.model import branch_fault, stem_fault
-from repro.faults.transition import enumerate_transition_faults
-from repro.sim import PackedFaultSimulator, PackedTransitionSimulator
+from repro.sim import PackedFaultSimulator, make_backend
+from repro.sim.backend import vector_available
 
 
 # -- lane step vs. the per-candidate adapter -------------------------------------------
@@ -121,10 +121,11 @@ def test_lane_view_picks_native_or_adapter(s27_scan):
     faults = collapse_faults(circuit)[:1]
     packed = PackedFaultSimulator(circuit, faults)
     assert lane_view(packed) is packed
-    transition = PackedTransitionSimulator(
-        circuit, enumerate_transition_faults(circuit)[:1])
-    wrapped = lane_view(transition)
-    assert isinstance(wrapped, SteppedLanes) and wrapped.sim is transition
+    if not vector_available():
+        pytest.skip("vector backend unavailable")
+    vector = make_backend(circuit, faults, "vector")
+    wrapped = lane_view(vector)
+    assert isinstance(wrapped, SteppedLanes) and wrapped.sim is vector
 
 
 # -- beam decisions -------------------------------------------------------------------
@@ -227,36 +228,6 @@ def test_scan_aware_decisions_pinned(name, seed):
     digest, backtracks = PINNED[(name, seed)]
     assert _decision_digest(result) == digest
     assert metrics.counter("atpg.backtracks").value == backtracks
-
-
-#: Transition-fault generation on scan s27 through the custom factory
-#: (always the adapter).  With the default 64-vector preamble every
-#: fault falls before targeted search, as before lanes.  Without it the
-#: search runs; that configuration used to crash scoring on the missing
-#: ``stuck_at`` and is pinned to the lane-era values.
-TRANSITION_PINNED = {
-    64: ("735c705fa3b8485d25f966d6fec3a772"
-         "bb230f5589b5007e1590b623fd0ad505", 0),
-    0: ("2a7b674e320d84508aa5449a14defb7c"
-        "3d63af28badb30764726053d5ae2335e", 3348),
-}
-
-
-@pytest.mark.parametrize("preamble", sorted(TRANSITION_PINNED))
-def test_transition_decisions_pinned(preamble):
-    scan_circuit = insert_scan(s27())
-    faults = enumerate_transition_faults(scan_circuit.circuit)
-    config = SeqATPGConfig(seed=1, max_subseq_len=64,
-                           initial_random_vectors=preamble)
-    result, metrics = _generate(
-        scan_circuit, faults, config, use_justification=False,
-        simulator_factory=PackedTransitionSimulator)
-    digest, backtracks = TRANSITION_PINNED[preamble]
-    assert _decision_digest(result) == digest
-    assert metrics.counter("atpg.backtracks").value == backtracks
-    replay = PackedTransitionSimulator(scan_circuit.circuit, faults)
-    assert replay.run(list(result.sequence.vectors)).detection_time \
-        == result.base.detection_time
 
 
 def test_adapter_gives_the_same_search(monkeypatch, s27_scan):

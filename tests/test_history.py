@@ -423,6 +423,26 @@ class TestRobustStats:
         """5% jitter around the median never flags, even at MAD 0."""
         assert modified_z(1.04, 1.0, 0.0) * 0 == 0  # finite
         assert modified_z(1.04, 1.0, 0.0) <= DEFAULT_OUTLIER_Z
+        assert modified_z(0.0, 0.0, 0.0) == 0.0
+
+    def test_cold_run_and_jitter_are_not_outliers(self):
+        """A window of nine identical ``generate s27`` runs around
+        the measured 0.0235 s median: the measured cold first run
+        (0.0474 s, its ``scan_insert`` span 4.4 ms against 0.197 ms)
+        and fast third run (0.0154 s) stay unflagged; a tenth record at
+        ten times the median plus 1 s is the only outlier."""
+        walls = [0.0474, 0.0235, 0.0154, 0.0231, 0.0240, 0.0229, 0.0236,
+                 0.0238, 0.0233]
+        spans = [0.0044] + [0.000197] * 8
+        med, mad = robust_stats(walls)
+        assert all(modified_z(w, med, mad) <= DEFAULT_OUTLIER_Z
+                   for w in walls)
+        span_med, span_mad = robust_stats(spans)
+        assert modified_z(spans[0], span_med, span_mad) <= DEFAULT_OUTLIER_Z
+        assert compute_trend(entries_with_walls(walls)).outlier_ids == []
+        slow = walls + [10 * med + 1.0]
+        report = compute_trend(entries_with_walls(slow))
+        assert report.outlier_ids == [len(slow)]
 
 
 def entries_with_walls(walls, cycles=None, cache_hits=None):

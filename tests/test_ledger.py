@@ -252,9 +252,21 @@ def test_diff_metrics_sorted_and_thresholds():
     violations = obs.check_thresholds(
         rows, [obs.parse_threshold("a.*=20")])
     assert [v[0].name for v in violations] == ["a.cycles"]
-    # 60% allowance passes; decreases and new metrics never violate.
+    # 60% allowance passes; new metrics never violate.
     assert not obs.check_thresholds(rows, [obs.parse_threshold("a.*=60")])
     assert not obs.check_thresholds(rows, [obs.parse_threshold("d.*=0")])
+    # A positive threshold lets a decrease pass; a 0% one is exact
+    # equality, so the same decrease violates it.
+    drop = obs.diff_metrics(_artifact({"a.cycles": 150, "b.count": 10}),
+                            _artifact({"a.cycles": 100, "b.count": 10}))
+    assert not obs.check_thresholds(drop, [obs.parse_threshold("*=20")])
+    violations = obs.check_thresholds(drop, [obs.parse_threshold("*=0")])
+    assert [v[0].name for v in violations] == ["a.cycles"]
+    # A gated metric gone from the new artifact violates, unless its
+    # baseline was 0 (counters absent when zero).
+    gone = obs.diff_metrics(old, _artifact({"a.cycles": 100}))
+    violations = obs.check_thresholds(gone, [obs.parse_threshold("*=20")])
+    assert [v[0].name for v in violations] == ["b.count"]
 
 
 def test_parse_threshold_rejects_malformed():
@@ -277,6 +289,19 @@ def test_cli_diff_metrics_exit_codes(tmp_path, capsys):
     assert "REGRESSION faultsim.cycles" in printed
     assert main(["diff-metrics", str(old), str(new),
                  "--threshold", "faultsim.cycles=60"]) == 0
+    # Under an exact gate a drop fails and is printed with its sign; a
+    # gated metric gone from the new artifact fails too.
+    capsys.readouterr()
+    assert main(["diff-metrics", str(new), str(old),
+                 "--threshold", "faultsim.cycles=0"]) == 1
+    assert "REGRESSION faultsim.cycles: 150 -> 100 (-33.3%; " \
+        "'faultsim.cycles' allows no change)" in capsys.readouterr().out
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(_artifact({})))
+    assert main(["diff-metrics", str(old), str(empty),
+                 "--threshold", "faultsim.*=20"]) == 1
+    assert "REGRESSION faultsim.cycles: 100 -> - (gone; " \
+        "'faultsim.*' allows +20%)" in capsys.readouterr().out
 
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

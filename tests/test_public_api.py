@@ -68,7 +68,30 @@ def test_parallel_surface_is_the_pool():
         ("repro.obs", "parse_openmetrics"),
         ("repro.obs", "write_textfile"),
         ("repro.obs", "rotated_journal_path"),
+        ("repro.sim", "PackedTransitionSimulator"),
+        ("repro.faults", "TransitionFault"),
+        ("repro.faults", "enumerate_transition_faults"),
+        ("repro.faults", "slow_to_rise"),
+        ("repro.faults", "slow_to_fall"),
     ]
     for module, name in removed:
         assert name not in repro.__all__, name
         assert name not in importlib.import_module(module).__all__, name
+
+
+def test_no_constructor_takes_a_simulator_factory():
+    """Simulators come from backend selection only: no public class
+    accepts a custom ``simulator_factory``, and the stuck-at ``Fault``
+    carries no fault-model-agnostic alias of its value."""
+    import inspect
+
+    exported = [getattr(repro, name) for name in repro.__all__]
+    classes = [obj for obj in exported
+               if inspect.isclass(obj) and not issubclass(obj, Exception)]
+    for cls in (repro.SequentialATPG, repro.ScanAwareATPG, repro.SimSession,
+                repro.CompactionOracle):
+        assert cls in classes
+    for cls in classes:
+        params = inspect.signature(cls).parameters
+        assert "simulator_factory" not in params, cls.__name__
+    assert not hasattr(repro.Fault, "held_value")

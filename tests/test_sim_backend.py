@@ -9,17 +9,16 @@ checkpoints, and fault drops/repacks.  The kernel's one-call session
 query returns exactly what the base class's reference loop returns.
 The ``SimBackend`` base contract
 (state round trips, effect masks, the fault/bit rule, run against
-detects_all, independent machines) is checked on the packed, vector and
-transition simulators alike.  Backend selection
-(``auto``/explicit), custom simulator factories, and a vector flow run
-with a third-party array package blocked are covered alongside.
+detects_all, independent machines) is checked on the packed and vector
+simulators alike.  Backend selection (``auto``/explicit) and a vector
+flow run with a third-party array package blocked are covered
+alongside.
 """
 
 import os
 import random
 import subprocess
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,7 @@ from repro.circuit import (
     Circuit, FlipFlop, Gate, insert_scan, random_circuit, s27,
 )
 from repro.circuit.gates import ONE, X, ZERO
-from repro.faults import collapse_faults, enumerate_transition_faults
+from repro.faults import collapse_faults
 from repro.faults.model import enumerate_faults
 from repro.sim import (
     BACKEND_AUTO,
@@ -569,18 +568,8 @@ def test_make_backend_protocol_conformance():
 # -- the shared contract, on every simulator ---------------------------------
 
 
-def _transition_sim(circuit, faults):
-    from repro.sim import PackedTransitionSimulator
-
-    return PackedTransitionSimulator(circuit, faults)
-
-
-#: name -> (simulator class factory, fault universe of its model)
-CONTRACT_SIMS = {
-    "packed": (PackedFaultSimulator, collapse_faults),
-    "vector": (_vector_sim, collapse_faults),
-    "transition": (_transition_sim, enumerate_transition_faults),
-}
+#: name -> simulator factory
+CONTRACT_SIMS = {"packed": PackedFaultSimulator, "vector": _vector_sim}
 
 
 @pytest.fixture(params=sorted(CONTRACT_SIMS))
@@ -588,9 +577,8 @@ def contract_sim(request):
     """``(factory, circuit, faults)`` for one simulator on scan s27."""
     if request.param == "vector" and not vector_available():
         pytest.skip("vector backend unavailable")
-    factory, universe = CONTRACT_SIMS[request.param]
     circuit = insert_scan(s27()).circuit
-    return factory, circuit, universe(circuit)
+    return CONTRACT_SIMS[request.param], circuit, collapse_faults(circuit)
 
 
 def test_contract_machine_states_round_trip(contract_sim):
@@ -681,26 +669,6 @@ def test_contract_run_agrees_with_detects_all(contract_sim):
     early = narrow.run(vectors, stop_when_all_detected=True)
     assert early.detection_time == {f: first[f] for f in detected}
     assert early.num_vectors == max(first.values()) + 1
-
-
-# -- custom simulator factories ----------------------------------------------
-
-
-def test_custom_factory_passes_through_unwarned():
-    calls = []
-
-    def factory(circuit, faults):
-        calls.append(len(faults))
-        return PackedFaultSimulator(circuit, faults)
-
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        session = SimSession(circuit, faults, simulator_factory=factory)
-    assert calls == [len(faults)]
-    assert session.sim_backend is None  # custom factories are unnamed
-    session.close()
 
 
 # -- telemetry: the faultsim.backend signal ----------------------------------

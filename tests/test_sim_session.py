@@ -214,8 +214,8 @@ class TestOmissionPerfGuard:
 class TestOmissionWordGuard:
     """On s953's preset generation flow, omission on the narrowing
     vector session steps at most half the machine words of a full-width
-    sweep (a custom-factory session, which never narrows), with
-    identical results."""
+    sweep (a packed session, which never narrows), with identical
+    results."""
 
     @pytest.fixture(scope="class")
     def s953_flow(self):
@@ -227,10 +227,9 @@ class TestOmissionWordGuard:
         return generation_flow(build_circuit("s953"), config)
 
     @staticmethod
-    def _compact(flow, factory):
+    def _compact(flow, backend):
         circuit = flow.scan_circuit.circuit
-        oracle = CompactionOracle(circuit, flow.faults,
-                                  simulator_factory=factory)
+        oracle = CompactionOracle(circuit, flow.faults, sim_backend=backend)
         restored = restoration_compact(
             circuit, flow.raw, flow.faults, oracle=oracle)
         before = oracle.session.word_cycles
@@ -240,12 +239,9 @@ class TestOmissionWordGuard:
 
     @requires_vector
     def test_omission_steps_at_most_half_the_words(self, s953_flow):
-        from repro.sim.kernel import VectorFaultSimulator
-
         oracle, narrow, narrow_words = self._compact(s953_flow, None)
         assert oracle.session.sim_backend == "vector"
-        _full_oracle, full, full_words = self._compact(
-            s953_flow, VectorFaultSimulator)
+        _full_oracle, full, full_words = self._compact(s953_flow, "packed")
         assert narrow_words * 2 <= full_words
         assert list(narrow.sequence.vectors) == list(full.sequence.vectors)
         assert narrow.omitted_count == full.omitted_count
@@ -276,10 +272,9 @@ def test_narrowed_compaction_matches_packed(params, length, seq_seed):
         circuit.inputs, random_vectors(circuit, length,
                                        random.Random(seq_seed)))
 
-    def compact(factory):
+    def compact(backend):
         with obs.session(ledger=True) as telemetry:
-            oracle = CompactionOracle(circuit, faults,
-                                      simulator_factory=factory)
+            oracle = CompactionOracle(circuit, faults, sim_backend=backend)
             restored = restoration_compact(circuit, sequence, faults,
                                            oracle=oracle)
             omitted = omission_compact(circuit, restored.sequence, faults,
@@ -299,7 +294,7 @@ def test_narrowed_compaction_matches_packed(params, length, seq_seed):
 
     session, narrowed = compact(None)
     assert session.sim_backend == "vector"
-    _packed, reference = compact(PackedFaultSimulator)
+    _packed, reference = compact("packed")
     assert narrowed == reference
 
 
@@ -315,8 +310,8 @@ def test_compaction_queries_never_step_per_cycle(monkeypatch):
     sequence = TestSequence(
         circuit.inputs, random_vectors(circuit, 40, random.Random(2)))
 
-    def compact(factory):
-        oracle = CompactionOracle(circuit, faults, simulator_factory=factory)
+    def compact(backend):
+        oracle = CompactionOracle(circuit, faults, sim_backend=backend)
         restored = restoration_compact(circuit, sequence, faults,
                                        oracle=oracle)
         omitted = omission_compact(circuit, restored.sequence, faults,
@@ -326,7 +321,7 @@ def test_compaction_queries_never_step_per_cycle(monkeypatch):
             omitted.sequence.vectors, omitted.detected,
             omitted.extra_detected)
 
-    _packed, reference = compact(PackedFaultSimulator)
+    _packed, reference = compact("packed")
 
     def step(self, vector):
         raise AssertionError("a session query stepped one cycle")
