@@ -112,6 +112,8 @@ def main(argv=None):
     """Standalone baseline producer for the diff-metrics CI gate."""
     import argparse
 
+    from repro.obs.report import write_metrics_json
+
     parser = argparse.ArgumentParser(
         description="run the corpus-scale identity comparisons under "
                     "telemetry and write the metrics artifact")
@@ -136,9 +138,9 @@ def main(argv=None):
                      time.perf_counter() - started)
     print("\n".join(report_lines(circuit, faults, identity_detected,
                                  session_detected, seconds)))
-    obs.write_metrics_json(args.metrics_out, telemetry,
-                           meta={"bench": "corpus",
-                                 "circuit": f"corpus:{CIRCUIT}"})
+    write_metrics_json(args.metrics_out, telemetry,
+                       meta={"bench": "corpus",
+                             "circuit": f"corpus:{CIRCUIT}"})
     print(f"metrics written to {args.metrics_out}")
     return 0
 

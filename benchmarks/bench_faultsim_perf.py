@@ -270,6 +270,8 @@ def main(argv=None):
         return 2
     from conftest import record_bench
 
+    from repro.obs.report import write_metrics_json
+
     started = time.perf_counter()
     with obs.session() as telemetry:
         with obs.span("bench_faultsim"):
@@ -283,8 +285,8 @@ def main(argv=None):
           f"detected {detected}/{num_faults}")
     print(f"  packed {seconds['packed'] * 1000:8.1f} ms")
     print(f"  vector {seconds['vector'] * 1000:8.1f} ms   {speedup:.1f}x")
-    obs.write_metrics_json(args.metrics_out, telemetry,
-                           meta={"bench": "faultsim", "scale": "s1423-class"})
+    write_metrics_json(args.metrics_out, telemetry,
+                       meta={"bench": "faultsim", "scale": "s1423-class"})
     print(f"metrics written to {args.metrics_out}")
     return 0
 

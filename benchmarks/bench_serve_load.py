@@ -190,6 +190,7 @@ def main(argv=None):
     import argparse
 
     from repro import obs
+    from repro.obs.report import write_metrics_json
 
     parser = argparse.ArgumentParser(
         description="drive the serve daemon with concurrent duplicate "
@@ -208,8 +209,8 @@ def main(argv=None):
                  time.perf_counter() - started)
     check(results, warm, stats)
     print("\n".join(report_lines(results, load_seconds, warm, stats)))
-    obs.write_metrics_json(args.metrics_out, telemetry,
-                           meta={"bench": "serve_load", "circuit": CIRCUIT})
+    write_metrics_json(args.metrics_out, telemetry,
+                       meta={"bench": "serve_load", "circuit": CIRCUIT})
     print(f"metrics written to {args.metrics_out}")
     return 0
 

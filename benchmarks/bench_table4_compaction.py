@@ -74,6 +74,7 @@ def main(argv=None):
     import argparse
 
     from repro import obs
+    from repro.obs.report import write_metrics_json
 
     parser = argparse.ArgumentParser(
         description="run the Table 4 compaction flow under telemetry and "
@@ -92,8 +93,8 @@ def main(argv=None):
     raw = generated.sequence
     print(f"raw {len(raw)} -> restoration {len(restored.sequence)} "
           f"-> omission {len(omitted.sequence)} vectors")
-    obs.write_metrics_json(args.metrics_out, telemetry,
-                           meta={"bench": "table4", "circuit": "s27"})
+    write_metrics_json(args.metrics_out, telemetry,
+                       meta={"bench": "table4", "circuit": "s27"})
     print(f"metrics written to {args.metrics_out}")
     return 0
 

@@ -38,7 +38,8 @@ Layering (see DESIGN.md):
   spans, JSONL run journal), off by default (docs/OBSERVABILITY.md);
 * :mod:`repro.parallel` — the resilient process pool behind
   ``repro-atpg table/report --jobs N`` and the service daemon; flows
-  themselves simulate in one process.
+  themselves simulate in one process, so ``import repro`` does not
+  load it.
 """
 
 from .circuit import (
@@ -109,7 +110,6 @@ from .compaction import (
 )
 from .analysis import analyze, compute_testability
 from .cache import ResultStore, circuit_fingerprint, resolve_cache_dir
-from .parallel import ResilientPool
 from . import obs
 
 __version__ = "1.0.0"
@@ -141,8 +141,6 @@ __all__ = [
     # extensions
     "dominance_reduce",
     "analyze", "compute_testability",
-    # process pool
-    "ResilientPool",
     # result cache
     "ResultStore", "circuit_fingerprint", "resolve_cache_dir",
     # telemetry

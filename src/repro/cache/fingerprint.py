@@ -14,7 +14,9 @@ Every cached artifact is addressed by two coordinates:
   knobs of the producing flow or serve job plus :data:`CACHE_SCHEMA`.  Settings
   that cannot change a bit-identical result (``jobs``, ``cache_dir``,
   ``run_index``) are excluded by construction: callers simply never
-  feed them in.
+  feed them in.  :func:`run_config_fingerprint` is the one over a
+  whole flow's configuration: the ``flow`` entry's key, the serve
+  daemon's job key and the run index's grouping key.
 
 :func:`circuit_fingerprint` is memoized on the circuit object, keyed by
 the *identity* of its netlist tuples: :class:`~repro.circuit.netlist.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from ..circuit.netlist import Circuit
 
@@ -83,3 +86,30 @@ def config_fingerprint(stage: str, **fields) -> str:
     can never alias each other's entries.
     """
     return hash_payload({"schema": CACHE_SCHEMA, "stage": stage, **fields})
+
+
+def run_config_fingerprint(cfg, flow: str = "generation") -> str:
+    """Fingerprint of the semantically relevant flow configuration.
+
+    Covers every :class:`~repro.core.config.FlowConfig` field except
+    the deployment settings ``jobs``, ``cache_dir`` and ``run_index``,
+    which cannot change the bits of a result, so entries and run
+    records key on *what* was computed, not where it was stored.  The
+    flow name is part of the key: a generation and a translation run of
+    the same config compute different things."""
+    return config_fingerprint(
+        "run",
+        flow=flow,
+        seed=cfg.seed,
+        num_chains=cfg.num_chains,
+        compact=cfg.compact,
+        classify_redundant=cfg.classify_redundant,
+        use_scan_knowledge=cfg.use_scan_knowledge,
+        use_justification=cfg.use_justification,
+        redundancy_backtrack_limit=cfg.redundancy_backtrack_limit,
+        max_omission_passes=cfg.max_omission_passes,
+        atpg=asdict(cfg.atpg) if cfg.atpg is not None else None,
+        baseline=asdict(cfg.baseline) if cfg.baseline is not None else None,
+        # Always empty; kept so existing keys do not move.
+        scan="",
+    )

@@ -30,7 +30,6 @@ from ..atpg.seq_atpg import SeqATPGResult
 from ..circuit.netlist import Circuit
 from ..compaction.omission import OmissionResult
 from ..compaction.restoration import RestorationResult
-from ..obs.history import run_config_fingerprint
 from .codec import (
     decode_faults,
     decode_indexed_times,
@@ -43,7 +42,11 @@ from .codec import (
     encode_sequence,
     encode_times,
 )
-from .fingerprint import circuit_fingerprint, config_fingerprint
+from .fingerprint import (
+    circuit_fingerprint,
+    config_fingerprint,
+    run_config_fingerprint,
+)
 from .store import ResultStore
 
 #: Algorithm version of everything a flow runs (scan insertion,

@@ -206,18 +206,22 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .obs.report import render_profile
+
     circuit = _resolve_circuit(args.circuit)
     telemetry = obs.active()
     generation_flow(circuit, _flow_config(args))
     if not args.skip_translation:
         translation_flow(circuit, _flow_config(args))
-    print(obs.render_profile(
+    print(render_profile(
         telemetry, title=f"{circuit.name}: per-phase time breakdown",
         top=args.top))
     return 0
 
 
 def _cmd_explain_fault(args: argparse.Namespace) -> int:
+    from .obs.ledger import explain_fault
+
     circuit = _resolve_circuit(args.circuit)
     fault_ledger = obs.active().ledger
     flow = generation_flow(circuit, _flow_config(args))
@@ -229,41 +233,51 @@ def _cmd_explain_fault(args: argparse.Namespace) -> int:
         if close:
             print("did you mean: " + ", ".join(close[:6]))
         return 1
-    print(obs.explain_fault(fault_ledger, fault))
+    print(explain_fault(fault_ledger, fault))
     return 0
 
 
 def _cmd_explain_vector(args: argparse.Namespace) -> int:
+    from .obs.ledger import explain_vector
+
     circuit = _resolve_circuit(args.circuit)
     fault_ledger = obs.active().ledger
     generation_flow(circuit, _flow_config(args))
-    print(obs.explain_vector(fault_ledger, args.index))
+    print(explain_vector(fault_ledger, args.index))
     return 0
 
 
 def _load_metrics_spec(spec: str, args: argparse.Namespace):
     """A metrics artifact from a JSON path or a ``runs:<id>`` /
     ``runs:latest`` run-index reference."""
+    from .obs.diff import load_metrics
     from .obs.history import is_runs_ref, load_runs_ref
 
     if is_runs_ref(spec):
         return load_runs_ref(spec, _runs_index_path(args))
-    return obs.load_metrics(spec)
+    return load_metrics(spec)
 
 
 def _cmd_diff_metrics(args: argparse.Namespace) -> int:
-    from .obs.diff import format_rel, format_value
+    from .obs.diff import (
+        check_thresholds,
+        diff_metrics,
+        format_rel,
+        format_value,
+        parse_threshold,
+        render_diff,
+    )
 
     try:
         old = _load_metrics_spec(args.old, args)
         new = _load_metrics_spec(args.new, args)
-        thresholds = [obs.parse_threshold(spec) for spec in args.threshold]
+        thresholds = [parse_threshold(spec) for spec in args.threshold]
     except ValueError as exc:
         print(f"diff-metrics: {exc}")
         return 2
-    rows = obs.diff_metrics(old, new)
-    print(obs.render_diff(rows, top=args.top, only_changed=not args.all))
-    violations = obs.check_thresholds(rows, thresholds)
+    rows = diff_metrics(old, new)
+    print(render_diff(rows, top=args.top, only_changed=not args.all))
+    violations = check_thresholds(rows, thresholds)
     if violations:
         print()
         for row, pattern, limit in violations:
@@ -877,10 +891,12 @@ def main(argv: Optional[list] = None) -> int:
     with obs.session(trace=trace, ledger=wants_ledger) as telemetry:
         status = dispatch()
     if metrics_out:
+        from .obs.report import write_metrics_json
+
         meta = {"command": args.command}
         if getattr(args, "circuit", None):
             meta["circuit"] = args.circuit
-        obs.write_metrics_json(metrics_out, telemetry, meta=meta)
+        write_metrics_json(metrics_out, telemetry, meta=meta)
         print(f"metrics written to {metrics_out}")
     return status
 

@@ -14,8 +14,8 @@ from one value::
     flow = generation_flow(circuit, cfg)
 
 Every field says *what* to compute: each one either changes result bits
-(and is part of :func:`repro.obs.history.run_config_fingerprint`) or is
-a deployment setting (``cache_dir``, ``run_index`` and the ignored
+(and is part of :func:`repro.cache.fingerprint.run_config_fingerprint`)
+or is a deployment setting (``cache_dir``, ``run_index`` and the ignored
 ``jobs``).  How to simulate — backend, checkpoint spacing — is chosen
 by the simulation layer itself and never changes a result bit.
 

@@ -1,7 +1,6 @@
 """Experiment suite: circuit specs matched to the paper's Table 5 and the
 runners that regenerate Tables 5, 6 and 7 plus the ablations."""
 
-from . import ablations, report, runner, suite, table5, table6, table7
 from .suite import (
     PAPER_CIRCUITS,
     PAPER_TABLE5,
@@ -14,13 +13,6 @@ from .suite import (
 )
 
 __all__ = [
-    "suite",
-    "runner",
-    "table5",
-    "table6",
-    "table7",
-    "ablations",
-    "report",
     "CircuitSpec",
     "PAPER_CIRCUITS",
     "PAPER_TABLE5",

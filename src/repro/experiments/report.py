@@ -16,6 +16,7 @@ from typing import List, Optional
 from .. import obs
 from ..core import FlowConfig, generation_flow
 from ..obs import ledger as ledger_mod
+from ..obs.report import write_metrics_json
 from . import ablations, suite, table5, table6, table7
 
 
@@ -88,7 +89,7 @@ def attribution_section(circuit_name: str = "s27") -> str:
     finally:
         ledger_mod.deactivate(previous)
     return (f"## fault-ledger attribution ({circuit_name})\n\n"
-            + obs.render_attribution(fault_ledger, flow))
+            + ledger_mod.render_attribution(fault_ledger, flow))
 
 
 def write_report(path, profile: Optional[str] = None) -> str:
@@ -110,8 +111,8 @@ def main(profile: Optional[str] = None,
     with scope as telemetry:
         text = build_report(profile)
         if metrics_out is not None and telemetry is not None:
-            obs.write_metrics_json(metrics_out, telemetry,
-                                   meta={"command": "report"})
+            write_metrics_json(metrics_out, telemetry,
+                               meta={"command": "report"})
     print(text)
     return text
 

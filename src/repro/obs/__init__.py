@@ -23,7 +23,7 @@ Cooperating pieces (``docs/OBSERVABILITY.md`` has the full guide):
   (:class:`JournalFollower`), a progress/ETA model fed by span and
   ``progress.*`` events, and the renderer behind
   ``repro-atpg watch``; plus **trace identity and export**
-  (:mod:`~repro.obs.trace`): run-scoped trace ids, span ids, and
+  (:mod:`~repro.obs.trace`): run-scoped trace ids and
   Chrome/Perfetto trace-event JSON via ``repro-atpg export-trace``;
 * a **run-history index** (:mod:`~repro.obs.history`): every flow run
   with ``--run-index`` appends a versioned record (fingerprints, the
@@ -38,10 +38,14 @@ global load plus an ``is None`` test until a session is opened with
 this).  :mod:`~repro.obs.report` renders a finished session as the
 ``repro-atpg profile`` table or the cross-PR metrics JSON artifact.
 
+The package itself exports only the emit API of
+:mod:`~repro.obs.context`; every other name is imported from its own
+module, so a flow loads neither the differ, the live monitor nor the
+report renderer, and loads ``sqlite3`` only to write a run record.
 Typical use::
 
     from repro import obs
-    from repro.obs import write_metrics_json
+    from repro.obs.report import write_metrics_json
 
     with obs.session(trace="s27.jsonl") as telemetry:
         flow = generation_flow(s27())
@@ -64,75 +68,8 @@ from .context import (
     stopwatch,
     timed,
 )
-from .diff import (
-    DiffRow,
-    check_thresholds,
-    diff_metrics,
-    flatten_metrics,
-    load_metrics,
-    parse_threshold,
-    render_diff,
-)
-from .history import (
-    RUN_RECORD_SCHEMA,
-    RunEntry,
-    RunIndex,
-    TrendReport,
-    TrendRow,
-    build_run_record,
-    compute_trend,
-    load_runs_ref,
-    record_to_artifact,
-    render_trend,
-    resolve_run_index,
-    run_config_fingerprint,
-)
-from .journal import SCHEMA as JOURNAL_SCHEMA
-from .journal import RunJournal, read_journal
-from .ledger import (
-    FaultLedger,
-    LedgerEvent,
-    explain_fault,
-    explain_vector,
-    render_attribution,
-)
-from .live import (
-    DEFAULT_PHASE_WEIGHTS,
-    JournalFollower,
-    PhaseInfo,
-    ProgressModel,
-    ProgressSnapshot,
-    render_watch,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import (
-    METRICS_SCHEMA,
-    metrics_artifact,
-    render_profile,
-    write_metrics_json,
-)
-from .spans import SpanLog, SpanRecord
-from .trace import (
-    TRACE_SCHEMA,
-    export_chrome_trace,
-    new_span_id,
-    new_trace_id,
-    write_chrome_trace,
-)
 
 __all__ = [
-    "FaultLedger",
-    "LedgerEvent",
-    "explain_fault",
-    "explain_vector",
-    "render_attribution",
-    "DiffRow",
-    "load_metrics",
-    "flatten_metrics",
-    "diff_metrics",
-    "render_diff",
-    "parse_threshold",
-    "check_thresholds",
     "Telemetry",
     "session",
     "active",
@@ -147,40 +84,4 @@ __all__ = [
     "span",
     "stopwatch",
     "timed",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "SpanLog",
-    "SpanRecord",
-    "RunJournal",
-    "read_journal",
-    "JOURNAL_SCHEMA",
-    "RUN_RECORD_SCHEMA",
-    "RunEntry",
-    "RunIndex",
-    "TrendReport",
-    "TrendRow",
-    "build_run_record",
-    "compute_trend",
-    "load_runs_ref",
-    "record_to_artifact",
-    "render_trend",
-    "resolve_run_index",
-    "run_config_fingerprint",
-    "METRICS_SCHEMA",
-    "metrics_artifact",
-    "render_profile",
-    "write_metrics_json",
-    "DEFAULT_PHASE_WEIGHTS",
-    "JournalFollower",
-    "PhaseInfo",
-    "ProgressModel",
-    "ProgressSnapshot",
-    "render_watch",
-    "TRACE_SCHEMA",
-    "export_chrome_trace",
-    "new_span_id",
-    "new_trace_id",
-    "write_chrome_trace",
 ]

@@ -102,9 +102,7 @@ class _SpanContext:
         telemetry = self._telemetry
         path = telemetry.spans.open(self._name)
         telemetry.event("span.open", path=path,
-                        depth=telemetry.spans.depth - 1,
-                        span=telemetry.spans.current_span_id,
-                        parent=telemetry.spans.current_parent_id)
+                        depth=telemetry.spans.depth - 1)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -118,8 +116,7 @@ class _SpanContext:
             telemetry.set_gauge(f"{record.path}.peak_rss_kb",
                                 record.rss_kb)
         telemetry.event("span.close", path=record.path,
-                        duration=round(record.duration, 6),
-                        span=record.span_id, parent=record.parent_id)
+                        duration=round(record.duration, 6))
 
 
 class _NoopSpan:

@@ -7,13 +7,10 @@ do".  Every flow that opts in — ``FlowConfig(run_index=)``, the
 — appends one compact, versioned **run record** to a shared SQLite
 index:
 
-* identity — circuit name, the canonical circuit fingerprint from
-  :mod:`repro.cache.fingerprint`, and a **run config fingerprint** over
-  :class:`~repro.core.config.FlowConfig` fields that change result
-  bits (the deployment settings ``jobs``, ``cache_dir`` and
-  ``run_index`` are excluded, exactly like the result cache's stage
-  keys: two runs with the same fingerprints are expected to produce
-  bit-identical deterministic counters);
+* identity — circuit name, the canonical circuit fingerprint and the
+  run config fingerprint from :mod:`repro.cache.fingerprint` (the
+  result cache's ``flow`` key: two runs with the same fingerprints are
+  expected to produce bit-identical deterministic counters);
 * outcome — the session's metrics artifact
   (:func:`~repro.obs.report.metrics_artifact`): counters, gauges,
   histograms and the per-phase span aggregate;
@@ -28,6 +25,8 @@ swallowed, counted (``history.errors``) and journaled.  SQLite's own
 file locking makes concurrent appends from multiple processes safe —
 each record is one short transaction, writers retry behind a busy
 timeout, and readers see either the previous or the new state.
+``sqlite3`` and ``subprocess`` are imported only when a record is
+written or read, so a flow with no run index loads neither.
 
 Fleet analytics on top of the index:
 
@@ -48,10 +47,7 @@ Fleet analytics on top of the index:
 from __future__ import annotations
 
 import json
-import math
 import os
-import sqlite3
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -59,6 +55,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..cache.fingerprint import circuit_fingerprint, run_config_fingerprint
 from . import context as obs
 
 #: Versioned record schema; bump on breaking changes to the record
@@ -113,40 +110,10 @@ def resolve_run_index(path: Union[str, Path, None] = None
 # Run records
 # ---------------------------------------------------------------------------
 
-def run_config_fingerprint(cfg, flow: str = "generation",
-                           scan_fp: str = "") -> str:
-    """Fingerprint of the semantically relevant flow configuration.
-
-    Covers every :class:`~repro.core.config.FlowConfig` field except
-    the deployment settings ``jobs``, ``cache_dir`` and ``run_index``,
-    which cannot change the bits of a result, so records group by
-    *what* was computed, not where it was stored.  The flow name is
-    part of the key: a generation and a translation run of the same
-    config compute different things and must not land in one trend
-    group."""
-    from dataclasses import asdict
-
-    from ..cache.fingerprint import config_fingerprint
-
-    return config_fingerprint(
-        "run",
-        flow=flow,
-        seed=cfg.seed,
-        num_chains=cfg.num_chains,
-        compact=cfg.compact,
-        classify_redundant=cfg.classify_redundant,
-        use_scan_knowledge=cfg.use_scan_knowledge,
-        use_justification=cfg.use_justification,
-        redundancy_backtrack_limit=cfg.redundancy_backtrack_limit,
-        max_omission_passes=cfg.max_omission_passes,
-        atpg=asdict(cfg.atpg) if cfg.atpg is not None else None,
-        baseline=asdict(cfg.baseline) if cfg.baseline is not None else None,
-        scan=scan_fp,
-    )
-
-
 def _git_rev() -> str:
     """Abbreviated git revision of the working tree ("" when unknown)."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
@@ -166,7 +133,6 @@ def build_run_record(
     flow: str,
     wall_seconds: float,
     telemetry=None,
-    extra_meta: Optional[Dict] = None,
 ) -> Dict:
     """Assemble one versioned run record (a plain JSON-able dict).
 
@@ -175,10 +141,12 @@ def build_run_record(
     identity, provenance and wall-clock, just no metrics).  The
     metric payload is exactly :func:`~repro.obs.report.metrics_artifact`'s
     ``counters``/``gauges``/``histograms``/``spans``."""
+    import platform
+
     from .report import metrics_artifact
 
     artifact = metrics_artifact(telemetry) if telemetry is not None else {}
-    record = {
+    return {
         "schema": RUN_RECORD_SCHEMA,
         "created": time.time(),
         "circuit": circuit_name,
@@ -188,21 +156,12 @@ def build_run_record(
         "wall_seconds": round(wall_seconds, 6),
         "git_rev": _git_rev(),
         "python": sys.version.split()[0],
-        "platform": _platform_tag(),
+        "platform": platform.platform(),
         "counters": artifact.get("counters", {}),
         "gauges": artifact.get("gauges", {}),
         "histograms": artifact.get("histograms", {}),
         "spans": artifact.get("spans", []),
     }
-    if extra_meta:
-        record["meta"] = dict(extra_meta)
-    return record
-
-
-def _platform_tag() -> str:
-    import platform
-
-    return platform.platform()
 
 
 def record_to_artifact(record: Dict) -> Dict:
@@ -291,25 +250,34 @@ class RunIndex:
 
     # -- connection plumbing -------------------------------------------------
 
-    def _connect(self) -> Optional[sqlite3.Connection]:
-        """A connection with the schema ensured, or ``None`` when the
-        index is unusable even after quarantine."""
+    def _run(self, op: str, work, default=None):
+        """``work(conn)`` in one transaction on a connection with the
+        schema ensured; ``default`` when the index is unusable even
+        after quarantine, or when ``op`` fails."""
+        import sqlite3
+
         for attempt in (0, 1):
+            conn = None
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 conn = sqlite3.connect(str(self.path), timeout=10.0)
                 conn.executescript(_TABLE_SQL)
-                return conn
+                break
             except (sqlite3.Error, OSError):
-                try:
-                    conn.close()  # type: ignore[possibly-undefined]
-                except Exception:
-                    pass
+                if conn is not None:
+                    conn.close()
                 if attempt == 0 and self._quarantine():
                     continue
                 self._count_error("connect")
-                return None
-        return None
+                return default
+        try:
+            with conn:
+                return work(conn)
+        except (sqlite3.Error, ValueError, TypeError):
+            self._count_error(op)
+            return default
+        finally:
+            conn.close()
 
     def _quarantine(self) -> bool:
         """Move a damaged database aside so a clean one can replace it;
@@ -334,33 +302,23 @@ class RunIndex:
     def append(self, record: Dict) -> Optional[int]:
         """Insert one run record; returns its id, or ``None`` when the
         write failed (never raises)."""
-        conn = self._connect()
-        if conn is None:
+        run_id = self._run("append", lambda conn: int(conn.execute(
+            "INSERT INTO runs (created, circuit, circuit_fp, "
+            "config_fp, flow, git_rev, "
+            "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?)",
+            (
+                float(record.get("created", time.time())),
+                str(record.get("circuit", "")),
+                str(record.get("circuit_fp", "")),
+                str(record.get("config_fp", "")),
+                str(record.get("flow", "")),
+                str(record.get("git_rev", "")),
+                float(record.get("wall_seconds", 0.0)),
+                json.dumps(record, separators=(",", ":"), sort_keys=True),
+            ),
+        ).lastrowid))
+        if run_id is None:
             return None
-        try:
-            with conn:
-                cursor = conn.execute(
-                    "INSERT INTO runs (created, circuit, circuit_fp, "
-                    "config_fp, flow, git_rev, "
-                    "wall_seconds, record) VALUES (?,?,?,?,?,?,?,?)",
-                    (
-                        float(record.get("created", time.time())),
-                        str(record.get("circuit", "")),
-                        str(record.get("circuit_fp", "")),
-                        str(record.get("config_fp", "")),
-                        str(record.get("flow", "")),
-                        str(record.get("git_rev", "")),
-                        float(record.get("wall_seconds", 0.0)),
-                        json.dumps(record, separators=(",", ":"),
-                                   sort_keys=True),
-                    ),
-                )
-            run_id = int(cursor.lastrowid)
-        except (sqlite3.Error, ValueError, TypeError):
-            self._count_error("append")
-            return None
-        finally:
-            conn.close()
         obs.incr("history.appends")
         obs.event("history.append", id=run_id,
                   circuit=record.get("circuit", ""),
@@ -392,16 +350,8 @@ class RunIndex:
             return None
 
     def _query(self, sql: str, params: tuple = ()) -> List[RunEntry]:
-        conn = self._connect()
-        if conn is None:
-            return []
-        try:
-            rows = conn.execute(sql, params).fetchall()
-        except sqlite3.Error:
-            self._count_error("query")
-            return []
-        finally:
-            conn.close()
+        rows = self._run(
+            "query", lambda conn: conn.execute(sql, params).fetchall(), [])
         return [e for e in (self._entry(row) for row in rows)
                 if e is not None]
 
@@ -444,17 +394,8 @@ class RunIndex:
             (circuit_fp, config_fp, limit))
 
     def count(self) -> int:
-        conn = self._connect()
-        if conn is None:
-            return 0
-        try:
-            return int(conn.execute("SELECT COUNT(*) FROM runs")
-                       .fetchone()[0])
-        except sqlite3.Error:
-            self._count_error("count")
-            return 0
-        finally:
-            conn.close()
+        return self._run("count", lambda conn: int(
+            conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]), 0)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -464,26 +405,17 @@ class RunIndex:
         ``keep`` is clamped to >= 1 — the newest same-fingerprint record
         is never deleted."""
         keep = max(1, int(keep))
-        conn = self._connect()
-        if conn is None:
+        deleted = self._run("gc", lambda conn: conn.execute(
+            "DELETE FROM runs WHERE id NOT IN ("
+            "  SELECT id FROM ("
+            "    SELECT id, ROW_NUMBER() OVER ("
+            "      PARTITION BY circuit_fp, config_fp "
+            "      ORDER BY id DESC) AS rank FROM runs"
+            "  ) WHERE rank <= ?)",
+            (keep,),
+        ).rowcount)
+        if deleted is None:
             return 0
-        try:
-            with conn:
-                cursor = conn.execute(
-                    "DELETE FROM runs WHERE id NOT IN ("
-                    "  SELECT id FROM ("
-                    "    SELECT id, ROW_NUMBER() OVER ("
-                    "      PARTITION BY circuit_fp, config_fp "
-                    "      ORDER BY id DESC) AS rank FROM runs"
-                    "  ) WHERE rank <= ?)",
-                    (keep,),
-                )
-                deleted = cursor.rowcount
-        except sqlite3.Error:
-            self._count_error("gc")
-            return 0
-        finally:
-            conn.close()
         obs.incr("history.gc_deleted", max(0, deleted))
         return max(0, deleted)
 
@@ -502,8 +434,6 @@ def record_flow_run(cfg, circuit, flow: str,
         path = resolve_run_index(getattr(cfg, "run_index", None))
         if path is None:
             return None
-        from ..cache.fingerprint import circuit_fingerprint
-
         record = build_run_record(
             circuit_name=circuit.name,
             circuit_fp=circuit_fingerprint(circuit),
@@ -665,10 +595,10 @@ def render_trend(report: TrendReport, top: Optional[int] = None) -> str:
     listed."""
     from ..reporting.tables import format_table
 
-    det_ok = sum(1 for r in rows_of_kind(report, "deterministic")
-                 if r.flag == "ok")
+    det_ok = sum(1 for r in report.rows
+                 if r.kind == "deterministic" and r.flag == "ok")
     anomalies = [r for r in report.rows if r.flag != "ok"]
-    walls = sorted(rows_of_kind(report, "wall"),
+    walls = sorted((r for r in report.rows if r.kind == "wall"),
                    key=lambda r: -r.z)
     shown = anomalies + [r for r in walls if r.flag == "ok"]
     if top is not None:
@@ -692,10 +622,6 @@ def render_trend(report: TrendReport, top: Optional[int] = None) -> str:
             title="trend detail",
         ))
     return "\n".join(lines)
-
-
-def rows_of_kind(report: TrendReport, kind: str) -> List[TrendRow]:
-    return [row for row in report.rows if row.kind == kind]
 
 
 # ---------------------------------------------------------------------------

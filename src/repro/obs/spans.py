@@ -9,11 +9,8 @@ per-phase time breakdown that ``repro-atpg profile`` prints and the
 metrics artifact exports.
 
 Timing uses ``time.perf_counter`` (monotonic); wall-clock correlation
-is the journal's job.
-
-Every span also carries a ``span_id`` (and the ``parent_id`` of the
-span it nests under) so the journal events written at open/close time
-identify spans across process boundaries — see :mod:`repro.obs.trace`.
+is the journal's job.  A span is its path: flows run in one process,
+so the path and the open/close order identify every span.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .trace import new_span_id
 
 def peak_rss_kb() -> int:
     """This process's peak resident set size in KiB (0 when the
@@ -51,9 +47,7 @@ class SpanRecord:
     depth: int      # nesting depth at open time (0 = root)
     start: float    # perf_counter at open
     end: float      # perf_counter at close
-    span_id: str = ""     # identity of this span within the trace
-    parent_id: str = ""   # span_id of the enclosing span ("" = root)
-    rss_kb: int = 0       # peak RSS at close (0 = platform cannot tell)
+    rss_kb: int = 0  # peak RSS at close (0 = platform cannot tell)
 
     @property
     def duration(self) -> float:
@@ -70,8 +64,8 @@ class SpanLog:
     """
 
     def __init__(self):
-        # (name, path, start, span_id, parent_id)
-        self._stack: List[Tuple[str, str, float, str, str]] = []
+        # (name, path, start)
+        self._stack: List[Tuple[str, str, float]] = []
         self.records: List[SpanRecord] = []
 
     @property
@@ -82,40 +76,26 @@ class SpanLog:
     def current_path(self) -> str:
         return self._stack[-1][1] if self._stack else ""
 
-    @property
-    def current_span_id(self) -> str:
-        """span_id of the innermost open span ("" when none is open)."""
-        return self._stack[-1][3] if self._stack else ""
-
-    @property
-    def current_parent_id(self) -> str:
-        """parent_id of the innermost open span ("" when none is open)."""
-        return self._stack[-1][4] if self._stack else ""
-
     def open(self, name: str) -> str:
         """Open a nested span; returns its dotted path."""
         if "/" in name:
             raise ValueError(f"span name may not contain '/': {name!r}")
         parent = self.current_path
-        parent_id = self.current_span_id
         path = f"{parent}/{name}" if parent else name
-        self._stack.append(
-            (name, path, time.perf_counter(), new_span_id(), parent_id))
+        self._stack.append((name, path, time.perf_counter()))
         return path
 
     def close(self) -> SpanRecord:
         """Close the innermost open span and record it."""
         if not self._stack:
             raise RuntimeError("no open span to close")
-        name, path, start, span_id, parent_id = self._stack.pop()
+        name, path, start = self._stack.pop()
         record = SpanRecord(
             path=path,
             name=name,
             depth=len(self._stack),
             start=start,
             end=time.perf_counter(),
-            span_id=span_id,
-            parent_id=parent_id,
             rss_kb=peak_rss_kb(),
         )
         self.records.append(record)

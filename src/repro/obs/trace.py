@@ -2,17 +2,13 @@
 
 Trace context
 -------------
-A *trace* is one run of the system: a run-scoped ``trace_id`` minted
-when the telemetry session opens, plus a ``span_id`` per span and the
-``parent_id`` linking it to its enclosing span.  The journal records
-the ``trace_id`` in its ``journal.open`` event, and ``span.open`` /
-``span.close`` events carry ``span``/``parent`` keys, so the span tree
-can be rebuilt from the journal alone.
-
-Ids are random (``os.urandom``), hex-encoded, and carry no meaning
-beyond identity: 32 hex chars for a trace, 16 for a span — the same
-shape OpenTelemetry uses, so they splice into external tracing systems
-unchanged.
+A *trace* is one run of the system, named by a run-scoped
+``trace_id`` minted when the telemetry session opens and recorded in
+the journal's ``journal.open`` event.  The id is random
+(``os.urandom``), 32 hex chars — the shape OpenTelemetry uses.  A span
+is its path: ``span.open``/``span.close`` events carry the path, and
+their order nests them, so the span tree is rebuilt from the journal
+alone.
 
 Trace-event export
 ------------------
@@ -49,11 +45,6 @@ def new_trace_id() -> str:
     return os.urandom(16).hex()
 
 
-def new_span_id() -> str:
-    """A fresh 64-bit span id (16 hex chars)."""
-    return os.urandom(8).hex()
-
-
 def export_chrome_trace(events: List[Dict]) -> Dict:
     """Convert journal ``events`` (see
     :func:`repro.obs.journal.read_journal`) into a Chrome trace-event /
@@ -83,8 +74,7 @@ def export_chrome_trace(events: List[Dict]) -> Dict:
             record = {
                 "name": path.rsplit("/", 1)[-1], "cat": "span", "ph": "B",
                 "ts": ts, "pid": pid, "tid": 0,
-                "args": {"path": path, "span": data.get("span", ""),
-                         "parent": data.get("parent", "")},
+                "args": {"path": path},
             }
             trace_events.append(record)
             open_stack.append(record)

@@ -44,13 +44,16 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from ..cache.fingerprint import circuit_fingerprint, config_fingerprint
+from ..cache.fingerprint import (
+    circuit_fingerprint,
+    config_fingerprint,
+    run_config_fingerprint,
+)
 from ..circuit.bench import parse_bench, write_bench
 from ..circuit.netlist import Circuit, CircuitError, FlipFlop, Gate
 from ..core.config import FlowConfig
 from ..core.pipeline import generation_flow, replay_flow, translation_flow
 from ..obs import context as obs
-from ..obs.history import run_config_fingerprint
 
 #: Flow names a submission may request.
 FLOWS = ("generation", "translation")
@@ -168,7 +171,8 @@ def job_fingerprints(circuit: Circuit, cfg: FlowConfig,
                      flow: str) -> Tuple[str, str]:
     """The canonical ``(circuit_fp, config_fp)`` identity of one job.
 
-    ``config_fp`` is :func:`repro.obs.history.run_config_fingerprint`,
+    ``config_fp`` is
+    :func:`repro.cache.fingerprint.run_config_fingerprint`,
     which covers every field that changes result bits (and the flow
     name) — the server's ``cache_dir``/``run_index`` cannot move it.
     """

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro import FlowConfig, generation_flow, obs
+from repro.cache.fingerprint import run_config_fingerprint
 from repro.circuit import s27
 from repro.cli import main
 from repro.obs.history import (
@@ -30,7 +31,6 @@ from repro.obs.history import (
     render_trend,
     resolve_run_index,
     robust_stats,
-    run_config_fingerprint,
 )
 
 
@@ -133,8 +133,8 @@ class TestRunRecord:
 
     def test_artifact_bridge(self):
         """record_to_artifact feeds the existing diff toolchain."""
-        from repro.obs import METRICS_SCHEMA
         from repro.obs.diff import flatten_metrics
+        from repro.obs.report import METRICS_SCHEMA, metrics_artifact
 
         artifact = record_to_artifact(make_record(wall=2.5))
         assert artifact["schema"] == METRICS_SCHEMA
@@ -150,7 +150,7 @@ class TestRunRecord:
             circuit_name="s27", circuit_fp="c", config_fp="k",
             flow="generation", wall_seconds=0.5, telemetry=telemetry)
         bridged = record_to_artifact(record)
-        direct = obs.metrics_artifact(telemetry)
+        direct = metrics_artifact(telemetry)
         for key in ("counters", "histograms", "spans"):
             assert bridged[key] == direct[key], key
         assert bridged["gauges"] == {**direct["gauges"],

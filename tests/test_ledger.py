@@ -18,6 +18,9 @@ from repro.cli import main
 from repro.core import FlowConfig, generation_flow
 from repro.experiments import suite
 from repro.obs import ledger as ledger_mod
+from repro.obs.diff import check_thresholds, diff_metrics, parse_threshold
+from repro.obs.journal import read_journal
+from repro.obs.report import METRICS_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +158,7 @@ def test_omission_journal_decisions_newest_first(tmp_path):
             suite.build_circuit("s27"),
             FlowConfig(seed=suite.circuit_seed("s27")),
         )
-    events = obs.read_journal(trace)
+    events = read_journal(trace)
     decisions = [e["data"] for e in events
                  if e["type"] == "compaction.omission.decision"]
     assert decisions
@@ -178,7 +181,7 @@ def test_session_close_journals_checkpoint_counters(tmp_path):
             suite.build_circuit("s27"),
             FlowConfig(seed=suite.circuit_seed("s27")),
         )
-    events = obs.read_journal(trace)
+    events = read_journal(trace)
     closes = [e["data"] for e in events
               if e["type"] == "faultsim.session.close"]
     assert closes, "compaction oracle must close its session"
@@ -232,7 +235,7 @@ def test_cli_explain_fault_known_fault(capsys):
 
 def _artifact(counters, spans=()):
     return {
-        "schema": obs.METRICS_SCHEMA,
+        "schema": METRICS_SCHEMA,
         "meta": {},
         "counters": dict(counters),
         "gauges": {},
@@ -247,33 +250,33 @@ def _artifact(counters, spans=()):
 def test_diff_metrics_sorted_and_thresholds():
     old = _artifact({"a.cycles": 100, "b.count": 10, "c.new": 0})
     new = _artifact({"a.cycles": 150, "b.count": 11, "d.fresh": 5})
-    rows = obs.diff_metrics(old, new)
+    rows = diff_metrics(old, new)
     assert rows[0].name == "a.cycles" and rows[0].rel == pytest.approx(0.5)
-    violations = obs.check_thresholds(
-        rows, [obs.parse_threshold("a.*=20")])
+    violations = check_thresholds(
+        rows, [parse_threshold("a.*=20")])
     assert [v[0].name for v in violations] == ["a.cycles"]
     # 60% allowance passes; new metrics never violate.
-    assert not obs.check_thresholds(rows, [obs.parse_threshold("a.*=60")])
-    assert not obs.check_thresholds(rows, [obs.parse_threshold("d.*=0")])
+    assert not check_thresholds(rows, [parse_threshold("a.*=60")])
+    assert not check_thresholds(rows, [parse_threshold("d.*=0")])
     # A positive threshold lets a decrease pass; a 0% one is exact
     # equality, so the same decrease violates it.
-    drop = obs.diff_metrics(_artifact({"a.cycles": 150, "b.count": 10}),
+    drop = diff_metrics(_artifact({"a.cycles": 150, "b.count": 10}),
                             _artifact({"a.cycles": 100, "b.count": 10}))
-    assert not obs.check_thresholds(drop, [obs.parse_threshold("*=20")])
-    violations = obs.check_thresholds(drop, [obs.parse_threshold("*=0")])
+    assert not check_thresholds(drop, [parse_threshold("*=20")])
+    violations = check_thresholds(drop, [parse_threshold("*=0")])
     assert [v[0].name for v in violations] == ["a.cycles"]
     # A gated metric gone from the new artifact violates, unless its
     # baseline was 0 (counters absent when zero).
-    gone = obs.diff_metrics(old, _artifact({"a.cycles": 100}))
-    violations = obs.check_thresholds(gone, [obs.parse_threshold("*=20")])
+    gone = diff_metrics(old, _artifact({"a.cycles": 100}))
+    violations = check_thresholds(gone, [parse_threshold("*=20")])
     assert [v[0].name for v in violations] == ["b.count"]
 
 
 def test_parse_threshold_rejects_malformed():
     with pytest.raises(ValueError):
-        obs.parse_threshold("no-equals")
+        parse_threshold("no-equals")
     with pytest.raises(ValueError):
-        obs.parse_threshold("a=not-a-number")
+        parse_threshold("a=not-a-number")
 
 
 def test_cli_diff_metrics_exit_codes(tmp_path, capsys):

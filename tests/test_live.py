@@ -22,28 +22,23 @@ from repro import generation_flow, obs
 from repro.circuit import s27
 from repro.cache import ResultStore
 from repro.cli import main
-from repro.obs import (
+from repro.obs.journal import RunJournal, read_journal
+from repro.obs.live import (
+    DEFAULT_PHASE_WEIGHTS,
     JournalFollower,
     ProgressModel,
-    export_chrome_trace,
-    new_span_id,
-    new_trace_id,
-    read_journal,
     render_watch,
 )
-from repro.obs.journal import RunJournal
-from repro.obs.live import DEFAULT_PHASE_WEIGHTS
+from repro.obs.trace import export_chrome_trace, new_trace_id
 
 
 # -- trace identity ----------------------------------------------------------
 
 
 def test_trace_ids_are_fresh_hex():
-    tid, sid = new_trace_id(), new_span_id()
+    tid = new_trace_id()
     assert len(tid) == 32 and int(tid, 16) >= 0
-    assert len(sid) == 16 and int(sid, 16) >= 0
     assert new_trace_id() != tid
-    assert new_span_id() != sid
 
 
 def test_session_threads_trace_id_through_journal_and_spans(tmp_path):
@@ -55,14 +50,11 @@ def test_session_threads_trace_id_through_journal_and_spans(tmp_path):
                 pass
     events = read_journal(path)
     assert events[0]["data"]["trace_id"] == trace_id
-    spans = [e for e in events if e["type"] == "span.open"]
-    ids = {e["data"]["path"]: e["data"]["span"] for e in spans}
-    parents = {e["data"]["path"]: e["data"]["parent"] for e in spans}
-    assert ids["outer"] != ids["outer/inner"]
-    assert parents["outer"] == ""
-    assert parents["outer/inner"] == ids["outer"]
-    closes = [e for e in events if e["type"] == "span.close"]
-    assert {e["data"]["span"] for e in closes} == set(ids.values())
+    # A span is its path: the paths and the open/close order nest them.
+    spans = [(e["type"], e["data"]["path"]) for e in events
+             if e["type"] in ("span.open", "span.close")]
+    assert spans == [("span.open", "outer"), ("span.open", "outer/inner"),
+                     ("span.close", "outer/inner"), ("span.close", "outer")]
 
 
 # -- incremental tailing -----------------------------------------------------
@@ -106,10 +98,10 @@ from repro.obs.journal import RunJournal
 journal = RunJournal({path!r}, trace_id="ab" * 16)
 print("ready", flush=True)
 for i in range({count}):
-    journal.emit("span.open", path="work.%d" % i, span="%016x" % i, parent="")
+    journal.emit("span.open", path="work.%d" % i)
     journal.emit("progress.work", phase="work", total={count}, done=i,
                  unit="steps", pid=os.getpid())
-    journal.emit("span.close", path="work.%d" % i, span="%016x" % i)
+    journal.emit("span.close", path="work.%d" % i)
     time.sleep(0.002)
 journal.close()
 """
@@ -155,7 +147,7 @@ def test_watch_once_renders_mid_run_output(tmp_path, capsys):
     path = tmp_path / "run.jsonl"
     journal = RunJournal(path, trace_id="cd" * 16)
     journal.emit("progress.plan", flow="generation", phases=["atpg"])
-    journal.emit("span.open", path="pipeline", span="1" * 16, parent="")
+    journal.emit("span.open", path="pipeline")
     assert main(["watch", str(path), "--once"]) == 0
     out = capsys.readouterr().out
     assert "RUNNING" in out and "cdcdcdcdcdcd" in out
@@ -294,9 +286,8 @@ def test_export_chrome_trace_structure(tmp_path):
 def test_export_synthesizes_close_for_unclosed_span(tmp_path):
     path = tmp_path / "run.jsonl"
     journal = RunJournal(path, trace_id=new_trace_id())
-    journal.emit("span.open", path="pipeline", span="a" * 16, parent="")
-    journal.emit("span.open", path="pipeline/atpg", span="b" * 16,
-                 parent="a" * 16)
+    journal.emit("span.open", path="pipeline")
+    journal.emit("span.open", path="pipeline/atpg")
     del journal     # crashed run: no span.close, no journal.close
     trace = export_chrome_trace(read_journal(path))
     opens = [e for e in trace["traceEvents"] if e["ph"] == "B"]

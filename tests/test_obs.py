@@ -13,7 +13,10 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.obs.journal import SCHEMA as JOURNAL_SCHEMA
+from repro.obs.journal import read_journal
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import METRICS_SCHEMA, metrics_artifact, render_profile
 from repro.obs.spans import SpanLog, peak_rss_kb
 
 
@@ -190,7 +193,7 @@ def test_journal_roundtrip(tmp_path):
     with obs.session(trace=str(path)):
         with obs.span("phase"):
             obs.event("custom.kind", payload=7)
-    events = obs.read_journal(path)
+    events = read_journal(path)
     kinds = [e["type"] for e in events]
     assert kinds[0] == "journal.open"
     assert kinds[-1] == "journal.close"
@@ -211,18 +214,18 @@ def test_read_journal_rejects_wrong_schema(tmp_path):
     path.write_text('{"seq": 0, "t": 0.0, "type": "journal.open", '
                     '"data": {"schema": "other/9"}}\n')
     with pytest.raises(ValueError):
-        obs.read_journal(path)
+        read_journal(path)
 
 
 def test_read_journal_rejects_seq_gap(tmp_path):
     path = tmp_path / "gap.jsonl"
     path.write_text(
         '{"seq": 0, "t": 0.0, "type": "journal.open", '
-        f'"data": {{"schema": "{obs.JOURNAL_SCHEMA}"}}}}\n'
+        f'"data": {{"schema": "{JOURNAL_SCHEMA}"}}}}\n'
         '{"seq": 2, "t": 0.1, "type": "x", "data": {}}\n'
     )
     with pytest.raises(ValueError):
-        obs.read_journal(path)
+        read_journal(path)
 
 
 def test_read_journal_tolerates_truncated_trailing_line(tmp_path):
@@ -232,11 +235,11 @@ def test_read_journal_tolerates_truncated_trailing_line(tmp_path):
     with obs.session(trace=str(path)):
         obs.event("custom.kind", payload=1)
         obs.event("custom.kind", payload=2)
-    intact = obs.read_journal(path)
+    intact = read_journal(path)
     text = path.read_text()
     lines = text.splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
-    events = obs.read_journal(path)
+    events = read_journal(path)
     assert events == intact[:-1]
 
 
@@ -248,18 +251,18 @@ def test_read_journal_rejects_corrupt_middle_line(tmp_path):
     lines[1] = lines[1][:5]  # mangle a non-trailing line
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="corrupt journal line 2"):
-        obs.read_journal(path)
+        read_journal(path)
 
 
 def test_read_journal_rejects_future_schema_version(tmp_path):
     path = tmp_path / "future.jsonl"
-    family = obs.JOURNAL_SCHEMA.rsplit("/", 1)[0]
+    family = JOURNAL_SCHEMA.rsplit("/", 1)[0]
     path.write_text(
         '{"seq": 0, "t": 0.0, "type": "journal.open", '
         f'"data": {{"schema": "{family}/999"}}}}\n'
     )
     with pytest.raises(ValueError, match="unsupported journal schema"):
-        obs.read_journal(path)
+        read_journal(path)
 
 
 # -- profile rendering -------------------------------------------------------
@@ -275,13 +278,13 @@ def test_render_profile_sorts_and_truncates():
             time.sleep(0.02)
         with obs.span("mid"):
             time.sleep(0.005)
-    text = obs.render_profile(telemetry)
+    text = render_profile(telemetry)
     lines = [l for l in text.splitlines() if l and not l.startswith("-")]
     phases = [l.split()[0] for l in lines[2:5]]
     assert phases[0] == "slow"  # time-descending
     assert set(phases) == {"slow", "mid", "fast"}
 
-    topped = obs.render_profile(telemetry, top=1)
+    topped = render_profile(telemetry, top=1)
     assert "slow" in topped
     assert "mid" not in topped.split("counters")[0]
     assert "... 2 more phases" in topped
@@ -299,7 +302,7 @@ def test_render_profile_ties_break_by_name():
 
     telemetry = obs.Telemetry()
     telemetry.spans = _FixedSpans()
-    lines = obs.render_profile(telemetry).splitlines()
+    lines = render_profile(telemetry).splitlines()
     phases = [line.split()[0] for line in lines[3:6]]
     assert phases == ["c", "a", "b"]  # time desc, then name asc
 
@@ -319,14 +322,14 @@ def test_render_profile_ties_break_by_name():
             }
 
     telemetry.spans = _TwoRoots()
-    lines = obs.render_profile(telemetry).splitlines()
+    lines = render_profile(telemetry).splitlines()
     rows = [line.split()[:2] for line in lines[3:8]]
     assert rows == [["gen", "1"], ["atpg", "1"], ["omission", "1"],
                     ["tr", "1"], ["omission", "1"]]
     shares = [float(line.split()[3]) for line in lines[3:8]]
     assert shares == [60.0, 30.0, 20.0, 40.0, 24.0]
     # --top keeps the most expensive rows, each still under its root.
-    lines = obs.render_profile(telemetry, top=3).splitlines()
+    lines = render_profile(telemetry, top=3).splitlines()
     assert [line.split()[0] for line in lines[3:6]] == ["gen", "atpg",
                                                         "tr"]
     assert "... 2 more phases" in lines[6]
@@ -346,8 +349,8 @@ def test_metrics_artifact_schema():
         obs.incr("a.count", 2)
         with obs.span("root"):
             pass
-    artifact = obs.metrics_artifact(telemetry, meta={"circuit": "s27"})
-    assert artifact["schema"] == obs.METRICS_SCHEMA
+    artifact = metrics_artifact(telemetry, meta={"circuit": "s27"})
+    assert artifact["schema"] == METRICS_SCHEMA
     assert artifact["meta"]["circuit"] == "s27"
     assert artifact["counters"]["a.count"] == 2
     [root] = [s for s in artifact["spans"] if s["path"] == "root"]
@@ -366,7 +369,7 @@ def test_profile_s27_metrics_artifact(tmp_path, capsys):
     assert "per-phase time breakdown" in printed
 
     artifact = json.loads(out.read_text())
-    assert artifact["schema"] == obs.METRICS_SCHEMA
+    assert artifact["schema"] == METRICS_SCHEMA
     counters = artifact["counters"]
     assert counters["atpg.backtracks"] > 0
     assert counters["faultsim.faults_dropped"] > 0
@@ -384,7 +387,7 @@ def test_profile_s27_metrics_artifact(tmp_path, capsys):
                    if p.startswith("pipeline.generation/"))
     assert children <= paths["pipeline.generation"]["total_seconds"] + 1e-6
 
-    events = obs.read_journal(trace)
+    events = read_journal(trace)
     assert events[0]["type"] == "journal.open"
     assert any(e["type"] == "coverage" for e in events)
     # Telemetry is torn down after the CLI returns.
@@ -412,9 +415,9 @@ class TestPeakRss:
                 pass
         gauges = telemetry.metrics.snapshot()["gauges"]
         assert gauges["pipeline.generation.peak_rss_kb"] > 0
-        profile = obs.render_profile(telemetry)
+        profile = render_profile(telemetry)
         assert "peakMB" in profile
-        [span] = obs.metrics_artifact(telemetry)["spans"]
+        [span] = metrics_artifact(telemetry)["spans"]
         assert span["peak_rss_kb"] > 0
 
     def test_rss_lands_in_run_record(self, tmp_path):

@@ -226,7 +226,7 @@ def test_cli_jobs_flag_parses():
 
 
 def test_render_diff_reports_added_and_removed_keys():
-    from repro.obs import diff_metrics, render_diff
+    from repro.obs.diff import diff_metrics, render_diff
 
     old = {"counters": {"kept": 1, "dropped": 2}, "gauges": {},
            "histograms": {}, "spans": []}
@@ -239,7 +239,7 @@ def test_render_diff_reports_added_and_removed_keys():
 
 
 def test_render_diff_key_churn_not_truncated_by_top():
-    from repro.obs import diff_metrics, render_diff
+    from repro.obs.diff import diff_metrics, render_diff
 
     old = {"counters": {"a": 1}, "gauges": {}, "histograms": {}, "spans": []}
     new = {"counters": {"b": 1, "c": 2}, "gauges": {}, "histograms": {},

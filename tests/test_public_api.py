@@ -1,5 +1,10 @@
 """The package-root public surface (repro.__all__) is the contract."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import repro
 
 
@@ -47,14 +52,30 @@ def test_packed_backend_satisfies_protocol():
 
 
 def test_parallel_surface_is_the_pool():
-    """Flows simulate in one process: the package root exports the
-    process pool, not a fault-sharded engine.  Deleted engines and
-    helpers that no flow or command reached stay out of the surface
-    too, at the root and in their former subpackages."""
+    """Flows simulate in one process: the process pool is reached from
+    ``repro.parallel`` only, and there is no fault-sharded engine.
+    Deleted engines and helpers that no flow or command reached stay
+    out of the surface too, at the root and in their former
+    subpackages, and ``repro.obs`` re-exports only its emit API: every
+    other telemetry name has one import path, its own module."""
     import importlib
 
-    assert "ResilientPool" in repro.__all__
+    import repro.parallel
+
+    assert "ResilientPool" in repro.parallel.__all__
     removed = [
+        ("repro", "ResilientPool"),
+        ("repro.obs", "new_span_id"),
+        ("repro.obs", "RunIndex"),
+        ("repro.obs", "run_config_fingerprint"),
+        ("repro.obs", "read_journal"),
+        ("repro.obs", "write_metrics_json"),
+        ("repro.obs", "diff_metrics"),
+        ("repro.obs", "explain_fault"),
+        ("repro.obs", "JournalFollower"),
+        ("repro.obs", "export_chrome_trace"),
+        ("repro.obs", "MetricsRegistry"),
+        ("repro.obs", "SpanLog"),
         ("repro.parallel", "ParallelFaultSim"),
         ("repro.atpg", "TimeFrameATPG"),
         ("repro.atpg", "unroll"),
@@ -77,6 +98,10 @@ def test_parallel_surface_is_the_pool():
     for module, name in removed:
         assert name not in repro.__all__, name
         assert name not in importlib.import_module(module).__all__, name
+    assert sorted(repro.obs.__all__) == sorted([
+        "Telemetry", "session", "active", "activate", "deactivate",
+        "enabled", "incr", "set_gauge", "observe", "event", "coverage",
+        "span", "stopwatch", "timed"])
 
 
 def test_no_constructor_takes_a_simulator_factory():
@@ -95,3 +120,37 @@ def test_no_constructor_takes_a_simulator_factory():
         params = inspect.signature(cls).parameters
         assert "simulator_factory" not in params, cls.__name__
     assert not hasattr(repro.Fault, "held_value")
+
+
+def test_flows_load_no_run_index_pool_or_monitor():
+    """A cold and a cached generation flow with no run index import
+    neither the SQLite run index, the process pool, the service daemon,
+    the metrics differ, the live monitor nor the report renderer."""
+    script = textwrap.dedent("""
+        import sys, tempfile
+        import repro
+        from repro import FlowConfig, generation_flow, obs, s27
+
+        with tempfile.TemporaryDirectory() as cache:
+            cfg = FlowConfig(seed=1, cache_dir=cache)
+            cold = generation_flow(s27(), cfg)
+            with obs.session() as telemetry:
+                warm = generation_flow(s27(), cfg)
+            hits = telemetry.metrics.snapshot()["counters"].get("cache.hit")
+        assert hits == 1, hits
+        assert warm.omitted.sequence.vectors == cold.omitted.sequence.vectors
+        print(" ".join(sorted(sys.modules)))
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_RUN_INDEX", "REPRO_CACHE")}
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "repro.core.pipeline" in loaded
+    unwanted = {"sqlite3", "multiprocessing", "concurrent.futures",
+                "platform", "repro.parallel", "repro.serve",
+                "repro.obs.diff", "repro.obs.live", "repro.obs.report"}
+    assert not unwanted & loaded, sorted(unwanted & loaded)
