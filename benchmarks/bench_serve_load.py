@@ -137,9 +137,8 @@ def check(results, warm_latencies, stats):
     duplicates = (counters.get("serve.deduped", 0)
                   + counters.get("serve.cache_hits", 0))
     assert duplicates == total - len(DISTINCT_SEEDS) + WARM_PROBES, counters
-    # One tenant: each job's worker writes its flow entry in its own
-    # process, and the daemon copies entries only to other tenants, so
-    # the daemon itself stores nothing.
+    # Each job's worker writes its flow entry in its own process, and
+    # the daemon never writes the store, so it stores nothing.
     assert counters.get("cache.stores", 0) == 0, counters
     # Every answer for the same job — executed, deduped, or replayed —
     # is bit-identical.

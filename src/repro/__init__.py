@@ -60,7 +60,6 @@ from .circuit import (
 from .faults import (
     Fault,
     collapse_faults,
-    dominance_reduce,
     enumerate_faults,
 )
 from .sim import (
@@ -139,7 +138,6 @@ __all__ = [
     "reverse_order_compact", "overlapped_restoration_compact",
     "subsequence_removal_compact",
     # extensions
-    "dominance_reduce",
     "analyze", "compute_testability",
     # result cache
     "ResultStore", "circuit_fingerprint", "resolve_cache_dir",

@@ -204,7 +204,6 @@ class SequentialATPG:
         faults: Sequence[Fault],
         config: Optional[SeqATPGConfig] = None,
         completion_hook: Optional[CompletionHook] = None,
-        targets: Optional[Sequence[Fault]] = None,
         triage_hook: Optional[TriageHook] = None,
     ):
         self.circuit = circuit
@@ -212,14 +211,6 @@ class SequentialATPG:
         self.config = config or SeqATPGConfig()
         self.completion_hook = completion_hook
         self.triage_hook = triage_hook
-        #: Targeting order (defaults to ``faults``).  Every entry must be
-        #: in ``faults``; callers use this to front-load dominance-reduced
-        #: targets so dominated faults mostly fall to fault dropping.
-        self.targets = list(targets) if targets is not None else list(self.faults)
-        unknown = set(self.targets) - set(self.faults)
-        if unknown:
-            raise ValueError(f"targets outside the fault universe: "
-                             f"{sorted(map(str, unknown))[:4]}")
         self._rng = random.Random(self.config.seed)
         self._num_inputs = circuit.num_inputs
 
@@ -246,7 +237,7 @@ class SequentialATPG:
             preamble = [self._random_vector() for _ in range(config.initial_random_vectors)]
             seen = self._apply_suffix(sim, seen, preamble, sequence, result)
 
-        undetected = [f for f in self.targets if f not in result.detection_time]
+        undetected = [f for f in self.faults if f not in result.detection_time]
         if config.max_targeted_faults > 0:
             undetected = undetected[: config.max_targeted_faults]
         for fault in undetected:
@@ -284,17 +275,16 @@ class SequentialATPG:
                 result.hook_detected.append(fault)
             sim, seen = self._maybe_repack(sim, seen, sequence, result)
 
-        targeted = set(self.targets)
-        for fault in self.faults:
-            if fault not in result.detection_time and fault not in targeted \
-                    and fault not in result.aborted:
-                result.aborted.append(fault)
         # A fault aborted early may still fall to fault dropping while a
         # later target's subsequence is applied; keep the partitions
-        # (detected / aborted) disjoint.
-        result.aborted = [
-            f for f in result.aborted if f not in result.detection_time
-        ]
+        # (detected / aborted) disjoint.  Faults past the
+        # ``max_targeted_faults`` cap were never searched: they follow
+        # the searched aborts in universe order, so every fault is
+        # either detected or aborted.
+        detected = result.detection_time
+        searched = set(result.aborted)
+        result.aborted = [f for f in result.aborted if f not in detected] + [
+            f for f in self.faults if f not in detected and f not in searched]
         result.sequence = TestSequence.for_circuit(self.circuit, sequence)
         return result
 

@@ -26,14 +26,9 @@ from .store import (
     CACHE_ENV,
     DEFAULT_CACHE_DIR,
     ENVELOPE_SCHEMA,
-    NAMESPACE_FILE,
-    NAMESPACE_SCHEMA,
     CacheStats,
-    LayeredResultStore,
     ResultStore,
-    open_store,
     resolve_cache_dir,
-    write_namespace,
 )
 
 __all__ = [
@@ -41,14 +36,9 @@ __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
     "ENVELOPE_SCHEMA",
-    "NAMESPACE_FILE",
-    "NAMESPACE_SCHEMA",
     "CacheStats",
-    "LayeredResultStore",
     "ResultStore",
     "StageCache",
-    "open_store",
-    "write_namespace",
     "circuit_fingerprint",
     "config_fingerprint",
     "resolve_cache_dir",

@@ -53,7 +53,7 @@ from .store import ResultStore
 #: collapsing, ATPG, redundancy proofs, the baseline, translation and
 #: compaction) — bump when any engine's output could change for
 #: identical inputs.
-FLOW_VERSION = 1
+FLOW_VERSION = 2
 
 
 class StageCache:

@@ -29,6 +29,10 @@ file, truncated JSON, garbage bytes, wrong schema, fingerprint mismatch
 — is a miss, never an exception: a damaged cache costs a re-derivation,
 not a run.
 
+:meth:`ResultStore.put`, called once by a flow when it finishes, is
+the only code that writes a store; a lookup writes nothing, so a
+read-only cache directory serves hits as well as a writable one.
+
 Telemetry: every lookup emits a ``cache.hit`` or ``cache.miss``
 counter and journal event; writes count ``cache.stores`` and
 ``cache.bytes``.
@@ -40,11 +44,10 @@ import gc
 import json
 import os
 import re
-import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from ..obs import context as obs
 
@@ -59,38 +62,10 @@ CACHE_ENV = "REPRO_CACHE"
 #: Root used by ``--cache`` with no explicit directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Lifetime ``[hits, misses]`` of a store root, persisted in the root;
-#: feeds the hit rate ``repro-atpg cache stats`` reports.
-TALLY_FILE = "hit-tally.json"
-
-#: Marker file that turns a store root into a *namespace layer*: a
-#: tenant-private overlay whose reads fall through to a shared base
-#: store (see :class:`LayeredResultStore` / :func:`open_store`).
-NAMESPACE_FILE = "namespace.json"
-
-#: Schema tag inside :data:`NAMESPACE_FILE`.
-NAMESPACE_SCHEMA = "repro.cache.namespace/1"
-
 #: Name of an entry file (see :meth:`ResultStore._entry_path`); also
 #: matches the ``serve-*`` entries older daemons wrote, so ``clear``
 #: removes them.
 _ENTRY_NAME = re.compile(r"\w+-[0-9a-f]{24}\.json")
-
-#: Serialises this process's tally read-modify-writes (see
-#: :meth:`ResultStore._tally`).
-_tally_lock = threading.Lock()
-
-
-def _reset_tally_lock() -> None:
-    """In a forked child: a fresh lock, since another parent thread may
-    have held the old one at the fork."""
-    global _tally_lock
-    _tally_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_tally_lock)
-
 
 def _replace_atomically(path: Path, blob: bytes) -> bool:
     """Write ``blob`` to ``path`` through a temp file and a rename;
@@ -130,19 +105,6 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
-def _tally_pair(raw: bytes) -> List[int]:
-    """The ``[hits, misses]`` pair a tally file holds; ``[0, 0]`` for
-    an empty or damaged one."""
-    try:
-        cell = json.loads(raw)
-    except ValueError:
-        return [0, 0]
-    if isinstance(cell, list) and len(cell) == 2 \
-            and all(type(n) is int for n in cell):
-        return cell
-    return [0, 0]
-
-
 def resolve_cache_dir(cache_dir: Union[str, Path, None] = None
                       ) -> Optional[Path]:
     """The effective cache root: the explicit argument, else the
@@ -162,8 +124,6 @@ class CacheStats:
     root: str
     entries: int = 0
     total_bytes: int = 0
-    #: lifetime ``[hits, misses]`` of the root.
-    tallies: List[int] = field(default_factory=lambda: [0, 0])
 
 
 class ResultStore:
@@ -187,24 +147,13 @@ class ResultStore:
         With ``decode`` given, the result is ``decode(payload)``, and a
         payload that ``decode`` rejects with a ``KeyError``,
         ``IndexError``, ``TypeError``, ``ValueError`` or
-        ``AttributeError`` is a ``corrupt`` miss."""
-        payload, size, reason = self._read(circuit_fp, config_fp, decode)
-        if reason is not None:
-            return self._miss(reason)
-        self._hit(circuit_fp, size)
-        return payload
-
-    def _read(self, circuit_fp: str, config_fp: str, decode=None):
-        """Entry read without hit/miss telemetry: ``(payload, bytes,
-        None)`` on a valid entry, ``(None, 0, reason)`` on any kind of
-        miss.  The layered store overrides it so a tenant-layer miss
-        that falls through to a base-layer hit counts as exactly one
-        lookup, not two."""
+        ``AttributeError`` is a ``corrupt`` miss.  A lookup writes
+        nothing."""
         path = self._entry_path(circuit_fp, config_fp)
         try:
             raw = path.read_bytes()
         except OSError:
-            return None, 0, "absent"
+            return self._miss("absent")
         with _cyclic_gc_paused():
             try:
                 envelope = json.loads(raw.decode("utf-8"))
@@ -214,67 +163,26 @@ class ResultStore:
                          or envelope["circuit"] != circuit_fp
                          or envelope["config"] != config_fp)
             except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                return None, 0, "corrupt"
+                return self._miss("corrupt")
             if schema != ENVELOPE_SCHEMA:
-                return None, 0, "schema"
+                return self._miss("schema")
             if stale:
-                return None, 0, "stale"
+                return self._miss("stale")
             if decode is not None:
                 try:
                     payload = decode(payload)
                 except (AttributeError, IndexError, KeyError, TypeError,
                         ValueError):
-                    return None, 0, "corrupt"
-            return payload, len(raw), None
-
-    def _hit(self, circuit_fp: str, size: int):
+                    return self._miss("corrupt")
         obs.incr("cache.hit")
-        obs.event("cache.hit", circuit=circuit_fp[:12], bytes=size)
-        self._tally(hit=True)
+        obs.event("cache.hit", circuit=circuit_fp[:12], bytes=len(raw))
+        return payload
 
-    def _miss(self, reason: str):
+    @staticmethod
+    def _miss(reason: str):
         obs.incr("cache.miss")
         obs.event("cache.miss", reason=reason)
-        self._tally(hit=False)
         return None
-
-    # -- hit/miss tallies --------------------------------------------------------
-
-    def _tally(self, hit: bool) -> None:
-        """Count one lookup in ``<root>/hit-tally.json`` at once, so a
-        pool worker that leaves through ``os._exit`` loses none.  The
-        file is rewritten in place, new bytes first and then the
-        truncation: the counts only grow, so a concurrent reader sees
-        the old or the new pair, and the few system calls cost a
-        fraction of creating and renaming a temp file.  Exact within a
-        process; across processes the tallies are advisory (two writers
-        may drop each other's increment).  Errors are swallowed."""
-        path = self.root / TALLY_FILE
-        with _tally_lock:
-            try:
-                try:
-                    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-                except FileNotFoundError:
-                    self.root.mkdir(parents=True, exist_ok=True)
-                    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-                try:
-                    cell = _tally_pair(os.read(fd, 256))
-                    cell[0 if hit else 1] += 1
-                    blob = json.dumps(cell).encode()
-                    os.lseek(fd, 0, os.SEEK_SET)
-                    os.write(fd, blob)
-                    os.ftruncate(fd, len(blob))
-                finally:
-                    os.close(fd)
-            except OSError:
-                pass
-
-    def tallies(self) -> List[int]:
-        """Lifetime ``[hits, misses]`` of the root."""
-        try:
-            return _tally_pair((self.root / TALLY_FILE).read_bytes())
-        except OSError:
-            return [0, 0]
 
     def put(self, circuit_fp: str, config_fp: str, payload) -> None:
         """Persist a payload atomically (write-then-rename).  A write
@@ -298,20 +206,11 @@ class ResultStore:
         obs.incr("cache.bytes", len(blob))
         obs.event("cache.store", circuit=circuit_fp[:12], bytes=len(blob))
 
-    def copy_to(self, target: "ResultStore", circuit_fp: str,
-                config_fp: str) -> None:
-        """Give ``target`` the entry this store serves at the address,
-        byte for byte (:meth:`put` rebuilds the envelope it parsed); a
-        no-op when there is no valid entry."""
-        payload, _size, reason = self._read(circuit_fp, config_fp)
-        if reason is None:
-            target.put(circuit_fp, config_fp, payload)
-
     # -- maintenance ------------------------------------------------------------
 
     def _buckets(self):
-        """Every ``<fp[:2]>/<fp>`` directory of the store's layout —
-        not a tenant overlay's ``tenants/<tenant>`` directory."""
+        """Every ``<fp[:2]>/<fp>`` directory of the store's layout;
+        other directories under the root are skipped."""
         if not self.root.is_dir():
             return
         for shard in sorted(self.root.iterdir()):
@@ -331,7 +230,7 @@ class ResultStore:
                     yield entry
 
     def stats(self) -> CacheStats:
-        """Entry count, byte total and lookup tally."""
+        """Entry count and byte total."""
         stats = CacheStats(root=str(self.root))
         for entry in self._entries():
             try:
@@ -340,7 +239,6 @@ class ResultStore:
                 continue
             stats.entries += 1
             stats.total_bytes += size
-        stats.tallies = self.tallies()
         return stats
 
     def clear(self) -> int:
@@ -362,82 +260,3 @@ class ResultStore:
                     pass
         obs.incr("cache.clears")
         return removed
-
-
-class LayeredResultStore(ResultStore):
-    """A tenant-private overlay with read-through to a shared base.
-
-    Lookups consult the overlay first and fall through to the base
-    store on a miss; writes land in the overlay only, so one tenant's
-    results never pollute another's namespace while everything already
-    in the shared layer is served to all tenants for free.  A
-    fall-through hit counts as a single ``cache.hit`` (plus a
-    ``cache.hit.base`` marker); both layers missing counts one miss.
-
-    Exactly one level of layering is supported: the base is always a
-    plain :class:`ResultStore`, never another overlay — namespace
-    chains would make invalidation unreasonable.
-    """
-
-    def __init__(self, root: Union[str, Path],
-                 base: Union[str, Path, ResultStore]):
-        super().__init__(root)
-        self.base = (base if isinstance(base, ResultStore)
-                     else ResultStore(base))
-
-    def _read(self, circuit_fp: str, config_fp: str, decode=None):
-        found = super()._read(circuit_fp, config_fp, decode)
-        if found[2] is None:
-            return found
-        payload, size, base_reason = self.base._read(
-            circuit_fp, config_fp, decode)
-        if base_reason is None:
-            obs.incr("cache.hit.base")
-            return payload, size, None
-        # Report the overlay's reason unless it was merely absent there
-        # (the interesting diagnosis is then the base layer's).
-        return None, 0, found[2] if found[2] != "absent" else base_reason
-
-
-def write_namespace(root: Union[str, Path],
-                    base: Union[str, Path]) -> Path:
-    """Mark ``root`` as a namespace layer over ``base`` by writing its
-    :data:`NAMESPACE_FILE` pointer (atomic, idempotent).  Returns the
-    pointer path."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / NAMESPACE_FILE
-    blob = json.dumps({"schema": NAMESPACE_SCHEMA, "base": str(base)},
-                      separators=(",", ":"), sort_keys=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(blob, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def open_store(root: Union[str, Path]) -> ResultStore:
-    """Open a store root, honouring a namespace pointer when present.
-
-    A root containing a valid :data:`NAMESPACE_FILE` opens as a
-    :class:`LayeredResultStore` over the base it names (relative base
-    paths resolve against the root); anything else — no pointer,
-    unreadable pointer, wrong schema — opens as a plain
-    :class:`ResultStore`, so a damaged pointer degrades to an isolated
-    cache rather than an error.  Every internal call site
-    (``FlowConfig.result_store``) routes through this factory, which is
-    what lets the serve daemon hand workers a tenant directory and have
-    the flows' cache become tenant-aware transparently.
-    """
-    root = Path(root)
-    try:
-        raw = json.loads((root / NAMESPACE_FILE)
-                         .read_text(encoding="utf-8"))
-        base = raw["base"] if raw["schema"] == NAMESPACE_SCHEMA else None
-    except (OSError, ValueError, KeyError, TypeError):
-        base = None
-    if not base or not isinstance(base, str):
-        return ResultStore(root)
-    base_path = Path(base)
-    if not base_path.is_absolute():
-        base_path = root / base_path
-    return LayeredResultStore(root, ResultStore(base_path))

@@ -528,11 +528,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"cache root: {stats.root}")
     print(f" entries: {stats.entries}")
     print(f"   bytes: {stats.total_bytes}")
-    hits, misses = stats.tallies
-    if hits + misses:
-        print(f"hit rate: {100.0 * hits / (hits + misses):5.1f}%  "
-              f"({hits} hit{'s' if hits != 1 else ''} / "
-              f"{hits + misses} lookups)")
     return 0
 
 
@@ -810,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="persistent worker processes / concurrent "
                           "jobs (default 2)")
     srv.add_argument("--cache", default=None, metavar="DIR",
-                     help="base result store shared by all tenants "
+                     help="result store shared by all tenants "
                           "(default <state>/cache)")
     srv.add_argument("--state", default=".repro-serve", metavar="DIR",
                      help="job specs/journals/results directory "

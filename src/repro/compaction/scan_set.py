@@ -18,6 +18,7 @@ early easy-fault tests usually fall away.)
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from ..atpg.scan_sim import scan_test_detections
@@ -25,6 +26,7 @@ from ..circuit.netlist import Circuit
 from ..testseq.scan_tests import ScanTestSet
 from ..faults.model import Fault
 from ..sim.backend import make_backend
+from ..sim.fault_sim import iter_fault_positions
 from ..sim.session import SimSession
 
 
@@ -85,25 +87,9 @@ def trim_test_tails(
     tests = list(test_set)
     masks = [session.scan_test_mask(t.scan_in, t.vectors) for t in tests]
 
-    cover_count: Dict[int, int] = {}  # bit position -> tests detecting it
-    for mask in masks:
-        position = 0
-        while mask:
-            if mask & 1:
-                cover_count[position] = cover_count.get(position, 0) + 1
-            mask >>= 1
-            position += 1
-
-    def bits(mask: int) -> List[int]:
-        out = []
-        position = 0
-        while mask:
-            if mask & 1:
-                out.append(position)
-            mask >>= 1
-            position += 1
-        return out
-
+    # fault position -> number of tests detecting it
+    cover_count = Counter(position for mask in masks
+                          for position in iter_fault_positions(mask))
     for index in range(len(tests) - 1, -1, -1):
         while len(tests[index].vectors) > 1:
             candidate = tests[index].__class__(
@@ -112,13 +98,12 @@ def trim_test_tails(
             new_mask = session.scan_test_mask(
                 candidate.scan_in, candidate.vectors
             )
-            lost = masks[index] & ~new_mask
-            if any(cover_count.get(b, 0) < 2 for b in bits(lost)):
+            lost = list(iter_fault_positions(masks[index] & ~new_mask))
+            if any(cover_count[position] < 2 for position in lost):
                 break
-            for b in bits(lost):
-                cover_count[b] -= 1
-            for b in bits(new_mask & ~masks[index]):
-                cover_count[b] = cover_count.get(b, 0) + 1
+            cover_count.subtract(lost)
+            cover_count.update(
+                iter_fault_positions(new_mask & ~masks[index]))
             tests[index] = candidate
             masks[index] = new_mask
 

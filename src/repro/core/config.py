@@ -104,16 +104,13 @@ class FlowConfig:
 
     def result_store(self):
         """A :class:`repro.cache.ResultStore` over the effective cache
-        directory, or ``None`` when caching is off.  Opened through
-        :func:`repro.cache.store.open_store`, so a cache directory that
-        carries a namespace pointer (the serve daemon's per-tenant
-        layers) transparently reads through to its shared base."""
+        directory, or ``None`` when caching is off."""
         root = self.effective_cache_dir()
         if root is None:
             return None
-        from ..cache.store import open_store
+        from ..cache.store import ResultStore
 
-        return open_store(root)
+        return ResultStore(root)
 
     def effective_run_index(self):
         """``run_index`` with the ``None -> REPRO_RUN_INDEX -> off``

@@ -120,7 +120,6 @@ class ScanAwareATPG:
         config: Optional[SeqATPGConfig] = None,
         use_scan_knowledge: bool = True,
         use_justification: bool = True,
-        use_dominance: bool = False,
         verify_retries: int = 3,
         podem_backtrack_limit: int = 400,
     ):
@@ -131,7 +130,6 @@ class ScanAwareATPG:
         self.config = config or SeqATPGConfig()
         self.use_scan_knowledge = use_scan_knowledge
         self.use_justification = use_justification
-        self.use_dominance = use_dominance
         self.verify_retries = verify_retries
         self._rng = random.Random(self.config.seed ^ 0x5CA9)
         self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
@@ -155,17 +153,9 @@ class ScanAwareATPG:
         hook = self._complete if self.use_scan_knowledge else None
         triage = self._proven_untestable \
             if self.use_scan_knowledge and self.use_justification else None
-        targets = None
-        if self.use_dominance:
-            from ..faults.dominance import dominance_reduce
-
-            reduced, covered = dominance_reduce(self.circuit, self.faults)
-            # Reduced targets first; dominated faults last (they usually
-            # fall to fault dropping once their coverers are tested).
-            targets = reduced + [f for f in self.faults if f in covered]
         engine = SequentialATPG(
             self.circuit, self.faults, config=self.config,
-            completion_hook=hook, targets=targets, triage_hook=triage,
+            completion_hook=hook, triage_hook=triage,
         )
         base = engine.generate()
         confirmed = set(base.hook_detected)

@@ -1,7 +1,6 @@
 """Fault substrate: single stuck-at fault model and equivalence collapsing."""
 
 from .collapse import collapse_faults, equivalence_classes
-from .dominance import dominance_reduce
 from .model import (
     BRANCH,
     STEM,
@@ -20,5 +19,4 @@ __all__ = [
     "enumerate_faults",
     "collapse_faults",
     "equivalence_classes",
-    "dominance_reduce",
 ]

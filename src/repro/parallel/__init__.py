@@ -10,10 +10,9 @@ themselves simulate in one process; see ``docs/ARCHITECTURE.md`` →
 "Why flows are serial".
 """
 
-from .pool import PoolStats, ResilientPool, default_start_method
+from .pool import PoolStats, ResilientPool
 
 __all__ = [
     "PoolStats",
     "ResilientPool",
-    "default_start_method",
 ]

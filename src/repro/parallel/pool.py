@@ -19,8 +19,7 @@ unfinished payloads failed", rebuilds the executor and carries on.
 
 Start method: ``fork`` where the platform offers it (cheap, shares the
 parent's imports), else ``spawn``; everything shipped across the
-boundary is spawn-safe — module-level callables, plain-data payloads —
-so ``REPRO_PARALLEL_START_METHOD=spawn`` is always a valid override.
+boundary is spawn-safe — module-level callables, plain-data payloads.
 
 Results are returned **unordered**; callers that need determinism key
 results by content (prefetch keys on circuit names), not by completion
@@ -30,7 +29,6 @@ order.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -38,8 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..obs import context as obs
-
-START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
 
 @dataclass(frozen=True)
@@ -63,16 +59,6 @@ class PoolStats:
     def as_dict(self) -> dict:
         return {"workers": self.workers, "busy": self.busy,
                 "pending": self.pending}
-
-
-def default_start_method() -> str:
-    """``REPRO_PARALLEL_START_METHOD`` if set, else ``fork`` where
-    available (Linux), else ``spawn``."""
-    env = os.environ.get(START_METHOD_ENV, "").strip()
-    if env:
-        return env
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 class ResilientPool:
@@ -120,7 +106,6 @@ class ResilientPool:
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
-        start_method: Optional[str] = None,
         serial_fn: Optional[Callable[[Any], Any]] = None,
         label: str = "parallel.pool",
         persistent: bool = False,
@@ -134,7 +119,6 @@ class ResilientPool:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.start_method = start_method or default_start_method()
         self.serial_fn = serial_fn or task_fn
         self.label = label
         self.persistent = persistent
@@ -148,7 +132,9 @@ class ResilientPool:
     # -- executor lifecycle -------------------------------------------------
 
     def _fresh_executor(self, workers: int) -> ProcessPoolExecutor:
-        context = multiprocessing.get_context(self.start_method)
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,

@@ -15,7 +15,7 @@ Modules:
 * :mod:`~repro.serve.jobs` — submission canonicalization, the dedup
   key, and the worker-side task (with cycle/wall budget enforcement);
 * :mod:`~repro.serve.queue` — round-robin queueing across tenants;
-* :mod:`~repro.serve.store` — tenant cache namespaces + job state;
+* :mod:`~repro.serve.store` — tenant names + job state;
 * :mod:`~repro.serve.stream` — journal -> Server-Sent Events;
 * :mod:`~repro.serve.client` — the blocking Python client.
 """
@@ -25,7 +25,7 @@ from .client import ServeClient, ServeError
 from .jobs import SubmissionError, job_fingerprints, job_key, \
     parse_submission
 from .queue import DEFAULT_TENANT, FairQueue, QueueFull
-from .store import JobStore, tenant_cache_dir, tenant_store, valid_tenant
+from .store import JobStore, valid_tenant
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -41,7 +41,5 @@ __all__ = [
     "job_key",
     "parse_submission",
     "serve",
-    "tenant_cache_dir",
-    "tenant_store",
     "valid_tenant",
 ]

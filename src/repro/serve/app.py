@@ -24,17 +24,15 @@ the ``(circuit fingerprint, run-config fingerprint)`` pair, and
 * an **in-flight** job with the same key is joined, not re-run — the
   second client gets the same ``job_id`` with ``"source": "dedup"``;
 * a **completed** job is replayed from the ``flow`` entry its worker
-  left in the submitting tenant's result store — ``"source": "cache"``,
-  served without touching the pool;
+  left in the daemon's result store — ``"source": "cache"``, served
+  without touching the pool;
 * only a genuinely novel key reaches the queue — ``"source": "new"``.
 
-Tenancy: the ``X-Repro-Tenant`` header namespaces result caching (each
-tenant an overlay over the shared base store, see
-:mod:`repro.serve.store`) and fair queueing (round-robin across
-per-tenant FIFOs, bounded depth, 429 on overflow).  Dedup of in-flight
-work is deliberately global — results are bit-identical regardless of
-who computes them — but every attached tenant's namespace receives a
-copy of the completed job's ``flow`` entry.
+Tenancy: the ``X-Repro-Tenant`` header keys fair queueing (round-robin
+across per-tenant FIFOs, bounded depth, 429 on overflow) and labels
+journal events.  Dedup and the result store are global: a result is
+bit-identical whoever asks for it, so every tenant shares one store,
+and the worker's ``put`` is the only write to it.
 """
 
 from __future__ import annotations
@@ -46,9 +44,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..cache.stages import flow_entry_fp
+from ..cache.store import ResultStore
 from ..obs import context as obs
 from ..parallel.pool import ResilientPool
 from .jobs import (
@@ -61,7 +59,7 @@ from .jobs import (
     run_job,
 )
 from .queue import DEFAULT_MAX_DEPTH, DEFAULT_TENANT, FairQueue, QueueFull
-from .store import JobStore, tenant_cache_dir, tenant_store, valid_tenant
+from .store import JobStore, valid_tenant
 
 #: Job states a client can observe.
 TERMINAL_STATES = frozenset(
@@ -78,7 +76,7 @@ class ServerConfig:
     port: int = 8349                    # 0 = ephemeral (tests)
     workers: int = 2                    # dispatcher threads = worker pools
     state_dir: str = ".repro-serve"     # job specs/journals/results
-    cache_dir: Optional[str] = None     # base result store; default <state>/cache
+    cache_dir: Optional[str] = None     # result store; default <state>/cache
     run_index: Optional[str] = None     # run history; default <state>/runs.sqlite
     queue_depth: int = DEFAULT_MAX_DEPTH
     wall_budget: Optional[float] = None   # per-job wall seconds
@@ -109,12 +107,11 @@ class JobRecord:
     flow: str
     source: str                      # new | dedup | cache
     status: str = "queued"
-    tenants: Set[str] = field(default_factory=set)
     created: float = field(default_factory=time.time)
     finished_at: Optional[float] = None
     error: Optional[str] = None
     #: In-memory result for pure cache replays, which provision no job
-    #: directory (the tenant store already holds the durable copy).
+    #: directory (the result store already holds the durable copy).
     cached_result: Optional[Dict] = None
 
     def public(self) -> Dict:
@@ -161,6 +158,7 @@ class ReproServer:
         self.job_store = JobStore(config.state_dir)
         self.cache_base = config.effective_cache()
         self.cache_base.mkdir(parents=True, exist_ok=True)
+        self.result_store = ResultStore(self.cache_base)
         self.queue = FairQueue(max_depth=config.queue_depth)
         self.pools: List[ResilientPool] = [
             ResilientPool(
@@ -199,21 +197,19 @@ class ReproServer:
                 in_flight = self._by_key.get(key)
                 if in_flight is not None:
                     record = self._jobs[in_flight]
-                    record.tenants.add(tenant)
                     obs.incr("serve.deduped")
                     obs.event("serve.dedup", job=record.job_id,
                               tenant=tenant)
                     return 200, {**record.public(), "source": "dedup"}
 
-            cached = replay_result(tenant_store(self.cache_base, tenant),
-                                   circuit, cfg, flow)
+            cached = replay_result(self.result_store, circuit, cfg, flow)
             if cached is not None:
-                # A pure replay: no job directory (the tenant store is
+                # A pure replay: no job directory (the result store is
                 # the durable copy — provisioning one per hit would grow
                 # disk with every repeat request), result kept on the
                 # record until it ages out of the bounded registry.
                 record = self._register(key, circuit_fp, config_fp, flow,
-                                        tenant, source="cache",
+                                        source="cache",
                                         status="done", in_flight=False)
                 with self._lock:
                     record.finished_at = time.time()
@@ -226,7 +222,7 @@ class ReproServer:
             if self._draining:
                 return 503, {"error": "server is draining"}
             record = self._register(key, circuit_fp, config_fp, flow,
-                                    tenant, source="new", status="queued",
+                                    source="new", status="queued",
                                     in_flight=True)
             self.job_store.create(record.job_id,
                                   canonical_submission(circuit, cfg, flow))
@@ -247,15 +243,14 @@ class ReproServer:
             return 202, record.public()
 
     def _register(self, key: str, circuit_fp: str, config_fp: str,
-                  flow: str, tenant: str, *, source: str, status: str,
+                  flow: str, *, source: str, status: str,
                   in_flight: bool) -> JobRecord:
         with self._lock:
             self._seq += 1
             job_id = f"{key[:12]}-{self._seq:04d}"
             record = JobRecord(job_id=job_id, key=key,
                                circuit_fp=circuit_fp, config_fp=config_fp,
-                               flow=flow, source=source, status=status,
-                               tenants={tenant})
+                               flow=flow, source=source, status=status)
             self._jobs[job_id] = record
             if in_flight:
                 self._by_key[key] = job_id
@@ -316,9 +311,9 @@ class ReproServer:
             "submission": spec,
             "journal": str(self.job_store.journal_path(job_id)),
             "trace_id": job_id,
-            # Workers run against the submitting tenant's overlay and
-            # append to the shared run-history index.
-            "cache_dir": str(tenant_cache_dir(self.cache_base, tenant)),
+            # Workers share the daemon's result store and run-history
+            # index.
+            "cache_dir": str(self.cache_base),
             "run_index": str(self.config.effective_run_index()),
             "wall_budget": self.config.wall_budget,
             "cycle_budget": self.config.cycle_budget,
@@ -328,40 +323,23 @@ class ReproServer:
         outcome = outcomes[0] if outcomes else {
             "job_id": job_id, "status": "failed",
             "error": "worker pool returned no result"}
-        self._finish(record, outcome, tenant)
+        self._finish(record, outcome)
         obs.observe("serve.latency", time.perf_counter() - started)
 
-    def _finish(self, record: JobRecord, outcome: Dict,
-                submitter: str) -> None:
+    def _finish(self, record: JobRecord, outcome: Dict) -> None:
         status = outcome.get("status", "failed")
         outcome.setdefault("source", record.source)
         self.job_store.write_result(record.job_id, outcome)
+        # The worker's ``put`` landed before the pool returned, so an
+        # identical submission arriving once the key is dropped finds
+        # the entry in the store.
+        with self._lock:
+            record.status = status
+            record.finished_at = time.time()
+            record.error = outcome.get("error")
+            if self._by_key.get(record.key) == record.job_id:
+                del self._by_key[record.key]
         done = status == "done" and isinstance(outcome.get("result"), dict)
-        # The worker wrote its ``flow`` entry into the submitter's
-        # store; each tenant that joined through dedup gets a copy
-        # *while the key is still in the in-flight index*, or an
-        # identical submission landing between key removal and the
-        # copy would miss both and re-execute.  Tenants can attach
-        # during a copy round (under the lock, while the key is
-        # present), so loop until none are pending, then drop the key
-        # under the same lock.
-        source = tenant_store(self.cache_base, submitter)
-        entry = (record.circuit_fp, flow_entry_fp(record.config_fp))
-        stored = {submitter}
-        while True:
-            with self._lock:
-                pending = sorted(record.tenants - stored) if done else []
-                if not pending:
-                    record.status = status
-                    record.finished_at = time.time()
-                    record.error = outcome.get("error")
-                    if self._by_key.get(record.key) == record.job_id:
-                        del self._by_key[record.key]
-                    break
-            for tenant in pending:
-                source.copy_to(tenant_store(self.cache_base, tenant),
-                               *entry)
-            stored.update(pending)
         obs.incr("serve.completed" if done else "serve.failed")
         obs.event("serve.finished", job=record.job_id, status=status)
 

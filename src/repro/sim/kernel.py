@@ -51,7 +51,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
 import tempfile
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -410,6 +409,10 @@ def _compile_kernel_library() -> Optional[str]:
         so_path = os.path.join(cache, f"repro-simkernel-{digest}.so")
         if os.path.exists(so_path):
             return so_path
+    # Only a build runs the compiler; a flow that loads a cached
+    # library never imports ``subprocess``.
+    import subprocess
+
     src_fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache)
     tmp_so = src_path[:-2] + ".so"
     try:

@@ -29,7 +29,6 @@ import pytest
 
 from repro import obs
 from repro.cache import (
-    NAMESPACE_FILE,
     ResultStore,
     circuit_fingerprint,
     config_fingerprint,
@@ -38,7 +37,6 @@ from repro.cache import stages as stage_versions
 from repro.circuit import insert_scan, s27
 from repro.circuit.netlist import Circuit, Gate
 from repro.compaction import CompactionOracle, omission_compact
-from repro.cache.store import TALLY_FILE
 from repro.core import FlowConfig, generation_flow, translation_flow
 from repro.faults import collapse_faults
 from repro.sim.fault_sim import compiled_topology
@@ -184,23 +182,19 @@ def test_decode_runs_with_cyclic_gc_paused(tmp_path, was_enabled):
 
 
 def test_stats_and_clear_skip_tenant_overlays(tmp_path):
-    """A tenant overlay under ``<root>/tenants/<tenant>/`` is not part of
-    the base store's layout: the base neither counts nor deletes its
-    pointer or its entries."""
-    from repro.serve import tenant_store
-
+    """Older serve daemons kept per-tenant overlays under
+    ``<root>/tenants/<tenant>/``; a leftover one is outside the store's
+    layout, so the store neither counts, deletes nor reads it."""
     base, cfp, kfp = _addressed(tmp_path)
     base.put(cfp, kfp, {"v": 1})
-    overlay = tenant_store(base.root, "acme")
-    overlay.put(cfp, kfp, {"v": 2})
-    pointer = overlay.root / NAMESPACE_FILE
-    stats = base.stats()
-    assert stats.entries == 1
+    overlay = ResultStore(base.root / "tenants" / "acme")
+    overlay.put(cfp, "e" * 64, {"v": 2})
+    (leftover,) = overlay.root.glob("*/*/flow-*.json")
+    assert base.stats().entries == 1
+    assert base.get(cfp, "e" * 64) is None
     assert base.clear() == 1
     assert base.stats().entries == 0
-    assert pointer.exists()
-    assert overlay.stats().entries == 1
-    assert overlay.get(cfp, kfp) == {"v": 2}
+    assert leftover.exists()
 
 
 def test_cache_clear_removes_serve_entries_of_older_daemons(tmp_path,
@@ -216,6 +210,22 @@ def test_cache_clear_removes_serve_entries_of_older_daemons(tmp_path,
     assert main(["cache", "clear", str(store.root)]) == 0
     assert "cleared 2 cache entries" in capsys.readouterr().out
     assert not entry.parent.exists()
+
+
+def test_cache_stats_cli_prints_root_entries_and_bytes(tmp_path, capsys):
+    """``cache stats`` reports the root, entry count and byte total;
+    lookups leave no hit rate behind to report."""
+    from repro.cli import main
+
+    store, cfp, kfp = _addressed(tmp_path)
+    store.put(cfp, kfp, {"v": 1})
+    store.get(cfp, kfp)
+    store.get(cfp, "e" * 64)
+    assert main(["cache", "stats", str(store.root)]) == 0
+    out = capsys.readouterr().out
+    size = store._entry_path(cfp, kfp).stat().st_size
+    assert out.splitlines() == [f"cache root: {store.root}",
+                                " entries: 1", f"   bytes: {size}"]
 
 
 # -- satellite regressions ----------------------------------------------------
@@ -381,10 +391,31 @@ def test_cold_run_stores_one_entry(tmp_path, small_synth, flow):
     cfg = FlowConfig(seed=3, cache_dir=str(cache))
     _, counters = _run_flow(small_synth, cfg, flow)
     assert counters.get("cache.stores") == 1
-    files = [p for p in cache.rglob("*")
-             if p.is_file() and p.name != TALLY_FILE]
+    files = [p for p in cache.rglob("*") if p.is_file()]
     assert len(files) == 1
     assert files == _flow_entries(cache)
+
+
+def _file_snapshot(root):
+    return sorted((str(p.relative_to(root)), p.stat().st_size,
+                   p.stat().st_mtime_ns)
+                  for p in root.rglob("*") if p.is_file())
+
+
+def test_warm_lookups_write_nothing(tmp_path):
+    """Only a finishing flow's ``put`` writes the store: three warm
+    replays leave every file under the root as the cold run left it."""
+    cache = tmp_path / "cache"
+    cfg = FlowConfig(seed=1, cache_dir=str(cache))
+    cold, _ = _run_flow(s27(), cfg)
+    snapshot = _file_snapshot(cache)
+    assert snapshot
+    for _ in range(3):
+        warm, counters = _run_flow(s27(), cfg)
+        assert warm == cold
+        assert counters.get("cache.hit") == 1
+        assert not counters.get("cache.stores")
+        assert _file_snapshot(cache) == snapshot
 
 
 def _assert_rederives(circuit, cfg, cold):

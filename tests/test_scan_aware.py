@@ -161,54 +161,32 @@ class TestMultiChain:
         assert sim.state == state
 
 
-class TestDominanceTargeting:
-    def test_dominance_ordering_keeps_coverage(self, s27_scan):
-        """Dominance-ordered targeting must reach the same coverage on
-        s27_scan (everything detectable) while targeting fewer faults
-        explicitly up front."""
-        from repro.atpg import SeqATPGConfig
-        from repro.faults import collapse_faults
-
-        faults = collapse_faults(s27_scan.circuit)
-        plain = ScanAwareATPG(
-            s27_scan, faults, config=SeqATPGConfig(seed=5)
-        ).generate()
-        ordered = ScanAwareATPG(
-            s27_scan, faults, config=SeqATPGConfig(seed=5),
-            use_dominance=True,
-        ).generate()
-        assert ordered.base.detected_count == plain.base.detected_count \
-            == len(faults)
-
-    def test_targets_must_be_in_universe(self, s27_scan):
-        from repro.atpg import SequentialATPG
-        from repro.faults import collapse_faults
-        from repro.faults.model import stem_fault
-
-        faults = collapse_faults(s27_scan.circuit)[:5]
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            SequentialATPG(
-                s27_scan.circuit, faults,
-                targets=[stem_fault("G0", 0), stem_fault("G0", 1)],
-            )
-
-    def test_untargeted_faults_accounted(self, s27_scan):
-        """Universe faults outside the target list end up detected (via
-        dropping) or aborted — never silently lost."""
-        from repro.atpg import SeqATPGConfig, SequentialATPG
-        from repro.faults import collapse_faults
-
-        faults = collapse_faults(s27_scan.circuit)
-        engine = SequentialATPG(
-            s27_scan.circuit, faults,
-            config=SeqATPGConfig(seed=2, initial_random_vectors=8,
-                                 max_subseq_len=4, restarts=1),
-            targets=faults[:10],
-        )
-        result = engine.generate()
-        assert len(result.detection_time) + len(result.aborted) == len(faults)
+class TestTargetCap:
+    def test_untargeted_faults_accounted(self):
+        """Faults past ``max_targeted_faults`` get no search; each ends
+        up detected (by fault dropping) or aborted, after the searched
+        aborts and in universe order, so coverage divides by the whole
+        universe.  ``atpg.seq.aborted`` counts searched targets only."""
+        sc = insert_scan(build_circuit("s298"))
+        faults = collapse_faults(sc.circuit)
+        config = SeqATPGConfig(seed=2, initial_random_vectors=8,
+                               max_subseq_len=4, restarts=1,
+                               max_targeted_faults=8)
+        with obs.session() as telemetry:
+            result = SequentialATPG(sc.circuit, faults,
+                                    config=config).generate()
+        counters = telemetry.metrics.snapshot()["counters"]
+        detected = set(result.detection_time)
+        assert len(detected) + len(result.aborted) == len(faults)
+        assert not detected & set(result.aborted)
+        assert counters["atpg.seq.targets"] <= 8
+        searched = counters.get("atpg.seq.aborted", 0)
+        unsearched = result.aborted[searched:]
+        assert len(unsearched) > len(faults) // 2
+        position = {fault: i for i, fault in enumerate(faults)}
+        assert unsearched == sorted(unsearched, key=position.__getitem__)
+        assert result.coverage() == pytest.approx(
+            100.0 * len(detected) / len(faults))
 
 
 #: Triage soundness cases: suite circuits at the default search effort,

@@ -1,4 +1,4 @@
-"""Tests for repro.serve — queue fairness, dedup keys, tenant stores,
+"""Tests for repro.serve — queue fairness, dedup keys, tenant names,
 the live daemon (dedup/cache/SSE/back-pressure), budgets and graceful
 shutdown.
 
@@ -39,8 +39,6 @@ from repro.serve import (
     SubmissionError,
     job_fingerprints,
     parse_submission,
-    tenant_cache_dir,
-    tenant_store,
     valid_tenant,
 )
 from repro.serve.jobs import canonical_submission, run_job
@@ -225,33 +223,15 @@ def test_canonical_submission_round_trips():
     assert job_fingerprints(*again) == job_fingerprints(circuit, cfg, flow)
 
 
-# -- tenant stores ------------------------------------------------------------
+# -- tenant names -------------------------------------------------------------
 
 
 def test_valid_tenant_names():
     assert valid_tenant("team-a")
     assert valid_tenant("Team.B_2")
-    for bad in ("", ".", "..", "a/b", "../etc", "tenants", "-lead",
-                "x" * 65):
+    assert valid_tenant("tenants")
+    for bad in ("", ".", "..", "a/b", "../etc", "-lead", "x" * 65):
         assert not valid_tenant(bad), bad
-
-
-def test_default_tenant_uses_base_store(tmp_path):
-    assert tenant_cache_dir(tmp_path, DEFAULT_TENANT) == tmp_path
-
-
-def test_tenant_overlay_reads_through_and_isolates_writes(tmp_path):
-    base = ResultStore(tmp_path)
-    base.put("c" * 64, "f" * 64, {"from": "base"})
-    overlay = tenant_store(tmp_path, "team-a")
-    # Read-through: the tenant sees what the shared layer computed.
-    assert overlay.get("c" * 64, "f" * 64) == {"from": "base"}
-    # Writes stay inside the tenant's namespace.
-    overlay.put("d" * 64, "e" * 64, {"from": "team-a"})
-    assert base.get("d" * 64, "e" * 64) is None
-    assert overlay.get("d" * 64, "e" * 64) == {"from": "team-a"}
-    other = tenant_store(tmp_path, "team-b")
-    assert other.get("d" * 64, "e" * 64) is None
 
 
 # -- worker task --------------------------------------------------------------
@@ -428,10 +408,9 @@ def test_cache_replay_leaves_the_event_loop_free(live_server, monkeypatch):
 
 
 def test_daemon_replays_flow_entry_written_by_a_plain_flow(tmp_path):
-    """A ``flow`` entry any flow run left in the daemon's base store
-    answers a matching submission, for the default tenant and through
-    a tenant overlay: no execution, and the result a fresh execution
-    reports."""
+    """A ``flow`` entry any flow run left in the daemon's store answers
+    a matching submission, for the default tenant and for a named one:
+    no execution, and the result a fresh execution reports."""
     from repro.core.pipeline import generation_flow
     from repro.serve.jobs import _result_payload
 
@@ -451,6 +430,24 @@ def test_daemon_replays_flow_entry_written_by_a_plain_flow(tmp_path):
     assert not counters.get("serve.pool.runs")
     assert not counters.get("serve.queued")
     assert counters.get("cache.hit") == 2
+
+
+def test_tenants_share_one_result_store(live_server):
+    """A job one tenant ran to completion answers the same submission
+    from another tenant out of the one shared store: bit-identical,
+    no second execution, and no per-tenant directory."""
+    body = submission({"seed": 23})
+    status, queued = live_server.submit(body, "team-a")
+    assert status == 202 and queued["source"] == "new", queued
+    client = ServeClient("127.0.0.1", live_server.port)
+    done = client.wait(queued["job_id"])
+    assert done["status"] == "done", done
+    status, replay = live_server.submit(body, "team-b")
+    assert status == 200 and replay["source"] == "cache", replay
+    assert replay["result"] == done["result"]
+    counters = obs.active().metrics.snapshot()["counters"]
+    assert counters["serve.started"] == 1, counters
+    assert not (live_server.cache_base / "tenants").exists()
 
 
 def test_sse_stream_follows_job_to_end(live_server):
@@ -752,57 +749,3 @@ def test_header_bomb_closes_connection(bounded_server):
         except (BrokenPipeError, ConnectionResetError):
             pass  # the server already slammed the door — same outcome
     assert chunks == b""
-
-
-def test_finish_publishes_to_tenants_attached_during_put(
-        tmp_path, monkeypatch):
-    """Closing the dedup window: the in-flight key must stay in the
-    index until every attached tenant's store holds a copy of the
-    worker's ``flow`` entry — a tenant attaching mid-copy still gets
-    its entry."""
-    from repro.core.pipeline import generation_flow
-    from repro.serve import app as serve_app
-
-    server = ReproServer(ServerConfig(
-        port=0, workers=1, state_dir=str(tmp_path / "state")))
-    body = submission({"seed": 1})
-    with obs.session():
-        status, reply = server.submit(body, "team-a")
-        assert status == 202
-        record = server._jobs[reply["job_id"]]
-        status, joined = server.submit(body, "team-b")
-        assert joined["source"] == "dedup"
-        # The worker's part: the flow writes its entry into the
-        # submitter's overlay.
-        circuit, cfg, _ = parse_submission(body)
-        generation_flow(circuit, cfg.replace(cache_dir=str(
-            tenant_cache_dir(server.cache_base, "team-a"))))
-        real_tenant_store = serve_app.tenant_store
-
-        def attaching_store(base, tenant):
-            # Simulate a concurrent identical submission joining the
-            # still-in-flight job while the first copy round runs.
-            if tenant == "team-b":
-                record.tenants.add("team-late")
-            return real_tenant_store(base, tenant)
-
-        monkeypatch.setattr(serve_app, "tenant_store", attaching_store)
-        server._finish(record, {"job_id": record.job_id, "status": "done",
-                                "result": {"ok": 1}}, "team-a")
-        monkeypatch.setattr(serve_app, "tenant_store", real_tenant_store)
-        assert record.key not in server._by_key
-        assert record.status == "done"
-
-        def entries(tenant):
-            # Entries live in <fp[:2]>/<fp>/ buckets, below the root's
-            # hit-tally.json.
-            return sorted(tenant_cache_dir(server.cache_base, tenant)
-                          .glob("*/*/*-*.json"))
-
-        (written,) = entries("team-a")
-        for tenant in ("team-b", "team-late"):
-            (copy,) = entries(tenant)
-            assert copy.name == written.name, tenant
-            assert copy.read_bytes() == written.read_bytes(), tenant
-            status, reply = server.submit(body, tenant)
-            assert reply["source"] == "cache", tenant
