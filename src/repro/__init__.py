@@ -107,7 +107,7 @@ from .compaction import (
     reverse_order_compact,
     subsequence_removal_compact,
 )
-from .analysis import analyze, compute_testability
+from .analysis import analyze
 from .cache import ResultStore, circuit_fingerprint, resolve_cache_dir
 from . import obs
 
@@ -138,7 +138,7 @@ __all__ = [
     "reverse_order_compact", "overlapped_restoration_compact",
     "subsequence_removal_compact",
     # extensions
-    "analyze", "compute_testability",
+    "analyze",
     # result cache
     "ResultStore", "circuit_fingerprint", "resolve_cache_dir",
     # telemetry

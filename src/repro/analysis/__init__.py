@@ -1,7 +1,5 @@
-"""Circuit analysis: SCOAP testability measures and structural metrics
-(logic depth, sequential depth)."""
+"""Circuit analysis: structural metrics (logic depth, sequential depth)."""
 
-from .scoap import INFINITY, Testability, compute_testability, hardest_nets
 from .structure import (
     StructureReport,
     analyze,
@@ -12,10 +10,6 @@ from .structure import (
 )
 
 __all__ = [
-    "Testability",
-    "compute_testability",
-    "hardest_nets",
-    "INFINITY",
     "analyze",
     "StructureReport",
     "logic_levels",

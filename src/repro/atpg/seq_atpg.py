@@ -86,7 +86,7 @@ class SeqATPGConfig:
     #: Cap on the number of faults given a targeted search (0 = no cap).
     #: Targets beyond the cap are still fault-simulated and dropped when
     #: a subsequence for an earlier target detects them; survivors are
-    #: reported aborted.  The corpus-scale presets use this to bound
+    #: reported untargeted.  The corpus-scale presets use this to bound
     #: wall-clock on 10k-gate circuits deterministically.
     max_targeted_faults: int = 0
 
@@ -180,16 +180,21 @@ class SeqATPGResult:
 
     sequence: TestSequence
     detection_time: Dict[Fault, int] = field(default_factory=dict)
+    #: Targets whose search (or triage) ended without a detection.
     aborted: List[Fault] = field(default_factory=list)
     hook_detected: List[Fault] = field(default_factory=list)
+    #: Undetected faults past the ``max_targeted_faults`` cap, never
+    #: searched; empty without a cap.
+    untargeted: List[Fault] = field(default_factory=list)
 
     @property
     def detected_count(self) -> int:
         return len(self.detection_time)
 
     def coverage(self) -> float:
-        """Detected / (detected + aborted), in percent."""
-        total = self.detected_count + len(self.aborted)
+        """Detected / (detected + aborted + untargeted), in percent."""
+        total = (self.detected_count + len(self.aborted)
+                 + len(self.untargeted))
         if total == 0:
             return 100.0
         return 100.0 * self.detected_count / total
@@ -277,14 +282,14 @@ class SequentialATPG:
 
         # A fault aborted early may still fall to fault dropping while a
         # later target's subsequence is applied; keep the partitions
-        # (detected / aborted) disjoint.  Faults past the
-        # ``max_targeted_faults`` cap were never searched: they follow
-        # the searched aborts in universe order, so every fault is
-        # either detected or aborted.
+        # (detected / aborted / untargeted) disjoint.  Faults past the
+        # ``max_targeted_faults`` cap were never searched: they are
+        # untargeted, in universe order.
         detected = result.detection_time
         searched = set(result.aborted)
-        result.aborted = [f for f in result.aborted if f not in detected] + [
-            f for f in self.faults if f not in detected and f not in searched]
+        result.aborted = [f for f in result.aborted if f not in detected]
+        result.untargeted = [f for f in self.faults
+                             if f not in detected and f not in searched]
         result.sequence = TestSequence.for_circuit(self.circuit, sequence)
         return result
 

@@ -53,7 +53,7 @@ from .store import ResultStore
 #: collapsing, ATPG, redundancy proofs, the baseline, translation and
 #: compaction) — bump when any engine's output could change for
 #: identical inputs.
-FLOW_VERSION = 2
+FLOW_VERSION = 3
 
 
 class StageCache:
@@ -94,6 +94,7 @@ class StageCache:
                 "detection": encode_indexed_times(
                     atpg.base.detection_time, index),
                 "aborted": faults_of(atpg.base.aborted),
+                "untargeted": faults_of(atpg.base.untargeted),
                 "hook_detected": faults_of(atpg.base.hook_detected),
                 "funct_scan_out": faults_of(atpg.funct_scan_out),
                 "funct_justify": faults_of(atpg.funct_justify),
@@ -180,6 +181,7 @@ def _flow_fields(payload, circuit: Circuit) -> dict:
                 detection_time=decode_indexed_times(atpg["detection"],
                                                     universe),
                 aborted=faults_of(atpg["aborted"]),
+                untargeted=faults_of(atpg["untargeted"]),
                 hook_detected=faults_of(atpg["hook_detected"]),
             ),
             funct_scan_out=faults_of(atpg["funct_scan_out"]),

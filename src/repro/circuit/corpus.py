@@ -216,10 +216,12 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
     takes about 5 ms when it finds a cube, 0.1 s when it exhausts the
     justification budget of 400 backtracks (25 s before implication
     became event-driven) and 5 s when it exhausts the redundancy budget
-    of 20000, while the preset leaves about a third of the 41k faults
-    aborted.  The Section 2 completions are also off: each scan-out
-    completion appends a whole chain flush (``flops + 1`` vectors —
-    535 at s15850), which the quadratic omission sweep then pays for.
+    of 20000.  The preset leaves about a third of the 41k faults
+    undetected, nearly all of them untargeted past the cap, and the
+    redundancy pass proves only searched targets.  The Section 2
+    completions are also off: each scan-out completion appends a whole
+    chain flush (``flops + 1`` vectors — 535 at s15850), which the
+    quadratic omission sweep then pays for.
     Every override changes result bits.
     """
     name = corpus_name(spec) if is_corpus_spec(spec) else spec

@@ -6,7 +6,7 @@ Subcommands::
     repro-atpg translate <circuit> [--seed N]
     repro-atpg profile   <circuit> [--seed N] [--skip-translation] [--top N]
     repro-atpg table     {5,6,7}   [--profile quick|default|full] [--jobs N]
-    repro-atpg analyze   <circuit> [--hardest N]
+    repro-atpg analyze   <circuit>
     repro-atpg report    [--profile ...] [--jobs N] [--out FILE]
     repro-atpg export    <circuit> <out.vcd|out.stil> [--seed N]
     repro-atpg explain-fault  <circuit> <fault> [--seed N]
@@ -481,14 +481,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import analyze, hardest_nets
+    from .analysis import analyze
 
-    circuit = _resolve_circuit(args.circuit)
-    print(analyze(circuit))
-    print(f"\nhardest nets (SCOAP, worst {args.hardest}):")
-    for net, measure in hardest_nets(circuit, count=args.hardest):
-        print(f"  {net:>16}  CC0={measure.cc0:<6} CC1={measure.cc1:<6} "
-              f"CO={measure.co}")
+    print(analyze(_resolve_circuit(args.circuit)))
     return 0
 
 
@@ -772,9 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=_cmd_report)
 
     ana = sub.add_parser("analyze", parents=[telemetry],
-                         help="SCOAP testability + structure report")
+                         help="structure report (logic and sequential "
+                              "depth)")
     ana.add_argument("circuit")
-    ana.add_argument("--hardest", type=int, default=10)
     ana.set_defaults(func=_cmd_analyze)
 
     exp = sub.add_parser("export", parents=[telemetry, flowopts],

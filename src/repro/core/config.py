@@ -43,8 +43,9 @@ class FlowConfig:
     num_chains: int = 1
     #: Run Section 4 compaction (restoration then omission).
     compact: bool = True
-    #: Prove aborted faults redundant with exhaustive PODEM on the
-    #: combinational view (generation flow only).
+    #: Prove aborted targets redundant with exhaustive PODEM on the
+    #: combinational view (generation flow only; faults past a
+    #: ``max_targeted_faults`` cap were never targeted and get no proof).
     classify_redundant: bool = True
     #: Enable the Section 2 scan-out completion.
     use_scan_knowledge: bool = True

@@ -53,9 +53,11 @@ class GenerationFlowResult:
     scan_circuit: ScanCircuit
     faults: List[Fault]
     atpg: ScanATPGResult
-    #: Aborted faults proven redundant by exhaustive PODEM on the
-    #: combinational view (full scan makes that proof exact).  The paper's
-    #: generator cannot prove redundancy; we report both coverages.
+    #: Aborted targets proven redundant by exhaustive PODEM on the
+    #: combinational view (full scan makes that proof exact).  Faults
+    #: left untargeted by a ``max_targeted_faults`` cap get no proof.  The
+    #: paper's generator cannot prove redundancy; we report both
+    #: coverages.
     untestable: List[Fault] = field(default_factory=list)
     raw: Optional[TestSequence] = None
     restored: Optional[RestorationResult] = None
@@ -181,8 +183,9 @@ def _generate(circuit: Circuit, scan_circuit: ScanCircuit,
     obs.coverage("pipeline.atpg", result.detected_total, len(faults))
     if cfg.classify_redundant and atpg.base.aborted:
         with obs.span("redundancy"):
-            # The generator's engine (same comb view) memoizes the
-            # triage's verdicts.
+            # Proofs follow the search: only aborted targets, never the
+            # cap's untargeted survivors.  The generator's engine (same
+            # comb view) memoizes the triage's verdicts.
             for fault in atpg.base.aborted:
                 if not has_view_site(scan_circuit.circuit, fault):
                     continue

@@ -62,6 +62,12 @@ from ..obs import ledger
 from ..sim.backend import SimBackend
 from ..testseq.sequences import TestSequence
 
+#: Random refills tried when verifying a proposed completion.
+VERIFY_RETRIES = 3
+#: PODEM backtrack budget of the justification completion and the
+#: verdict-first triage.
+COMPLETION_BACKTRACK_LIMIT = 400
+
 
 @dataclass
 class ScanATPGResult:
@@ -88,7 +94,8 @@ class ScanATPGResult:
         return len(self.funct_scan_out) + len(self.funct_justify)
 
     def coverage(self) -> float:
-        """Detected / targeted faults, in percent."""
+        """Detected / all faults (aborted and untargeted count as
+        undetected), in percent."""
         return self.base.coverage()
 
 
@@ -109,8 +116,6 @@ class ScanAwareATPG:
         Enable the PODEM + scan-in fallback (completion 2) and the
         verdict-first triage.  Disable to reproduce the paper's
         forward-only setting, which uses only the scan-out completion.
-    verify_retries:
-        Random refills attempted when verifying a proposed completion.
     """
 
     def __init__(
@@ -120,8 +125,6 @@ class ScanAwareATPG:
         config: Optional[SeqATPGConfig] = None,
         use_scan_knowledge: bool = True,
         use_justification: bool = True,
-        verify_retries: int = 3,
-        podem_backtrack_limit: int = 400,
     ):
         self.scan_circuit = scan_circuit
         circuit = scan_circuit.circuit
@@ -130,14 +133,14 @@ class ScanAwareATPG:
         self.config = config or SeqATPGConfig()
         self.use_scan_knowledge = use_scan_knowledge
         self.use_justification = use_justification
-        self.verify_retries = verify_retries
         self._rng = random.Random(self.config.seed ^ 0x5CA9)
         self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
         self._sel_idx = self._input_index[scan_circuit.scan_select]
         self._view: CombView = comb_view(circuit)
         #: PODEM on the comb view, used by the justification completion.
         #: Public so a later redundancy pass can reuse its verdict memo.
-        self.podem = Podem(self._view.circuit, backtrack_limit=podem_backtrack_limit)
+        self.podem = Podem(self._view.circuit,
+                           backtrack_limit=COMPLETION_BACKTRACK_LIMIT)
         self._flop_chain = {
             q: chain for chain in scan_circuit.chains for q in chain.order
         }
@@ -301,7 +304,7 @@ class ScanAwareATPG:
                 break
             concrete += 1
         token = None
-        for _attempt in range(self.verify_retries):
+        for _attempt in range(VERIFY_RETRIES):
             candidate = [
                 tuple(self._rng.randint(0, 1) if v == X else v for v in vector)
                 for vector in template

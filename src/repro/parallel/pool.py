@@ -70,8 +70,8 @@ class ResilientPool:
         Module-level callable executed in workers, ``task_fn(payload)``.
     jobs:
         Maximum concurrent worker processes.
-    initializer / initargs:
-        Forwarded to every (re)built executor.
+    initializer:
+        Forwarded to every (re)built executor; takes no arguments.
     timeout:
         Hang detector: when no task completes for this many seconds,
         every in-flight payload is declared hung, the executor is
@@ -102,7 +102,6 @@ class ResilientPool:
         jobs: int,
         *,
         initializer: Optional[Callable] = None,
-        initargs: tuple = (),
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
@@ -115,7 +114,6 @@ class ResilientPool:
         self.task_fn = task_fn
         self.jobs = jobs
         self.initializer = initializer
-        self.initargs = initargs
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -139,7 +137,6 @@ class ResilientPool:
             max_workers=workers,
             mp_context=context,
             initializer=self.initializer,
-            initargs=self.initargs,
         )
 
     def worker_pids(self) -> List[int]:

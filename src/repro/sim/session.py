@@ -385,16 +385,6 @@ class SimSession:
         self._checkpoints = []
         self._log = []
 
-    def invalidate(self, from_cycle: int = 0) -> None:
-        """Forget the timeline from ``from_cycle`` onward (0 = all)."""
-        if from_cycle <= 0:
-            self._invalidate()
-            return
-        self._trace = self._trace[:from_cycle]
-        self._checkpoints = [
-            cp for cp in self._checkpoints if cp.cycle <= from_cycle
-        ]
-
     @staticmethod
     def _normalize(vectors: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:
         return [

@@ -28,6 +28,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.atpg import SeqATPGConfig
 from repro.cache import (
     ResultStore,
     circuit_fingerprint,
@@ -285,6 +286,7 @@ def _flow_bits(flow):
         "faults": [str(f) for f in flow.faults],
         "untestable": sorted(str(f) for f in flow.untestable),
         "aborted": [str(f) for f in flow.atpg.base.aborted],
+        "untargeted": [str(f) for f in flow.atpg.base.untargeted],
         "hook_detected": [str(f) for f in flow.atpg.base.hook_detected],
         "raw": list(flow.raw.vectors),
         "detection": [(str(f), t)
@@ -362,6 +364,10 @@ def _assert_warm_equals_cold(circuit, cold_cfg, warm_cfg,
 def test_cold_and_warm_generation_identical_s27(tmp_path):
     cfg = FlowConfig(seed=0, cache_dir=str(tmp_path / "cache"))
     _assert_warm_equals_cold(s27(), cfg, cfg)
+    # A one-target cap leaves untargeted faults, which round-trip too.
+    capped = cfg.replace(atpg=SeqATPGConfig(seed=0, max_targeted_faults=1))
+    _assert_warm_equals_cold(s27(), capped, capped)
+    assert _run_flow(s27(), capped)[0]["untargeted"]
 
 
 def test_cold_and_warm_generation_identical_synth_across_jobs(

@@ -134,6 +134,23 @@ class TestRedundancyReuse:
         assert flow.untestable == _fresh_proofs(
             flow, targets, cfg.redundancy_backtrack_limit)
 
+    def test_capped_flow_proves_only_searched_aborts(self):
+        """Faults past a ``max_targeted_faults`` cap were never searched:
+        the redundancy pass leaves them unproven.  On scan s298 at seed
+        2, 7 targets are searched and 2 of them abort, 86 faults stay
+        untargeted, and PODEM runs 10 times (7 triage verdicts, then a
+        justification and the 2 proofs from the memo), where proving
+        every survivor took 96 calls and 69 proofs."""
+        cfg = FlowConfig(seed=2, compact=False,
+                         atpg=SeqATPGConfig(seed=2, max_targeted_faults=8))
+        with obs.session() as telemetry:
+            flow = generation_flow(build_circuit("s298"), cfg)
+        assert telemetry.metrics.counter("atpg.podem.calls").value == 10
+        assert len(flow.untestable) == 2
+        base = flow.atpg.base
+        assert (len(base.aborted), len(base.untargeted)) == (2, 86)
+        assert set(flow.untestable) <= set(base.aborted)
+
 
 class TestTranslationFlow:
     def test_translated_length_equals_baseline_cycles(self, s27_translation):

@@ -103,6 +103,11 @@ def test_parallel_surface_is_the_pool():
         ("repro.serve", "tenant_store"),
         ("repro.faults", "dominance_reduce"),
         ("repro.parallel", "default_start_method"),
+        ("repro", "compute_testability"),
+        ("repro.analysis", "compute_testability"),
+        ("repro.analysis", "hardest_nets"),
+        ("repro.analysis", "Testability"),
+        ("repro.analysis", "INFINITY"),
     ]
     for module, name in removed:
         assert name not in repro.__all__, name

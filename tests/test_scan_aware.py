@@ -164,9 +164,9 @@ class TestMultiChain:
 class TestTargetCap:
     def test_untargeted_faults_accounted(self):
         """Faults past ``max_targeted_faults`` get no search; each ends
-        up detected (by fault dropping) or aborted, after the searched
-        aborts and in universe order, so coverage divides by the whole
-        universe.  ``atpg.seq.aborted`` counts searched targets only."""
+        up detected (by fault dropping) or untargeted, in universe order.
+        ``aborted`` holds searched targets only, as ``atpg.seq.aborted``
+        counts them, and coverage divides by the whole universe."""
         sc = insert_scan(build_circuit("s298"))
         faults = collapse_faults(sc.circuit)
         config = SeqATPGConfig(seed=2, initial_random_vectors=8,
@@ -177,14 +177,17 @@ class TestTargetCap:
                                     config=config).generate()
         counters = telemetry.metrics.snapshot()["counters"]
         detected = set(result.detection_time)
-        assert len(detected) + len(result.aborted) == len(faults)
-        assert not detected & set(result.aborted)
+        aborted, untargeted = set(result.aborted), set(result.untargeted)
+        assert len(detected) + len(aborted) + len(untargeted) == len(faults)
+        assert not detected & aborted
+        assert not detected & untargeted
+        assert not aborted & untargeted
         assert counters["atpg.seq.targets"] <= 8
-        searched = counters.get("atpg.seq.aborted", 0)
-        unsearched = result.aborted[searched:]
-        assert len(unsearched) > len(faults) // 2
+        assert 0 < len(result.aborted) <= counters["atpg.seq.aborted"]
+        assert len(result.untargeted) > len(faults) // 2
         position = {fault: i for i, fault in enumerate(faults)}
-        assert unsearched == sorted(unsearched, key=position.__getitem__)
+        assert result.untargeted == sorted(result.untargeted,
+                                           key=position.__getitem__)
         assert result.coverage() == pytest.approx(
             100.0 * len(detected) / len(faults))
 
