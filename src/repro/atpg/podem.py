@@ -58,28 +58,18 @@ _XOR = (0, 1, X, 1, 0, X, X, X, X)
 _NOT = (1, 0, X)
 _NO_PINS: Dict[int, int] = {}
 
-#: Gate kind -> (fold table, output inverted); MUX is special-cased.
+#: Gate kind -> (fold table, output inverted).
 _OPS = {
     "AND": (_AND, False), "NAND": (_AND, True),
     "OR": (_OR, False), "NOR": (_OR, True),
     "XOR": (_XOR, False), "XNOR": (_XOR, True),
     "BUF": (_AND, False), "NOT": (_AND, True),
-    "MUX": None,
 }
 
 
 def _evaluate(op, values, ins) -> int:
     """Three-valued output of a gate with fold ``op`` over ``values[ins]``
     (same semantics as :func:`repro.circuit.gates.eval_gate`)."""
-    if op is None:  # MUX: (select, d0, d1)
-        sel = values[ins[0]]
-        d0 = values[ins[1]]
-        d1 = values[ins[2]]
-        if sel == 0:
-            return d0
-        if sel == 1:
-            return d1
-        return d0 if d0 == d1 else X
     table, inverted = op
     value = values[ins[0]]
     for net in ins[1:]:
@@ -536,14 +526,6 @@ class Podem:
                 return net, value
             kind = self._kind[net]
             ins = fanin[net]
-            if kind == "MUX":
-                sel, d0, d1 = ins
-                sel_value = good[sel]
-                if sel_value == X:
-                    net, value = sel, 0
-                else:
-                    net = d1 if sel_value == 1 else d0
-                continue
             needed = value ^ 1 if self._inverting[net] else value
             control = self._control[net]
             x_inputs = [n for n in ins if good[n] == X]

@@ -342,7 +342,7 @@ class SequentialATPG:
         cross-checks detections (a fault already detected stays detected).
         """
         # Every machine of ``sim`` outside ``seen`` is undetected.
-        undetected = bin(sim.fault_mask & ~seen).count("1")
+        undetected = (sim.fault_mask & ~seen).bit_count()
         if not undetected:
             return sim, seen
         if len(sim.faults) < (1 + REPACK_FACTOR) * undetected:

@@ -46,7 +46,6 @@ GATE_ARITY: Dict[str, Tuple[int, object]] = {
     "XNOR": (2, None),
     "NOT": (1, 1),
     "BUF": (1, 1),
-    "MUX": (3, 3),  # inputs: (select, d0, d1); output = d1 if select else d0
 }
 
 GATE_KINDS = frozenset(GATE_ARITY)
@@ -63,7 +62,6 @@ CONTROLLING_VALUE: Dict[str, object] = {
     "XNOR": None,
     "NOT": None,
     "BUF": None,
-    "MUX": None,
 }
 
 #: Whether the gate inverts: the output with all inputs non-controlling
@@ -77,7 +75,6 @@ INVERTING: Dict[str, bool] = {
     "XNOR": True,
     "NOT": True,
     "BUF": False,
-    "MUX": False,
 }
 
 
@@ -116,16 +113,6 @@ def eval_gate(kind: str, values) -> int:
         return invert(values[0])
     if kind == "BUF":
         return values[0]
-    if kind == "MUX":
-        sel, d0, d1 = values
-        if sel == ZERO:
-            return d0
-        if sel == ONE:
-            return d1
-        # Unknown select: known output only if both data inputs agree.
-        if d0 == d1 and d0 != X:
-            return d0
-        return X
     if kind in ("AND", "NAND"):
         result = ONE
         for v in values:

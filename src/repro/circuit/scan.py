@@ -16,13 +16,15 @@ The multiplexer is expanded into elementary gates (NOT / AND / AND / OR)
 rather than kept as a primitive, because the paper's fault counts
 explicitly "include faults in the multiplexers we added to implement scan
 chains" — expanding gives those faults a natural home in the standard
-stuck-at universe.  A primitive-``MUX`` mode is provided for users who
-prefer the compact form.
+stuck-at universe.  The expanded mux is the only form.
 
 Multiple balanced scan chains are supported (``num_chains > 1``); the
 paper notes its procedures extend directly to this case.  Chain ``k``
 gets inputs ``scan_inp<k>``/outputs ``scan_out<k>`` but shares the single
 ``scan_sel``.
+
+:class:`ScanCircuit` is the one builder of shift and scan-in vectors,
+for the Section 3 translation and the Section 2 completions alike.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .gates import ONE, X
 from .netlist import Circuit, FlipFlop, Gate
 
 SCAN_SELECT = "scan_sel"
@@ -95,9 +98,47 @@ class ScanCircuit:
                 return chain
         raise KeyError(f"flip-flop {q_net!r} is in no scan chain")
 
+    def shifts_to_observe(self, q_net: str) -> int:
+        """Shift cycles that bring the value held in ``q_net`` out on its
+        chain's ``scan_out`` (the paper's ``N_SV - i``)."""
+        return self.chain_of(q_net).shifts_to_observe(q_net)
+
     @property
     def max_chain_length(self) -> int:
         return max(chain.length for chain in self.chains)
+
+    def shift_vector(self) -> Tuple[int, ...]:
+        """One shift cycle: ``scan_sel = 1``, every other input X."""
+        vector = [X] * len(self.circuit.inputs)
+        vector[self.circuit.inputs.index(self.select_net)] = ONE
+        return tuple(vector)
+
+    def scan_in_vectors(self, state: Sequence[int]) -> List[Tuple[int, ...]]:
+        """The shift cycles that load ``state`` (aligned with
+        ``circuit.flops``) into the chains.
+
+        Every chain shifts for ``max_chain_length`` cycles.  A chain is
+        fed back to front — the value destined for the flip-flop nearest
+        ``scan_out`` enters first (the paper's Section 2 example) — and a
+        shorter chain takes X in its first cycles, so all chains finish
+        loading on the last cycle.
+        """
+        state_of = dict(zip((f.q for f in self.circuit.flops), state))
+        template = self.shift_vector()
+        total = self.max_chain_length
+        feeds = [
+            (self.circuit.inputs.index(chain.scan_in),
+             [X] * (total - chain.length)
+             + [state_of[q] for q in reversed(chain.order)])
+            for chain in self.chains
+        ]
+        vectors = []
+        for step in range(total):
+            vector = list(template)
+            for index, feed in feeds:
+                vector[index] = feed[step]
+            vectors.append(tuple(vector))
+        return vectors
 
 
 def _fresh_net(base: str, taken: set) -> str:
@@ -130,9 +171,11 @@ def insert_scan(
     circuit: Circuit,
     num_chains: int = 1,
     chain_order: Optional[Sequence[str]] = None,
-    expand_mux: bool = True,
 ) -> ScanCircuit:
     """Insert mux-based scan into ``circuit`` and return ``C_scan``.
+
+    Each scan mux is built from NOT/AND/AND/OR gates, so the scan logic
+    contributes ordinary stuck-at faults.
 
     Parameters
     ----------
@@ -144,10 +187,6 @@ def insert_scan(
     chain_order:
         Explicit flip-flop ``q``-net order for the chain(s); defaults to
         the order of appearance in the circuit description.
-    expand_mux:
-        Expand each scan mux into NOT/AND/AND/OR gates (default), so scan
-        logic contributes ordinary stuck-at faults; ``False`` keeps a
-        primitive ``MUX`` gate per flip-flop.
     """
     if circuit.num_state_vars == 0:
         raise ValueError(f"{circuit.name}: cannot scan-insert a combinational circuit")
@@ -166,7 +205,7 @@ def insert_scan(
     new_inputs = list(circuit.inputs)
     new_outputs = list(circuit.outputs)
     new_gates = list(circuit.gates)
-    new_flops: List[FlipFlop] = []
+    mux_of = {}
     chains: List[ScanChain] = []
 
     new_inputs.append(select_net)
@@ -179,17 +218,14 @@ def insert_scan(
         for q_net in chain_qs:
             flop = flop_by_q[q_net]
             mux_out = _fresh_net(f"{q_net}_scanmux", taken)
-            if expand_mux:
-                sel_n = _fresh_net(f"{q_net}_seln", taken)
-                func_term = _fresh_net(f"{q_net}_dterm", taken)
-                scan_term = _fresh_net(f"{q_net}_sterm", taken)
-                new_gates.append(Gate(sel_n, "NOT", (select_net,)))
-                new_gates.append(Gate(func_term, "AND", (flop.d, sel_n)))
-                new_gates.append(Gate(scan_term, "AND", (previous, select_net)))
-                new_gates.append(Gate(mux_out, "OR", (func_term, scan_term)))
-            else:
-                new_gates.append(Gate(mux_out, "MUX", (select_net, flop.d, previous)))
-            new_flops.append(FlipFlop(q=q_net, d=mux_out))
+            sel_n = _fresh_net(f"{q_net}_seln", taken)
+            func_term = _fresh_net(f"{q_net}_dterm", taken)
+            scan_term = _fresh_net(f"{q_net}_sterm", taken)
+            new_gates.append(Gate(sel_n, "NOT", (select_net,)))
+            new_gates.append(Gate(func_term, "AND", (flop.d, sel_n)))
+            new_gates.append(Gate(scan_term, "AND", (previous, select_net)))
+            new_gates.append(Gate(mux_out, "OR", (func_term, scan_term)))
+            mux_of[q_net] = mux_out
             previous = q_net
         scan_out = previous
         if scan_out not in new_outputs:
@@ -203,7 +239,8 @@ def insert_scan(
         inputs=new_inputs,
         outputs=new_outputs,
         gates=new_gates,
-        flops=new_flops,
+        # C's flop order, so a state of C is also a state of C_scan.
+        flops=[FlipFlop(q=f.q, d=mux_of[f.q]) for f in circuit.flops],
     )
     return ScanCircuit(
         circuit=scanned,

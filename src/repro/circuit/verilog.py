@@ -35,8 +35,7 @@ from typing import Dict, List, Union
 from .gates import GATE_KINDS
 from .netlist import Circuit, CircuitError, FlipFlop, Gate
 
-_PRIMITIVES = {kind.lower(): kind for kind in GATE_KINDS if kind != "MUX"}
-_PRIMITIVES["buf"] = "BUF"
+_PRIMITIVES = {kind.lower(): kind for kind in GATE_KINDS}
 
 _IDENT = r"[A-Za-z_\\][A-Za-z0-9_$.\[\]\\]*"
 
@@ -156,17 +155,8 @@ def load_verilog(path: Union[str, Path]) -> Circuit:
 
 
 def write_verilog(circuit: Circuit) -> str:
-    """Serialize a circuit to the canonical structural-Verilog subset.
-
-    Primitive ``MUX`` gates have no Verilog gate primitive; expand them
-    (``insert_scan(expand_mux=True)``) before writing.
-    """
-    muxes = [g.output for g in circuit.gates if g.kind == "MUX"]
-    if muxes:
-        raise CircuitError(
-            f"{circuit.name}: MUX gates have no Verilog primitive "
-            f"(first: {muxes[0]!r}); expand them first"
-        )
+    """Serialize a circuit to the canonical structural-Verilog subset
+    (every gate kind is a Verilog gate primitive)."""
     ports = list(circuit.inputs) + list(circuit.outputs)
     lines = [f"module {circuit.name} ({', '.join(ports)});"]
     if circuit.inputs:

@@ -54,7 +54,7 @@ from ..atpg.seq_atpg import (
     SeqATPGResult,
     SequentialATPG,
 )
-from ..circuit.gates import ONE, X, ZERO
+from ..circuit.gates import X
 from ..circuit.scan import ScanCircuit
 from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
@@ -134,16 +134,11 @@ class ScanAwareATPG:
         self.use_scan_knowledge = use_scan_knowledge
         self.use_justification = use_justification
         self._rng = random.Random(self.config.seed ^ 0x5CA9)
-        self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
-        self._sel_idx = self._input_index[scan_circuit.scan_select]
         self._view: CombView = comb_view(circuit)
         #: PODEM on the comb view, used by the justification completion.
         #: Public so a later redundancy pass can reuse its verdict memo.
         self.podem = Podem(self._view.circuit,
                            backtrack_limit=COMPLETION_BACKTRACK_LIMIT)
-        self._flop_chain = {
-            q: chain for chain in scan_circuit.chains for q in chain.order
-        }
         self._scan_out_hits: List[Fault] = []
         self._justify_hits: List[Fault] = []
 
@@ -210,14 +205,9 @@ class ScanAwareATPG:
     def _scan_out_completion(self, trace, mini) -> Optional[List[Tuple[int, ...]]]:
         """``T' T''``: replay the effect-producing prefix, then shift the
         chain until the effect reaches ``scan_out``."""
-        shifts = max(
-            self._flop_chain[q].shifts_to_observe(q)
-            for q in trace.flops
-            if q in self._flop_chain
-        )
-        template = list(trace.prefix) + [
-            self._scan_vector(scan_inp=X) for _ in range(shifts)
-        ]
+        scan = self.scan_circuit
+        shifts = max(scan.shifts_to_observe(q) for q in trace.flops)
+        template = list(trace.prefix) + [scan.shift_vector()] * shifts
         return self._verify(trace, mini, template)
 
     # -- completion 2: PODEM + scan-in justification ---------------------------------
@@ -231,60 +221,22 @@ class ScanAwareATPG:
         result = self.podem.run(fault)
         if not result.found:
             return None
+        scan = self.scan_circuit
         state, vector = self._view.split_assignment(result.assignment, fill=X)
-        template = self._scan_in_vectors(state)
-        test_vector = list(vector)
-        template.append(tuple(test_vector))
+        template = scan.scan_in_vectors(state)
+        template.append(tuple(vector))
         real_po_hit = any(
             po in set(self.circuit.outputs) for po in result.detecting_outputs
         )
         if not real_po_hit:
             capturing = self._view.capturing_flops(result.detecting_outputs)
-            capturing = [q for q in capturing if q in self._flop_chain]
             if not capturing:
                 return None
-            shifts = min(
-                self._flop_chain[q].shifts_to_observe(q) for q in capturing
-            )
-            template.extend(self._scan_vector(scan_inp=X) for _ in range(shifts))
+            shifts = min(scan.shifts_to_observe(q) for q in capturing)
+            template.extend([scan.shift_vector()] * shifts)
         return self._verify(trace, mini, template)
 
-    def _scan_in_vectors(self, state: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Vectors loading ``state`` through the chain(s).
-
-        The state is fed *reversed* — the value destined for the last
-        flip-flop of a chain enters first (the paper's Section 2 example).
-        With several chains, all shift simultaneously for
-        ``max_chain_length`` cycles; shorter chains pad with X up front.
-        """
-        state_of = dict(zip((f.q for f in self.circuit.flops), state))
-        total = self.scan_circuit.max_chain_length
-        vectors = []
-        for step in range(total):
-            vector = [X] * len(self.circuit.inputs)
-            vector[self._sel_idx] = ONE
-            for chain in self.scan_circuit.chains:
-                inp_idx = self._input_index[chain.scan_in]
-                # Value entering at `step` lands in flip-flop
-                # chain.order[length-1-step'] after the remaining shifts;
-                # feed the chain back-to-front, late chains start later.
-                position = chain.length - 1 - (step - (total - chain.length))
-                if 0 <= position < chain.length:
-                    vector[inp_idx] = state_of[chain.order[position]]
-            vectors.append(tuple(vector))
-        return vectors
-
-    # -- shared helpers ----------------------------------------------------------------
-
-    def _scan_vector(self, scan_inp: int = X) -> Tuple[int, ...]:
-        """One shift cycle: ``scan_sel = 1``, everything else X (filled
-        randomly at verification, as the paper fills "the remaining
-        primary input values under T'' randomly")."""
-        vector = [X] * len(self.circuit.inputs)
-        vector[self._sel_idx] = ONE
-        for chain in self.scan_circuit.chains:
-            vector[self._input_index[chain.scan_in]] = scan_inp
-        return tuple(vector)
+    # -- verification ----------------------------------------------------------------
 
     def _verify(self, trace, mini, template) -> Optional[List[Tuple[int, ...]]]:
         """Randomize the template's X positions and simulate the faulty

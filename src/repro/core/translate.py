@@ -30,9 +30,9 @@ fault simulation downstream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from ..circuit.gates import ONE, X, ZERO
+from ..circuit.gates import X, ZERO
 from ..circuit.scan import ScanCircuit
 from ..testseq.scan_tests import ScanTestSet
 from ..testseq.sequences import TestSequence
@@ -63,29 +63,10 @@ def translate_test_set(
     sel_idx = input_index[scan_circuit.scan_select]
     original_idx = [input_index[n] for n in scan_circuit.original_inputs]
     width = len(circuit.inputs)
-    flop_order = [f.q for f in circuit.flops]
 
     vectors: List[Tuple[int, ...]] = []
-
-    def scan_operation(state: Optional[Sequence[int]]) -> None:
-        """Emit max-chain-length shift cycles; ``state`` is the scan-in
-        target aligned with flip-flop order, or None for scan-out only."""
-        state_of = dict(zip(flop_order, state)) if state is not None else {}
-        total = scan_circuit.max_chain_length
-        for step in range(total):
-            vector = [X] * width
-            vector[sel_idx] = ONE
-            for chain in scan_circuit.chains:
-                value = X
-                if state is not None:
-                    position = chain.length - 1 - (step - (total - chain.length))
-                    if 0 <= position < chain.length:
-                        value = state_of[chain.order[position]]
-                vector[input_index[chain.scan_in]] = value
-            vectors.append(tuple(vector))
-
     for test in test_set:
-        scan_operation(test.scan_in)
+        vectors.extend(scan_circuit.scan_in_vectors(test.scan_in))
         for functional in test.vectors:
             vector = [X] * width
             vector[sel_idx] = ZERO
@@ -93,7 +74,9 @@ def translate_test_set(
                 vector[idx] = value
             vectors.append(tuple(vector))
     if test_set.tests:
-        scan_operation(None)
+        # The last scan operation only scans the final state out.
+        vectors.extend(
+            [scan_circuit.shift_vector()] * scan_circuit.max_chain_length)
 
     return TestSequence(
         circuit.inputs, vectors, scan_sel=scan_circuit.scan_select

@@ -120,7 +120,7 @@ def _classes(circuit: Circuit, faults: Optional[Iterable[Fault]]
                 union(pin_id(out, 0, gate.inputs[0], value),
                       line_id((STEM, out, None, 0, out_value)))
             continue
-        else:  # XOR / XNOR / MUX have no single-gate equivalences
+        else:  # XOR / XNOR have no single-gate equivalences
             continue
         target = line_id((STEM, out, None, 0, out_sa))
         for pin, net in enumerate(gate.inputs):

@@ -66,10 +66,10 @@ from ..obs import ledger
 from .logic_sim import vector_from_string
 
 # Gate kind codes for the dispatch in the inner loop.
-_AND, _NAND, _OR, _NOR, _NOT, _BUF, _XOR, _XNOR, _MUX = range(9)
+_AND, _NAND, _OR, _NOR, _NOT, _BUF, _XOR, _XNOR = range(8)
 _KIND_CODE = {
     "AND": _AND, "NAND": _NAND, "OR": _OR, "NOR": _NOR,
-    "NOT": _NOT, "BUF": _BUF, "XOR": _XOR, "XNOR": _XNOR, "MUX": _MUX,
+    "NOT": _NOT, "BUF": _BUF, "XOR": _XOR, "XNOR": _XNOR,
 }
 
 
@@ -256,13 +256,6 @@ def _eval_gates(gates, ones, zeros, full: int) -> None:
                 o, z = z, o
         elif code == _BUF:
             o, z = ones[in_idx[0]], zeros[in_idx[0]]
-        elif code == _MUX:
-            s, d0, d1 = in_idx
-            s1, s0 = ones[s], zeros[s]
-            a1, a0 = ones[d0], zeros[d0]
-            b1, b0 = ones[d1], zeros[d1]
-            o = (s0 & a1) | (s1 & b1) | (a1 & b1)
-            z = (s0 & a0) | (s1 & b0) | (a0 & b0)
         else:  # XOR / XNOR
             o, z = ones[in_idx[0]], zeros[in_idx[0]]
             for i in in_idx[1:]:

@@ -69,7 +69,7 @@ typedef int32_t i32;
 typedef int64_t i64;
 
 /* gate record: kind, out_net, slot_off, nin, out_force, shared_source */
-enum { K_AND, K_NAND, K_OR, K_NOR, K_NOT, K_BUF, K_XOR, K_XNOR, K_MUX };
+enum { K_AND, K_NAND, K_OR, K_NOR, K_NOT, K_BUF, K_XOR, K_XNOR };
 
 /* A force is a run of (word, ones, zeros) entries in ascending word
    order, covering only the words where it forces some machine.  Words
@@ -227,15 +227,6 @@ void repro_step(
                 ao[w] = o; az[w] = z;
             }
             break;
-        case K_MUX: {
-            const u64 *s1 = in1[0], *s0 = in0[0];
-            const u64 *a1 = in1[1], *a0 = in0[1];
-            const u64 *b1 = in1[2], *b0 = in0[2];
-            for (i64 w = 0; w < A; w++) {
-                ro[w] = (s0[w] & a1[w]) | (s1[w] & b1[w]) | (a1[w] & b1[w]);
-                rz[w] = (s0[w] & a0[w]) | (s1[w] & b0[w]) | (a0[w] & b0[w]);
-            }
-            break; }
         }
         if (sv != save) {
             /* put the in-place forced sources back for their other readers */

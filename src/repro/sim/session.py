@@ -69,11 +69,6 @@ from .fault_sim import (
 from .logic_sim import vector_from_string
 
 
-def _popcount(mask: int) -> int:
-    # int.bit_count needs 3.10; the package supports 3.9.
-    return bin(mask).count("1")
-
-
 class _Checkpoint:
     """One snapshot of the session timeline.
 
@@ -279,7 +274,7 @@ class SimSession:
         """
         mask = self._mark_dropped(self._live_mask & ~self.mask_of(times))
         live = self._live_mask
-        if not self._narrows or _popcount(live) < 64:
+        if not self._narrows or live.bit_count() < 64:
             if mask:
                 self._repack_if_sparse(mask)
             return mask
@@ -298,17 +293,17 @@ class SimSession:
             return 0
         self._dropped |= mask
         self._live_mask &= ~mask
-        dropped = _popcount(mask)
+        dropped = mask.bit_count()
         self.faults_dropped += dropped
         obs.incr("faultsim.session.faults_dropped", dropped)
         if ledger.enabled():
             ledger.record("session.drop", faults=self.faults_of(mask),
-                          live=_popcount(self._live_mask))
+                          live=self._live_mask.bit_count())
         return mask
 
     def _repack_if_sparse(self, mask: int) -> None:
         live = self._live_mask
-        if _popcount(live) * 2 <= len(self._live_positions):
+        if live.bit_count() * 2 <= len(self._live_positions):
             self._repack(list(iter_fault_positions(live)))
         else:
             self._dead_int |= self._to_internal(mask)

@@ -63,8 +63,8 @@ def test_lane_step_matches_stepped_adapter(shape, scan, lanes, multi,
     inputs, flops, gates, seed = shape
     circuit = random_circuit("lanes", inputs, flops, max(gates, flops),
                              seed=seed)
-    if scan:  # unexpanded scan muxes put MUX gates in the netlist
-        circuit = insert_scan(circuit, expand_mux=False).circuit
+    if scan:
+        circuit = insert_scan(circuit).circuit
     rng = random.Random(draw_seed)
     pool = _fault_pool(circuit)
     faults = rng.sample(pool, min(len(pool), 6)) if multi else [rng.choice(pool)]

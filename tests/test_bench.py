@@ -58,6 +58,12 @@ class TestParse:
         with pytest.raises(CircuitError):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\n")
 
+    def test_mux_gate_refused(self):
+        """A scan mux is four elementary gates; there is no MUX kind."""
+        with pytest.raises(CircuitError, match="unknown gate kind: 'MUX'"):
+            parse_bench("INPUT(s)\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\n"
+                        "y = MUX(s, a, b)\n")
+
     def test_structural_validation_applies(self):
         with pytest.raises(CircuitError, match="undriven"):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(ghost)\n")

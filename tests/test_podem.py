@@ -109,8 +109,13 @@ class TestOnCombinationalCircuits:
             assert verify_cube(c, fault, result.assignment)
 
     def test_mux_gate(self):
-        c = Circuit("t", ["s", "d0", "d1"], ["y"],
-                    [Gate("y", "MUX", ("s", "d0", "d1"))])
+        """PODEM justifies through the four-gate scan mux."""
+        c = Circuit("t", ["s", "d0", "d1"], ["y"], [
+            Gate("sn", "NOT", ("s",)),
+            Gate("t0", "AND", ("d0", "sn")),
+            Gate("t1", "AND", ("d1", "s")),
+            Gate("y", "OR", ("t0", "t1")),
+        ])
         result = Podem(c).run(stem_fault("d1", 0))
         assert result.found
         assert verify_cube(c, stem_fault("d1", 0), result.assignment)
@@ -197,9 +202,6 @@ class TestCombView:
 
 def _bits(kind, values, full):
     """Two-valued gate over bit-parallel ints (one bit per assignment)."""
-    if kind == "MUX":
-        sel, d0, d1 = values
-        return (sel & d1) | (~sel & full & d0)
     if kind in ("AND", "NAND"):
         out = full
         for v in values:

@@ -99,17 +99,17 @@ class TestKnowledgeToggles:
 
 class TestScanInVectors:
     def test_scan_in_reaches_state(self, s27_scan):
-        """The private scan-in builder loads exactly the requested state
+        """The scan-in builder the justification completion uses loads
+        exactly the requested state, whatever fills its X inputs
         (verified through the real circuit)."""
         from repro.circuit.gates import ONE, ZERO
         from repro.sim import LogicSimulator
 
-        atpg = ScanAwareATPG(s27_scan, collapse_faults(s27_scan.circuit))
         import random
 
         rng = random.Random(0)
         for state in ((ZERO, ONE, ONE), (ONE, ONE, ZERO), (ZERO, ZERO, ZERO)):
-            vectors = atpg._scan_in_vectors(state)
+            vectors = s27_scan.scan_in_vectors(state)
             assert len(vectors) == 3
             sim = LogicSimulator(s27_scan.circuit)
             for vector in vectors:
@@ -122,8 +122,7 @@ class TestScanInVectors:
     def test_scan_vector_shape(self, s27_scan):
         from repro.circuit.gates import ONE, X
 
-        atpg = ScanAwareATPG(s27_scan, [])
-        vector = atpg._scan_vector()
+        vector = s27_scan.shift_vector()
         sel_idx = s27_scan.circuit.inputs.index("scan_sel")
         assert vector[sel_idx] == ONE
         assert vector.count(X) == len(vector) - 1
@@ -150,9 +149,8 @@ class TestMultiChain:
 
         circuit = random_circuit("mc2", 4, 7, 40, seed=14)
         sc = insert_scan(circuit, num_chains=2)
-        atpg = ScanAwareATPG(sc, [])
         state = tuple(i % 2 for i in range(7))
-        vectors = atpg._scan_in_vectors(state)
+        vectors = sc.scan_in_vectors(state)
         assert len(vectors) == sc.max_chain_length
         rng = random.Random(1)
         sim = LogicSimulator(sc.circuit)

@@ -48,11 +48,6 @@ class TestStructure:
         # 4 gates per flip-flop (NOT, AND, AND, OR).
         assert s27_scan.circuit.num_gates == s27_circuit.num_gates + 4 * 3
 
-    def test_primitive_mux_mode(self, s27_circuit):
-        sc = insert_scan(s27_circuit, expand_mux=False)
-        muxes = [g for g in sc.circuit.gates if g.kind == "MUX"]
-        assert len(muxes) == 3
-
     def test_combinational_circuit_rejected(self, toy_comb_circuit):
         with pytest.raises(ValueError):
             insert_scan(toy_comb_circuit)
@@ -148,21 +143,57 @@ class TestMultiChain:
         assert sc.max_chain_length == max(c.length for c in sc.chains)
 
 
+class TestScanVectors:
+    def test_shifts_to_observe(self, medium_synth):
+        sc = insert_scan(medium_synth, num_chains=3)
+        for chain in sc.chains:
+            for position, q in enumerate(chain.order):
+                assert sc.shifts_to_observe(q) == chain.length - position
+        with pytest.raises(KeyError):
+            sc.shifts_to_observe("nope")
+
+    def test_scan_in_loads_random_states_on_unequal_chains(self, medium_synth):
+        """From the all-X state, the shift-in of ``state`` ends in exactly
+        ``state``, with chains of lengths 4, 3 and 3."""
+        import random
+
+        sc = insert_scan(medium_synth, num_chains=3)
+        assert sorted(c.length for c in sc.chains) == [3, 3, 4]
+        rng = random.Random(11)
+        sim = LogicSimulator(sc.circuit)
+        for _ in range(20):
+            state = tuple(rng.choice((ZERO, ONE, X))
+                          for _ in sc.circuit.flops)
+            vectors = sc.scan_in_vectors(state)
+            assert len(vectors) == sc.max_chain_length
+            sim.reset()
+            for vector in vectors:
+                sim.step(vector)
+            assert sim.state == state
+
+
 class TestMuxEquivalence:
     def test_expanded_and_primitive_agree(self, toy_seq_circuit):
-        """Both scan implementations behave identically cycle by cycle."""
+        """The four-gate scan mux behaves cycle by cycle like a primitive
+        2:1 mux in front of every flip-flop: ``scan_sel = 1`` shifts the
+        chain, ``scan_sel = 0`` takes the circuit's next state."""
         import random
 
         rng = random.Random(7)
-        expanded = insert_scan(toy_seq_circuit, expand_mux=True)
-        primitive = insert_scan(toy_seq_circuit, expand_mux=False)
-        sim_e = LogicSimulator(expanded.circuit)
-        sim_p = LogicSimulator(primitive.circuit)
+        sc = insert_scan(toy_seq_circuit)
+        order = sc.chains[0].order
+        flops = [f.q for f in toy_seq_circuit.flops]
+        scan = LogicSimulator(sc.circuit)
+        model = LogicSimulator(toy_seq_circuit)
         for _ in range(80):
             sel = rng.randint(0, 1)
             sin = rng.randint(0, 1)
             base = tuple(rng.randint(0, 1) for _ in range(2))
-            out_e = sim_e.step(scan_vec(expanded, base, sel, sin))
-            out_p = sim_p.step(scan_vec(primitive, base, sel, sin))
-            assert out_e == out_p
-            assert sim_e.state == sim_p.state
+            before = dict(zip(flops, model.state))
+            out = scan.step(scan_vec(sc, base, sel, sin))
+            model_out = model.step(base)
+            if sel == ONE:
+                shifted = dict(zip(order, [sin] + [before[q] for q in order[:-1]]))
+                model.reset(tuple(shifted[q] for q in flops))
+            assert out[:len(model_out)] == model_out
+            assert scan.state == model.state

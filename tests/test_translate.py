@@ -77,6 +77,17 @@ class TestSemantics:
             sim.step(seq[t])
         assert sim.state == (ZERO, ONE, ONE)
 
+    def test_custom_chain_order_loads_the_test_state(self, s27_circuit):
+        """A chain order other than C's flop order still loads SI into
+        the flops SI names: C_scan keeps C's flop order."""
+        sc = insert_scan(s27_circuit, chain_order=["G7", "G5", "G6"])
+        assert [f.q for f in sc.circuit.flops] == ["G5", "G6", "G7"]
+        ts = paper_test_set(s27_circuit)
+        sim = LogicSimulator(sc.circuit)
+        for vector in list(translate_test_set(sc, ts))[:3]:
+            sim.step(vector)
+        assert sim.state == (ZERO, ONE, ONE)
+
     def test_detection_preserved(self, s27_circuit, s27_scan):
         """Every core-logic fault the conventional set detects is detected
         by the randomized translated sequence."""
