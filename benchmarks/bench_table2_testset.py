@@ -2,13 +2,13 @@
 
 The paper's Table 2 lists four ``(SI_i, T_i)`` tests produced by a
 procedure that distinguishes scan operations from functional vectors.
-This bench regenerates such a set with the first-approach generator
-(PODEM on the combinational view, one vector per test) and checks its
-defining characteristics."""
+This bench regenerates such a set with the conventional generator in
+its first-approach setting (PODEM on the combinational view, one vector
+per test) and checks its defining characteristics."""
 
-from repro.atpg import CombScanATPG
+from repro.atpg import SecondApproachATPG, SecondApproachConfig
 from repro.circuit import s27
-from repro.compaction import reverse_order_compact
+from repro.compaction import scan_set_compact
 from repro.faults import collapse_faults
 
 from conftest import emit
@@ -17,8 +17,9 @@ from conftest import emit
 def generate():
     circuit = s27()
     faults = collapse_faults(circuit)
-    result = CombScanATPG(circuit, faults, seed=2).generate()
-    compacted, _ = reverse_order_compact(circuit, faults, result.test_set)
+    config = SecondApproachConfig(seed=2, max_test_length=1, compact=False)
+    result = SecondApproachATPG(circuit, faults, config).generate()
+    compacted, _ = scan_set_compact(circuit, faults, result.test_set)
     return circuit, faults, result, compacted
 
 

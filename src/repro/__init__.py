@@ -75,7 +75,6 @@ from .sim import (
     make_backend,
 )
 from .atpg import (
-    CombScanATPG,
     Podem,
     PodemResult,
     SecondApproachATPG,
@@ -104,7 +103,7 @@ from .compaction import (
     omission_compact,
     overlapped_restoration_compact,
     restoration_compact,
-    reverse_order_compact,
+    scan_set_compact,
     subsequence_removal_compact,
 )
 from .analysis import analyze
@@ -127,7 +126,7 @@ __all__ = [
     "BACKEND_AUTO", "BACKEND_PACKED", "BACKEND_VECTOR", "BACKEND_NAMES",
     # atpg
     "Podem", "PodemResult", "comb_view", "SequentialATPG", "SeqATPGConfig",
-    "CombScanATPG", "SecondApproachATPG", "SecondApproachConfig",
+    "SecondApproachATPG", "SecondApproachConfig",
     # core
     "FlowConfig", "TestSequence", "ScanTest", "ScanTestSet", "ScanAwareATPG",
     "ScanATPGResult", "translate_test_set", "generation_flow",
@@ -135,7 +134,7 @@ __all__ = [
     # compaction
     "CompactionOracle", "restoration_compact", "RestorationResult",
     "omission_compact", "OmissionResult",
-    "reverse_order_compact", "overlapped_restoration_compact",
+    "scan_set_compact", "overlapped_restoration_compact",
     "subsequence_removal_compact",
     # extensions
     "analyze",

@@ -1,6 +1,6 @@
 """ATPG substrate: combinational PODEM, the combinational (full-scan)
-view, simulation-based sequential ATPG, and the two conventional scan
-approaches the paper contrasts with.
+view, simulation-based sequential ATPG, and the conventional scan
+generator (both approaches the paper contrasts with).
 
 Import order matters here: ``seq_atpg`` must be fully loaded before the
 modules that pull in :mod:`repro.core` (whose scan-aware layer imports
@@ -16,7 +16,6 @@ from .seq_atpg import (
     SequentialATPG,
 )
 from .scan_sim import scan_test_detections, scan_test_observability
-from .scan_comb import CombScanATPG, CombScanATPGResult
 from .scan_seq import SecondApproachATPG, SecondApproachConfig, SecondApproachResult
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "PropagationTrace",
     "scan_test_detections",
     "scan_test_observability",
-    "CombScanATPG",
-    "CombScanATPGResult",
     "SecondApproachATPG",
     "SecondApproachConfig",
     "SecondApproachResult",

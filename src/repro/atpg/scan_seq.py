@@ -1,5 +1,5 @@
-"""Second-approach scan ATPG — the conventional baseline (refs [6]-[9],
-stand-in for the compaction flow of [26]).
+"""Conventional scan ATPG — the second approach (refs [6]-[9], stand-in
+for the compaction flow of [26]) and, at ``|T| = 1``, the first.
 
 The second approach "repeatedly selects between two options": scan
 (out/in) or keep applying primary input vectors.  Tests have the form
@@ -18,13 +18,20 @@ Implementation:
    final state for the closing scan-out) outnumber zero.  This is the
    simulation-based flavour of refs [6]-[9]: using functional vectors
    instead of scan operations whenever that is cheaper;
-3. a reverse-order compaction pass
-   (:func:`repro.compaction.scan_set.reverse_order_compact`) drops tests
-   made redundant by later, stronger ones.
+3. one compaction pass (:func:`repro.compaction.scan_set.scan_set_compact`)
+   drops tests made redundant by later, stronger ones and trims the
+   kept tests' trailing vectors.
 
 The result is an honest, literature-shaped baseline: clearly better than
 the first approach (fewer scan operations), but still restricted to
 complete scan — exactly what Tables 6 and 7 compare against.
+
+The first approach (Section 1, refs [1]-[5]) is this generator with
+``max_test_length=1`` and ``compact=False``: every PODEM cube splits
+into a scan-in state ``t_s`` and one input vector ``t_I``, giving the
+scan test ``(t_s, t_I)``, and a complete scan operation surrounds every
+vector.  With ``|T|`` capped at 1 the extension phase draws no random
+numbers, so the tests are exactly the randomly filled PODEM cubes.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class SecondApproachConfig:
     candidates_per_step: int = 6
     #: Maximum functional vectors per test (``|T|`` cap).
     max_test_length: int = 12
-    #: Run the reverse-order test-set compaction pass.
+    #: Run the test-set compaction pass.
     compact: bool = True
 
     def __post_init__(self):
@@ -105,7 +112,7 @@ class SecondApproachATPG:
                             backtrack_limit=self.config.backtrack_limit)
 
     def generate(self) -> SecondApproachResult:
-        """PODEM-seeded tests, greedy extension, reverse-order compaction."""
+        """PODEM-seeded tests, greedy extension, test-set compaction."""
         result = SecondApproachResult(test_set=ScanTestSet(self.circuit))
         sim = make_backend(self.circuit, self.faults)
         undetected_mask = sim.fault_mask
@@ -142,16 +149,11 @@ class SecondApproachATPG:
                                   engine="scan_seq", unit="test")
 
         if self.config.compact and len(result.test_set):
-            from ..compaction.scan_set import reverse_order_compact, trim_test_tails
+            from ..compaction.scan_set import scan_set_compact
 
-            compacted, detected_by = reverse_order_compact(
+            result.test_set, result.detected_by = scan_set_compact(
                 self.circuit, self.faults, result.test_set
             )
-            compacted, detected_by = trim_test_tails(
-                self.circuit, self.faults, compacted
-            )
-            result.test_set = compacted
-            result.detected_by = detected_by
         return result
 
     # -- extension phase ----------------------------------------------------

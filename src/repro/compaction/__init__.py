@@ -1,13 +1,13 @@
 """Static test compaction: vector restoration [23] and vector omission
 [22] for single test sequences (the paper applies them, unchanged, to
-``C_scan`` sequences), plus reverse-order compaction for conventional
-scan test sets."""
+``C_scan`` sequences), plus reverse-order compaction and tail trimming
+for conventional scan test sets."""
 
 from .base import CompactionOracle
 from .omission import OmissionResult, omission_compact
 from .overlapped import overlapped_restoration_compact
 from .restoration import RestorationResult, restoration_compact
-from .scan_set import reverse_order_compact, trim_test_tails
+from .scan_set import scan_set_compact
 from .subsequences import SubsequenceRemovalResult, subsequence_removal_compact
 
 __all__ = [
@@ -16,8 +16,7 @@ __all__ = [
     "RestorationResult",
     "omission_compact",
     "OmissionResult",
-    "reverse_order_compact",
-    "trim_test_tails",
+    "scan_set_compact",
     "overlapped_restoration_compact",
     "subsequence_removal_compact",
     "SubsequenceRemovalResult",

@@ -6,7 +6,7 @@ they know nothing about scan.  Their only interface to the circuit is a
 *detection oracle*: given a sequence, which target faults does it detect,
 and when?  :class:`CompactionOracle` packages that interface over an
 incremental :class:`~repro.sim.session.SimSession`, so near-identical
-queries (omission trials, restoration spans, tail trims) resume from
+queries (omission trials, restoration spans) resume from
 packed-state checkpoints instead of cycle 0, and faults a procedure has
 secured can be :meth:`dropped <drop>` from the packed planes until the
 procedure's final accounting.

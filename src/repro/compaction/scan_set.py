@@ -9,11 +9,17 @@ one" (Section 1).  The contrast with
 :mod:`repro.compaction.restoration` / :mod:`~repro.compaction.omission`
 applied to translated sequences is the substance of Table 7.
 
-The pass implemented here is classic reverse-order fault simulation:
-tests are simulated newest-first, and a test is kept only when it detects
-a fault not yet covered by the tests kept so far.  (Later tests tend to
-target the hard faults and incidentally cover many easy ones, so the
-early easy-fault tests usually fall away.)
+One pass over one simulation session does two things:
+
+1. classic reverse-order fault simulation: tests are simulated
+   newest-first, and a test is kept only when it detects a fault not yet
+   covered by the tests kept so far.  (Later tests tend to target the
+   hard faults and incidentally cover many easy ones, so the early
+   easy-fault tests usually fall away.)
+2. trailing-vector trimming of the kept tests, newest first: a test
+   loses its last functional vector (``|T| >= 1`` is preserved) whenever
+   every fault that vector's removal stops the test from detecting is
+   still detected by another kept test.
 """
 
 from __future__ import annotations
@@ -21,91 +27,61 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from ..atpg.scan_sim import scan_test_detections
 from ..circuit.netlist import Circuit
-from ..testseq.scan_tests import ScanTestSet
+from ..testseq.scan_tests import ScanTest, ScanTestSet
 from ..faults.model import Fault
-from ..sim.backend import make_backend
 from ..sim.fault_sim import iter_fault_positions
 from ..sim.session import SimSession
 
 
-def reverse_order_compact(
+def scan_set_compact(
     circuit: Circuit,
     faults: Sequence[Fault],
     test_set: ScanTestSet,
 ) -> Tuple[ScanTestSet, Dict[Fault, int]]:
-    """Reverse-order pass over ``test_set``.
+    """Drop tests in reverse order, then trim the kept tests' tails.
 
-    Returns the compacted set (original relative order preserved) and the
-    fault -> kept-test-index detection map.
-    """
-    sim = make_backend(circuit, faults)
-    undetected = sim.fault_mask
-    keep: List[int] = []
-    detections: Dict[int, int] = {}  # original index -> mask newly detected
-    for index in range(len(test_set) - 1, -1, -1):
-        mask = scan_test_detections(sim, test_set[index])
-        newly = mask & undetected
-        if newly:
-            keep.append(index)
-            detections[index] = newly
-            undetected &= ~newly
-    keep.reverse()
+    Returns the compacted set (original relative order preserved) and
+    the fault -> first-detecting-test map.  Total detection never
+    shrinks and cycle counts only go down.
 
-    compacted = ScanTestSet(circuit, [test_set[i] for i in keep])
-    detected_by: Dict[Fault, int] = {}
-    for new_index, original_index in enumerate(keep):
-        for fault in sim.faults_from_mask(detections[original_index]):
-            detected_by[fault] = new_index
-    return compacted, detected_by
-
-
-def trim_test_tails(
-    circuit: Circuit,
-    faults: Sequence[Fault],
-    test_set: ScanTestSet,
-) -> Tuple[ScanTestSet, Dict[Fault, int]]:
-    """Trailing-vector omission over a conventional scan test set.
-
-    Reverse-order compaction can only drop whole tests; extension-grown
-    tests often keep functional vectors whose detections are by now
-    covered elsewhere in the set.  This pass shortens each test from the
-    tail (``|T| >= 1`` is preserved) whenever every fault the dropped
-    vectors detected is still detected by some other test — so total
-    detection never shrinks while cycle counts only go down.
-
-    Returns the trimmed set and the fault -> first-detecting-test map.
-
-    Trial candidates for one test are successive *prefixes* of its
-    vector list from the same scan-in state — exactly the shape the
-    incremental session's checkpoints resume across, so each trial
+    Each test's detection mask is simulated once; trimming reuses the
+    kept tests' masks.  Its trial candidates for one test are successive
+    *prefixes* of its vector list from the same scan-in state — exactly
+    the shape the session's checkpoints resume across, so each trial
     re-simulates at most one checkpoint interval instead of the whole
     test.
     """
     session = SimSession(circuit, faults)
-    tests = list(test_set)
-    masks = [session.scan_test_mask(t.scan_in, t.vectors) for t in tests]
+    undetected = session.fault_mask
+    tests: List[ScanTest] = []
+    masks: List[int] = []
+    for test in reversed(test_set):
+        mask = session.scan_test_mask(test.scan_in, test.vectors)
+        if mask & undetected:
+            tests.append(test)
+            masks.append(mask)
+            undetected &= ~mask
+    tests.reverse()
+    masks.reverse()
 
-    # fault position -> number of tests detecting it
+    # fault position -> number of kept tests detecting it
     cover_count = Counter(position for mask in masks
                           for position in iter_fault_positions(mask))
     for index in range(len(tests) - 1, -1, -1):
-        while len(tests[index].vectors) > 1:
-            candidate = tests[index].__class__(
-                tests[index].scan_in, tests[index].vectors[:-1]
-            )
-            new_mask = session.scan_test_mask(
-                candidate.scan_in, candidate.vectors
-            )
+        test = tests[index]
+        while len(test.vectors) > 1:
+            shorter = test.vectors[:-1]
+            new_mask = session.scan_test_mask(test.scan_in, shorter)
             lost = list(iter_fault_positions(masks[index] & ~new_mask))
             if any(cover_count[position] < 2 for position in lost):
                 break
             cover_count.subtract(lost)
             cover_count.update(
                 iter_fault_positions(new_mask & ~masks[index]))
-            tests[index] = candidate
+            test = ScanTest(test.scan_in, shorter)
             masks[index] = new_mask
+        tests[index] = test
 
     detected_by: Dict[Fault, int] = {}
     for index, mask in enumerate(masks):

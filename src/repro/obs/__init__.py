@@ -66,7 +66,6 @@ from .context import (
     set_gauge,
     span,
     stopwatch,
-    timed,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "coverage",
     "span",
     "stopwatch",
-    "timed",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from functools import wraps
 from typing import Iterator, Optional, Union
 
 from . import ledger as _ledger
@@ -255,14 +254,3 @@ def stopwatch(name: str):
     if telemetry is not None:
         return telemetry.span(name)
     return _Stopwatch()
-
-
-def timed(name: str):
-    """Decorator form of :func:`span`."""
-    def decorate(func):
-        @wraps(func)
-        def wrapper(*args, **kwargs):
-            with span(name):
-                return func(*args, **kwargs)
-        return wrapper
-    return decorate

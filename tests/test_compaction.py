@@ -1,17 +1,19 @@
-"""Static compaction: restoration [23], omission [22], scan-set
-reverse-order pass, and the shared oracle."""
+"""Static compaction: restoration [23], omission [22], the scan-set
+pass (reverse-order dropping plus tail trimming), and the shared
+oracle."""
 
 import random
 
 import pytest
 
-from repro.atpg import CombScanATPG, SeqATPGConfig
+from repro.atpg import SecondApproachATPG, SecondApproachConfig, SeqATPGConfig
+from repro.atpg.scan_sim import scan_test_detections
 from repro.circuit import insert_scan, random_circuit, s27
 from repro.compaction import (
     CompactionOracle,
     omission_compact,
     restoration_compact,
-    reverse_order_compact,
+    scan_set_compact,
 )
 from repro.core import ScanAwareATPG
 from repro.faults import collapse_faults
@@ -173,26 +175,46 @@ class TestOracle:
 
 class TestReverseOrderScanSet:
     def test_coverage_preserved_with_fewer_tests(self):
-        circuit = random_circuit("ro", 4, 8, 50, seed=19)
-        faults = collapse_faults(circuit)
-        gen = CombScanATPG(circuit, faults, seed=3)
-        result = gen.generate()
-        if len(result.test_set) < 3:
-            pytest.skip("test set too small to compact")
-        compacted, detected_by = reverse_order_compact(
-            circuit, faults, result.test_set
-        )
-        assert len(compacted) <= len(result.test_set)
-        # Coverage must not drop.
-        from repro.atpg.scan_sim import scan_test_detections
+        """One scan-set pass over raw first-approach (``|T| = 1``) and
+        second-approach sets, checked against per-test reference
+        simulation.  The multi-vector sets exercise tail trimming as
+        well as test dropping."""
+        for circuit_seed in (5, 19, 23, 41):
+            circuit = random_circuit("ro", 4, 8, 50, seed=circuit_seed)
+            faults = collapse_faults(circuit)
+            for max_test_length in (1, 12):
+                raw = SecondApproachATPG(circuit, faults, SecondApproachConfig(
+                    seed=3, max_test_length=max_test_length, compact=False,
+                )).generate().test_set
+                compacted, detected_by = scan_set_compact(circuit, faults, raw)
+                assert len(compacted) <= len(raw)
+                check_scan_set_compaction(circuit, faults, raw, compacted,
+                                          detected_by)
 
-        sim = PackedFaultSimulator(circuit, faults)
-        full_mask = 0
-        for test in result.test_set:
-            full_mask |= scan_test_detections(sim, test)
-        kept_mask = 0
-        for test in compacted:
-            kept_mask |= scan_test_detections(sim, test)
-        assert kept_mask == full_mask
-        # detected_by indexes into the compacted set.
-        assert all(0 <= i < len(compacted) for i in detected_by.values())
+
+def check_scan_set_compaction(circuit, faults, raw, compacted, detected_by):
+    """Check one scan-set pass against per-test reference simulation."""
+    # Kept tests keep their original order, and each kept test's
+    # vectors are a non-empty prefix of its source test's vectors.
+    sources = iter(raw)
+    for kept in compacted:
+        assert kept.vectors
+        assert any(source.scan_in == kept.scan_in
+                   and source.vectors[:len(kept.vectors)] == kept.vectors
+                   for source in sources)
+    # The detection union is the raw set's, recomputed per test.
+    sim = PackedFaultSimulator(circuit, faults)
+    raw_union = 0
+    for test in raw:
+        raw_union |= scan_test_detections(sim, test)
+    kept_masks = [scan_test_detections(sim, test) for test in compacted]
+    kept_union = 0
+    for mask in kept_masks:
+        kept_union |= mask
+    assert kept_union == raw_union
+    # detected_by names each fault's first detecting kept test.
+    expected = {}
+    for index, mask in enumerate(kept_masks):
+        for fault in sim.faults_from_mask(mask):
+            expected.setdefault(fault, index)
+    assert detected_by == expected

@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     FlowConfig,
-    CombScanATPG,
     ScanAwareATPG,
     SecondApproachATPG,
     SecondApproachConfig,
@@ -45,11 +44,12 @@ class TestRoundTripScenarios:
         assert stil.count("V {") == len(sequence)
 
     def test_first_approach_feeds_translation(self, s27_circuit):
-        """First-approach tests (kept as X-cubes) translate and compact
-        to below their own conventional cycle count."""
+        """First-approach tests translate and compact to below their own
+        conventional cycle count."""
         sc = insert_scan(s27_circuit)
         faults_c = collapse_faults(s27_circuit)
-        gen = CombScanATPG(s27_circuit, faults_c, seed=4, keep_x=True)
+        gen = SecondApproachATPG(s27_circuit, faults_c, SecondApproachConfig(
+            seed=4, max_test_length=1, compact=False))
         result = gen.generate()
         sequence = translate_test_set(sc, result.test_set)
         assert len(sequence) == result.test_set.total_cycles()
@@ -62,7 +62,8 @@ class TestRoundTripScenarios:
 
 class TestCrossEngineConsistency:
     def test_three_generators_agree_on_detectability(self, s27_circuit):
-        """Scan-aware generation, first approach and second approach all
+        """Scan-aware generation and the conventional generator in its
+        first-approach (``|T| = 1``) and second-approach settings all
         reach 100% on s27(_scan): no engine disagrees about what is
         testable on the exact benchmark."""
         sc = insert_scan(s27_circuit)
@@ -72,7 +73,10 @@ class TestCrossEngineConsistency:
         assert aware.base.detected_count == len(scan_faults)
 
         core_faults = collapse_faults(s27_circuit)
-        first = CombScanATPG(s27_circuit, core_faults, seed=3).generate()
+        first = SecondApproachATPG(
+            s27_circuit, core_faults,
+            SecondApproachConfig(seed=3, max_test_length=1, compact=False),
+        ).generate()
         assert first.coverage() == 100.0
         second = SecondApproachATPG(
             s27_circuit, core_faults, SecondApproachConfig(seed=3)

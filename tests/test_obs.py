@@ -175,16 +175,6 @@ def test_sessions_nest_and_restore_previous():
     assert inner.metrics.counter("which").value == 1
 
 
-def test_timed_decorator_records_span():
-    @obs.timed("decorated")
-    def work():
-        return 42
-
-    with obs.session() as telemetry:
-        assert work() == 42
-    assert telemetry.spans.aggregate()["decorated"]["count"] == 1
-
-
 # -- journal -----------------------------------------------------------------
 
 

@@ -1,10 +1,10 @@
-"""The two conventional scan approaches (first: PODEM per fault; second:
-multi-vector tests) and the scan-test simulation semantics."""
+"""The two conventional scan approaches (first: one vector per test;
+second: multi-vector tests), both from one generator, and the scan-test
+simulation semantics."""
 
 import pytest
 
 from repro.atpg import (
-    CombScanATPG,
     SecondApproachATPG,
     SecondApproachConfig,
     scan_test_detections,
@@ -14,6 +14,11 @@ from repro.circuit import random_circuit, s27
 from repro.faults import collapse_faults
 from repro.sim import PackedFaultSimulator
 from repro.testseq import ScanTest
+
+
+def first_approach(seed):
+    """The first approach: ``|T| = 1`` and no test-set compaction."""
+    return SecondApproachConfig(seed=seed, max_test_length=1, compact=False)
 
 
 class TestScanTestSimulation:
@@ -64,7 +69,9 @@ class TestFirstApproach:
     def generated(self):
         circuit = s27()
         faults = collapse_faults(circuit)
-        return circuit, faults, CombScanATPG(circuit, faults, seed=2).generate()
+        return circuit, faults, SecondApproachATPG(
+            circuit, faults, first_approach(2)
+        ).generate()
 
     def test_full_coverage_on_s27(self, generated):
         _c, faults, result = generated
@@ -94,20 +101,9 @@ class TestFirstApproach:
             assert X not in test.scan_in
             assert all(X not in v for v in test.vectors)
 
-    def test_keep_x_mode(self):
-        from repro.circuit.gates import X
-
-        circuit = s27()
-        result = CombScanATPG(circuit, seed=2, keep_x=True).generate()
-        has_x = any(
-            X in test.scan_in or any(X in v for v in test.vectors)
-            for test in result.test_set
-        )
-        assert has_x  # PODEM cubes leave unspecified positions
-
     def test_rejects_combinational(self, toy_comb_circuit):
         with pytest.raises(ValueError):
-            CombScanATPG(toy_comb_circuit)
+            SecondApproachATPG(toy_comb_circuit, config=first_approach(0))
 
 
 class TestSecondApproach:
@@ -138,10 +134,12 @@ class TestSecondApproach:
         after the same compaction."""
         circuit = s27()
         faults = collapse_faults(circuit)
-        first = CombScanATPG(circuit, faults, seed=2).generate()
-        from repro.compaction import reverse_order_compact
+        first = SecondApproachATPG(
+            circuit, faults, first_approach(2)
+        ).generate()
+        from repro.compaction import scan_set_compact
 
-        first_set, _ = reverse_order_compact(circuit, faults, first.test_set)
+        first_set, _ = scan_set_compact(circuit, faults, first.test_set)
         second = SecondApproachATPG(
             circuit, faults, SecondApproachConfig(seed=2)
         ).generate()
