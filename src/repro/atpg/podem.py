@@ -11,9 +11,6 @@ decision.
 The engine runs on combinational circuits — in this package that is the
 :mod:`~repro.atpg.comb_view` of a sequential circuit, whose pseudo
 primary inputs/outputs give the classic full-scan ATPG formulation.
-:meth:`Podem.run_multi` generalizes the search to *multi-site
-injection*: a list of fault sites is forced simultaneously in the faulty
-machine and treated as one composite fault.
 
 Faults are the :class:`~repro.faults.model.Fault` objects of this
 package: stem faults on any net, branch faults on gate input pins or
@@ -30,9 +27,9 @@ A complete run returns one of three verdicts:
 Engine internals (see docs/ARCHITECTURE.md, "The PODEM engine"): the
 circuit is compiled on the first run into integer net tables; implication
 is event-driven with a trail that backtracking unwinds; the D-frontier
-and X-path searches stay inside the fault sites' fanout cone; and every
-verdict is memoized per fault-site tuple, reusable under any backtrack
-limit it provably answers.
+and X-path searches stay inside the fault site's fanout cone; and every
+verdict is memoized per fault, reusable under any backtrack limit it
+provably answers.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ _AND = (0, 0, 0, 0, 1, X, 0, X, X)
 _OR = (0, 1, X, 1, 1, 1, X, 1, X)
 _XOR = (0, 1, X, 1, 0, X, X, X, X)
 _NOT = (1, 0, X)
-_NO_PINS: Dict[int, int] = {}
 
 #: Gate kind -> (fold table, output inverted).
 _OPS = {
@@ -112,8 +108,8 @@ class Podem:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self._compiled = False
-        #: fault-site tuple -> the last computed result for those sites
-        self._memo: Dict[Tuple[Fault, ...], PodemResult] = {}
+        #: fault -> the last computed result for that fault
+        self._memo: Dict[Fault, PodemResult] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -124,34 +120,30 @@ class Podem:
 
     def run_multi(self, faults: Sequence[Fault],
                   backtrack_limit: Optional[int] = None) -> PodemResult:
-        """Generate one cube detecting the *composite* fault whose sites
-        are all of ``faults`` at once.
-
-        All sites are forced together in the faulty machine, and
-        detection means the composite effect reaches some output.  The
-        reported ``fault`` is ``faults[0]``; :meth:`run` is the
-        one-site case.
+        """:meth:`run` for ``faults``, which must hold exactly one fault
+        (the list form is the entry point the flow benchmark's tracer
+        times).
 
         ``backtrack_limit`` overrides the engine's limit for this call.
-        A memoized verdict for the same sites answers the call without a
+        A memoized verdict for the same fault answers the call without a
         search whenever it is what the search would return (see
         :meth:`_from_memo`).
         """
-        if not faults:
-            raise ValueError("run_multi needs at least one fault site")
+        if len(faults) != 1:
+            raise ValueError("run_multi takes exactly one fault")
+        fault = faults[0]
         limit = self.backtrack_limit if backtrack_limit is None \
             else backtrack_limit
         obs.incr("atpg.podem.calls")
-        key = tuple(faults)
-        known = self._memo.get(key)
+        known = self._memo.get(fault)
         if known is not None:
             answer = self._from_memo(known, limit)
             if answer is not None:
                 return self._record(answer, memo=True)
         if not self._compiled:
             self._compile()
-        result = self._search(faults, limit)
-        self._memo[key] = result
+        result = self._search(fault, limit)
+        self._memo[fault] = result
         return self._record(_copy(result), memo=False)
 
     # -- verdict memo ------------------------------------------------------
@@ -159,7 +151,7 @@ class Podem:
     @staticmethod
     def _from_memo(known: PodemResult, limit: int) -> Optional[PodemResult]:
         """The result a search under ``limit`` would return, derived from
-        an earlier result for the same sites, or ``None`` if unknowable.
+        an earlier result for the same fault, or ``None`` if unknowable.
 
         The search never reads its limit except to stop at the first
         backtrack that exceeds it — backtrack ``max(1, limit + 1)``.  A
@@ -233,44 +225,44 @@ class Podem:
 
     # -- fault site compilation --------------------------------------------
 
-    def _prepare(self, faults: Sequence[Fault]) -> None:
-        """Forcing tables, activation sites and fanout cone of the sites."""
+    def _prepare(self, fault: Fault) -> None:
+        """The forced site and the fanout cone of the fault.
+
+        The faulty machine forces ``fault.stuck_at`` on one site: the
+        value of net ``_stem``, input pin ``_pin`` of gate ``_pin_gate``,
+        or the observed value of primary output ``_po``.  Unused site
+        fields are -1; a branch fault on a pin the circuit lacks forces
+        nothing.
+        """
         net_id = self._net_id
-        fanin = self._fanin
-        stem_force: Dict[int, int] = {}
-        pin_force: Dict[int, Dict[int, int]] = {}
-        po_force: Dict[int, int] = {}
-        sites: List[Tuple[int, int]] = []
-        for fault in faults:
-            if fault.kind == STEM:
-                stem_force[net_id[fault.net]] = fault.stuck_at
-            elif fault.consumer.startswith("PO:"):
-                po = net_id.get(fault.consumer[3:])
-                if po is not None and self._is_output[po]:
-                    po_force[po] = fault.stuck_at
-            else:
-                gate = net_id.get(fault.consumer)
-                if gate is not None and fault.pin < len(fanin[gate]):
-                    pin_force.setdefault(gate, {})[fault.pin] = fault.stuck_at
-            sites.append((net_id[fault.net], fault.stuck_at))
+        self._stem = self._pin_gate = self._pin = self._po = -1
+        if fault.kind == STEM:
+            self._stem = net_id[fault.net]
+        elif fault.consumer.startswith("PO:"):
+            po = net_id.get(fault.consumer[3:])
+            if po is not None and self._is_output[po]:
+                self._po = po
+        else:
+            gate = net_id.get(fault.consumer)
+            if gate is not None and fault.pin < len(self._fanin[gate]):
+                self._pin_gate = gate
+                self._pin = fault.pin
+        self._site = net_id[fault.net]
+        self._stuck = fault.stuck_at
         # Forward closure of every net whose faulty value can differ.
         cone = bytearray(self._size)
-        work = list(stem_force) + list(pin_force)
+        work = [net for net in (self._stem, self._pin_gate) if net >= 0]
         fanout = self._fanout
         while work:
             net = work.pop()
             if not cone[net]:
                 cone[net] = 1
                 work.extend(fanout[net])
-        self._stem_force = stem_force
-        self._pin_force = pin_force
-        self._po_force = po_force
-        self._sites = sites
         self._cone = cone
         self._cone_gates = [net for net in range(self._num_inputs, self._size)
                             if cone[net]]
         self._cone_outputs = [po for po in self._outputs
-                              if cone[po] or po in po_force]
+                              if cone[po] or po == self._po]
 
     # -- event-driven implication ------------------------------------------
 
@@ -290,8 +282,10 @@ class Podem:
         ops = self._ops
         fanin = self._fanin
         fanout = self._fanout
-        stem_force = self._stem_force
-        pin_force = self._pin_force
+        stem = self._stem
+        pin_gate = self._pin_gate
+        pin = self._pin
+        stuck = self._stuck
         evals = 0
         while queue:
             out = heappop(queue)
@@ -302,17 +296,15 @@ class Podem:
             evals += 1
             if not cone[out]:
                 f = g
-            elif out in stem_force:
-                f = stem_force[out]
+            elif out == stem:
+                f = stuck
             else:
-                pins = pin_force.get(out)
-                if pins is None:
-                    f = _evaluate(op, faulty, ins)
-                else:
+                if out == pin_gate:
                     values = [faulty[net] for net in ins]
-                    for pin, stuck in pins.items():
-                        values[pin] = stuck
+                    values[pin] = stuck
                     f = _evaluate(op, values, range(len(ins)))
+                else:
+                    f = _evaluate(op, faulty, ins)
                 evals += 1
             if g != good[out] or f != faulty[out]:
                 trail.append((out, good[out], faulty[out]))
@@ -330,7 +322,7 @@ class Podem:
         faulty = self._faulty
         self._trail.append((pi, good[pi], faulty[pi]))
         good[pi] = value
-        if pi not in self._stem_force:
+        if pi != self._stem:
             faulty[pi] = value
         self._propagate(self._fanout[pi])
 
@@ -347,27 +339,24 @@ class Podem:
 
     # -- search ------------------------------------------------------------
 
-    def _search(self, faults: Sequence[Fault], limit: int) -> PodemResult:
-        self._prepare(faults)
+    def _search(self, fault: Fault, limit: int) -> PodemResult:
+        self._prepare(fault)
         size = self._size
         self._good = [X] * size
         self._faulty = [X] * size
         self._queued = bytearray(size)
         self._trail = []
         self._evals = 0
-        # Initial implication: only the forced sites differ from all-X.
-        initial = []
-        for net, stuck in self._stem_force.items():
-            if net < self._num_inputs:
-                self._faulty[net] = stuck
-                initial.extend(self._fanout[net])
-            else:
-                initial.append(net)
-        initial.extend(self._pin_force)
-        self._propagate(initial)
+        # Initial implication: only the forced site differs from all-X.
+        stem = self._stem
+        if 0 <= stem < self._num_inputs:
+            self._faulty[stem] = self._stuck
+            self._propagate(self._fanout[stem])
+        else:
+            self._propagate([net for net in (stem, self._pin_gate)
+                             if net >= 0])
         self._trail.clear()
 
-        representative = faults[0]
         names = self._names
         assignment: Dict[str, int] = {}
         backtracks = 0
@@ -379,7 +368,7 @@ class Podem:
                 if detecting:
                     return PodemResult(
                         status=DETECTED,
-                        fault=representative,
+                        fault=fault,
                         assignment=assignment,
                         detecting_outputs=detecting,
                         backtracks=backtracks,
@@ -399,13 +388,13 @@ class Podem:
                 # No viable objective or backtrace dead-ends: backtrack.
                 backtracks += 1
                 if backtracks > limit:
-                    return PodemResult(status=ABORTED, fault=representative,
+                    return PodemResult(status=ABORTED, fault=fault,
                                        backtracks=backtracks)
                 while stack and stack[-1][2]:
                     del assignment[names[stack.pop()[0]]]
                 if not stack:
                     return PodemResult(status=UNTESTABLE,
-                                       fault=representative,
+                                       fault=fault,
                                        backtracks=backtracks)
                 entry = stack[-1]
                 self._undo(entry[3])
@@ -421,11 +410,10 @@ class Podem:
         """POs where good and faulty values are opposite binary values."""
         good = self._good
         faulty = self._faulty
-        po_force = self._po_force
         found = []
         for po in self._cone_outputs:
             g = good[po]
-            f = po_force.get(po, faulty[po])
+            f = self._stuck if po == self._po else faulty[po]
             if g != X and f != X and g != f:
                 found.append(self._names[po])
         return found
@@ -438,15 +426,16 @@ class Podem:
         good = self._good
         faulty = self._faulty
         fanin = self._fanin
-        pin_force = self._pin_force
+        pin_gate = self._pin_gate
+        stuck = self._stuck
         frontier = []
         for out in self._cone_gates:
             if good[out] != X and faulty[out] != X:
                 continue
-            pins = pin_force.get(out, _NO_PINS)
+            forced = self._pin if out == pin_gate else -1
             for pin, net in enumerate(fanin[out]):
                 g = good[net]
-                f = pins.get(pin, faulty[net])
+                f = stuck if pin == forced else faulty[net]
                 if g != X and f != X and g != f:
                     frontier.append(out)
                     break
@@ -475,36 +464,28 @@ class Podem:
     def _objectives(self) -> List[Tuple[int, int]]:
         """Candidate objectives in priority order; empty list = back up.
 
-        With multiple sites an activated site whose effect died does NOT
-        justify pruning: a still-undecided site may yet activate, so
-        activation of every other site is kept as a fallback objective.
-        This is what keeps ``untestable`` verdicts sound for composite
-        faults — see ``test_multisite_dead_site_does_not_prune`` in
-        ``tests/test_podem.py``.
+        An unjustified site asks for its activation; a site justified to
+        its stuck value cannot be activated; an activated site asks to
+        advance the D-frontier, if an X path still leads to an output.
         """
         good = self._good
-        activated = False
-        undecided: List[Tuple[int, int]] = []
-        for net, stuck in self._sites:
-            value = good[net]
-            if value == X:
-                undecided.append((net, stuck ^ 1))
-            elif value != stuck:
-                activated = True
+        value = good[self._site]
+        if value == X:
+            return [(self._site, self._stuck ^ 1)]
         candidates: List[Tuple[int, int]] = []
-        if activated:
-            frontier = self._d_frontier()
-            if frontier and self._x_path_exists(frontier):
-                fanin = self._fanin
-                control = self._control
-                for gate in sorted(frontier, key=self._level.__getitem__):
-                    for net in fanin[gate]:
-                        if good[net] == X:
-                            value = control[gate]
-                            candidates.append(
-                                (net, 0 if value is None else value ^ 1))
-                            break
-        candidates.extend(undecided)
+        if value == self._stuck:
+            return candidates
+        frontier = self._d_frontier()
+        if frontier and self._x_path_exists(frontier):
+            fanin = self._fanin
+            control = self._control
+            for gate in sorted(frontier, key=self._level.__getitem__):
+                for net in fanin[gate]:
+                    if good[net] == X:
+                        value = control[gate]
+                        candidates.append(
+                            (net, 0 if value is None else value ^ 1))
+                        break
         return candidates
 
     # -- backtrace ---------------------------------------------------------

@@ -52,13 +52,15 @@ from .podem import ABORTED, UNTESTABLE, Podem
 from .scan_sim import scan_test_detections, scan_test_observability
 from .seq_atpg import _require
 
+#: PODEM backtrack limit per target fault.
+BACKTRACK_LIMIT = 400
+
 
 @dataclass
 class SecondApproachConfig:
     """Effort knobs for the baseline generator."""
 
     seed: int = 0
-    backtrack_limit: int = 400
     #: Candidate vectors evaluated per extension step.
     candidates_per_step: int = 6
     #: Maximum functional vectors per test (``|T|`` cap).
@@ -109,7 +111,7 @@ class SecondApproachATPG:
         self._rng = random.Random(self.config.seed)
         self._view = comb_view(circuit)
         self._podem = Podem(self._view.circuit,
-                            backtrack_limit=self.config.backtrack_limit)
+                            backtrack_limit=BACKTRACK_LIMIT)
 
     def generate(self) -> SecondApproachResult:
         """PODEM-seeded tests, greedy extension, test-set compaction."""
@@ -162,6 +164,8 @@ class SecondApproachATPG:
         """Greedily grow ``T`` while extra functional vectors detect
         strictly more (still-undetected) faults than stopping here would."""
         config = self.config
+        if len(vectors) >= config.max_test_length:
+            return vectors
         sim.load_state(state)
         for vector in vectors:
             sim.step(vector)

@@ -49,12 +49,18 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from ..sim.backend import SimBackend, make_backend
+from ..sim.fault_sim import bit_gather, iter_fault_positions
 from ..testseq.sequences import TestSequence
 
 
 #: Rebuild (repack) the global fault simulator once detected faults
 #: outnumber undetected by this factor, to shrink the packed words.
 REPACK_FACTOR = 1.0
+
+#: Probability that a candidate vector mutates the previous vector
+#: instead of being drawn fresh (temporal locality helps sequential
+#: justification).
+MUTATE_PROBABILITY = 0.5
 
 
 @dataclass
@@ -79,10 +85,6 @@ class SeqATPGConfig:
     restarts: int = 2
     #: Abandon a search after this many steps with no score improvement.
     max_stale_steps: int = 8
-    #: Probability that a candidate vector mutates the previous vector
-    #: instead of being drawn fresh (temporal locality helps sequential
-    #: justification).
-    mutate_probability: float = 0.5
     #: Cap on the number of faults given a targeted search (0 = no cap).
     #: Targets beyond the cap are still fault-simulated and dropped when
     #: a subsequence for an earlier target detects them; survivors are
@@ -96,8 +98,6 @@ class SeqATPGConfig:
         for name in ("restarts", "max_stale_steps", "initial_random_vectors",
                      "max_targeted_faults"):
             _require(self, name, getattr(self, name) >= 0, ">= 0")
-        _require(self, "mutate_probability",
-                 0 <= self.mutate_probability <= 1, "in [0, 1]")
 
 
 def _require(config, name: str, ok: bool, rule: str) -> None:
@@ -278,7 +278,7 @@ class SequentialATPG:
                 obs.incr("atpg.seq.hook_detections")
                 ledger.record("atpg.hook_detect", fault=fault)
                 result.hook_detected.append(fault)
-            sim, seen = self._maybe_repack(sim, seen, sequence, result)
+            sim, seen = self._maybe_repack(sim, seen)
 
         # A fault aborted early may still fall to fault dropping while a
         # later target's subsequence is applied; keep the partitions
@@ -333,30 +333,26 @@ class SequentialATPG:
             ledger.record("atpg.detect", fault=fault, vector=time,
                           engine="seq", observed=observed)
 
-    def _maybe_repack(self, sim, seen, sequence, result):
+    def _maybe_repack(self, sim, seen):
         """Shrink the packed simulator to undetected faults when worth it;
         returns the simulator and its ``seen`` mask.
 
-        Repacking replays the whole sequence so every surviving fault
-        machine carries its correct sequential state; the replay also
-        cross-checks detections (a fault already detected stays detected).
+        Machines are simulated independently, so the narrower simulator
+        takes the surviving machines' flip-flop planes as they are, one
+        bit-gather per plane, instead of replaying the sequence.
         """
         # Every machine of ``sim`` outside ``seen`` is undetected.
-        undetected = (sim.fault_mask & ~seen).bit_count()
-        if not undetected:
+        undetected = sim.fault_mask & ~seen
+        count = undetected.bit_count()
+        if not count or len(sim.faults) < (1 + REPACK_FACTOR) * count:
             return sim, seen
-        if len(sim.faults) < (1 + REPACK_FACTOR) * undetected:
-            return sim, seen
-        packed = self._make_sim(sim.faults_from_mask(sim.fault_mask & ~seen))
-        packed.reset()
-        seen = 0
-        for t, vector in enumerate(sequence):
-            newly = packed.step(vector) & ~seen
-            if newly:
-                seen |= newly
-                self._record_detections(packed, newly, t,
-                                        result.detection_time)
-        return packed, seen
+        positions = list(iter_fault_positions(undetected))
+        packed = self._make_sim([sim.faults[p] for p in positions])
+        gather = bit_gather([0] + [p + 1 for p in positions])
+        packed._set_state_pairs([(gather(ones), gather(zeros))
+                                 for ones, zeros in sim._state_pairs()])
+        packed.time = sim.time
+        return packed, 0
 
     # -- per-fault search ------------------------------------------------------------
 
@@ -478,7 +474,7 @@ class SequentialATPG:
 
     def _candidate_vector(self, previous, rng) -> Tuple[int, ...]:
         """Fresh random vector, or a light mutation of the previous one."""
-        if previous is not None and rng.random() < self.config.mutate_probability:
+        if previous is not None and rng.random() < MUTATE_PROBABILITY:
             flips = max(1, self._num_inputs // 4)
             mutated = list(previous)
             for _ in range(rng.randint(1, flips)):

@@ -82,7 +82,6 @@ def omission_compact(
     origins = list(range(len(vectors)))
     required_mask = 0
     want_ledger = ledger.enabled()
-    session = oracle.session
 
     omitted_total = 0
     try:
@@ -129,8 +128,8 @@ def omission_compact(
                 obs.incr("compaction.omission.attempts")
                 trial = vectors[:index] + vectors[index + 1:]
                 if want_ledger:
-                    cycles_before = session.cycles_simulated
-                    hits_before = session.checkpoint_hits
+                    cycles_before = oracle.cycles_simulated
+                    hits_before = oracle.checkpoint_hits
                 detected = oracle.detected_mask(trial, need_after)
                 omitted = detected == need_after
                 if want_ledger:
@@ -142,12 +141,12 @@ def omission_compact(
                         "omission.decision", origin=origins[index],
                         omitted=omitted, pass_no=pass_no,
                         faults=oracle.faults_of(missing),
-                        cycles=session.cycles_simulated - cycles_before,
-                        checkpoint_hits=session.checkpoint_hits - hits_before,
+                        cycles=oracle.cycles_simulated - cycles_before,
+                        checkpoint_hits=oracle.checkpoint_hits - hits_before,
                     )
-                    obs.event("compaction.omission.decision",
-                              origin=origins[index], omitted=omitted,
-                              pass_no=pass_no)
+                obs.event("compaction.omission.decision",
+                          origin=origins[index], omitted=omitted,
+                          pass_no=pass_no)
                 if omitted:
                     obs.incr("compaction.omission.successes")
                     del vectors[index]
@@ -170,7 +169,7 @@ def omission_compact(
     obs.incr("compaction.omission.omitted_vectors", omitted_total)
 
     compacted = TestSequence(sequence.inputs, vectors, scan_sel=sequence.scan_sel)
-    assert oracle.session.dropped_mask == 0, (
+    assert oracle.dropped_mask == 0, (
         "omission accounting requires the full fault universe live"
     )
     final_mask = oracle.detected_mask(vectors)
@@ -181,8 +180,8 @@ def omission_compact(
             required=oracle.faults_of(final_mask & required_mask),
             extra=oracle.faults_of(final_mask & ~required_mask),
         )
-        obs.event("compaction.omission.result", kept=list(origins),
-                  omitted=omitted_total)
+    obs.event("compaction.omission.result", kept=list(origins),
+              omitted=omitted_total)
     return OmissionResult(
         sequence=compacted,
         omitted_count=omitted_total,

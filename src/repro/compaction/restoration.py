@@ -79,7 +79,7 @@ def restoration_compact(
         t_f = detection[fault]
         ledger.record("restoration.target", fault=fault, t=t_f)
         fault_mask = oracle.mask_of([fault])
-        cycles_before = oracle.session.cycles_simulated
+        cycles_before = oracle.cycles_simulated
         span = 1
         while True:
             obs.incr("compaction.restoration.attempts")
@@ -115,7 +115,7 @@ def restoration_compact(
                 "restoration.secured",
                 faults=oracle.faults_of(detected_mask),
                 via=str(fault), kept=len(restored),
-                cycles=oracle.session.cycles_simulated - cycles_before,
+                cycles=oracle.cycles_simulated - cycles_before,
             )
         oracle.drop(detected_mask)
         pending_mask &= ~detected_mask

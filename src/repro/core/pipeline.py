@@ -335,13 +335,12 @@ def _compact_into(
     packed-state checkpoints restoration left behind."""
     cfg = cfg or FlowConfig()
     oracle = CompactionOracle(circuit, faults)
-    session = oracle.session
-    cycles_start = session.cycles_simulated
+    cycles_start = oracle.cycles_simulated
     obs.event("progress.work", phase="restoration",
               total=len(sequence.vectors), unit="vectors")
     with obs.span("restoration"):
         restored = restoration_compact(circuit, sequence, faults, oracle=oracle)
-    cycles_restored = session.cycles_simulated
+    cycles_restored = oracle.cycles_simulated
     obs.event("progress.work", phase="omission",
               total=len(restored.sequence.vectors), unit="vectors")
     with obs.span("omission"):
@@ -353,7 +352,7 @@ def _compact_into(
         ledger.record(
             "compaction.phases",
             restoration_cycles=cycles_restored - cycles_start,
-            omission_cycles=session.cycles_simulated - cycles_restored,
+            omission_cycles=oracle.cycles_simulated - cycles_restored,
             raw_len=len(sequence.vectors),
             restored_len=len(restored.sequence.vectors),
             final_len=len(omitted.sequence.vectors),

@@ -256,7 +256,7 @@ class _ExplodingOracle(CompactionOracle):
     def detected_mask(self, vectors, target_mask=None):
         self._fuse -= 1
         if self._fuse < 0:
-            self.dropped_at_boom = self.session.dropped_mask
+            self.dropped_at_boom = self.dropped_mask
             raise RuntimeError("boom")
         return super().detected_mask(vectors, target_mask)
 
@@ -271,7 +271,7 @@ def test_omission_restores_drops_on_mid_sweep_failure():
             omission_compact(circuit, sequence, faults, oracle=oracle)
         assert oracle.dropped_at_boom, \
             "the failure should have happened while faults were dropped"
-        assert oracle.session.dropped_mask == 0, \
+        assert oracle.dropped_mask == 0, \
             "omission leaked dropped faults on the exception path"
     finally:
         oracle.close()

@@ -151,9 +151,9 @@ class TestOracle:
         vectors = list(sequence.vectors)
         oracle = CompactionOracle(circuit, faults)
         oracle.detected_mask(vectors[:min(10, len(vectors) // 2)])
-        hits = oracle.session.checkpoint_hits
+        hits = oracle.checkpoint_hits
         resumed = oracle.detected_mask(vectors)
-        assert oracle.session.checkpoint_hits == hits + 1
+        assert oracle.checkpoint_hits == hits + 1
         scratch = CompactionOracle(circuit, faults,
                                    incremental=False).detected_mask(vectors)
         assert resumed == scratch

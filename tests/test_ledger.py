@@ -174,6 +174,22 @@ def test_omission_journal_decisions_newest_first(tmp_path):
     assert set(result["kept"]) == kept_by_decision
 
 
+def test_omission_journals_decisions_without_ledger(tmp_path):
+    """Telemetry alone (no ledger) journals one omission decision per
+    trial and the final kept set."""
+    trace = tmp_path / "run.jsonl"
+    with obs.session(trace=str(trace)) as telemetry:
+        generation_flow(
+            suite.build_circuit("s27"),
+            FlowConfig(seed=suite.circuit_seed("s27")),
+        )
+        counters = telemetry.metrics.snapshot()["counters"]
+    kinds = [e["type"] for e in read_journal(trace)]
+    attempts = counters["compaction.omission.attempts"]
+    assert kinds.count("compaction.omission.decision") == attempts > 0
+    assert kinds.count("compaction.omission.result") == 1
+
+
 def test_session_close_journals_checkpoint_counters(tmp_path):
     trace = tmp_path / "run.jsonl"
     with obs.session(trace=str(trace)):

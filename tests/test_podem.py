@@ -275,71 +275,15 @@ def test_verdicts_match_exhaustive_search(inputs, flops, gates, seed):
             assert completions and not completions & ~detecting, fault
 
 
-# -- multi-site injection --------------------------------------------------------
+# -- run_multi --------------------------------------------------------------------
 
 
-def _two_copies(tied=False):
-    """Two copies of the cell ``s = AND(p, q); o = AND(s, r)`` sharing
-    input ``a``.  Copy 0's side input ``r`` is ``NOT(a)``, so activating
-    its site (``a = 1``) also kills its effect; only copy 1's site can
-    reach an output.  ``tied`` builds the faulty machine of both sites
-    stuck at 0: each site gate becomes ``AND(a, NOT a)``."""
-    gates = [
-        Gate("a2", "BUF", ("a",)),
-        Gate("na", "NOT", ("a",)),
-        Gate("s0", "AND", ("a", "na") if tied else ("a", "a2")),
-        Gate("o0", "AND", ("s0", "na")),
-        Gate("s1", "AND", ("a", "na") if tied else ("a", "b")),
-        Gate("o1", "AND", ("s1", "c")),
-    ]
-    return Circuit("copies", ["a", "b", "c"], ["o0", "o1"], gates)
-
-
-def _output_bits(circuit):
-    """Every primary output over all input assignments, bit-parallel
-    (bit k = assignment k, as in :func:`exhaustive`)."""
-    count = 1 << len(circuit.inputs)
-    full = (1 << count) - 1
-    values = {
-        net: sum(1 << k for k in range(count) if k >> i & 1)
-        for i, net in enumerate(circuit.inputs)
-    }
-    for gate in circuit.topo_gates:
-        values[gate.output] = _bits(
-            gate.kind, [values[n] for n in gate.inputs], full)
-    return values, [values[po] for po in circuit.outputs]
-
-
-class TestMultiSite:
-    def test_empty_site_list_rejected(self, toy_comb_circuit):
+def test_run_multi_takes_exactly_one_fault(toy_comb_circuit):
+    podem = Podem(toy_comb_circuit)
+    for count in (0, 2):
+        faults = [stem_fault(n, 0) for n in toy_comb_circuit.inputs[:count]]
         with pytest.raises(ValueError):
-            Podem(toy_comb_circuit).run_multi([])
-
-    def test_multisite_dead_site_does_not_prune(self):
-        """The first objective activates copy 0's site, whose effect dies
-        at once.  Backing up there would flip ``a`` and leave copy 1's
-        site unactivatable, a false "untestable".  The search must keep
-        copy 1's activation as an objective and return a cube that
-        detects the composite fault: checked against an exhaustive
-        evaluation of the netlist with both sites tied to 0
-        (``AND(a, NOT a)``)."""
-        circuit = _two_copies()
-        sites = [stem_fault("s0", 0), stem_fault("s1", 0)]
-        podem = Podem(circuit, backtrack_limit=100)
-        assert podem.run(sites[0]).status == UNTESTABLE
-        result = podem.run_multi(sites)
-        assert result.status == DETECTED
-        assert result.detecting_outputs == ["o1"]
-
-        patterns, good = _output_bits(circuit)
-        _, tied = _output_bits(_two_copies(tied=True))
-        detecting = 0
-        for g, f in zip(good, tied):
-            detecting |= g ^ f
-        completions = (1 << (1 << len(circuit.inputs))) - 1
-        for net, value in result.assignment.items():
-            completions &= patterns[net] if value else ~patterns[net]
-        assert completions and not completions & ~detecting
+            podem.run_multi(faults)
 
 
 # -- decisions pinned to the original engine ----------------------------------------

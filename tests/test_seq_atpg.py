@@ -150,8 +150,6 @@ class TestCompletionHook:
     (SeqATPGConfig, "max_stale_steps", -1),
     (SeqATPGConfig, "initial_random_vectors", -1),
     (SeqATPGConfig, "max_targeted_faults", -1),
-    (SeqATPGConfig, "mutate_probability", -0.1),
-    (SeqATPGConfig, "mutate_probability", 1.5),
     (SecondApproachConfig, "candidates_per_step", 0),
 ])
 def test_search_config_rejects_bad_values(config_cls, field, value):

@@ -183,10 +183,10 @@ class TestOmissionPerfGuard:
                                   incremental=incremental)
         restored = restoration_compact(
             circuit, flow.raw, flow.faults, oracle=oracle)
-        before = oracle.session.cycles_simulated
+        before = oracle.cycles_simulated
         omitted = omission_compact(
             circuit, restored.sequence, flow.faults, oracle=oracle)
-        return omitted, oracle.session.cycles_simulated - before
+        return omitted, oracle.cycles_simulated - before
 
     def test_incremental_at_least_2x_fewer_cycles(self, s27_flow):
         result_inc, cycles_inc = self._compact(s27_flow, incremental=True)
@@ -232,15 +232,15 @@ class TestOmissionWordGuard:
         oracle = CompactionOracle(circuit, flow.faults, sim_backend=backend)
         restored = restoration_compact(
             circuit, flow.raw, flow.faults, oracle=oracle)
-        before = oracle.session.word_cycles
+        before = oracle.word_cycles
         omitted = omission_compact(
             circuit, restored.sequence, flow.faults, oracle=oracle)
-        return oracle, omitted, oracle.session.word_cycles - before
+        return oracle, omitted, oracle.word_cycles - before
 
     @requires_vector
     def test_omission_steps_at_most_half_the_words(self, s953_flow):
         oracle, narrow, narrow_words = self._compact(s953_flow, None)
-        assert oracle.session.sim_backend == "vector"
+        assert oracle.sim_backend == "vector"
         _full_oracle, full, full_words = self._compact(s953_flow, "packed")
         assert narrow_words * 2 <= full_words
         assert list(narrow.sequence.vectors) == list(full.sequence.vectors)
@@ -287,7 +287,7 @@ def test_narrowed_compaction_matches_packed(params, length, seq_seed):
         ]
         attempts = {k: v for k, v in counters.items()
                     if k.startswith("compaction.") and k.endswith("attempts")}
-        return oracle.session, (
+        return oracle, (
             restored.sequence.vectors, restored.detected,
             omitted.sequence.vectors, omitted.detected,
             omitted.extra_detected, attempts, decisions)
@@ -316,7 +316,7 @@ def test_compaction_queries_never_step_per_cycle(monkeypatch):
                                        oracle=oracle)
         omitted = omission_compact(circuit, restored.sequence, faults,
                                    oracle=oracle)
-        return oracle.session, (
+        return oracle, (
             restored.sequence.vectors, restored.detected,
             omitted.sequence.vectors, omitted.detected,
             omitted.extra_detected)

@@ -129,7 +129,9 @@ def reference_decode_atpg():
     """A :class:`~repro.atpg.seq_atpg.SequentialATPG` that decodes every
     machine each global step reports, already recorded or not, and
     keeps the first time through ``setdefault`` (or the ledger's
-    membership test): the bookkeeping the ``seen`` mask replaced."""
+    membership test): the bookkeeping the ``seen`` mask replaced.  Its
+    repack replays the whole sequence into the narrower simulator, where
+    the engine gathers the surviving machines' flip-flop planes."""
     from repro.atpg import seq_atpg
     from repro.obs import context as obs
     from repro.obs import ledger
@@ -147,6 +149,8 @@ def reference_decode_atpg():
 
     class ReferenceDecodeATPG(seq_atpg.SequentialATPG):
         def _apply_suffix(self, sim, seen, suffix, sequence, result):
+            # What _maybe_repack replays; it follows an _apply_suffix.
+            self._replay = (sequence, result.detection_time)
             detection_time = result.detection_time
             before = len(detection_time)
             for vector in suffix:
@@ -159,9 +163,10 @@ def reference_decode_atpg():
                          len(detection_time) - before)
             return seen
 
-        def _maybe_repack(self, sim, seen, sequence, result):
-            undetected = [f for f in sim.faults
-                          if f not in result.detection_time]
+        def _maybe_repack(self, sim, seen):
+            """Replay the whole sequence into the narrower simulator."""
+            sequence, detection_time = self._replay
+            undetected = [f for f in sim.faults if f not in detection_time]
             factor = 1 + seq_atpg.REPACK_FACTOR
             if not undetected or len(sim.faults) < factor * len(undetected):
                 return sim, seen
@@ -170,7 +175,7 @@ def reference_decode_atpg():
             for t, vector in enumerate(sequence):
                 newly = packed.step(vector)
                 if newly:
-                    record(packed, newly, t, result.detection_time)
+                    record(packed, newly, t, detection_time)
             return packed, seen
 
     return ReferenceDecodeATPG
