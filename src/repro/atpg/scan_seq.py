@@ -119,8 +119,8 @@ class SecondApproachATPG:
         sim = make_backend(self.circuit, self.faults)
         undetected_mask = sim.fault_mask
 
-        for fault in self.faults:
-            bit = 1 << sim.machine_of(fault)
+        for machine, fault in enumerate(self.faults, 1):
+            bit = 1 << machine
             if not undetected_mask & bit:
                 continue
             ledger.record("atpg.target", fault=fault, engine="scan_seq")

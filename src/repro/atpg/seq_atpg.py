@@ -40,6 +40,7 @@ knowledge that the circuit has scan".
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -229,25 +230,32 @@ class SequentialATPG:
     def generate(self) -> SeqATPGResult:
         """Generate one test sequence covering as many faults as possible."""
         config = self.config
+        faults = self.faults
         sequence: List[Tuple[int, ...]] = []
-        result = SeqATPGResult(
-            sequence=TestSequence.for_circuit(self.circuit, []),
-        )
-        sim = self._make_sim(self.faults)
+        hook_detected: List[Fault] = []
+        sim = self._make_sim(faults)
         sim.reset()
-        # Machines of ``sim`` whose detections are already recorded.
+        # Machine ``j + 1`` of ``sim`` simulates ``faults[where[j]]``;
+        # ``where`` ascends, and ``seen`` holds the machines whose
+        # detections are already recorded in ``times`` (fault position
+        # -> first detection).
+        where = list(range(len(faults)))
         seen = 0
+        times: Dict[int, int] = {}
+        aborted: List[int] = []
 
         if config.initial_random_vectors:
             preamble = [self._random_vector() for _ in range(config.initial_random_vectors)]
-            seen = self._apply_suffix(sim, seen, preamble, sequence, result)
+            seen = self._apply_suffix(sim, where, seen, preamble, sequence,
+                                      times)
 
-        undetected = [f for f in self.faults if f not in result.detection_time]
+        undetected = [p for p in range(len(faults)) if p not in times]
         if config.max_targeted_faults > 0:
             undetected = undetected[: config.max_targeted_faults]
-        for fault in undetected:
-            if fault in result.detection_time:
+        for position in undetected:
+            if position in times:
                 continue
+            fault = faults[position]
             obs.incr("atpg.seq.targets")
             ledger.record("atpg.target", fault=fault, engine="seq")
             if self.triage_hook is not None and self.triage_hook(fault):
@@ -255,87 +263,83 @@ class SequentialATPG:
                 obs.incr("atpg.seq.proven")
                 ledger.record("atpg.abort", fault=fault, engine="seq",
                               proven=True)
-                result.aborted.append(fault)
+                aborted.append(position)
                 continue
-            subsequence, via_hook = self._target(fault, sim)
+            machine = bisect_left(where, position) + 1
+            subsequence, via_hook = self._target(fault, sim, machine)
             if subsequence is None:
                 obs.incr("atpg.seq.aborted")
                 ledger.record("atpg.abort", fault=fault, engine="seq")
-                result.aborted.append(fault)
+                aborted.append(position)
                 continue
             obs.observe("atpg.seq.subseq_len", len(subsequence))
-            seen = self._apply_suffix(sim, seen, subsequence, sequence,
-                                      result)
-            if fault not in result.detection_time:
+            seen = self._apply_suffix(sim, where, seen, subsequence, sequence,
+                                      times)
+            if position not in times:
                 # Verified during search/hook but not confirmed globally —
                 # treat as aborted rather than claim a phantom detection.
                 obs.incr("atpg.seq.aborted")
                 ledger.record("atpg.abort", fault=fault, engine="seq",
                               unconfirmed=True)
-                result.aborted.append(fault)
+                aborted.append(position)
                 continue
             if via_hook:
                 obs.incr("atpg.seq.hook_detections")
                 ledger.record("atpg.hook_detect", fault=fault)
-                result.hook_detected.append(fault)
-            sim, seen = self._maybe_repack(sim, seen)
+                hook_detected.append(fault)
+            sim, where, seen = self._maybe_repack(sim, where, seen)
 
         # A fault aborted early may still fall to fault dropping while a
         # later target's subsequence is applied; keep the partitions
         # (detected / aborted / untargeted) disjoint.  Faults past the
         # ``max_targeted_faults`` cap were never searched: they are
         # untargeted, in universe order.
-        detected = result.detection_time
-        searched = set(result.aborted)
-        result.aborted = [f for f in result.aborted if f not in detected]
-        result.untargeted = [f for f in self.faults
-                             if f not in detected and f not in searched]
-        result.sequence = TestSequence.for_circuit(self.circuit, sequence)
-        return result
+        searched = set(aborted)
+        return SeqATPGResult(
+            sequence=TestSequence.for_circuit(self.circuit, sequence),
+            detection_time={faults[p]: t for p, t in times.items()},
+            aborted=[faults[p] for p in aborted if p not in times],
+            hook_detected=hook_detected,
+            untargeted=[f for p, f in enumerate(faults)
+                        if p not in times and p not in searched],
+        )
 
     # -- global bookkeeping -------------------------------------------------------
 
-    def _apply_suffix(self, sim, seen, suffix, sequence, result) -> int:
+    def _apply_suffix(self, sim, where, seen, suffix, sequence, times) -> int:
         """Append ``suffix`` to the global sequence, simulating it on the
-        global fault simulator and recording first detections (with their
-        observation points when the fault ledger is recording).  A step
-        reports every mismatching machine, so only those outside ``seen``,
-        the machines already recorded, are decoded; returns the new
-        ``seen``."""
+        global fault simulator (packed over positions ``where``) and
+        recording first detections into ``times`` by fault position,
+        with their observation points when the fault ledger is
+        recording.  A step reports every mismatching machine, so only
+        those outside ``seen``, the machines already recorded, are
+        decoded; returns the new ``seen``."""
         base_time = len(sequence)
-        detection_time = result.detection_time
-        before = len(detection_time)
+        before = len(times)
+        want_ledger = ledger.enabled()
         for offset, vector in enumerate(suffix):
             newly = sim.step(vector) & ~seen
             if newly:
                 seen |= newly
-                self._record_detections(sim, newly, base_time + offset,
-                                        detection_time)
+                time = base_time + offset
+                for machine in iter_fault_positions(newly):
+                    position = where[machine]
+                    times[position] = time
+                    if want_ledger:
+                        observed = sim.detecting_outputs(1 << (machine + 1))
+                        ledger.record("atpg.detect",
+                                      fault=self.faults[position],
+                                      vector=time, engine="seq",
+                                      observed=observed)
             sequence.append(tuple(vector))
-        dropped = len(detection_time) - before
+        dropped = len(times) - before
         if dropped:
             obs.incr("faultsim.faults_dropped", dropped)
         return seen
 
-    @staticmethod
-    def _record_detections(sim, newly, time, detection_time) -> None:
-        """Record ``time`` for each fault of ``newly`` not yet detected,
-        with its observation points when the fault ledger is recording."""
-        if not ledger.enabled():
-            for fault in sim.faults_from_mask(newly):
-                detection_time.setdefault(fault, time)
-            return
-        for fault in sim.faults_from_mask(newly):
-            if fault in detection_time:
-                continue
-            detection_time[fault] = time
-            observed = sim.detecting_outputs(sim.mask_of((fault,)))
-            ledger.record("atpg.detect", fault=fault, vector=time,
-                          engine="seq", observed=observed)
-
-    def _maybe_repack(self, sim, seen):
+    def _maybe_repack(self, sim, where, seen):
         """Shrink the packed simulator to undetected faults when worth it;
-        returns the simulator and its ``seen`` mask.
+        returns the simulator, its ``where`` and its ``seen`` mask.
 
         Machines are simulated independently, so the narrower simulator
         takes the surviving machines' flip-flop planes as they are, one
@@ -344,27 +348,29 @@ class SequentialATPG:
         # Every machine of ``sim`` outside ``seen`` is undetected.
         undetected = sim.fault_mask & ~seen
         count = undetected.bit_count()
-        if not count or len(sim.faults) < (1 + REPACK_FACTOR) * count:
-            return sim, seen
-        positions = list(iter_fault_positions(undetected))
-        packed = self._make_sim([sim.faults[p] for p in positions])
-        gather = bit_gather([0] + [p + 1 for p in positions])
+        if not count or len(where) < (1 + REPACK_FACTOR) * count:
+            return sim, where, seen
+        machines = list(iter_fault_positions(undetected))
+        packed = self._make_sim([sim.faults[j] for j in machines])
+        gather = bit_gather([0] + [j + 1 for j in machines])
         packed._set_state_pairs([(gather(ones), gather(zeros))
                                  for ones, zeros in sim._state_pairs()])
         packed.time = sim.time
-        return packed, 0
+        return packed, [where[j] for j in machines], 0
 
     # -- per-fault search ------------------------------------------------------------
 
-    def _target(self, fault: Fault, global_sim) -> Tuple[Optional[List[Tuple[int, ...]]], bool]:
-        """Search for a detecting subsequence for one fault.
+    def _target(self, fault: Fault, global_sim,
+                machine: int) -> Tuple[Optional[List[Tuple[int, ...]]], bool]:
+        """Search for a detecting subsequence for one fault, which
+        ``machine`` of ``global_sim`` simulates.
 
         Returns ``(vectors, via_hook)``; ``(None, False)`` when neither
         the search nor the completion hook succeeded.
         """
         config = self.config
         good_state = global_sim.machine_state(0)
-        fault_state = global_sim.machine_state(global_sim.machine_of(fault))
+        fault_state = global_sim.machine_state(machine)
         mini = self._make_sim([fault])
         lanes = lane_view(mini)
 

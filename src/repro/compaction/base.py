@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..faults.model import Fault
 from ..sim.session import SimSession
 
 
@@ -37,8 +36,9 @@ class CompactionOracle(SimSession):
     baseline the perf guards measure against).
     """
 
-    def detection_times(self, vectors: Sequence[Sequence[int]]) -> Dict[Fault, int]:
-        """First-detection time of every live target fault under ``vectors``."""
+    def detection_times(self, vectors: Sequence[Sequence[int]]) -> Dict[int, int]:
+        """First-detection time of every live target fault under
+        ``vectors``, keyed by fault position."""
         return super().detection_times(vectors)
 
     def detected_mask(

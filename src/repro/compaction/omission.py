@@ -43,6 +43,7 @@ from ..obs import context as obs
 from ..obs import ledger
 from ..testseq.sequences import TestSequence
 from ..faults.model import Fault
+from ..sim.fault_sim import positions_mask
 from .base import CompactionOracle
 
 
@@ -93,7 +94,7 @@ def omission_compact(
             # every position t, the faults the immutable prefix [0, t)
             # already detects (exactly those with first detection < t).
             times = oracle.detection_times(vectors)
-            required_mask = oracle.mask_of(times)
+            required_mask = positions_mask(times)
             # Everything else in the universe is never required: drop it
             # from the packed planes for the whole sweep.  The session
             # packs the rest latest-detected first, so the faults a trial
@@ -113,12 +114,9 @@ def omission_compact(
                 del origins[last + 1:]
 
             # Required faults ordered by detection time, as (time,
-            # position) pairs from one pass over the session's faults; a
-            # pointer sweeps them into the needed set as the index falls.
-            by_time = sorted(
-                (t, p) for p, t in enumerate(map(times.get, oracle.faults))
-                if t is not None
-            )
+            # position) pairs; a pointer sweeps them into the needed set
+            # as the index falls.
+            by_time = sorted((t, p) for p, t in times.items())
             need_after = 0
             cursor = len(by_time)
             for index in range(len(vectors) - 1, -1, -1):

@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..testseq.sequences import TestSequence
+from ..sim.fault_sim import iter_fault_positions, positions_mask
 from .base import CompactionOracle
 from .restoration import RestorationResult
 
@@ -48,12 +49,12 @@ def overlapped_restoration_compact(
     oracle.restore_dropped()  # a shared oracle may carry drops
     vectors = list(sequence.vectors)
     detection = oracle.detection_times(vectors)
-    never = [f for f in faults if f not in detection]
+    never = [f for p, f in enumerate(oracle.faults) if p not in detection]
 
-    pending: List[Fault] = sorted(
-        detection, key=lambda f: detection[f], reverse=True
+    pending: List[int] = sorted(
+        detection, key=detection.__getitem__, reverse=True
     )
-    pending_mask = oracle.mask_of(pending)
+    pending_mask = positions_mask(pending)
     restored_set = set()
 
     def detects(indices, fault_mask) -> bool:
@@ -61,9 +62,9 @@ def overlapped_restoration_compact(
         return oracle.detects_all(subsequence, fault_mask)
 
     while pending:
-        fault = pending[0]
-        t_f = detection[fault]
-        fault_mask = oracle.mask_of([fault])
+        position = pending[0]
+        t_f = detection[position]
+        fault_mask = 1 << (position + 1)
 
         # Grow geometrically from t_f (overlapping whatever exists).
         segment: List[int] = []
@@ -105,8 +106,8 @@ def overlapped_restoration_compact(
         subsequence = [vectors[i] for i in sorted(restored_set)]
         detected_mask = oracle.detected_mask(subsequence, pending_mask)
         pending_mask &= ~detected_mask
-        secured = set(oracle.faults_of(detected_mask))
-        pending = [f for f in pending if f not in secured]
+        secured = set(iter_fault_positions(detected_mask))
+        pending = [p for p in pending if p not in secured]
 
     kept = sorted(restored_set)
     compacted = sequence.subsequence(kept)

@@ -35,6 +35,7 @@ from ..obs import context as obs
 from ..obs import ledger
 from ..testseq.sequences import TestSequence
 from ..faults.model import Fault
+from ..sim.fault_sim import iter_fault_positions, positions_mask
 from .base import CompactionOracle
 
 
@@ -61,24 +62,26 @@ def restoration_compact(
     oracle = oracle or CompactionOracle(circuit, faults)
     oracle.restore_dropped()  # a shared oracle may carry drops
     vectors = list(sequence.vectors)
+    universe = oracle.faults
     detection = oracle.detection_times(vectors)
-    never = [f for f in faults if f not in detection]
+    never = [f for p, f in enumerate(universe) if p not in detection]
 
-    # Hardest-first: decreasing detection time.
-    pending: List[Fault] = sorted(
-        detection, key=lambda f: detection[f], reverse=True
+    # Hardest-first: decreasing detection time, as fault positions.
+    pending: List[int] = sorted(
+        detection, key=detection.__getitem__, reverse=True
     )
-    pending_mask = oracle.mask_of(pending)
+    pending_mask = positions_mask(pending)
     restored: List[int] = []  # kept original indices, ascending
     restored_set = set()
 
     want_ledger = ledger.enabled()
     while pending:
-        fault = pending[0]
+        position = pending[0]
+        fault = universe[position]
         obs.incr("compaction.restoration.targets")
-        t_f = detection[fault]
+        t_f = detection[position]
         ledger.record("restoration.target", fault=fault, t=t_f)
-        fault_mask = oracle.mask_of([fault])
+        fault_mask = 1 << (position + 1)
         cycles_before = oracle.cycles_simulated
         span = 1
         while True:
@@ -119,22 +122,21 @@ def restoration_compact(
             )
         oracle.drop(detected_mask)
         pending_mask &= ~detected_mask
-        secured = set(oracle.faults_of(detected_mask))
-        pending = [f for f in pending if f not in secured]
+        secured = set(iter_fault_positions(detected_mask))
+        pending = [p for p in pending if p not in secured]
 
     obs.incr("compaction.restoration.restored_vectors", len(restored))
     obs.incr("compaction.restoration.dropped_vectors",
              len(vectors) - len(restored))
     compacted = sequence.subsequence(restored)
     oracle.restore_dropped()
-    final_mask = oracle.detected_mask(list(compacted.vectors))
+    detected = oracle.faults_of(oracle.detected_mask(list(compacted.vectors)))
     if ledger.enabled():
         ledger.record("restoration.result", kept=list(restored),
-                      original=len(vectors),
-                      detected=len(oracle.faults_of(final_mask)))
+                      original=len(vectors), detected=len(detected))
     return RestorationResult(
         sequence=compacted,
         kept_indices=restored,
-        detected=oracle.faults_of(final_mask),
+        detected=detected,
         never_detected=never,
     )

@@ -360,7 +360,9 @@ def _compact_into(
         # First-detection time of every fault under the final compacted
         # sequence — the ground truth explain-vector reconciles against.
         final_times = oracle.detection_times(list(omitted.sequence.vectors))
-        ledger.record("flow.final_times", times=final_times)
+        universe = oracle.faults
+        ledger.record("flow.final_times",
+                      times={universe[p]: t for p, t in final_times.items()})
     oracle.close()
     result.restored = restored
     result.omitted = omitted

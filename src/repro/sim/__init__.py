@@ -23,6 +23,7 @@ from .fault_sim import (
     SimBackend,
     compiled_topology,
     iter_fault_positions,
+    positions_mask,
 )
 from .logic_sim import LogicSimulator, vector_from_string
 from .session import SimSession
@@ -35,6 +36,7 @@ __all__ = [
     "CompiledTopology",
     "compiled_topology",
     "iter_fault_positions",
+    "positions_mask",
     "SimSession",
     "SimBackend",
     "make_backend",

@@ -110,6 +110,18 @@ def iter_fault_positions(mask: int):
         position = find("1", position + 1)
 
 
+def positions_mask(positions: Collection[int]) -> int:
+    """The detection mask whose machine bits are fault positions
+    ``positions``: the inverse of :func:`iter_fault_positions`, set in
+    one bit string, as each OR costs a whole width."""
+    if not positions:
+        return 0
+    bits = bytearray(b"0") * (max(positions) + 2)  # most significant first
+    for position in positions:
+        bits[~position - 1] = 49  # ord("1"), bit position + 1
+    return int(bits, 2)
+
+
 def bit_gather(bits: Sequence[int]) -> Callable[[int], int]:
     """A function mapping ``mask`` to the mask whose bit ``j`` is bit
     ``bits[j]`` of ``mask``: one :func:`operator.itemgetter` pick from its
@@ -288,49 +300,27 @@ class _LaneTables(NamedTuple):
 
 @dataclass
 class FaultSimResult:
-    """Outcome of simulating one test sequence against a fault list.
-
-    Treated as immutable once the simulation that built it returns: the
-    ``detected``/``undetected`` partitions are computed once on first
-    access and cached (they used to be rebuilt — an O(faults) scan — on
-    every property read, which hot loops in compaction paid repeatedly).
-    """
+    """Outcome of simulating one test sequence against a fault list."""
 
     faults: List[Fault]
     detection_time: Dict[Fault, int] = field(default_factory=dict)
     num_vectors: int = 0
-    _detected: Optional[List[Fault]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _undetected: Optional[List[Fault]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def detected_set(self) -> Dict[Fault, int]:
-        """The detection map itself — membership is the O(1) detected
-        test; exposed under the name the partitions derive from."""
-        return self.detection_time
 
     @property
     def detected(self) -> List[Fault]:
-        if self._detected is None:
-            detected_set = self.detection_time
-            self._detected = [f for f in self.faults if f in detected_set]
-        return self._detected
+        detection_time = self.detection_time
+        return [f for f in self.faults if f in detection_time]
 
     @property
     def undetected(self) -> List[Fault]:
-        if self._undetected is None:
-            detected_set = self.detection_time
-            self._undetected = [f for f in self.faults if f not in detected_set]
-        return self._undetected
+        detection_time = self.detection_time
+        return [f for f in self.faults if f not in detection_time]
 
     def coverage(self) -> float:
         """Fault coverage in percent (paper's ``fcov`` column)."""
         if not self.faults:
             return 100.0
-        return 100.0 * len(self.detected_set) / len(self.faults)
-
-
+        return 100.0 * len(self.detection_time) / len(self.faults)
 
 
 def words_of(mask: int) -> int:
@@ -367,7 +357,7 @@ class SimBackend:
     Machine 0 is the fault-free circuit and machine ``i + 1`` simulates
     ``faults[i]``: bit ``i + 1`` of every plane and detection mask is
     ``faults[i]``.  This class owns that rule (:meth:`faults_from_mask`,
-    :meth:`machine_of`, :meth:`mask_of`), whole-sequence simulation
+    the one decode), whole-sequence simulation
     (:meth:`query`, and :meth:`run` and :meth:`detects_all` on top of
     it) and every read-out of the planes.
 
@@ -398,7 +388,6 @@ class SimBackend:
         self._po_masks: list = [None] * len(self._po)
         self._state: List[Tuple[int, int]] = [(0, 0)] * len(circuit.flops)
         self.time = 0
-        self._machines: Optional[Dict[Fault, int]] = None
 
     def step(self, vector: Sequence[int]) -> int:
         """Apply one vector; return the mask of machines detected this cycle.
@@ -415,33 +404,6 @@ class SimBackend:
         """Decode a detection mask into the fault objects it covers."""
         faults = self.faults
         return [faults[position] for position in iter_fault_positions(mask)]
-
-    def _machine_map(self) -> Dict[Fault, int]:
-        """fault -> machine, built on first use and kept for the
-        simulator's lifetime."""
-        if self._machines is None:
-            self._machines = {f: i + 1 for i, f in enumerate(self.faults)}
-        return self._machines
-
-    def machine_of(self, fault: Fault) -> int:
-        """Machine (bit position) simulating ``fault``."""
-        return self._machine_map()[fault]
-
-    def mask_of(self, faults: Collection[Fault]) -> int:
-        """Mask covering ``faults`` (each must be packed here).  A few
-        are OR-ed in one by one; more are set in one bit string, as each
-        OR costs a whole width."""
-        machines = self._machine_map()
-        if len(faults) < 128:
-            mask = 0
-            for fault in faults:
-                mask |= 1 << machines[fault]
-            return mask
-        bits = [machines[fault] for fault in faults]
-        string = bytearray(b"0") * (max(bits) + 1)  # most significant first
-        for bit in bits:
-            string[~bit] = 49  # ord("1")
-        return int(string, 2)
 
     # -- state -----------------------------------------------------------------
 

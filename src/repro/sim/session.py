@@ -52,8 +52,7 @@ import math
 from itertools import compress, count
 from operator import ne
 from typing import (
-    Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from ..circuit.netlist import Circuit
@@ -64,7 +63,8 @@ from .backend import (
     BACKEND_VECTOR, backend_class, make_backend, resolve_concrete_backend,
 )
 from .fault_sim import (
-    FaultSimResult, bit_gather, iter_fault_positions, words_of,
+    FaultSimResult, bit_gather, iter_fault_positions, positions_mask,
+    words_of,
 )
 from .logic_sim import vector_from_string
 
@@ -184,15 +184,10 @@ class SimSession:
 
     # -- mask conversions ------------------------------------------------------
 
-    # The full-universe simulator packs the session's faults in order,
-    # so its fault <-> bit rule is the external mask convention.
-
-    def mask_of(self, faults: Collection[Fault]) -> int:
-        """External mask covering ``faults`` (must be session faults)."""
-        return self._base_sim.mask_of(faults)
-
     def faults_of(self, mask: int) -> List[Fault]:
-        """Fault objects covered by an external ``mask``."""
+        """Fault objects covered by an external ``mask``: the decode at
+        the edge, through the full-universe simulator, which packs the
+        session's faults in order."""
         return self._base_sim.faults_from_mask(mask)
 
     @property
@@ -261,9 +256,10 @@ class SimSession:
             self._repack_if_sparse(mask)
         return mask
 
-    def keep(self, times: Mapping[Fault, int]) -> int:
-        """Drop every live fault ``times`` does not name; returns the
-        mask dropped.
+    def keep(self, times: Mapping[int, int]) -> int:
+        """Drop every live fault whose position ``times`` does not name
+        (``times`` maps fault position to first-detection cycle, as
+        :meth:`detection_times` returns it); returns the mask dropped.
 
         On the vector kernel, when the kept faults span more than one
         machine word, they are then repacked latest first (descending
@@ -272,15 +268,14 @@ class SimSession:
         prefix of machine words, which is all a query targeting them
         steps.  Otherwise this is :meth:`drop`.
         """
-        mask = self._mark_dropped(self._live_mask & ~self.mask_of(times))
+        mask = self._mark_dropped(self._live_mask & ~positions_mask(times))
         live = self._live_mask
         if not self._narrows or live.bit_count() < 64:
             if mask:
                 self._repack_if_sparse(mask)
             return mask
-        faults = self.faults
         order = sorted(iter_fault_positions(live),
-                       key=lambda p: (-times[faults[p]], p))
+                       key=lambda p: (-times[p], p))
         if order != self._live_positions:
             self._repack(order)
         elif mask:
@@ -498,19 +493,18 @@ class SimSession:
         seen = query.seen
         return wanted_int & ~seen, seen & ~self._dead_int, t
 
-    def _times(self) -> Dict[Fault, int]:
-        """First-detection cycle per live fault on the timeline the last
-        full-width query simulated, in (cycle, position) order."""
-        faults = self.faults
+    def _times(self) -> Dict[int, int]:
+        """First-detection cycle per live fault position on the timeline
+        the last full-width query simulated, in (cycle, position) order."""
         positions = self._live_positions
         dead = self._dead_int
-        times: Dict[Fault, int] = {}
+        times: Dict[int, int] = {}
         for cycle, mask in self._log:
             # ``keep`` may pack out of position order; a cycle's faults
             # enter ``times`` in position order all the same.
             for p in sorted([positions[j]
                              for j in iter_fault_positions(mask & ~dead)]):
-                times[faults[p]] = cycle
+                times[p] = cycle
         return times
 
     # -- queries ---------------------------------------------------------------
@@ -547,8 +541,10 @@ class SimSession:
         self,
         vectors: Iterable[Sequence[int]],
         initial_state: Optional[Sequence[int]] = None,
-    ) -> Dict[Fault, int]:
-        """First-detection cycle per live fault over the full sequence."""
+    ) -> Dict[int, int]:
+        """First-detection cycle per live fault over the full sequence,
+        keyed by fault position (``faults[p]``, bit ``p + 1`` of every
+        mask), in (cycle, position) order."""
         self._run(self._normalize(vectors), self._live_mask, False,
                   initial_state)
         return self._times()
@@ -572,10 +568,11 @@ class SimSession:
             self._normalize(vectors), self._live_mask,
             stop_when_all_detected, initial_state
         )
-        result = FaultSimResult(faults=self.faults_of(self._live_mask),
-                                num_vectors=end)
-        result.detection_time.update(self._times())
-        return result
+        faults = self.faults
+        return FaultSimResult(
+            faults=self.faults_of(self._live_mask),
+            detection_time={faults[p]: t for p, t in self._times().items()},
+            num_vectors=end)
 
     def scan_test_mask(
         self,

@@ -17,7 +17,7 @@ from repro.compaction import (
 )
 from repro.core import ScanAwareATPG
 from repro.faults import collapse_faults
-from repro.sim import PackedFaultSimulator
+from repro.sim import PackedFaultSimulator, positions_mask
 from repro.testseq import TestSequence
 from tests.util import random_vectors
 
@@ -161,15 +161,13 @@ class TestOracle:
     def test_mask_roundtrip(self, s27_scan_case):
         circuit, faults, _ = s27_scan_case
         oracle = CompactionOracle(circuit, faults)
-        subset = faults[3:9]
-        assert oracle.faults_of(oracle.mask_of(subset)) == sorted(
-            subset, key=faults.index
-        )
+        assert oracle.faults_of(positions_mask([8, 3, 5, 4, 7, 6])) == \
+            faults[3:9]
 
     def test_detects_all_early_exit(self, s27_scan_case):
         circuit, faults, sequence = s27_scan_case
         oracle = CompactionOracle(circuit, faults)
-        target = oracle.mask_of(faults[:3])
+        target = positions_mask(range(3))
         assert oracle.detects_all(list(sequence.vectors), target)
 
 

@@ -16,7 +16,7 @@ from repro.atpg import SeqATPGConfig, SequentialATPG
 from repro.atpg import seq_atpg
 from repro.circuit import insert_scan, random_circuit
 from repro.faults import collapse_faults, enumerate_faults, equivalence_classes
-from repro.sim import PackedFaultSimulator, SimSession, iter_fault_positions
+from repro.sim import SimSession, iter_fault_positions, positions_mask
 from repro.sim.fault_sim import bit_gather
 
 from tests.util import (
@@ -78,24 +78,25 @@ def test_bit_gather_matches_reference(width, seed):
     assert bit_gather(bits)(mask) == expected
 
 
-# -- collapse -----------------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(gates=st.integers(2, 80), density=st.floats(0, 1),
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(0, 3000), density=st.sampled_from((0.0, 0.01, 0.3, 1.0)),
        seed=st.integers(0, 10_000), container=st.sampled_from(
-           (list, tuple, set, dict.fromkeys)))
-def test_mask_of_matches_per_fault_or(gates, density, seed, container):
-    """Small and large fault sets (both sides of the bit-string switch),
-    in any order and any collection type."""
-    circuit = random_circuit("mask", 3, 2, gates, seed=seed)
-    faults = enumerate_faults(circuit)
-    sim = PackedFaultSimulator(circuit, faults)
+           (list, tuple, set, frozenset, dict.fromkeys)))
+def test_positions_mask_matches_per_position_or(width, density, seed,
+                                                container):
+    """Empty, sparse and dense position sets of up to 3,000 positions,
+    in any order and any container type, and the round trip through
+    ``iter_fault_positions``."""
     rng = random.Random(seed)
-    subset = [f for f in faults if rng.random() < density]
-    rng.shuffle(subset)
-    subset = container(subset)
-    assert sim.mask_of(subset) == reference_mask_of(sim, subset)
+    positions = [p for p in range(width) if rng.random() < density]
+    rng.shuffle(positions)
+    mask = positions_mask(container(positions))
+    assert mask == reference_mask_of(positions)
+    assert list(iter_fault_positions(mask)) == sorted(positions)
+    assert positions_mask(list(iter_fault_positions(mask))) == mask
+
+
+# -- collapse -----------------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,6 +150,33 @@ def test_atpg_detection_times_match_every_cycle_decoding(
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=25, deadline=None)
+@given(gates=st.integers(8, 60), circuit_seed=st.integers(0, 10_000),
+       seed=st.integers(0, 1000), cap=st.sampled_from((0, 4)))
+def test_atpg_repack_keeps_every_result_bit(gates, circuit_seed, seed, cap):
+    """Repacking after every target (``REPACK_FACTOR = 0``) gives what
+    never repacking gives: the target machine the engine finds through
+    its packing must be the target's own after every narrowing."""
+    circuit = insert_scan(random_circuit("repack", 3, 3, gates,
+                                         seed=circuit_seed)).circuit
+    faults = collapse_faults(circuit)
+    config = SeqATPGConfig(seed=seed, initial_random_vectors=8,
+                           max_subseq_len=8, restarts=1,
+                           max_targeted_faults=cap)
+    previous = seq_atpg.REPACK_FACTOR
+    runs = []
+    try:
+        for factor in (0.0, 1e9):
+            seq_atpg.REPACK_FACTOR = factor
+            result = SequentialATPG(circuit, faults, config=config).generate()
+            runs.append((result.sequence.vectors,
+                         list(result.detection_time.items()),
+                         result.aborted, result.untargeted))
+    finally:
+        seq_atpg.REPACK_FACTOR = previous
+    assert runs[0] == runs[1]
+
+
 # -- session packings ---------------------------------------------------------
 
 
@@ -172,13 +200,14 @@ def test_session_mask_conversions_match_per_bit_loops(shape, seed):
             internal = rng.getrandbits(len(positions) + 1) & ~1
             assert session._to_external(internal) == \
                 reference_to_external(internal, positions)
-        # First detections per live fault, decoded off the internal log.
+        # First detections per live fault position, decoded off the
+        # internal log.
         times = {}
         live = session.live_mask
         for cycle, mask in session._log:
             external = reference_to_external(mask, positions) & live
             for p in reference_fault_positions(external):
-                times[faults[p]] = cycle
+                times[p] = cycle
         assert list(session._times().items()) == list(times.items())
 
     session.detection_times(vectors)
@@ -190,7 +219,7 @@ def test_session_mask_conversions_match_per_bit_loops(shape, seed):
             session.drop(sum(1 << (p + 1) for p in live
                              if rng.random() < 0.4))
         elif action == "keep" and live:
-            session.keep({faults[p]: rng.randrange(12) for p in live
+            session.keep({p: rng.randrange(12) for p in live
                           if rng.random() < 0.7})
         elif action == "repack" and live:
             rng.shuffle(live)  # any machine order, as a sweep's keep packs

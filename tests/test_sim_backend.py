@@ -39,7 +39,9 @@ from repro.sim import (
     PackedFaultSimulator,
     SimBackend,
     SimSession,
+    iter_fault_positions,
     make_backend,
+    positions_mask,
     resolve_backend_name,
 )
 from repro.sim.backend import (
@@ -468,9 +470,7 @@ def test_session_checkpoint_drop_repack_parity(circuit):
         answers.append(session.detection_times(vectors[:12]))
         detected = session.detected_mask(vectors)
         # Drop roughly half the detected faults to force a repack.
-        half = 0
-        for fault in session.faults_of(detected)[::2]:
-            half |= session.mask_of([fault])
+        half = positions_mask(list(iter_fault_positions(detected))[::2])
         session.drop(half)
         answers.append(session.detection_times(edited))
         session.restore_dropped()
@@ -638,11 +638,8 @@ def test_contract_fault_bit_rule(contract_sim):
     assert sim.num_machines == len(faults) + 1
     assert sim.full_mask == (1 << sim.num_machines) - 1
     assert sim.fault_mask == sim.full_mask & ~1
-    assert [sim.machine_of(f) for f in faults] == \
-        list(range(1, len(faults) + 1))
     subset = faults[::3]
-    mask = sim.mask_of(subset)
-    assert mask == sum(1 << (faults.index(f) + 1) for f in subset)
+    mask = positions_mask(range(0, len(faults), 3))
     assert sim.faults_from_mask(mask | 1) == subset
     assert sim.faults_from_mask(sim.fault_mask) == faults
 

@@ -20,6 +20,7 @@ from repro.compaction.omission import omission_compact
 from repro.compaction.restoration import restoration_compact
 from repro.core.pipeline import generation_flow
 from repro.faults.collapse import collapse_faults
+from repro.sim import iter_fault_positions, positions_mask
 from repro.sim.backend import vector_available
 from repro.testseq.sequences import TestSequence
 
@@ -35,9 +36,12 @@ def random_vectors(circuit, count, rng):
 
 
 def reference_times(circuit, faults, vectors):
-    """Ground truth: fresh packed simulator, full run from reset."""
+    """Ground truth: fresh packed simulator, full run from reset, keyed
+    by fault position."""
     sim = PackedFaultSimulator(circuit, faults)
-    return dict(sim.run(list(vectors)).detection_time)
+    position = {fault: p for p, fault in enumerate(faults)}
+    return {position[fault]: t
+            for fault, t in sim.run(list(vectors)).detection_time.items()}
 
 
 def _edit_schedule(vectors, rng):
@@ -88,7 +92,7 @@ class TestResumeEqualsRestart:
         vectors = random_vectors(circuit, 30, rng)
         session = SimSession(circuit, faults)
         for query in _edit_schedule(vectors, rng):
-            expected = session.mask_of(
+            expected = positions_mask(
                 reference_times(circuit, faults, query)
             )
             assert session.detected_mask(query) == expected
@@ -131,18 +135,18 @@ class TestFaultDropping:
         truth = reference_times(circuit, faults, vectors)
 
         session = SimSession(circuit, faults)
-        truth_mask = session.mask_of(truth)
+        truth_mask = positions_mask(truth)
         for _round in range(6):
             detected = session.detected_mask(vectors)
             assert detected == truth_mask & session.live_mask
             # Drop a random subset of what is detected (possibly enough
             # to trigger a geometric repack).
-            candidates = session.faults_of(detected)
+            candidates = list(iter_fault_positions(detected))
             if candidates:
                 sample = rng.sample(
                     candidates, rng.randint(1, len(candidates))
                 )
-                session.drop(session.mask_of(sample))
+                session.drop(positions_mask(sample))
         session.restore_dropped()
         assert session.detected_mask(vectors) == truth_mask
         assert session.detection_times(vectors) == truth

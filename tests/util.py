@@ -30,11 +30,12 @@ def reference_fault_positions(mask):
     return positions
 
 
-def reference_mask_of(sim, faults):
-    """Mask of ``faults`` in ``sim``'s packing, one OR per fault."""
+def reference_mask_of(positions):
+    """Mask of fault ``positions`` (bit ``p + 1`` each), one OR per
+    position."""
     mask = 0
-    for fault in faults:
-        mask |= 1 << sim.machine_of(fault)
+    for position in positions:
+        mask |= 1 << (position + 1)
     return mask
 
 
@@ -136,46 +137,45 @@ def reference_decode_atpg():
     from repro.obs import context as obs
     from repro.obs import ledger
 
-    def record(sim, newly, time, detection_time):
-        for position in reference_fault_positions(newly):
-            fault = sim.faults[position]
+    def record(faults, sim, where, newly, time, times):
+        for machine in reference_fault_positions(newly):
+            position = where[machine]
             if not ledger.enabled():
-                detection_time.setdefault(fault, time)
-            elif fault not in detection_time:
-                detection_time[fault] = time
-                observed = sim.detecting_outputs(sim.mask_of((fault,)))
-                ledger.record("atpg.detect", fault=fault, vector=time,
-                              engine="seq", observed=observed)
+                times.setdefault(position, time)
+            elif position not in times:
+                times[position] = time
+                observed = sim.detecting_outputs(reference_mask_of([machine]))
+                ledger.record("atpg.detect", fault=faults[position],
+                              vector=time, engine="seq", observed=observed)
 
     class ReferenceDecodeATPG(seq_atpg.SequentialATPG):
-        def _apply_suffix(self, sim, seen, suffix, sequence, result):
+        def _apply_suffix(self, sim, where, seen, suffix, sequence, times):
             # What _maybe_repack replays; it follows an _apply_suffix.
-            self._replay = (sequence, result.detection_time)
-            detection_time = result.detection_time
-            before = len(detection_time)
+            self._replay = (sequence, times)
+            before = len(times)
             for vector in suffix:
                 newly = sim.step(vector)
                 if newly:
-                    record(sim, newly, len(sequence), detection_time)
+                    record(self.faults, sim, where, newly, len(sequence),
+                           times)
                 sequence.append(tuple(vector))
-            if len(detection_time) > before:
-                obs.incr("faultsim.faults_dropped",
-                         len(detection_time) - before)
+            if len(times) > before:
+                obs.incr("faultsim.faults_dropped", len(times) - before)
             return seen
 
-        def _maybe_repack(self, sim, seen):
+        def _maybe_repack(self, sim, where, seen):
             """Replay the whole sequence into the narrower simulator."""
-            sequence, detection_time = self._replay
-            undetected = [f for f in sim.faults if f not in detection_time]
+            sequence, times = self._replay
+            undetected = [p for p in where if p not in times]
             factor = 1 + seq_atpg.REPACK_FACTOR
-            if not undetected or len(sim.faults) < factor * len(undetected):
-                return sim, seen
-            packed = self._make_sim(undetected)
+            if not undetected or len(where) < factor * len(undetected):
+                return sim, where, seen
+            packed = self._make_sim([self.faults[p] for p in undetected])
             packed.reset()
             for t, vector in enumerate(sequence):
                 newly = packed.step(vector)
                 if newly:
-                    record(packed, newly, t, detection_time)
-            return packed, seen
+                    record(self.faults, packed, undetected, newly, t, times)
+            return packed, undetected, seen
 
     return ReferenceDecodeATPG
